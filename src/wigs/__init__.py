@@ -20,13 +20,11 @@ from .data import (
     scale_features,
 )
 from .geometry import DistanceCache, build_cache, normalize_phi, update_after_acquisition
-from .harness import RunRecord, run_experiment, run_replication, veto_demo
+from .harness import RunRecord, run_experiment, run_replication
 from .metrics import (
     Trace,
-    aggregate_seeds,
     auc_trapezoid,
     correlation_coefficient,
-    full_pool_rmse,
     label_efficiency,
     relative_auc,
     wilcoxon_signed_rank,
@@ -37,10 +35,10 @@ from .model import (
     cv_rmse,
     fit_bootstrap_committee,
     fit_ridge,
-    predictive_variance,
+    predictive_variance_batch,
 )
 from .report import emit_report, load_record
-from .sac import ReplayBuffer, SacAgent, SacConfig, agent_reward, build_state, sac_update, sample_action
+from .sac import ReplayBuffer, SacAgent, SacConfig, build_state, sac_update, sample_action
 from .selectors import (
     SelectionResult,
     select_egal,
@@ -53,6 +51,7 @@ from .selectors import (
     select_uncertainty,
     select_wigs,
     verify_density_veto,
+    veto_demo,
 )
 from .weights import (
     BanditState,

@@ -8,8 +8,9 @@ from dataclasses import replace
 
 from .config import load_config
 from .data import sample_three_regime, sample_two_regime, save_csv
-from .harness import run_experiment, veto_demo
+from .harness import run_experiment
 from .report import emit_report, load_record
+from .selectors import veto_demo
 
 
 def _cmd_run(args) -> int:

@@ -11,19 +11,32 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
 
+import numpy as np
 import yaml
 
+from .geometry import DistanceCache
+from .model import Committee, RidgeModel
+from .rng import generator
 from .sac import SacConfig
+from .selectors import (
+    SelectionResult,
+    egal_bandwidth,
+    select_egal,
+    select_emcm,
+    select_gsx,
+    select_gsy,
+    select_igs,
+    select_passive,
+    select_qbc,
+    select_uncertainty,
+    select_wigs,
+)
+from .weights import BanditPolicy, ExpDecayPolicy, LinearDecayPolicy, SacPolicy, StaticPolicy
 
 ENV_OUT_DIR = "WIGS_OUT_DIR"
-
-METHOD_KINDS = (
-    "passive", "gsx", "gsy", "igs",
-    "wigs_static", "wigs_linear", "wigs_exp", "wigs_mab", "wigs_sac",
-    "uncertainty", "qbc", "emcm", "egal",
-)
 
 # Named interpretation choices baked into this implementation, embedded in
 # every run snapshot so downstream consumers know which conventions
@@ -45,13 +58,106 @@ INTERPRETATION_REGISTRY = {
 
 
 @dataclass(frozen=True)
+class Param:
+    """One method parameter: its default (None: required) and its range rule."""
+
+    default: object = None
+    check: Callable[[object], bool] = lambda value: True
+    rule: str = ""  # the error message when ``check`` fails
+
+
+@dataclass(frozen=True)
+class Query:
+    """What a selector may read at one iteration."""
+
+    model: RidgeModel
+    pool_features: np.ndarray
+    cache: DistanceCache | None
+    committee: Committee | None
+    weight: float | None
+    state: object  # the value the kind's ``setup`` built for this run
+
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything the acquisition loop needs to know about one method kind.
+
+    ``policy`` builds the weight controller from the resolved params and
+    the replication seed; ``setup`` builds per-run selector state from the
+    features and the seed, once, and only for the kinds that have one.
+    The flags name what the loop computes each iteration for this kind.
+    """
+
+    select: Callable[[Query], SelectionResult]
+    params: dict[str, Param] = field(default_factory=dict)
+    policy: Callable[[dict, int], object] | None = None
+    setup: Callable[[np.ndarray, int], object] | None = None
+    cache: bool = False      # distance cache, updated after each acquisition
+    cv_reward: bool = False  # the policy is fed the drop in CV RMSE
+    sac_state: bool = False  # the policy is fed the learning-context vector
+    committee: bool = False  # a bootstrap committee is refit before selection
+
+
+def _unit(value) -> bool:
+    return value is not None and 0.0 <= float(value) <= 1.0
+
+
+def _select_wigs(q: Query) -> SelectionResult:
+    return select_wigs(q.cache, q.weight)
+
+
+def _sac_policy(p: dict, seed: int) -> SacPolicy:
+    config = SacConfig(**{k: v for k, v in p.items() if k != "updates_per_step"})
+    return SacPolicy(config, generator(seed, "sac"), updates_per_step=int(p["updates_per_step"]))
+
+
+def _decay(default: float) -> dict[str, Param]:
+    return {"c": Param(default, lambda c: float(c) > 0, "decay constant must be positive")}
+
+
+_COMMITTEE = {"committee_size": Param(10, lambda n: int(n) >= 2,
+                                      "committee needs at least 2 members")}
+
+KINDS: dict[str, Kind] = {
+    "passive": Kind(lambda q: select_passive(len(q.pool_features), q.state),
+                    setup=lambda X, seed: generator(seed, "passive")),
+    "gsx": Kind(lambda q: select_gsx(q.cache), cache=True),
+    "gsy": Kind(lambda q: select_gsy(q.cache), cache=True),
+    "igs": Kind(lambda q: select_igs(q.cache), cache=True),
+    "wigs_static": Kind(
+        _select_wigs, {"w": Param(None, _unit, "static weight must lie in [0, 1]")},
+        policy=lambda p, seed: StaticPolicy(float(p["w"])), cache=True),
+    "wigs_linear": Kind(_select_wigs, _decay(1.0),
+                        policy=lambda p, seed: LinearDecayPolicy(float(p["c"])), cache=True),
+    "wigs_exp": Kind(_select_wigs, _decay(5.0),
+                     policy=lambda p, seed: ExpDecayPolicy(float(p["c"])), cache=True),
+    "wigs_mab": Kind(
+        _select_wigs,
+        {"arms": Param((0.25, 0.50, 0.75), lambda arms: bool(arms) and all(map(_unit, arms)),
+                       "bandit arms must lie in [0, 1]"),
+         "c_explore": Param(2.0, lambda c: float(c) >= 0, "c_explore must be nonnegative")},
+        policy=lambda p, seed: BanditPolicy(tuple(p["arms"]), float(p["c_explore"])),
+        cache=True, cv_reward=True),
+    "wigs_sac": Kind(
+        _select_wigs,
+        {**{f.name: Param(f.default) for f in fields(SacConfig) if f.init},
+         "updates_per_step": Param(1)},
+        policy=_sac_policy, cache=True, cv_reward=True, sac_state=True),
+    "uncertainty": Kind(lambda q: select_uncertainty(q.model, q.pool_features)),
+    "qbc": Kind(lambda q: select_qbc(q.committee, q.pool_features), _COMMITTEE, committee=True),
+    "emcm": Kind(lambda q: select_emcm(q.model, q.committee, q.pool_features), _COMMITTEE,
+                 committee=True),
+    "egal": Kind(lambda q: select_egal(q.cache, q.state), setup=egal_bandwidth, cache=True),
+}
+
+
+@dataclass(frozen=True)
 class MethodSpec:
     """One selection strategy plus its parameters.
 
     ``name`` labels output rows and must be unique within a config;
-    ``kind`` picks the selector; ``params`` holds kind-specific settings
-    (weight / decay constants, committee size, bandit arms, agent
-    hyperparameters).
+    ``kind`` picks the entry of ``KINDS``; ``params`` holds kind-specific
+    settings as given, and ``settings()`` fills in the kind's defaults.
     """
 
     name: str
@@ -59,33 +165,20 @@ class MethodSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in METHOD_KINDS:
+        kind = KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown method kind {self.kind!r}")
-        p = self.params
-        if self.kind == "wigs_static":
-            w = p.get("w")
-            if w is None or not 0.0 <= float(w) <= 1.0:
-                raise ValueError(f"{self.name}: static weight must lie in [0, 1]")
-        if self.kind in ("wigs_linear", "wigs_exp") and float(p.get("c", 1.0)) <= 0:
-            raise ValueError(f"{self.name}: decay constant must be positive")
-        if self.kind == "wigs_mab":
-            arms = p.get("arms", (0.25, 0.50, 0.75))
-            if not arms or any(not 0.0 <= float(a) <= 1.0 for a in arms):
-                raise ValueError(f"{self.name}: bandit arms must lie in [0, 1]")
-            if float(p.get("c_explore", 2.0)) < 0:
-                raise ValueError(f"{self.name}: c_explore must be nonnegative")
-        if self.kind in ("qbc", "emcm") and int(p.get("committee_size", 10)) < 2:
-            raise ValueError(f"{self.name}: committee needs at least 2 members")
+        for key in self.params:
+            if key not in kind.params:
+                raise ValueError(f"{self.name}: unknown parameter {key!r} for kind {self.kind!r}")
+        for key, value in self.settings().items():
+            if not kind.params[key].check(value):
+                raise ValueError(f"{self.name}: {kind.params[key].rule}")
 
-    def sac_config(self) -> SacConfig:
-        """Agent hyperparameters, package defaults overridden by params."""
-        fields = (
-            "hidden", "lr", "beta1", "beta2", "adam_eps", "gamma", "tau",
-            "alpha_ent", "batch_size", "buffer_capacity", "log_std_min",
-            "log_std_max",
-        )
-        overrides = {k: self.params[k] for k in fields if k in self.params}
-        return SacConfig(**overrides)
+    def settings(self) -> dict:
+        """The params with the kind's defaults filled in."""
+        defaults = {key: p.default for key, p in KINDS[self.kind].params.items()}
+        return {**defaults, **self.params}
 
 
 @dataclass(frozen=True)

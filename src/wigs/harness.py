@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, MethodSpec, snapshot_json
+from .config import KINDS, ExperimentConfig, MethodSpec, Query, snapshot_json
 from .data import (
     Dataset,
     PreprocessConfig,
@@ -36,10 +36,12 @@ from .data import (
 from .geometry import build_cache, update_after_acquisition
 from .metrics import Trace, correlation_coefficient, hybrid_rmse
 from .model import cv_rmse, fit_bootstrap_committee, fit_ridge
-from .rng import child_seed, generator
+from .rng import child_seed
 from .sac import build_state
-from .selectors import (
-    egal_bandwidth,
+
+# Not called here; the kind table calls the selectors.  bench/tracing.py
+# wraps these names.
+from .selectors import (  # noqa: F401
     select_egal,
     select_emcm,
     select_gsx,
@@ -49,9 +51,7 @@ from .selectors import (
     select_qbc,
     select_uncertainty,
     select_wigs,
-    verify_density_veto,
 )
-from .weights import BanditPolicy, ExpDecayPolicy, LinearDecayPolicy, SacPolicy, StaticPolicy
 
 # Wall time lives in a separate timings file: it is a measurement, not a
 # result, and keeping it out of traces.csv makes that file byte-identical
@@ -61,35 +61,6 @@ TRACE_COLUMNS = (
     "rmse", "cc", "weight", "selector_score", "acquired_idx",
 )
 TIMING_COLUMNS = ("dataset", "method", "seed", "iteration", "wall_ms")
-
-_CACHE_KINDS = {"gsx", "gsy", "igs", "wigs_static", "wigs_linear", "wigs_exp",
-                "wigs_mab", "wigs_sac", "egal"}
-_WIGS_KINDS = {"wigs_static", "wigs_linear", "wigs_exp", "wigs_mab", "wigs_sac"}
-_ADAPTIVE_KINDS = {"wigs_mab", "wigs_sac"}
-
-
-def _make_policy(method: MethodSpec, seed: int):
-    kind = method.kind
-    p = method.params
-    if kind == "wigs_static":
-        return StaticPolicy(float(p["w"]))
-    if kind == "wigs_linear":
-        return LinearDecayPolicy(float(p.get("c", 1.0)))
-    if kind == "wigs_exp":
-        return ExpDecayPolicy(float(p.get("c", 5.0)))
-    if kind == "wigs_mab":
-        return BanditPolicy(
-            arms=tuple(p.get("arms", (0.25, 0.50, 0.75))),
-            c_explore=float(p.get("c_explore", 2.0)),
-        )
-    if kind == "wigs_sac":
-        return SacPolicy(
-            method.sac_config(),
-            generator(seed, "sac"),
-            updates_per_step=int(p.get("updates_per_step", 1)),
-        )
-    return None
-
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
     """Materialize the configured dataset, preprocessing included."""
@@ -122,13 +93,10 @@ def run_replication(
     pool = list(split.pool_idx)
     horizon = len(pool)
 
-    kind = method.kind
-    policy = _make_policy(method, seed)
-    needs_cache = kind in _CACHE_KINDS
-    needs_cv = kind in _ADAPTIVE_KINDS
-    committee_size = int(method.params.get("committee_size", 10))
-    egal_delta = egal_bandwidth(X, seed) if kind == "egal" else None
-    passive_rng = generator(seed, "passive") if kind == "passive" else None
+    kind = KINDS[method.kind]
+    params = method.settings()
+    policy = kind.policy(params, seed) if kind.policy else None
+    state = kind.setup(X, seed) if kind.setup else None
 
     rows_rmse = np.empty(horizon + 1)
     rows_cc = np.empty(horizon + 1)
@@ -149,9 +117,10 @@ def run_replication(
 
     start = time.perf_counter()
     model = fit_ridge(X[labeled], y[labeled], alpha)
-    pool_preds = model.predict(X[pool])
+    pool_features = X[pool]
+    pool_preds = model.predict(pool_features)
     record(0, pool_preds, (time.perf_counter() - start) * 1000.0)
-    cache = build_cache(dataset, split, pool_preds) if needs_cache else None
+    cache = build_cache(dataset, split, pool_preds) if kind.cache else None
 
     cv_prev: float | None = None
     cv_initial: float | None = None
@@ -161,45 +130,24 @@ def run_replication(
         if policy is not None:
             reward = None
             context = None
-            if needs_cv:
+            if kind.cv_reward:
                 cv_now = cv_rmse(X[labeled], y[labeled], alpha, cv_folds,
                                  child_seed(seed, "cv", t))
                 if cv_initial is None:
                     cv_initial = cv_now if cv_now > 0 else 1.0
                 if cv_prev is not None:
                     reward = cv_prev - cv_now
-                if kind == "wigs_sac":
+                if kind.sac_state:
                     context = build_state(cv_now, cv_initial, t, horizon,
                                           y[labeled], X[labeled])
                 cv_prev = cv_now
             weight = policy.step(t, horizon, reward, context)
-
-        if kind == "passive":
-            result = select_passive(len(pool), passive_rng)
-        elif kind == "gsx":
-            result = select_gsx(cache)
-        elif kind == "gsy":
-            result = select_gsy(cache)
-        elif kind == "igs":
-            result = select_igs(cache)
-        elif kind in _WIGS_KINDS:
-            result = select_wigs(cache, weight)
-        elif kind == "uncertainty":
-            result = select_uncertainty(model, X[pool])
-        elif kind == "qbc":
+        committee = None
+        if kind.committee:
             committee = fit_bootstrap_committee(
-                X[labeled], y[labeled], alpha, committee_size,
+                X[labeled], y[labeled], alpha, int(params["committee_size"]),
                 child_seed(seed, "bootstrap", t))
-            result = select_qbc(committee, X[pool])
-        elif kind == "emcm":
-            committee = fit_bootstrap_committee(
-                X[labeled], y[labeled], alpha, committee_size,
-                child_seed(seed, "bootstrap", t))
-            result = select_emcm(model, committee, X[pool])
-        elif kind == "egal":
-            result = select_egal(cache, egal_delta)
-        else:
-            raise ValueError(f"unhandled method kind {kind!r}")
+        result = kind.select(Query(model, pool_features, cache, committee, weight, state))
 
         pos = result.chosen
         ds_idx = pool[pos]
@@ -212,8 +160,9 @@ def run_replication(
             raise RuntimeError(
                 f"model fit failed at iteration {t} of {method.name}/seed {seed}"
             ) from exc
-        pool_preds = model.predict(X[pool])
-        if needs_cache:
+        pool_features = X[pool]
+        pool_preds = model.predict(pool_features)
+        if kind.cache:
             cache = update_after_acquisition(cache, pos, y[ds_idx], pool_preds)
 
         slot = t + 1
@@ -305,9 +254,11 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     Pairs are seed-isolated, so they may run across processes; the final
     trace file is written sorted by (method, seed, iteration) and is
-    byte-identical for any parallelism degree.  Completed pairs are also
-    appended to a .part file as they finish, so a crash loses at most the
-    in-flight pairs.
+    byte-identical for any parallelism degree.  Each finished trace is
+    formatted once: the text is appended to a .part file as the pair
+    finishes and reused, in sorted order, for traces.csv.  After a crash
+    the .part file keeps the finished pairs, but a rerun starts over and
+    does not read it.
     """
     out_dir = config.resolved_out_dir()
     os.makedirs(out_dir, exist_ok=True)
@@ -322,7 +273,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             tasks.append((method, seed, config.initial_fraction,
                           config.alpha, config.cv_folds))
 
-    traces: list[Trace] = []
+    # (method, seed) -> (trace, its traces.csv rows, its timings.csv rows)
+    finished: dict[tuple[str, int], tuple[Trace, str, str]] = {}
     errors: list[tuple[str, int, str]] = []
     part_path = os.path.join(out_dir, "traces.csv.part")
     with open(part_path, "w", encoding="utf-8", newline="") as part:
@@ -333,8 +285,9 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             if failure is not None:
                 errors.append((method.name, seed, failure))
                 return
-            traces.append(outcome)
-            part.write(_format_rows(trace_rows(outcome)))
+            text = _format_rows(trace_rows(outcome))
+            finished[(method.name, seed)] = (outcome, text, _format_rows(timing_rows(outcome)))
+            part.write(text)
             part.flush()
 
         if config.parallelism == 1:
@@ -360,19 +313,14 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                     else:
                         consume(task, result, None)
 
-    traces.sort(key=lambda tr: (tr.method, tr.seed))
-    all_rows = []
-    wall_rows = []
-    for tr in traces:
-        all_rows.extend(trace_rows(tr))
-        wall_rows.extend(timing_rows(tr))
+    done = [finished[key] for key in sorted(finished)]
     _atomic_write(
         os.path.join(out_dir, "traces.csv"),
-        ",".join(TRACE_COLUMNS) + "\n" + _format_rows(all_rows),
+        ",".join(TRACE_COLUMNS) + "\n" + "".join(rows for _, rows, _ in done),
     )
     _atomic_write(
         os.path.join(out_dir, "timings.csv"),
-        ",".join(TIMING_COLUMNS) + "\n" + _format_rows(wall_rows),
+        ",".join(TIMING_COLUMNS) + "\n" + "".join(rows for _, _, rows in done),
     )
     os.remove(part_path)
     if errors:
@@ -385,50 +333,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     return RunRecord(
         config=config,
         dataset=dataset,
-        traces=tuple(traces),
+        traces=tuple(trace for trace, _, _ in done),
         errors=tuple(errors),
         record_dir=out_dir,
     )
-
-
-def veto_demo(
-    d_star: float = 0.05,
-    u_star: float = 0.9,
-    d_prime: float = 0.3,
-    u_prime: float = 0.4,
-    n_random: int = 1000,
-    seed: int = 0,
-) -> tuple[str, bool]:
-    """Exercise the density-veto construction on the documented tuple plus
-    random valid tuples; returns (printable report, all-checks-passed)."""
-    lines = []
-    ok = True
-
-    report = verify_density_veto(d_star, u_star, d_prime, u_prime)
-    lo, hi = report.additive_weight_window
-    pref = "prefers distractor" if report.igs_prefers_distractor else "prefers target"
-    lines.append(
-        f"tuple (d*={d_star}, u*={u_star}, d'={d_prime}, u'={u_prime}): "
-        f"multiplicative rule {pref}; additive window ({lo:.3g}, {hi:.3g})"
-    )
-    if hi <= lo:
-        ok = False
-        lines.append("FAIL: empty additive window on the documented tuple")
-
-    rng = generator(seed, "dgp")
-    failures = 0
-    for _ in range(n_random):
-        d_lo, d_hi = np.sort(rng.uniform(0.0, 1.0, size=2))
-        u_lo, u_hi = np.sort(rng.uniform(0.0, 1.0, size=2))
-        if d_hi == d_lo or u_hi == u_lo:
-            continue
-        rep = verify_density_veto(d_lo, u_hi, d_hi, u_lo)
-        w_lo, w_hi = rep.additive_weight_window
-        expected = d_lo * u_hi < d_hi * u_lo
-        if w_hi <= w_lo or rep.igs_prefers_distractor != expected:
-            failures += 1
-    lines.append(f"random tuples checked: {n_random}, failures: {failures}")
-    if failures:
-        ok = False
-    lines.append("RESULT: " + ("PASS" if ok else "FAIL"))
-    return "\n".join(lines), ok

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import Dataset, SplitState
-from .model import RidgeModel
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -43,19 +40,6 @@ class Trace:
     @property
     def n_iterations(self) -> int:
         return len(self.rmse) - 1
-
-
-def full_pool_rmse(dataset: Dataset, split: SplitState, model: RidgeModel) -> float:
-    """RMSE of the hybrid vector: true labels on labeled points, model
-    predictions on the pool, against the ground truth over all N points.
-
-    Labeled points contribute zero residual, so this reduces to the pool
-    residual sum normalized by N; it is exactly 0 once the pool is empty.
-    """
-    return hybrid_rmse(
-        model.predict(dataset.features[split.pool_idx]) - dataset.targets[split.pool_idx],
-        dataset.n_samples,
-    )
 
 
 def hybrid_rmse(pool_residuals: np.ndarray, n_total: int) -> float:
@@ -177,24 +161,3 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> float:
     z = (abs(dev) - 0.5) / math.sqrt(variance)
     return min(1.0, math.erfc(z / math.sqrt(2.0)))
 
-
-def aggregate_seeds(
-    method_rmse: list[np.ndarray],
-    baseline_rmse: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Pointwise mean and population variance over seeds, plus the averaged
-    per-seed difference against a paired baseline when one is supplied."""
-    if not method_rmse:
-        raise ValueError("need at least one trace")
-    stacked = np.stack([np.asarray(t, dtype=float) for t in method_rmse])
-    mean = stacked.mean(axis=0)
-    variance = stacked.var(axis=0)
-    delta = None
-    if baseline_rmse is not None:
-        if len(baseline_rmse) != len(method_rmse):
-            raise ValueError("paired baseline needs one trace per seed")
-        base = np.stack([np.asarray(t, dtype=float) for t in baseline_rmse])
-        if base.shape != stacked.shape:
-            raise ValueError("misaligned trace lengths")
-        delta = (stacked - base).mean(axis=0)
-    return mean, variance, delta

@@ -81,17 +81,9 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
     return _fit_centered(X, y, alpha)
 
 
-def predictive_variance(model: RidgeModel, x: np.ndarray) -> float:
-    """Analytic predictive variance sigma2_hat * xc' (Xc'Xc + aI)^-1 xc."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != model.feature_means.shape:
-        raise ValueError(f"expected a vector of {model.feature_means.shape[0]} features")
-    xc = x - model.feature_means
-    return float(model.sigma2_hat * (xc @ model.gram_inverse @ xc))
-
-
 def predictive_variance_batch(model: RidgeModel, X: np.ndarray) -> np.ndarray:
-    """Predictive variance for every row of a (n, p) matrix."""
+    """Analytic predictive variance sigma2_hat * xc' (Xc'Xc + aI)^-1 xc
+    for every row of a (n, p) matrix."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.feature_means.shape[0]:
         raise ValueError("feature dimension mismatch")

@@ -1,10 +1,11 @@
 """Tables and plots derived from a completed run record.
 
-``emit_report`` turns a record into the benchmark deliverables: the
-long-format trace CSV, the relative-AUC table, the label-efficiency table
-at the 70% and 80% milestones, the pairwise signed-rank p-value matrix,
-and two SVG plots (mean deviation from the baseline with a +/-1 std band,
-and the weight trajectory of the adaptive methods).  A record directory on
+``emit_report`` turns a record into the tables and plots derived from
+the traces that ``run_experiment`` wrote: the relative-AUC table, the
+label-efficiency table at the 70% and 80% milestones, the pairwise
+signed-rank p-value matrix, and two SVG plots (mean deviation from the
+baseline with a +/-1 std band, and the weight trajectory of the adaptive
+methods).  A record directory on
 disk can be reloaded with ``load_record``, so reporting works offline from
 the persisted CSVs alone.
 """
@@ -20,15 +21,10 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import ColumnMeta, Dataset
-from .harness import (
-    RunRecord,
-    TIMING_COLUMNS,
-    TRACE_COLUMNS,
-    _atomic_write,
-    _format_rows,
-    timing_rows,
-    trace_rows,
-)
+from .harness import RunRecord, TRACE_COLUMNS, _atomic_write, _format_rows
+
+# Not called here; bench/tracing.py wraps these names.
+from .harness import timing_rows, trace_rows  # noqa: F401
 from .metrics import (
     Trace,
     label_efficiency,
@@ -125,25 +121,16 @@ def _method_order(record: RunRecord) -> list[str]:
 
 
 def emit_report(record: RunRecord, out_dir: str | None = None) -> dict[str, str]:
-    """Write every report artifact; returns {artifact name: path}."""
+    """Write every derived table and plot; returns {artifact name: path}.
+
+    ``traces.csv`` and ``timings.csv`` stay as ``run_experiment`` wrote them.
+    """
     out = out_dir or record.record_dir
     os.makedirs(out, exist_ok=True)
     written: dict[str, str] = {}
     methods = _method_order(record)
     by_method = _by_method(record)
     baseline = _baseline_name(record.config)
-
-    all_rows = []
-    wall_rows = []
-    for tr in record.traces:
-        all_rows.extend(trace_rows(tr))
-        wall_rows.extend(timing_rows(tr))
-    path = os.path.join(out, "traces.csv")
-    _atomic_write(path, ",".join(TRACE_COLUMNS) + "\n" + _format_rows(all_rows))
-    written["traces"] = path
-    path = os.path.join(out, "timings.csv")
-    _atomic_write(path, ",".join(TIMING_COLUMNS) + "\n" + _format_rows(wall_rows))
-    written["timings"] = path
 
     if baseline is not None and baseline in by_method:
         base_traces = by_method[baseline]

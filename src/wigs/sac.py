@@ -16,7 +16,7 @@ mean nearest-neighbor spacing of the labeled points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +28,9 @@ _TANH_EPS = 1e-6  # keeps the squashing correction finite at |u| -> 1
 
 @dataclass(frozen=True)
 class SacConfig:
-    state_dim: int = 5
-    action_dim: int = 1
+    # Fixed by build_state's five features and the scalar weight.
+    state_dim: int = field(default=5, init=False)
+    action_dim: int = field(default=1, init=False)
     hidden: int = 64
     lr: float = 3e-4
     beta1: float = 0.9
@@ -259,21 +260,6 @@ def sample_action(
     return float(a[0]), float(log_prob[0])
 
 
-def action_log_prob(agent: SacAgent, state: np.ndarray, action: float) -> float:
-    """Log-density of a given action in (0, 1) under the current policy."""
-    state = np.asarray(state, dtype=float)
-    mu, log_std, _, _ = _actor_heads(agent, state[None, :])
-    sigma = np.exp(log_std)
-    u = np.clip(2.0 * action - 1.0, -1.0 + 1e-12, 1.0 - 1e-12)
-    z = np.arctanh(u)
-    eps = (z - mu) / sigma
-    log_prob = (
-        -0.5 * eps ** 2 - np.log(sigma) - 0.5 * _LOG_2PI
-        - np.log(1.0 - u ** 2 + _TANH_EPS) + math.log(2.0)
-    )
-    return float(log_prob[0])
-
-
 def critic_loss_and_grads(critic: Mlp, states, actions, targets):
     """Mean squared TD error and its parameter gradients."""
     x = np.hstack([states, actions[:, None]])
@@ -369,7 +355,3 @@ def sac_update(agent: SacAgent, buffer: ReplayBuffer, rng: np.random.Generator) 
         "actor_loss": actor_loss,
     }
 
-
-def agent_reward(cv_prev: float, cv_now: float) -> float:
-    """Reward for the controller: the drop in cross-validation RMSE."""
-    return cv_prev - cv_now

@@ -11,7 +11,8 @@ the minimum pairwise distance product (igs), or by the minimum weighted
 sum of min-max normalized pairwise distances (wigs).  The product rule has
 a failure mode in dense regions: a near-zero feature distance multiplies
 away any output-space signal.  ``verify_density_veto`` makes that failure
-and the additive escape hatch checkable on explicit score tuples.
+and the additive escape hatch checkable on explicit score tuples, and
+``veto_demo`` runs that check over the documented tuple and random ones.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from .rng import generator
 class SelectionResult:
     chosen: int                      # position in the current pool list
     score: float                     # criterion value of the winner
-    weight_used: float | None = None
 
 
-def _pick(scores: np.ndarray, weight: float | None = None) -> SelectionResult:
+def _pick(scores: np.ndarray) -> SelectionResult:
     if scores.size == 0:
         raise ValueError("empty candidate pool")
     chosen = int(np.argmax(scores))  # first occurrence = lowest index on ties
-    return SelectionResult(chosen=chosen, score=float(scores[chosen]), weight_used=weight)
+    return SelectionResult(chosen=chosen, score=float(scores[chosen]))
 
 
 def select_passive(n_pool: int, rng: np.random.Generator) -> SelectionResult:
@@ -93,7 +93,7 @@ def select_wigs(cache: DistanceCache, w: float) -> SelectionResult:
         raise ValueError("empty pool or labeled set")
     phi_x = normalize_phi(cache.dx_pair)
     phi_y = normalize_phi(cache.dy_pair)
-    return _pick(wigs_scores(phi_x, phi_y, w), weight=float(w))
+    return _pick(wigs_scores(phi_x, phi_y, w))
 
 
 def uncertainty_scores(model: RidgeModel, pool_features: np.ndarray) -> np.ndarray:
@@ -223,3 +223,46 @@ def verify_density_veto(
         igs_prefers_distractor=igs_prefers_distractor,
         additive_weight_window=(0.0, upper),
     )
+
+
+def veto_demo(
+    d_star: float = 0.05,
+    u_star: float = 0.9,
+    d_prime: float = 0.3,
+    u_prime: float = 0.4,
+    n_random: int = 1000,
+    seed: int = 0,
+) -> tuple[str, bool]:
+    """Exercise the density-veto construction on the documented tuple plus
+    random valid tuples; returns (printable report, all-checks-passed)."""
+    lines = []
+    ok = True
+
+    report = verify_density_veto(d_star, u_star, d_prime, u_prime)
+    lo, hi = report.additive_weight_window
+    pref = "prefers distractor" if report.igs_prefers_distractor else "prefers target"
+    lines.append(
+        f"tuple (d*={d_star}, u*={u_star}, d'={d_prime}, u'={u_prime}): "
+        f"multiplicative rule {pref}; additive window ({lo:.3g}, {hi:.3g})"
+    )
+    if hi <= lo:
+        ok = False
+        lines.append("FAIL: empty additive window on the documented tuple")
+
+    rng = generator(seed, "dgp")
+    failures = 0
+    for _ in range(n_random):
+        d_lo, d_hi = np.sort(rng.uniform(0.0, 1.0, size=2))
+        u_lo, u_hi = np.sort(rng.uniform(0.0, 1.0, size=2))
+        if d_hi == d_lo or u_hi == u_lo:
+            continue
+        rep = verify_density_veto(d_lo, u_hi, d_hi, u_lo)
+        w_lo, w_hi = rep.additive_weight_window
+        expected = d_lo * u_hi < d_hi * u_lo
+        if w_hi <= w_lo or rep.igs_prefers_distractor != expected:
+            failures += 1
+    lines.append(f"random tuples checked: {n_random}, failures: {failures}")
+    if failures:
+        ok = False
+    lines.append("RESULT: " + ("PASS" if ok else "FAIL"))
+    return "\n".join(lines), ok

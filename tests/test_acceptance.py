@@ -12,7 +12,7 @@ import pytest
 from wigs.cli import main as cli_main
 from wigs.config import ExperimentConfig, MethodSpec, default_methods
 from wigs.geometry import build_cache, normalize_phi
-from wigs.harness import resolve_dataset, run_experiment, run_replication, veto_demo
+from wigs.harness import resolve_dataset, run_experiment, run_replication
 from wigs.metrics import relative_auc, wilcoxon_signed_rank
 from wigs.model import fit_bootstrap_committee, fit_ridge
 from wigs.rng import generator
@@ -31,6 +31,7 @@ from wigs.selectors import (
     igs_scores,
     qbc_scores,
     uncertainty_scores,
+    veto_demo,
     wigs_scores,
 )
 from wigs.weights import BanditState, mab_select, mab_update

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from wigs.config import (
+    KINDS,
     ExperimentConfig,
     MethodSpec,
     config_from_dict,
@@ -14,7 +16,8 @@ from wigs.config import (
     snapshot_json,
     snapshot_to_config,
 )
-from wigs.harness import resolve_dataset, run_experiment, run_replication, veto_demo
+from wigs.harness import resolve_dataset, run_experiment, run_replication
+from wigs.selectors import veto_demo
 
 
 def small_config(tmp_path, methods, n=60, replications=2, parallelism=1, base_seed=100):
@@ -72,10 +75,45 @@ methods:
             ExperimentConfig(dgp="two_regime", n=50, methods=())
         with pytest.raises(ValueError):
             ExperimentConfig(dgp="nope", n=50, methods=(MethodSpec("igs", "igs"),))
-        with pytest.raises(ValueError):
-            MethodSpec("w", "wigs_static", {"w": 2.0})
-        with pytest.raises(ValueError):
-            MethodSpec("m", "unknown_kind")
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("wigs_static", {}, "static weight must lie in"),
+        ("wigs_static", {"w": 2.0}, "static weight must lie in"),
+        ("wigs_static", {"w": -0.1}, "static weight must lie in"),
+        ("wigs_linear", {"c": 0.0}, "decay constant must be positive"),
+        ("wigs_exp", {"c": -1.0}, "decay constant must be positive"),
+        ("wigs_mab", {"arms": ()}, "bandit arms must lie in"),
+        ("wigs_mab", {"arms": (0.5, 1.5)}, "bandit arms must lie in"),
+        ("wigs_mab", {"c_explore": -0.5}, "c_explore must be nonnegative"),
+        ("qbc", {"committee_size": 1}, "committee needs at least 2"),
+        ("emcm", {"committee_size": 1}, "committee needs at least 2"),
+        ("unknown_kind", {}, "unknown method kind 'unknown_kind'"),
+        ("wigs_mab", {"c_exploer": 0.5}, "unknown parameter 'c_exploer' for kind 'wigs_mab'"),
+        ("wigs_sac", {"state_dim": 7}, "unknown parameter 'state_dim' for kind 'wigs_sac'"),
+    ])
+    def test_method_validation(self, kind, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MethodSpec("m", kind, params)
+
+    def test_settings_fill_defaults_without_writing_back(self):
+        spec = MethodSpec("mab", "wigs_mab", {"c_explore": 0.5})
+        assert spec.settings() == {"arms": (0.25, 0.50, 0.75), "c_explore": 0.5}
+        assert spec.params == {"c_explore": 0.5}
+        assert MethodSpec("sac", "wigs_sac", {"lr": 1e-3}).settings()["updates_per_step"] == 1
+
+    def test_flat_yaml_typo_rejected(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("""
+dataset:
+  dgp: two_regime
+  n: 40
+methods:
+  - name: lin
+    kind: wigs_linear
+    cc: 2.0
+""")
+        with pytest.raises(ValueError, match="unknown parameter 'cc' for kind 'wigs_linear'"):
+            load_config(str(path))
 
     def test_snapshot_roundtrip(self, tmp_path):
         config = small_config(tmp_path, (MethodSpec("igs", "igs"),))
@@ -130,14 +168,15 @@ class TestRunReplication:
         assert np.array_equal(gsy.acquired_idx, wigs.acquired_idx)
 
     def test_every_method_kind_runs(self, dataset):
-        for spec in default_methods():
+        for kind in KINDS:
+            spec = MethodSpec(kind, kind, {"w": 0.5} if kind == "wigs_static" else {})
             trace = run_replication(dataset, spec, seed=2)
-            assert trace.rmse[-1] == 0.0, spec.name
+            assert trace.rmse[-1] == 0.0, kind
             assert np.all(np.isfinite(trace.rmse))
             recorded = trace.weight[~np.isnan(trace.weight)]
-            assert np.all((recorded >= 0.0) & (recorded <= 1.0)), spec.name
-            if spec.kind.startswith("wigs"):
-                assert len(recorded) == trace.n_iterations, spec.name
+            assert np.all((recorded >= 0.0) & (recorded <= 1.0)), kind
+            if KINDS[kind].policy is not None:
+                assert len(recorded) == trace.n_iterations, kind
 
     def test_weights_recorded_for_wigs_only(self, dataset):
         igs = run_replication(dataset, MethodSpec("igs", "igs"), seed=2)

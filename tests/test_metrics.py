@@ -6,10 +6,8 @@ import pytest
 
 from wigs.data import initial_split, sample_two_regime
 from wigs.metrics import (
-    aggregate_seeds,
     auc_trapezoid,
     correlation_coefficient,
-    full_pool_rmse,
     hybrid_rmse,
     label_efficiency,
     milestone_iteration,
@@ -40,9 +38,9 @@ class TestFullPoolRmse:
         split = initial_split(ds, 0.1, seed=1)
         model = fit_ridge(ds.features[split.labeled_idx],
                           ds.targets[split.labeled_idx], 0.01)
-        value = full_pool_rmse(ds, split, model)
         preds = model.predict(ds.features[split.pool_idx])
         resid = preds - ds.targets[split.pool_idx]
+        value = hybrid_rmse(resid, ds.n_samples)
         assert value == pytest.approx(math.sqrt(float(resid @ resid) / 40))
 
 
@@ -201,22 +199,3 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_signed_rank(np.array([1.0]), np.array([1.0, 2.0]))
 
-
-class TestAggregateSeeds:
-    def test_single_seed_zero_variance(self):
-        mean, var, delta = aggregate_seeds([np.array([1.0, 2.0])])
-        assert np.array_equal(var, np.zeros(2))
-        assert delta is None
-
-    def test_two_seed_moments(self):
-        mean, var, _ = aggregate_seeds([np.array([1.0]), np.array([3.0])])
-        assert mean[0] == 2.0 and var[0] == 1.0  # population variance
-
-    def test_delta_of_baseline_with_itself(self):
-        traces = [np.array([1.0, 0.5]), np.array([0.8, 0.2])]
-        _, _, delta = aggregate_seeds(traces, traces)
-        assert np.array_equal(delta, np.zeros(2))
-
-    def test_misaligned_lengths(self):
-        with pytest.raises(ValueError):
-            aggregate_seeds([np.array([1.0, 2.0]), np.array([1.0])])

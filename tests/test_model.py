@@ -6,7 +6,6 @@ from wigs.model import (
     cv_rmse,
     fit_bootstrap_committee,
     fit_ridge,
-    predictive_variance,
     predictive_variance_batch,
 )
 
@@ -79,12 +78,12 @@ class TestPredictiveVariance:
         return fit_ridge(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), alpha=0.01)
 
     def test_zero_at_centroid(self, model):
-        assert predictive_variance(model, np.array([0.5])) == 0.0
+        assert predictive_variance_batch(model, np.array([[0.5]]))[0] == 0.0
 
     def test_two_point_value(self, model):
         # xc = 0.5, gram = 0.51: sigma2 * 0.25 / 0.51
         expected = model.sigma2_hat * 0.25 / 0.51
-        assert predictive_variance(model, np.array([1.0])) == pytest.approx(expected)
+        assert predictive_variance_batch(model, np.array([[1.0]]))[0] == pytest.approx(expected)
 
     def test_argmax_invariant_under_sigma_scaling(self):
         rng = np.random.default_rng(1)
@@ -104,7 +103,7 @@ class TestPredictiveVariance:
 
     def test_dimension_mismatch(self, model):
         with pytest.raises(ValueError):
-            predictive_variance(model, np.array([1.0, 2.0]))
+            predictive_variance_batch(model, np.array([[1.0, 2.0]]))
 
 
 class TestCvRmse:

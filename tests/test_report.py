@@ -33,9 +33,40 @@ def read_csv(path):
 class TestEmitReport:
     def test_all_artifacts_written(self, record):
         files = emit_report(record)
-        for key in ("traces", "rel_auc", "label_efficiency", "wilcoxon",
+        for key in ("rel_auc", "label_efficiency", "wilcoxon",
                     "delta_plot", "weight_plot", "weight_by_position"):
             assert key in files and os.path.exists(files[key])
+
+    def test_each_trace_serialized_once(self, tmp_path, monkeypatch):
+        import wigs.harness
+        import wigs.report
+        calls = []
+        real = wigs.harness.trace_rows
+
+        def counting(trace):
+            calls.append((trace.method, trace.seed))
+            return real(trace)
+
+        for module in (wigs.harness, wigs.report):
+            monkeypatch.setattr(module, "trace_rows", counting)
+        config = ExperimentConfig(
+            dgp="two_regime", n=30, dataset_seed=4,
+            methods=(MethodSpec("igs", "igs"), MethodSpec("gsx", "gsx")),
+            replications=2, base_seed=3, out_dir=str(tmp_path / "rec"))
+        record = run_experiment(config)
+        paths = [os.path.join(record.record_dir, name) for name in ("traces.csv", "timings.csv")]
+
+        def snapshot():
+            out = []
+            for path in paths:
+                with open(path, "rb") as fh:
+                    out.append((os.stat(path).st_ino, fh.read()))
+            return out
+
+        before = snapshot()
+        emit_report(record)
+        assert sorted(calls) == sorted((tr.method, tr.seed) for tr in record.traces)
+        assert snapshot() == before  # same inodes, same bytes
 
     def test_rel_auc_baseline_row_is_one(self, record):
         files = emit_report(record)

@@ -3,21 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from wigs.rng import generator
+from wigs.config import ExperimentConfig, MethodSpec
+from wigs.data import initial_split
+from wigs.harness import resolve_dataset, run_replication
+from wigs.model import cv_rmse
+from wigs.rng import child_seed, generator
 from wigs.sac import (
     Mlp,
     ReplayBuffer,
     SacAgent,
     SacConfig,
     Transition,
-    action_log_prob,
     actor_loss_and_grads,
-    agent_reward,
     build_state,
     critic_loss_and_grads,
     sac_update,
     sample_action,
 )
+from wigs.weights import BanditPolicy
 
 
 def finite_difference(loss_fn, params, h=1e-5):
@@ -189,7 +192,7 @@ class TestPolicy:
     def test_log_prob_matches_quadrature_oracle(self):
         agent = SacAgent(SacConfig(hidden=8), generator(13, "sac"))
         state = np.array([0.2, -0.1, 0.4, 1.0, 0.8])
-        from wigs.sac import _actor_heads
+        from wigs.sac import _actor_heads, _squash
         mu, log_std, _, _ = _actor_heads(agent, state[None, :])
         mu, sigma = float(mu[0]), float(math.exp(log_std[0]))
 
@@ -201,8 +204,10 @@ class TestPolicy:
             z_hi = math.atanh(2.0 * (a + h / 2) - 1.0)
             z_lo = math.atanh(2.0 * (a - h / 2) - 1.0)
             density = (normal_cdf(z_hi) - normal_cdf(z_lo)) / h
-            assert action_log_prob(agent, state, float(a)) == pytest.approx(
-                math.log(density), abs=1e-3)
+            eps = (math.atanh(2.0 * a - 1.0) - mu) / sigma  # the noise that lands on a
+            _, _, hit, log_prob = _squash(np.array([mu]), np.array([sigma]), np.array([eps]))
+            assert hit[0] == pytest.approx(a, abs=1e-12)
+            assert log_prob[0] == pytest.approx(math.log(density), abs=1e-3)
 
     def test_stochastic_needs_rng(self):
         agent = SacAgent(SacConfig(hidden=8), generator(14, "sac"))
@@ -328,6 +333,24 @@ class TestSacUpdate:
         assert gaps[-1] == pytest.approx(gaps[0] * (1 - config.tau) ** 10, rel=1e-9)
 
 
-def test_agent_reward():
-    assert agent_reward(1.0, 0.8) == pytest.approx(0.2)
-    assert agent_reward(0.5, 0.5) == 0.0
+def test_agent_reward(monkeypatch):
+    """The controller's reward is the drop in CV RMSE between iterations."""
+    rewards = []
+    step = BanditPolicy.step
+
+    def spy(self, t, horizon, reward=None, context=None):
+        rewards.append(reward)
+        return step(self, t, horizon, reward, context)
+
+    monkeypatch.setattr(BanditPolicy, "step", spy)
+    dataset = resolve_dataset(ExperimentConfig(dgp="two_regime", n=60, dataset_seed=1,
+                                               methods=(MethodSpec("igs", "igs"),)))
+    trace = run_replication(dataset, MethodSpec("mab", "wigs_mab"), seed=4)
+    X, y = dataset.features, dataset.targets
+    labeled = list(initial_split(dataset, 0.05, 4).labeled_idx)
+    cv = []
+    for t in range(6):
+        cv.append(cv_rmse(X[labeled], y[labeled], 0.01, 5, child_seed(4, "cv", t)))
+        labeled.append(int(trace.acquired_idx[t + 1]))
+    assert rewards[0] is None  # no drop before two CV values exist
+    assert rewards[1:6] == [cv[t - 1] - cv[t] for t in range(1, 6)]
