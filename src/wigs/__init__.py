@@ -53,13 +53,6 @@ from .selectors import (
     verify_density_veto,
     veto_demo,
 )
-from .weights import (
-    BanditState,
-    mab_select,
-    mab_update,
-    weight_exp_decay,
-    weight_linear_decay,
-    weight_static,
-)
+from .weights import BanditState, mab_select, mab_update
 
 __version__ = "0.1.0"

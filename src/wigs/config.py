@@ -10,6 +10,7 @@ outputs, so a finished run can be replayed byte-for-byte.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
@@ -106,6 +107,20 @@ def _select_wigs(q: Query) -> SelectionResult:
     return select_wigs(q.cache, q.weight)
 
 
+def _sac_param(name: str, default) -> Param:
+    """Rule from the default's type: an int field takes an integer >= 1, a
+    float field a number (``lr`` a positive one); bools are not numbers."""
+    integral = isinstance(default, int)
+
+    def check(v) -> bool:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral if integral else numbers.Real):
+            return False
+        return v >= 1 if integral else (v > 0 or name != "lr")
+
+    noun = "an integer >= 1" if integral else "a positive number" if name == "lr" else "a number"
+    return Param(default, check, f"{name} must be {noun}")
+
+
 def _sac_policy(p: dict, seed: int) -> SacPolicy:
     config = SacConfig(**{k: v for k, v in p.items() if k != "updates_per_step"})
     return SacPolicy(config, generator(seed, "sac"), updates_per_step=int(p["updates_per_step"]))
@@ -140,8 +155,8 @@ KINDS: dict[str, Kind] = {
         cache=True, cv_reward=True),
     "wigs_sac": Kind(
         _select_wigs,
-        {**{f.name: Param(f.default) for f in fields(SacConfig) if f.init},
-         "updates_per_step": Param(1)},
+        {**{f.name: _sac_param(f.name, f.default) for f in fields(SacConfig) if f.init},
+         "updates_per_step": _sac_param("updates_per_step", 1)},
         policy=_sac_policy, cache=True, cv_reward=True, sac_state=True),
     "uncertainty": Kind(lambda q: select_uncertainty(q.model, q.pool_features)),
     "qbc": Kind(lambda q: select_qbc(q.committee, q.pool_features), _COMMITTEE, committee=True),

@@ -1,12 +1,13 @@
-"""Nearest-labeled distance bookkeeping for the candidate pool.
+"""Feature and output distances between the pool and the labeled set.
 
-The selection rules need, for every pool candidate, its distance to the
-nearest labeled point in feature space and in output space, plus raw
-pairwise access for the product / weighted-sum criteria.  Feature
-distances only shrink as points are acquired, so they are maintained
-incrementally (one new column per acquisition).  Output distances depend
-on the current model's predictions and are rebuilt from scratch whenever
-the model is refit.
+A replication builds one (N, N) matrix of Euclidean feature distances
+between all dataset rows, once, through ``pairwise_distances``; the
+selectors read every feature distance from it.  On top of that matrix the
+cache keeps the pool and labeled dataset indices and the (pool x labeled)
+block with its row minima.  An acquisition drops the acquired row from
+the block and appends the acquired point's column of the matrix, so no
+distance is computed twice.  Output distances depend on the current
+model's predictions and are derived from them on demand.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .data import Dataset, SplitState
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between rows of a (n, p) and rows of b (m, p).
 
-    One fixed formula shared by the full build and the incremental update,
-    so both paths produce bit-identical values for the same pair.
+    The one formula for feature distances: the distance cache, the egal
+    bandwidth and the SAC state all compute them here.
     """
     diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -30,37 +31,43 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DistanceCache:
-    """Distances from every pool candidate to the current labeled set.
+    """The distance state of one replication.
 
-    dx_pair / dy_pair are (pool x labeled) matrices; dx_min / dy_min their
-    row minima.  A cache belongs to exactly one replication run.
+    ``dx`` holds the feature distance between every pair of dataset rows
+    and is shared, unchanged, by every cache of the run.  ``dx_pair`` is
+    ``dx[np.ix_(pool, labeled)]`` and ``dx_min`` its row minima, both kept
+    incrementally.  Only the labeled targets are held, so no selector can
+    read a pool label; ``dy_pair`` / ``dy_min`` compare them against the
+    pool ``predictions``.
     """
 
-    labeled_features: np.ndarray  # (L, p)
-    labeled_targets: np.ndarray   # (L,)
-    pool_features: np.ndarray     # (P, p)
-    labeled_idx: np.ndarray       # (L,) dataset indices
-    pool_idx: np.ndarray          # (P,) dataset indices
-    dx_pair: np.ndarray           # (P, L)
-    dy_pair: np.ndarray           # (P, L)
-    dx_min: np.ndarray            # (P,) maintained incrementally
-    dy_min: np.ndarray            # (P,) rebuilt with each refit
+    dx: np.ndarray               # (N, N) over all dataset rows
+    pool: np.ndarray             # (P,) dataset indices, in pool order
+    labeled: np.ndarray          # (L,) dataset indices, in labeling order
+    labeled_targets: np.ndarray  # (L,)
+    predictions: np.ndarray      # (P,) current model outputs for the pool
+    dx_pair: np.ndarray          # (P, L)
+    dx_min: np.ndarray           # (P,)
 
     @property
     def n_pool(self) -> int:
-        return self.pool_features.shape[0]
+        return len(self.pool)
 
+    @property
+    def dy_pair(self) -> np.ndarray:
+        return np.abs(self.predictions[:, None] - self.labeled_targets[None, :])
 
-def _dy_pairs(predictions: np.ndarray, labeled_targets: np.ndarray) -> np.ndarray:
-    return np.abs(predictions[:, None] - labeled_targets[None, :])
+    @property
+    def dy_min(self) -> np.ndarray:
+        return self.dy_pair.min(axis=1)  # the labeled set is never empty
 
 
 def build_cache(dataset: Dataset, split: SplitState, predictions: np.ndarray) -> DistanceCache:
-    """Exact distance cache for an initial labeled/pool partition.
+    """Distance state for an initial labeled/pool partition.
 
     ``predictions`` are the current model's outputs for the pool, in pool
-    order; output distances compare them against the true labels of the
-    labeled set.
+    order.  ``dx`` is filled one column at a time, so no (N, N, p)
+    difference tensor is ever held.
     """
     if len(split.labeled_idx) == 0:
         raise ValueError("labeled set is empty")
@@ -69,21 +76,21 @@ def build_cache(dataset: Dataset, split: SplitState, predictions: np.ndarray) ->
         raise ValueError(
             f"predictions length {predictions.shape} does not match pool size {len(split.pool_idx)}"
         )
-    labeled_features = dataset.features[split.labeled_idx]
-    pool_features = dataset.features[split.pool_idx]
-    labeled_targets = dataset.targets[split.labeled_idx]
-    dx_pair = pairwise_distances(pool_features, labeled_features)
-    dy_pair = _dy_pairs(predictions, labeled_targets)
+    X = dataset.features
+    dx = np.empty((len(X), len(X)))
+    for j in range(len(X)):
+        dx[:, j] = pairwise_distances(X, X[j:j + 1])[:, 0]
+    pool = np.array(split.pool_idx, dtype=np.int64)
+    labeled = np.array(split.labeled_idx, dtype=np.int64)
+    dx_pair = dx[np.ix_(pool, labeled)]
     return DistanceCache(
-        labeled_features=labeled_features,
-        labeled_targets=labeled_targets,
-        pool_features=pool_features,
-        labeled_idx=np.array(split.labeled_idx, dtype=np.int64),
-        pool_idx=np.array(split.pool_idx, dtype=np.int64),
+        dx=dx,
+        pool=pool,
+        labeled=labeled,
+        labeled_targets=dataset.targets[labeled],
+        predictions=predictions,
         dx_pair=dx_pair,
-        dy_pair=dy_pair,
-        dx_min=dx_pair.min(axis=1) if dx_pair.size else np.zeros(0),
-        dy_min=dy_pair.min(axis=1) if dy_pair.size else np.zeros(0),
+        dx_min=dx_pair.min(axis=1),
     )
 
 
@@ -95,9 +102,8 @@ def update_after_acquisition(
 ) -> DistanceCache:
     """Move pool candidate ``acquired`` (pool position) into the labeled set.
 
-    Feature distances gain one column (distances to the new point) and lose
-    the acquired row; output distances are rebuilt from ``predictions``,
-    the refit model's outputs for the remaining pool.
+    The acquired row leaves ``dx_pair`` and its column of ``dx`` joins it;
+    ``predictions`` are the refit model's outputs for the remaining pool.
     """
     if not 0 <= acquired < cache.n_pool:
         raise IndexError(f"acquired position {acquired} not in pool of size {cache.n_pool}")
@@ -107,23 +113,17 @@ def update_after_acquisition(
 
     keep = np.ones(cache.n_pool, dtype=bool)
     keep[acquired] = False
-    new_point = cache.pool_features[acquired:acquired + 1]
-    remaining = cache.pool_features[keep]
-
-    labeled_features = np.vstack([cache.labeled_features, new_point])
-    labeled_targets = np.append(cache.labeled_targets, float(true_label))
-    new_col = pairwise_distances(remaining, new_point)  # (P-1, 1)
-    dy_pair = _dy_pairs(predictions, labeled_targets)
+    new = cache.pool[acquired]
+    pool = cache.pool[keep]
+    new_col = cache.dx[pool, new]
     return DistanceCache(
-        labeled_features=labeled_features,
-        labeled_targets=labeled_targets,
-        pool_features=remaining,
-        labeled_idx=np.append(cache.labeled_idx, cache.pool_idx[acquired]),
-        pool_idx=cache.pool_idx[keep],
-        dx_pair=np.hstack([cache.dx_pair[keep], new_col]),
-        dy_pair=dy_pair,
-        dx_min=np.minimum(cache.dx_min[keep], new_col[:, 0]),
-        dy_min=dy_pair.min(axis=1) if dy_pair.size else np.zeros(0),
+        dx=cache.dx,
+        pool=pool,
+        labeled=np.append(cache.labeled, new),
+        labeled_targets=np.append(cache.labeled_targets, float(true_label)),
+        predictions=predictions,
+        dx_pair=np.hstack([cache.dx_pair[keep], new_col[:, None]]),
+        dx_min=np.minimum(cache.dx_min[keep], new_col),
     )
 
 

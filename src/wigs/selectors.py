@@ -158,7 +158,7 @@ def egal_density(cache: DistanceCache, delta: float) -> np.ndarray:
     """Sum of Gaussian similarities from each candidate to the other pool points."""
     if delta <= 0.0:
         delta = 1.0  # degenerate sample; any positive bandwidth gives a valid ranking
-    dist = pairwise_distances(cache.pool_features, cache.pool_features)
+    dist = cache.dx[np.ix_(cache.pool, cache.pool)]
     sim = np.exp(-(dist ** 2) / (2.0 * delta ** 2))
     np.fill_diagonal(sim, 0.0)
     return sim.sum(axis=1)

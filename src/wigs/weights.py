@@ -18,35 +18,6 @@ import numpy as np
 from .sac import ReplayBuffer, SacAgent, SacConfig, Transition, sac_update, sample_action
 
 
-def weight_static(w: float) -> float:
-    """Constant weight; pure exploration at 1, pure investigation at 0."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {w}")
-    return float(w)
-
-
-def weight_linear_decay(t: int, horizon: int, c: float) -> float:
-    """max(0, 1 - c*t/T); clamped so the weight stays in [0, 1] for c > 1."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if not 0 <= t <= horizon:
-        raise ValueError(f"iteration {t} outside [0, {horizon}]")
-    if c <= 0:
-        raise ValueError("decay constant must be positive")
-    return max(0.0, 1.0 - c * t / horizon)
-
-
-def weight_exp_decay(t: int, horizon: int, c: float) -> float:
-    """exp(-c*t/T), decaying from 1 toward 0 over the run."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if not 0 <= t <= horizon:
-        raise ValueError(f"iteration {t} outside [0, {horizon}]")
-    if c <= 0:
-        raise ValueError("decay constant must be positive")
-    return math.exp(-c * t / horizon)
-
-
 @dataclass(frozen=True)
 class BanditState:
     """UCB1 bookkeeping over a coarse grid of candidate weights."""
@@ -95,30 +66,49 @@ def mab_update(state: BanditState, arm: int, reward: float) -> BanditState:
     return replace(state, counts=tuple(counts), means=tuple(means))
 
 
+def _check_step(t: int, horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if not 0 <= t <= horizon:
+        raise ValueError(f"iteration {t} outside [0, {horizon}]")
+
+
 class StaticPolicy:
-    """Fixed weight every iteration."""
+    """Constant weight; pure exploration at 1, pure investigation at 0."""
 
     def __init__(self, w: float):
-        self.w = weight_static(w)
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"weight must lie in [0, 1], got {w}")
+        self.w = float(w)
 
     def step(self, t, horizon, reward=None, context=None) -> float:
         return self.w
 
 
 class LinearDecayPolicy:
+    """max(0, 1 - c*t/T); clamped so the weight stays in [0, 1] for c > 1."""
+
     def __init__(self, c: float = 1.0):
+        if c <= 0:
+            raise ValueError("decay constant must be positive")
         self.c = c
 
     def step(self, t, horizon, reward=None, context=None) -> float:
-        return weight_linear_decay(t, horizon, self.c)
+        _check_step(t, horizon)
+        return max(0.0, 1.0 - self.c * t / horizon)
 
 
 class ExpDecayPolicy:
+    """exp(-c*t/T), decaying from 1 toward 0 over the run."""
+
     def __init__(self, c: float = 5.0):
+        if c <= 0:
+            raise ValueError("decay constant must be positive")
         self.c = c
 
     def step(self, t, horizon, reward=None, context=None) -> float:
-        return weight_exp_decay(t, horizon, self.c)
+        _check_step(t, horizon)
+        return math.exp(-self.c * t / horizon)
 
 
 class BanditPolicy:

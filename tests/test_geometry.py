@@ -66,6 +66,17 @@ class TestBuildCache:
             assert np.allclose(cache.dx_min, dx, atol=1e-12, rtol=0)
             assert np.allclose(cache.dy_min, dy, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("p", [1, 3, 20])
+    def test_dx_equals_full_pairwise_formula(self, p):
+        # column-at-a-time fill must give the same bits as the one-shot formula
+        rng = np.random.default_rng(p)
+        X = rng.normal(size=(37, p))
+        ds = make_dataset(X, rng.normal(size=37))
+        order = rng.permutation(37)
+        cache = build_cache(ds, SplitState(order[:5], order[5:], seed=0), np.zeros(32))
+        assert np.array_equal(cache.dx, pairwise_distances(X, X))
+        assert np.array_equal(cache.dx_pair, pairwise_distances(X[order[5:]], X[order[:5]]))
+
 
 class TestUpdateAfterAcquisition:
     def test_incremental_equals_rebuild(self):
@@ -86,8 +97,9 @@ class TestUpdateAfterAcquisition:
                 ds, SplitState(np.array(labeled), np.array(pool), seed=0), preds)
             assert np.array_equal(cache.dx_min, rebuilt.dx_min)  # exact: shared formula
             assert np.array_equal(cache.dy_min, rebuilt.dy_min)
-            assert np.array_equal(np.sort(cache.dx_pair, axis=1),
-                                  np.sort(rebuilt.dx_pair, axis=1))
+            assert np.array_equal(cache.dx_pair, rebuilt.dx_pair)  # same column order
+            assert np.array_equal(cache.pool, pool)
+            assert np.array_equal(cache.labeled, labeled)
 
     def test_duplicate_acquisition_leaves_dx_unchanged(self):
         ds = make_dataset([0.0, 1.0, 1.0, 0.3], [0.0, 1.0, 1.0, 0.0])
@@ -120,11 +132,11 @@ class TestUpdateAfterAcquisition:
         cache = build_cache(ds, SplitState(np.array(labeled), np.array(pool), seed=0), preds)
         for _ in range(15):
             pos = int(rng.integers(cache.n_pool))
-            ds_idx = cache.pool_idx[pos]
-            before = {int(i): d for i, d in zip(cache.pool_idx, cache.dx_min)}
+            ds_idx = cache.pool[pos]
+            before = {int(i): d for i, d in zip(cache.pool, cache.dx_min)}
             cache = update_after_acquisition(
                 cache, pos, ds.targets[ds_idx], rng.normal(size=cache.n_pool - 1))
-            for i, d in zip(cache.pool_idx, cache.dx_min):
+            for i, d in zip(cache.pool, cache.dx_min):
                 assert d <= before[int(i)] + 1e-15
 
 

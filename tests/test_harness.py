@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 from wigs.config import (
     KINDS,
@@ -90,6 +91,16 @@ methods:
         ("unknown_kind", {}, "unknown method kind 'unknown_kind'"),
         ("wigs_mab", {"c_exploer": 0.5}, "unknown parameter 'c_exploer' for kind 'wigs_mab'"),
         ("wigs_sac", {"state_dim": 7}, "unknown parameter 'state_dim' for kind 'wigs_sac'"),
+        ("wigs_sac", {"lr": "3e-4"}, "lr must be a positive number"),
+        ("wigs_sac", yaml.safe_load("lr: 3e-4"), "lr must be a positive number"),  # no dot: a str
+        ("wigs_sac", {"lr": 0.0}, "lr must be a positive number"),
+        ("wigs_sac", {"hidden": 64.5}, "hidden must be an integer >= 1"),
+        ("wigs_sac", {"hidden": 0}, "hidden must be an integer >= 1"),
+        ("wigs_sac", {"batch_size": True}, "batch_size must be an integer >= 1"),
+        ("wigs_sac", {"buffer_capacity": 0}, "buffer_capacity must be an integer >= 1"),
+        ("wigs_sac", {"updates_per_step": 0}, "updates_per_step must be an integer >= 1"),
+        ("wigs_sac", {"gamma": "0.99"}, "gamma must be a number"),
+        ("wigs_sac", {"tau": False}, "tau must be a number"),
     ])
     def test_method_validation(self, kind, params, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from wigs.data import ColumnMeta, Dataset, SplitState
-from wigs.geometry import build_cache, normalize_phi
+from wigs.geometry import (
+    build_cache,
+    normalize_phi,
+    pairwise_distances,
+    update_after_acquisition,
+)
 from wigs.model import fit_bootstrap_committee, fit_ridge
 from wigs.rng import generator
 from wigs.selectors import (
@@ -263,7 +268,7 @@ class TestEgal:
         delta = 5.0
         density = egal_density(cache, delta)
         # oracle: pairwise sums by hand loops
-        pool = cache.pool_features
+        pool = ds.features[cache.pool]
         brute = []
         for i in range(len(pool)):
             total = 0.0
@@ -281,6 +286,23 @@ class TestEgal:
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
         cache = build_cache(ds, split, np.zeros(1))
         assert select_egal(cache, 1.0).chosen == 0
+
+    def test_density_equals_direct_formula_after_acquisitions(self):
+        rng = np.random.default_rng(9)
+        ds = make_dataset(rng.normal(size=(40, 20)), rng.normal(size=40))
+        order = rng.permutation(40)
+        cache = build_cache(ds, SplitState(order[:3], order[3:], seed=0), np.zeros(37))
+        delta = egal_bandwidth(ds.features, seed=2)
+        for _ in range(6):
+            pos = int(rng.integers(cache.n_pool))
+            cache = update_after_acquisition(cache, pos, ds.targets[cache.pool[pos]],
+                                             np.zeros(cache.n_pool - 1))
+            # oracle: the pool's own pairwise distances, computed from its features
+            pool_features = ds.features[cache.pool]
+            dist = pairwise_distances(pool_features, pool_features)
+            sim = np.exp(-(dist ** 2) / (2.0 * delta ** 2))
+            np.fill_diagonal(sim, 0.0)
+            assert np.array_equal(egal_density(cache, delta), sim.sum(axis=1))
 
     def test_filter_fallback_when_all_coincident(self):
         ds = make_dataset([0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0])

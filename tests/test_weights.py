@@ -11,39 +11,47 @@ from wigs.weights import (
     StaticPolicy,
     mab_select,
     mab_update,
-    weight_exp_decay,
-    weight_linear_decay,
-    weight_static,
 )
 
 
 class TestSchedules:
     def test_static(self):
-        assert weight_static(0.25) == 0.25
-        assert weight_static(0.0) == 0.0   # pure investigation
-        assert weight_static(1.0) == 1.0   # pure exploration
+        assert StaticPolicy(0.25).step(0, 10) == 0.25
+        assert StaticPolicy(0.0).step(0, 10) == 0.0   # pure investigation
+        assert StaticPolicy(1.0).step(0, 10) == 1.0   # pure exploration
         with pytest.raises(ValueError):
-            weight_static(1.5)
+            StaticPolicy(1.5)
 
     def test_linear_decay(self):
-        assert weight_linear_decay(0, 100, 1.0) == 1.0
-        assert weight_linear_decay(100, 100, 1.0) == 0.0
-        assert weight_linear_decay(50, 100, 1.0) == 0.5
+        assert LinearDecayPolicy(1.0).step(0, 100) == 1.0
+        assert LinearDecayPolicy(1.0).step(100, 100) == 0.0
+        assert LinearDecayPolicy(1.0).step(50, 100) == 0.5
         # c > 1 clamps at zero instead of going negative
-        assert weight_linear_decay(80, 100, 2.0) == 0.0
+        assert LinearDecayPolicy(2.0).step(80, 100) == 0.0
         with pytest.raises(ValueError):
-            weight_linear_decay(0, 0, 1.0)
+            LinearDecayPolicy(1.0).step(0, 0)
 
     def test_exp_decay(self):
-        assert weight_exp_decay(0, 100, 5.0) == 1.0
-        assert weight_exp_decay(100, 100, 5.0) == pytest.approx(math.exp(-5.0))
-        values = [weight_exp_decay(t, 50, 5.0) for t in range(51)]
+        assert ExpDecayPolicy(5.0).step(0, 100) == 1.0
+        assert ExpDecayPolicy(5.0).step(100, 100) == pytest.approx(math.exp(-5.0))
+        values = [ExpDecayPolicy(5.0).step(t, 50) for t in range(51)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_all_outputs_in_unit_interval(self):
         for t in range(0, 101, 7):
-            assert 0.0 <= weight_linear_decay(t, 100, 3.0) <= 1.0
-            assert 0.0 <= weight_exp_decay(t, 100, 5.0) <= 1.0
+            assert 0.0 <= LinearDecayPolicy(3.0).step(t, 100) <= 1.0
+            assert 0.0 <= ExpDecayPolicy(5.0).step(t, 100) <= 1.0
+
+    @pytest.mark.parametrize("policy", [LinearDecayPolicy, ExpDecayPolicy])
+    def test_decay_checks(self, policy):
+        for c in (0.0, -1.0):
+            with pytest.raises(ValueError, match="decay constant must be positive"):
+                policy(c)
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            policy(1.0).step(0, 0)
+        for t in (-1, 11):
+            with pytest.raises(ValueError, match="outside"):
+                policy(1.0).step(t, 10)
 
 
 class TestBandit:
