@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,11 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> float:
     n = d.size
     if n == 0:
         return 1.0
-    ranks = rankdata(np.abs(d))
+    # average rank of each |d|: #{smaller} + (#{equal} + 1) / 2
+    mags = np.abs(d)
+    ordered = np.sort(mags)
+    ranks = (np.searchsorted(ordered, mags, "left")
+             + np.searchsorted(ordered, mags, "right") + 1) / 2.0
     w_plus = float(ranks[d > 0].sum())
 
     if n <= 12:

@@ -1,11 +1,10 @@
 """Ridge regression with an unpenalized intercept, fitted in closed form.
 
-The predictor is deliberately simple: features are column-centered, the
-coefficient system (Xc' Xc + alpha I) beta = Xc' yc is solved through a
-Cholesky factorization (alpha > 0 makes it SPD), and the inverse Gram
-matrix is retained so predictive variances are a quadratic form away.
-Cross-validation RMSE pools the held-out residuals of a seeded fold
-assignment into a single RMSE.
+Every fit is one kernel call: B row weightings of one labeled set, each
+centred on its own weighted means, solved as (Xc' W Xc + alpha I) beta =
+Xc' W yc in one batched solve.  A plain fit is the weighting of ones (and
+keeps the inverse Gram for predictive variances), a K-fold CV fit a 0/1
+train mask per fold, a bootstrap committee a row of resample counts per member.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .rng import generator
 
@@ -27,7 +25,6 @@ class FoldWarning(UserWarning):
 class RidgeModel:
     coefficients: np.ndarray   # (p,)
     intercept: float
-    alpha: float
     sigma2_hat: float
     gram_inverse: np.ndarray   # (p, p), (Xc' Xc + alpha I)^-1
     feature_means: np.ndarray  # (p,) training means, used to center queries
@@ -38,28 +35,23 @@ class RidgeModel:
         return X @ self.coefficients + self.intercept
 
 
-def _fit_centered(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
-    """Closed-form fit without input validation (CV folds may have 1 row)."""
-    k, p = X.shape
-    x_mean = X.mean(axis=0)
-    y_mean = float(y.mean())
-    Xc = X - x_mean
-    yc = y - y_mean
-    gram = Xc.T @ Xc + alpha * np.eye(p)
-    factor = cho_factor(gram, lower=True)
-    coef = cho_solve(factor, Xc.T @ yc)
-    gram_inverse = cho_solve(factor, np.eye(p))
-    intercept = y_mean - float(coef @ x_mean)
-    residuals = y - (X @ coef + intercept)
-    sigma2 = float(residuals @ residuals) / max(k - p - 1, 1)
-    return RidgeModel(
-        coefficients=coef,
-        intercept=intercept,
-        alpha=float(alpha),
-        sigma2_hat=sigma2,
-        gram_inverse=gram_inverse,
-        feature_means=x_mean,
-    )
+def _ridge(X: np.ndarray, y: np.ndarray, weights: np.ndarray, alpha: float):
+    """Coefficients (B, p), intercepts (B,), inverse Grams (B, p, p) and means
+    (B, p) of the fits under each row of a (B, k) weight matrix.  The Gram is
+    A'A with A = W^1/2 Xc, so it is exactly symmetric."""
+    B, p = weights.shape[0], X.shape[1]
+    total = weights.sum(axis=1)
+    x_mean = weights @ X / total[:, None]
+    y_mean = weights @ y / total
+    root = np.sqrt(weights)[:, :, None]
+    A = (X - x_mean[:, None, :]) * root                     # (B, k, p), W^1/2 Xc
+    At = np.swapaxes(A, 1, 2)
+    gram = At @ A + alpha * np.eye(p)
+    rhs = np.concatenate([At @ ((y - y_mean[:, None])[:, :, None] * root),
+                          np.broadcast_to(np.eye(p), (B, p, p))], axis=2)
+    solution = np.linalg.solve(gram, rhs)
+    intercepts = y_mean - np.einsum("bp,bp->b", solution[:, :, 0], x_mean)
+    return solution[:, :, 0], intercepts, solution[:, :, 1:], x_mean
 
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
@@ -78,7 +70,12 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
         raise ValueError("alpha must be positive")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite training data")
-    return _fit_centered(X, y, alpha)
+    k, p = X.shape
+    coef, intercepts, gram_inverse, x_mean = _ridge(X, y, np.ones((1, k)), alpha)
+    residuals = y - (X @ coef[0] + intercepts[0])
+    return RidgeModel(coefficients=coef[0], intercept=float(intercepts[0]),
+                      sigma2_hat=float(residuals @ residuals) / max(k - p - 1, 1),
+                      gram_inverse=gram_inverse[0], feature_means=x_mean[0])
 
 
 def predictive_variance_batch(model: RidgeModel, X: np.ndarray) -> np.ndarray:
@@ -112,15 +109,13 @@ def cv_rmse(X: np.ndarray, y: np.ndarray, alpha: float, folds: int, seed: int) -
             stacklevel=2,
         )
         folds = k
-    order = generator(seed, "cv").permutation(k)
-    residuals = np.empty(k)
-    pos = 0
-    for fold_idx in np.array_split(order, folds):
-        train_idx = np.setdiff1d(order, fold_idx, assume_unique=True)
-        member = _fit_centered(X[train_idx], y[train_idx], alpha)
-        preds = member.predict(X[fold_idx])
-        residuals[pos:pos + len(fold_idx)] = y[fold_idx] - preds
-        pos += len(fold_idx)
+    sizes = np.full(folds, k // folds)
+    sizes[:k % folds] += 1
+    fold = np.empty(k, dtype=int)
+    fold[generator(seed, "cv").permutation(k)] = np.repeat(np.arange(folds), sizes)
+    train = (fold != np.arange(folds)[:, None]).astype(float)
+    coef, intercepts, _, _ = _ridge(X, y, train, alpha)
+    residuals = y - (np.einsum("ip,ip->i", X, coef[fold]) + intercepts[fold])
     return float(np.sqrt(residuals @ residuals / k))
 
 
@@ -128,19 +123,20 @@ def cv_rmse(X: np.ndarray, y: np.ndarray, alpha: float, folds: int, seed: int) -
 class Committee:
     """Ridge models fitted on bootstrap resamples of the same labeled set."""
 
-    members: tuple[RidgeModel, ...]
+    coefficients: np.ndarray  # (B, p), one row per member
+    intercepts: np.ndarray    # (B,)
 
     def __post_init__(self):
-        if len(self.members) < 2:
+        if len(self.intercepts) < 2:
             raise ValueError("a committee needs at least 2 members")
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.intercepts)
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Member predictions stacked as a (B, n) matrix."""
-        return np.stack([m.predict(X) for m in self.members])
+        return (np.asarray(X, dtype=float) @ self.coefficients.T + self.intercepts).T
 
 
 def fit_bootstrap_committee(
@@ -149,8 +145,7 @@ def fit_bootstrap_committee(
     """B ridge fits on with-replacement resamples of size k.
 
     Member i draws its resample from a generator seeded with seed + i, so
-    members can be fitted in any order (or concurrently) without changing
-    the result.
+    no member's resample depends on the others or on B.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -159,8 +154,9 @@ def fit_bootstrap_committee(
     k = X.shape[0]
     if k < 2:
         raise ValueError("need at least 2 training rows")
-    members = []
-    for i in range(B):
-        idx = generator(seed + i, "bootstrap").integers(0, k, size=k)
-        members.append(_fit_centered(X[idx], y[idx], alpha))
-    return Committee(members=tuple(members))
+    counts = np.stack([
+        np.bincount(generator(seed + i, "bootstrap").integers(0, k, size=k), minlength=k)
+        for i in range(B)
+    ]).astype(float)
+    coef, intercepts, _, _ = _ridge(X, y, counts, alpha)
+    return Committee(coefficients=coef, intercepts=intercepts)

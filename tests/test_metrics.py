@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from wigs.metrics import (
     relative_auc,
     wilcoxon_signed_rank,
 )
+import wigs
 from wigs.model import fit_ridge
 
 
@@ -199,3 +203,29 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_signed_rank(np.array([1.0]), np.array([1.0, 2.0]))
 
+    def test_tie_heavy_normal_mode_matches_brute_force_ranks(self):
+        # 40 differences over 3 magnitudes: the n > 12 normal path with heavy ties
+        rng = np.random.default_rng(13)
+        d = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=40, p=[.1, .1, .1, .3, .2, .2])
+        a = rng.integers(-10, 11, size=40).astype(float)
+        mags = np.abs(d)
+        ranks = np.array([np.sum(mags < m) + (np.sum(mags == m) + 1) / 2.0 for m in mags])
+        n = len(d)
+        ties = np.unique(mags, return_counts=True)[1]
+        variance = n * (n + 1) * (2 * n + 1) / 24.0 - np.sum(ties ** 3 - ties) / 48.0
+        z = (abs(ranks[d > 0].sum() - n * (n + 1) / 4.0) - 0.5) / math.sqrt(variance)
+        assert wilcoxon_signed_rank(a, a - d) == pytest.approx(
+            math.erfc(z / math.sqrt(2.0)), rel=1e-12)
+
+
+def test_import_wigs_loads_only_numpy_and_pyyaml():
+    # in a fresh interpreter that has numpy and yaml loaded, every top-level
+    # module import wigs adds is wigs, a submodule of those two, the standard
+    # library or an alias such as multiprocessing's __mp_main__
+    src = os.path.dirname(os.path.dirname(wigs.__file__))
+    code = ("import sys, numpy, yaml; before = set(sys.modules); import wigs; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before"
+            " if not m.startswith('__')} - set(sys.stdlib_module_names) - {'numpy', 'yaml'}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "['wigs']"

@@ -8,6 +8,64 @@ from wigs.model import (
     fit_ridge,
     predictive_variance_batch,
 )
+from wigs.rng import generator
+
+
+def oracle_fit(X, y, alpha):
+    """The unbatched closed form: centre, then solve (Xc'Xc + alpha I).
+
+    Returns (coefficients, intercept, gram_inverse, sigma2_hat).
+    """
+    k, p = X.shape
+    x_mean = X.mean(axis=0)
+    y_mean = y.mean()
+    Xc = X - x_mean
+    gram = Xc.T @ Xc + alpha * np.eye(p)
+    coef = np.linalg.solve(gram, Xc.T @ (y - y_mean))
+    intercept = y_mean - coef @ x_mean
+    residuals = y - (X @ coef + intercept)
+    sigma2 = residuals @ residuals / max(k - p - 1, 1)
+    return coef, intercept, np.linalg.solve(gram, np.eye(p)), sigma2
+
+
+def oracle_cv_rmse(X, y, alpha, folds, seed):
+    """One fit per fold on the rows outside it, residuals pooled."""
+    k = len(y)
+    order = generator(seed, "cv").permutation(k)
+    residuals = []
+    for held_out in np.array_split(order, min(folds, k)):
+        train = np.setdiff1d(order, held_out)
+        coef, intercept, _, _ = oracle_fit(X[train], y[train], alpha)
+        residuals.extend(y[held_out] - (X[held_out] @ coef + intercept))
+    return float(np.sqrt(np.mean(np.square(residuals))))
+
+
+def oracle_committee(X, y, alpha, B, seed):
+    """One fit per member on its X[idx] bootstrap draw: (B, p) coefficients, (B,) intercepts."""
+    k = len(y)
+    fits = []
+    for i in range(B):
+        idx = generator(seed + i, "bootstrap").integers(0, k, size=k)
+        fits.append(oracle_fit(X[idx], y[idx], alpha)[:2])
+    return np.array([f[0] for f in fits]), np.array([f[1] for f in fits])
+
+
+def assert_rel(got, want, scale=None, tol=1e-10):
+    """max |got - want| within tol of the largest magnitude of scale (default want)."""
+    scale = np.abs(want if scale is None else scale)
+    assert np.max(np.abs(np.asarray(got) - want)) <= tol * np.max(scale)
+
+
+def oracle_case(p, case):
+    """60 labeled rows: plain, with column 0 offset by 1e6, or 20 rows repeated 3 times."""
+    rng = np.random.default_rng(p)
+    X = rng.normal(size=(60, p))
+    y = X[:, 0] + rng.normal(size=60)
+    if case == "offset":
+        X[:, 0] += 1e6
+    elif case == "duplicates":
+        X, y = np.tile(X[:20], (3, 1)), np.tile(y[:20], 3)
+    return X, y
 
 
 def gd_ridge_oracle(X, y, alpha, tol=1e-12, max_iter=200_000):
@@ -147,8 +205,9 @@ class TestCommittee:
         y = rng.normal(size=12)
         a = fit_bootstrap_committee(X, y, 0.01, B=10, seed=5)
         b = fit_bootstrap_committee(X, y, 0.01, B=10, seed=5)
-        for ma, mb in zip(a.members, b.members):
-            assert np.array_equal(ma.coefficients, mb.coefficients)
+        assert a.coefficients.shape == (10, 2) and a.size == 10
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a.intercepts, b.intercepts)
 
     def test_identical_rows_give_zero_variance(self):
         X = np.tile([[1.0, 2.0]], (6, 1))
@@ -161,3 +220,43 @@ class TestCommittee:
         X = np.arange(6, dtype=float)[:, None]
         with pytest.raises(ValueError):
             fit_bootstrap_committee(X, np.zeros(6), 0.01, B=1, seed=0)
+
+
+@pytest.mark.parametrize("case", ["plain", "offset", "duplicates"])
+@pytest.mark.parametrize("p", [1, 3, 20])
+class TestKernelMatchesClosedForm:
+    """The batched kernel against one unbatched closed-form fit per weighting."""
+
+    def test_fit_ridge(self, p, case):
+        X, y = oracle_case(p, case)
+        model = fit_ridge(X, y, 0.01)
+        coef, intercept, gram_inverse, sigma2 = oracle_fit(X, y, 0.01)
+        assert_rel(model.coefficients, coef)
+        assert_rel(model.intercept, intercept)
+        assert_rel(model.gram_inverse, gram_inverse)
+        assert_rel(model.sigma2_hat, sigma2)
+        assert_rel(model.feature_means, X.mean(axis=0))
+
+    def test_cv_rmse(self, p, case):
+        X, y = oracle_case(p, case)
+        for folds, seed in [(5, 3), (3, 8), (60, 1)]:
+            assert_rel(cv_rmse(X, y, 0.01, folds, seed), oracle_cv_rmse(X, y, 0.01, folds, seed))
+
+    def test_leave_one_out_on_two_rows(self, p, case):
+        X, y = oracle_case(p, case)
+        with pytest.warns(FoldWarning):
+            got = cv_rmse(X[:2], y[:2], 0.01, folds=5, seed=4)
+        assert_rel(got, oracle_cv_rmse(X[:2], y[:2], 0.01, 2, 4))
+
+    def test_committee(self, p, case):
+        X, y = oracle_case(p, case)
+        committee = fit_bootstrap_committee(X, y, 0.01, B=10, seed=3)
+        coefs, intercepts = oracle_committee(X, y, 0.01, B=10, seed=3)
+        assert_rel(committee.coefficients, coefs)
+        assert_rel(committee.intercepts, intercepts)
+        queries = np.vstack([X[:7], X[:7] + 0.5])
+        # predictions at the 1e6 offset cancel between X @ beta and the
+        # intercept, so they are compared on the scale of those two terms
+        terms = np.abs(queries) @ np.abs(coefs).T + np.abs(intercepts)
+        assert_rel(committee.predict_matrix(queries), (queries @ coefs.T + intercepts).T,
+                   scale=terms)
