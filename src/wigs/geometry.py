@@ -22,8 +22,8 @@ from .data import Dataset, SplitState
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between rows of a (n, p) and rows of b (m, p).
 
-    The one formula for feature distances: the distance cache, the egal
-    bandwidth and the SAC state all compute them here.
+    The one formula for feature distances: the distance cache and the egal
+    bandwidth compute them here, and the SAC state reads them from the cache.
     """
     diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -66,8 +66,8 @@ def build_cache(dataset: Dataset, split: SplitState, predictions: np.ndarray) ->
     """Distance state for an initial labeled/pool partition.
 
     ``predictions`` are the current model's outputs for the pool, in pool
-    order.  ``dx`` is filled one column at a time, so no (N, N, p)
-    difference tensor is ever held.
+    order.  ``dx`` is filled in blocks of N // p columns, so no difference
+    tensor larger than ``dx`` itself is ever held.
     """
     if len(split.labeled_idx) == 0:
         raise ValueError("labeled set is empty")
@@ -77,9 +77,11 @@ def build_cache(dataset: Dataset, split: SplitState, predictions: np.ndarray) ->
             f"predictions length {predictions.shape} does not match pool size {len(split.pool_idx)}"
         )
     X = dataset.features
-    dx = np.empty((len(X), len(X)))
-    for j in range(len(X)):
-        dx[:, j] = pairwise_distances(X, X[j:j + 1])[:, 0]
+    n, p = X.shape
+    step = max(1, n // p)
+    dx = np.empty((n, n))
+    for j in range(0, n, step):
+        dx[:, j:j + step] = pairwise_distances(X, X[j:j + step])
     pool = np.array(split.pool_idx, dtype=np.int64)
     labeled = np.array(split.labeled_idx, dtype=np.int64)
     dx_pair = dx[np.ix_(pool, labeled)]

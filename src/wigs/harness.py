@@ -138,8 +138,7 @@ def run_replication(
                 if cv_prev is not None:
                     reward = cv_prev - cv_now
                 if kind.sac_state:
-                    context = build_state(cv_now, cv_initial, t, horizon,
-                                          y[labeled], X[labeled])
+                    context = build_state(cv_now, cv_initial, t, horizon, cache)
                 cv_prev = cv_now
             weight = policy.step(t, horizon, reward, context)
         committee = None

@@ -1,10 +1,11 @@
 """Soft actor-critic controller for the continuous selection weight.
 
-Everything here is plain numpy: two-hidden-layer MLPs with hand-written
-reverse-mode gradients, Adam, a FIFO replay buffer, twin critics with
-soft-updated targets, and a tanh-squashed Gaussian policy rescaled onto
-[0, 1].  The gradients are exact for the affine+ReLU stack and are checked
-against central finite differences in the test suite; that check is the
+Everything here is plain numpy: two-hidden-layer MLPs on flat parameter
+vectors with hand-written reverse-mode gradients, Adam, a FIFO replay
+buffer, twin critics stacked as one two-member net with a soft-updated
+target, and a tanh-squashed Gaussian policy rescaled onto [0, 1].  The
+gradients are exact for the affine+ReLU stack and are checked against
+central finite differences in the test suite; that check is the
 load-bearing test for this module.
 
 The controller observes a 5-feature summary of the labeled set only (no
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import pairwise_distances
+from .geometry import DistanceCache
+from .geometry import pairwise_distances  # noqa: F401  a site that bench/tracing.py wraps
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TANH_EPS = 1e-6  # keeps the squashing correction finite at |u| -> 1
@@ -48,84 +50,92 @@ class SacConfig:
 class Mlp:
     """Fully connected net, ReLU on hidden layers, linear output.
 
-    Weights are (fan_in, fan_out); forward works on (batch, in) matrices.
-    ``backward`` consumes the cache produced by ``forward`` and returns
-    parameter gradients in ``params()`` order plus the input gradient.
+    ``members`` independent copies of the net (2 for the twin critics) are
+    stacked on a leading axis and share one flat parameter vector ``flat``,
+    member by member, each in the layer order W, b.  ``weights[i]`` is a
+    (members, fan_in, fan_out) view into it and ``biases[i]`` a
+    (members, fan_out) view.  ``forward`` maps (n, in) inputs to
+    (members, n, out) outputs; ``backward`` consumes its cache and returns
+    the parameter gradient in ``flat``'s layout plus the input gradient.
     """
 
-    def __init__(self, sizes: list[int], rng: np.random.Generator):
+    def __init__(self, sizes: list[int], rng: np.random.Generator, members: int = 1):
         self.sizes = list(sizes)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / math.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+        self.members = members
+        per_member = sum((fan_in + 1) * fan_out
+                         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        self.flat = np.empty(members * per_member)
+        self.weights, self.biases = self.views(self.flat)
+        for m in range(members):
+            for w, b in zip(self.weights, self.biases):
+                bound = 1.0 / math.sqrt(w.shape[1])
+                w[m] = rng.uniform(-bound, bound, size=w.shape[1:])
+                b[m] = rng.uniform(-bound, bound, size=b.shape[1:])
 
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def copy_from(self, other: "Mlp") -> None:
-        for dst, src in zip(self.params(), other.params()):
-            dst[...] = src
+    def views(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views into a vector laid out like ``flat``."""
+        rows = vector.reshape(self.members, -1)
+        weights, biases, start = [], [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            stop = start + fan_in * fan_out
+            weights.append(rows[:, start:stop].reshape(self.members, fan_in, fan_out))
+            biases.append(rows[:, stop:stop + fan_out])
+            start = stop + fan_out
+        return weights, biases
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.sizes[0]:
-            raise ValueError(f"expected {self.sizes[0]} inputs, got {x.shape[1]}")
+        if x.ndim != 2 or x.shape[1] != self.sizes[0]:
+            raise ValueError(f"expected (n, {self.sizes[0]}) inputs, got shape {x.shape}")
         cache = [x]
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
+            z = h @ w + b[:, None, :]
             h = z if i == last else np.maximum(z, 0.0)
             cache.append(h)
         return h, cache
 
     def backward(
         self, cache: list[np.ndarray], grad_out: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of sum(grad_out * output); grad_out is (members, n, out)."""
         if len(cache) != len(self.weights) + 1:
             raise ValueError("stale or mismatched forward cache")
-        g = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        grads: list[np.ndarray] = [None] * (2 * len(self.weights))
-        for i in range(len(self.weights) - 1, -1, -1):
-            h_in = cache[i]
-            if i != len(self.weights) - 1:
+        grad = np.empty_like(self.flat)
+        grad_w, grad_b = self.views(grad)
+        g = grad_out
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
+            if i != last:
                 g = g * (cache[i + 1] > 0.0)  # ReLU mask from stored activations
-            grads[2 * i] = h_in.T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
-            g = g @ self.weights[i].T
-        return grads, g
+            grad_w[i][...] = cache[i].swapaxes(-1, -2) @ g
+            grad_b[i][...] = g.sum(axis=-2)
+            g = g @ self.weights[i].swapaxes(-1, -2)
+        return grad, g
 
 
 class Adam:
-    """Adam on a fixed list of parameter arrays, updated in place."""
+    """Adam on one flat parameter vector, updated in place."""
 
-    def __init__(self, params: list[np.ndarray], lr: float, beta1: float,
+    def __init__(self, params: np.ndarray, lr: float, beta1: float,
                  beta2: float, eps: float):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         correct1 = 1.0 - self.beta1 ** self.t
         correct2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        params -= self.lr * (self.m / correct1) / (np.sqrt(self.v / correct2) + self.eps)
 
 
 @dataclass(frozen=True)
@@ -165,50 +175,42 @@ class ReplayBuffer:
 
 
 class SacAgent:
-    """Actor, twin critics, their targets, and per-network Adam state."""
+    """Actor, two-member twin critic, its target, and one Adam per trained net."""
 
     def __init__(self, config: SacConfig, rng: np.random.Generator):
         c = config
         self.config = c
         hidden = [c.hidden, c.hidden]
         self.actor = Mlp([c.state_dim, *hidden, 2 * c.action_dim], rng)
-        self.critic1 = Mlp([c.state_dim + c.action_dim, *hidden, 1], rng)
-        self.critic2 = Mlp([c.state_dim + c.action_dim, *hidden, 1], rng)
-        self.target1 = Mlp(self.critic1.sizes, rng)
-        self.target2 = Mlp(self.critic2.sizes, rng)
-        self.target1.copy_from(self.critic1)
-        self.target2.copy_from(self.critic2)
-        self.opt_actor = Adam(self.actor.params(), c.lr, c.beta1, c.beta2, c.adam_eps)
-        self.opt_critic1 = Adam(self.critic1.params(), c.lr, c.beta1, c.beta2, c.adam_eps)
-        self.opt_critic2 = Adam(self.critic2.params(), c.lr, c.beta1, c.beta2, c.adam_eps)
+        self.critic = Mlp([c.state_dim + c.action_dim, *hidden, 1], rng, members=2)
+        # The target's own initial draws are discarded: they only hold the
+        # "sac" stream's position.  It starts as a copy of the critic.
+        self.target = Mlp(self.critic.sizes, rng, members=2)
+        self.target.flat[...] = self.critic.flat
+        self.opt_actor = Adam(self.actor.flat, c.lr, c.beta1, c.beta2, c.adam_eps)
+        self.opt_critic = Adam(self.critic.flat, c.lr, c.beta1, c.beta2, c.adam_eps)
 
 
-def build_state(
-    cv_rmse_now: float,
-    cv_rmse_initial: float,
-    t: int,
-    horizon: int,
-    labeled_targets: np.ndarray,
-    labeled_features: np.ndarray,
-) -> np.ndarray:
+def build_state(cv_rmse_now: float, cv_rmse_initial: float, t: int, horizon: int,
+                cache: DistanceCache) -> np.ndarray:
     """5-feature learning-context summary computed from the labeled set only.
 
     The CV RMSE is divided by the run's initial CV RMSE so the scale is
-    comparable across datasets; the nearest-neighbor distance excludes self.
+    comparable across datasets; the nearest-neighbor distance excludes self
+    and is read from the replication's distance matrix.
     """
     if cv_rmse_initial <= 0:
         raise ValueError("initial CV RMSE must be positive")
-    labeled_targets = np.asarray(labeled_targets, dtype=float)
-    labeled_features = np.asarray(labeled_features, dtype=float)
-    if labeled_targets.shape[0] < 2:
+    if len(cache.labeled) < 2:
         raise ValueError("need at least 2 labeled points")
-    dist = pairwise_distances(labeled_features, labeled_features)
+    dist = cache.dx[np.ix_(cache.labeled, cache.labeled)]
     np.fill_diagonal(dist, np.inf)
+    targets = cache.labeled_targets
     return np.array([
         cv_rmse_now / cv_rmse_initial,
         t / horizon,
-        labeled_targets.mean(),
-        labeled_targets.std(),
+        targets.mean(),
+        targets.std(),
         dist.min(axis=1).mean(),
     ])
 
@@ -216,8 +218,8 @@ def build_state(
 def _actor_heads(agent: SacAgent, states: np.ndarray):
     """Forward the actor: returns (mu, clipped log-std, clip mask, cache)."""
     out, cache = agent.actor.forward(states)
-    mu = out[:, 0]
-    raw = out[:, 1]
+    mu = out[0, :, 0]
+    raw = out[0, :, 1]
     c = agent.config
     log_std = np.clip(raw, c.log_std_min, c.log_std_max)
     pass_through = (raw > c.log_std_min) & (raw < c.log_std_max)
@@ -247,7 +249,6 @@ def sample_action(
     Stochastic sampling squashes mu + sigma * z (z standard normal) through
     tanh and rescales; deterministic mode squashes mu itself.
     """
-    state = np.asarray(state, dtype=float)
     mu, log_std, _, _ = _actor_heads(agent, state[None, :])
     sigma = np.exp(log_std)
     if deterministic:
@@ -261,13 +262,17 @@ def sample_action(
 
 
 def critic_loss_and_grads(critic: Mlp, states, actions, targets):
-    """Mean squared TD error and its parameter gradients."""
+    """Each member's mean squared TD error, and the gradient of their sum.
+
+    The members' parameters are disjoint, so each member's block of the
+    flat gradient is the gradient of its own loss.
+    """
     x = np.hstack([states, actions[:, None]])
     q, cache = critic.forward(x)
-    diff = q[:, 0] - targets
-    loss = float(diff @ diff) / len(diff)
-    grads, _ = critic.backward(cache, (2.0 / len(diff)) * diff[:, None])
-    return loss, grads
+    diff = q[:, :, 0] - targets
+    losses = tuple(float(d @ d) / len(d) for d in diff)
+    grad, _ = critic.backward(cache, (2.0 / len(targets)) * diff[:, :, None])
+    return losses, grad
 
 
 def actor_loss_and_grads(agent: SacAgent, states, eps):
@@ -284,21 +289,17 @@ def actor_loss_and_grads(agent: SacAgent, states, eps):
     z, u, a, log_prob = _squash(mu, sigma, eps)
 
     x = np.hstack([states, a[:, None]])
-    q1, cache1 = agent.critic1.forward(x)
-    q2, cache2 = agent.critic2.forward(x)
-    q1 = q1[:, 0]
-    q2 = q2[:, 0]
+    q, q_cache = agent.critic.forward(x)
+    q1, q2 = q[:, :, 0]
     take1 = q1 <= q2
     q_min = np.where(take1, q1, q2)
     loss = float(np.mean(c.alpha_ent * log_prob - q_min))
 
     # dL/da flows through whichever critic realized the min, via its input
     # gradient's action coordinate.  Critic parameters are not updated here.
-    g_q = np.where(take1, -1.0 / n, 0.0)
-    _, gin1 = agent.critic1.backward(cache1, g_q[:, None])
-    g_q = np.where(take1, 0.0, -1.0 / n)
-    _, gin2 = agent.critic2.backward(cache2, g_q[:, None])
-    g_a = gin1[:, -1] + gin2[:, -1]
+    g_q = np.where(np.stack([take1, ~take1]), -1.0 / n, 0.0)
+    _, grad_in = agent.critic.backward(q_cache, g_q[:, :, None])
+    g_a = grad_in[0, :, -1] + grad_in[1, :, -1]
 
     g_logp = np.full(n, c.alpha_ent / n)
     one_minus_u2 = 1.0 - u ** 2
@@ -308,8 +309,8 @@ def actor_loss_and_grads(agent: SacAgent, states, eps):
     g_log_std = (g_z * sigma * eps - g_logp) * pass_through
 
     grad_out = np.stack([g_mu, g_log_std], axis=1)
-    grads, _ = agent.actor.backward(cache, grad_out)
-    return loss, grads
+    grad, _ = agent.actor.backward(cache, grad_out[None])
+    return loss, grad
 
 
 def sac_update(agent: SacAgent, buffer: ReplayBuffer, rng: np.random.Generator) -> dict:
@@ -328,30 +329,22 @@ def sac_update(agent: SacAgent, buffer: ReplayBuffer, rng: np.random.Generator) 
     mu2, log_std2, _, _ = _actor_heads(agent, next_states)
     eps2 = rng.standard_normal(c.batch_size)
     _, _, a2, log_prob2 = _squash(mu2, np.exp(log_std2), eps2)
-    x2 = np.hstack([next_states, a2[:, None]])
-    q1t, _ = agent.target1.forward(x2)
-    q2t, _ = agent.target2.forward(x2)
-    soft_value = np.minimum(q1t[:, 0], q2t[:, 0]) - c.alpha_ent * log_prob2
+    q_target, _ = agent.target.forward(np.hstack([next_states, a2[:, None]]))
+    soft_value = q_target[:, :, 0].min(axis=0) - c.alpha_ent * log_prob2
     targets = rewards + c.gamma * soft_value
 
-    loss1, grads1 = critic_loss_and_grads(agent.critic1, states, actions, targets)
-    agent.opt_critic1.step(agent.critic1.params(), grads1)
-    loss2, grads2 = critic_loss_and_grads(agent.critic2, states, actions, targets)
-    agent.opt_critic2.step(agent.critic2.params(), grads2)
+    critic_losses, critic_grad = critic_loss_and_grads(agent.critic, states, actions, targets)
+    agent.opt_critic.step(agent.critic.flat, critic_grad)
 
     eps_a = rng.standard_normal(c.batch_size)
-    actor_loss, actor_grads = actor_loss_and_grads(agent, states, eps_a)
-    agent.opt_actor.step(agent.actor.params(), actor_grads)
+    actor_loss, actor_grad = actor_loss_and_grads(agent, states, eps_a)
+    agent.opt_actor.step(agent.actor.flat, actor_grad)
 
-    for target, critic in ((agent.target1, agent.critic1), (agent.target2, agent.critic2)):
-        for tp, cp in zip(target.params(), critic.params()):
-            tp *= 1.0 - c.tau
-            tp += c.tau * cp
+    agent.target.flat *= 1.0 - c.tau
+    agent.target.flat += c.tau * agent.critic.flat
 
     return {
         "updated": True,
-        "critic1_loss": loss1,
-        "critic2_loss": loss2,
+        "critic_losses": critic_losses,
         "actor_loss": actor_loss,
     }
-

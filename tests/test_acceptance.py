@@ -165,18 +165,18 @@ def test_criterion_03_gradient_correctness():
         y = rng.normal(size=6)
         eps = rng.normal(size=6)
 
-        for critic in (agent.critic1, agent.critic2):
-            _, analytic = critic_loss_and_grads(critic, S, A, y)
-            numeric = _finite_difference(
-                lambda c=critic: critic_loss_and_grads(c, S, A, y)[0],
-                critic.params())
-            worst = max(worst, _max_rel_dev(analytic, numeric))
+        # both critic members at once: the flat gradient is that of the summed losses
+        _, analytic = critic_loss_and_grads(agent.critic, S, A, y)
+        numeric = _finite_difference(
+            lambda: sum(critic_loss_and_grads(agent.critic, S, A, y)[0]),
+            [agent.critic.flat])
+        worst = max(worst, _max_rel_dev([analytic], numeric))
 
         _, analytic = actor_loss_and_grads(agent, S, eps)
         numeric = _finite_difference(
             lambda: actor_loss_and_grads(agent, S, eps)[0],
-            agent.actor.params())
-        worst = max(worst, _max_rel_dev(analytic, numeric))
+            [agent.actor.flat])
+        worst = max(worst, _max_rel_dev([analytic], numeric))
     elapsed = time.perf_counter() - start
     good = worst <= 1e-4 and elapsed < 30.0
     report_line(3, "network gradients vs finite differences", good,

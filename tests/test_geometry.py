@@ -66,9 +66,10 @@ class TestBuildCache:
             assert np.allclose(cache.dx_min, dx, atol=1e-12, rtol=0)
             assert np.allclose(cache.dy_min, dy, atol=1e-12, rtol=0)
 
-    @pytest.mark.parametrize("p", [1, 3, 20])
+    @pytest.mark.parametrize("p", [1, 3, 20, 50])
     def test_dx_equals_full_pairwise_formula(self, p):
-        # column-at-a-time fill must give the same bits as the one-shot formula
+        # the fill in blocks of 37 // p columns (37, 12, 1, 1) must give the
+        # same bits as the one-shot formula
         rng = np.random.default_rng(p)
         X = rng.normal(size=(37, p))
         ds = make_dataset(X, rng.normal(size=37))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wigs.config import ExperimentConfig, MethodSpec
-from wigs.data import initial_split
+from wigs.data import ColumnMeta, Dataset, SplitState, initial_split
+from wigs.geometry import build_cache, pairwise_distances, update_after_acquisition
 from wigs.harness import resolve_dataset, run_replication
 from wigs.model import cv_rmse
 from wigs.rng import child_seed, generator
@@ -23,39 +24,46 @@ from wigs.sac import (
 from wigs.weights import BanditPolicy
 
 
-def finite_difference(loss_fn, params, h=1e-5):
-    """Central finite differences over every entry of every parameter array."""
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            up = loss_fn()
-            p[idx] = orig - h
-            down = loss_fn()
-            p[idx] = orig
-            g[idx] = (up - down) / (2.0 * h)
-        grads.append(g)
-    return grads
+def finite_difference(loss_fn, flat, h=1e-5):
+    """Central finite differences over every entry of a flat parameter vector."""
+    g = np.zeros_like(flat)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        up = loss_fn()
+        flat[j] = orig - h
+        down = loss_fn()
+        flat[j] = orig
+        g[j] = (up - down) / (2.0 * h)
+    return g
 
 
 def assert_grads_close(analytic, numeric, rel=1e-4, abs_tol=1e-7):
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.abs(a), np.abs(n))
-        assert np.all(np.abs(a - n) <= rel * denom + abs_tol), \
-            f"max dev {np.max(np.abs(a - n))}"
+    denom = np.maximum(np.abs(analytic), np.abs(numeric))
+    assert np.all(np.abs(analytic - numeric) <= rel * denom + abs_tol), \
+        f"max dev {np.max(np.abs(analytic - numeric))}"
+
+
+def make_dataset(features, targets):
+    features = np.asarray(features, dtype=float)
+    meta = tuple(ColumnMeta(f"x{i}", "continuous") for i in range(features.shape[1]))
+    return Dataset(features, np.asarray(targets, dtype=float), meta, "test")
+
+
+def two_point_cache(labeled=(0, 1)):
+    """Cache over rows x = 0, 1, 5 with targets 0, 2, 9; the rest is pool."""
+    ds = make_dataset([[0.0], [1.0], [5.0]], [0.0, 2.0, 9.0])
+    pool = [i for i in range(3) if i not in labeled]
+    return build_cache(ds, SplitState(np.array(labeled), np.array(pool), seed=0),
+                       np.zeros(len(pool)))
 
 
 class TestMlpForward:
     def test_zero_parameters_zero_output(self):
         net = Mlp([3, 4, 2], generator(0, "sac"))
-        for p in net.params():
-            p[...] = 0.0
-        out, _ = net.forward(np.array([1.0, -2.0, 3.0]))
-        assert np.array_equal(out, np.zeros((1, 2)))
+        net.flat[...] = 0.0
+        out, _ = net.forward(np.array([[1.0, -2.0, 3.0]]))
+        assert np.array_equal(out, np.zeros((1, 1, 2)))
 
     def test_hand_computed_identity_net(self):
         net = Mlp([2, 2, 1], generator(0, "sac"))
@@ -63,14 +71,14 @@ class TestMlpForward:
         net.biases[0][...] = 0.0
         net.weights[1][...] = np.array([[1.0], [1.0]])
         net.biases[1][...] = 0.0
-        out, _ = net.forward(np.array([1.0, -2.0]))
-        assert out[0, 0] == 1.0  # relu([1, -2]) = [1, 0], summed
-        out, _ = net.forward(np.array([-1.0, 3.0]))
-        assert out[0, 0] == 3.0
+        out, _ = net.forward(np.array([[1.0, -2.0]]))
+        assert out[0, 0, 0] == 1.0  # relu([1, -2]) = [1, 0], summed
+        out, _ = net.forward(np.array([[-1.0, 3.0]]))
+        assert out[0, 0, 0] == 3.0
 
     def test_forward_is_pure(self):
         net = Mlp([3, 5, 2], generator(1, "sac"))
-        x = np.array([0.3, -0.7, 1.1])
+        x = np.array([[0.3, -0.7, 1.1]])
         a, _ = net.forward(x)
         b, _ = net.forward(x)
         assert np.array_equal(a, b)
@@ -78,7 +86,42 @@ class TestMlpForward:
     def test_shape_mismatch(self):
         net = Mlp([3, 5, 2], generator(1, "sac"))
         with pytest.raises(ValueError):
-            net.forward(np.zeros(4))
+            net.forward(np.zeros((1, 4)))
+        with pytest.raises(ValueError):
+            net.forward(np.zeros(3))  # one state is a (1, in) batch
+
+
+class TestStackedMembers:
+    def test_two_members_equal_two_single_nets(self):
+        rng = np.random.default_rng(15)
+        pair = Mlp([6, 8, 8, 1], generator(16, "sac"), members=2)
+        singles = [Mlp(pair.sizes, generator(17, "sac")) for _ in range(2)]
+        for m, single in enumerate(singles):
+            for w, b, sw, sb in zip(pair.weights, pair.biases, single.weights, single.biases):
+                sw[0] = w[m]
+                sb[0] = b[m]
+        x = rng.normal(size=(9, 6))
+        v = rng.normal(size=(2, 9, 1))
+        out, cache = pair.forward(x)
+        grad, grad_in = pair.backward(cache, v)
+        grad_w, grad_b = pair.views(grad)
+        for m, single in enumerate(singles):
+            s_out, s_cache = single.forward(x)
+            s_grad, s_grad_in = single.backward(s_cache, v[m:m + 1])
+            s_grad_w, s_grad_b = single.views(s_grad)
+            assert np.array_equal(out[m], s_out[0])
+            assert np.array_equal(grad_in[m], s_grad_in[0])
+            for gw, gb, sgw, sgb in zip(grad_w, grad_b, s_grad_w, s_grad_b):
+                assert np.array_equal(gw[m], sgw[0])
+                assert np.array_equal(gb[m], sgb[0])
+
+    def test_weights_and_biases_are_views_of_flat(self):
+        net = Mlp([3, 4, 2], generator(18, "sac"), members=2)
+        net.flat[...] = np.arange(net.flat.size)
+        assert net.weights[0][1, 0, 0] == net.flat.size // 2  # member 1 starts halfway
+        assert net.biases[-1][1, -1] == net.flat.size - 1
+        net.weights[1][0] = -1.0
+        assert np.count_nonzero(net.flat == -1.0) == 4 * 2
 
 
 class TestMlpGradients:
@@ -88,7 +131,7 @@ class TestMlpGradients:
             sizes = [int(rng.integers(2, 6)) for _ in range(4)]
             net = Mlp(sizes, generator(int(rng.integers(1000)), "sac"))
             x = rng.normal(size=(7, sizes[0]))
-            v = rng.normal(size=(7, sizes[-1]))  # fixed projection -> scalar loss
+            v = rng.normal(size=(1, 7, sizes[-1]))  # fixed projection -> scalar loss
 
             def loss():
                 out, _ = net.forward(x)
@@ -96,7 +139,7 @@ class TestMlpGradients:
 
             out, cache = net.forward(x)
             analytic, _ = net.backward(cache, v)
-            numeric = finite_difference(loss, net.params())
+            numeric = finite_difference(loss, net.flat)
             assert_grads_close(analytic, numeric)
 
     def test_dead_relu_units_get_zero_gradient(self):
@@ -105,9 +148,10 @@ class TestMlpGradients:
         net.biases[0][...] = np.array([0.5, -10.0])  # second unit dead for x=1
         net.weights[1][...] = np.array([[1.0], [1.0]])
         net.biases[1][...] = 0.0
-        out, cache = net.forward(np.array([1.0]))
-        grads, _ = net.backward(cache, np.ones((1, 1)))
-        g_w1, g_b1 = grads[0], grads[1]
+        out, cache = net.forward(np.array([[1.0]]))
+        grad, _ = net.backward(cache, np.ones((1, 1, 1)))
+        grad_w, grad_b = net.views(grad)
+        g_w1, g_b1 = grad_w[0][0], grad_b[0][0]
         assert g_w1[0, 1] == 0.0 and g_b1[1] == 0.0
         assert g_w1[0, 0] != 0.0
 
@@ -117,12 +161,13 @@ class TestMlpGradients:
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
         out, cache = net.forward(X)
-        diff = out[:, 0] - y
-        grads, _ = net.backward(cache, (2.0 / 10) * diff[:, None])
+        diff = out[0, :, 0] - y
+        grad, _ = net.backward(cache, (2.0 / 10) * diff[None, :, None])
+        grad_w, grad_b = net.views(grad)
         expected_w = (2.0 / 10) * X.T @ diff  # closed-form least-squares gradient
         expected_b = (2.0 / 10) * diff.sum()
-        assert np.allclose(grads[0][:, 0], expected_w, atol=1e-12)
-        assert np.allclose(grads[1][0], expected_b, atol=1e-12)
+        assert np.allclose(grad_w[0][0, :, 0], expected_w, atol=1e-12)
+        assert np.allclose(grad_b[0][0, 0], expected_b, atol=1e-12)
 
     def test_input_gradient_flows(self):
         net = Mlp([2, 3, 1], generator(6, "sac"))
@@ -133,7 +178,7 @@ class TestMlpGradients:
             return float(out.sum())
 
         _, cache = net.forward(x)
-        _, grad_in = net.backward(cache, np.ones((1, 1)))
+        _, grad_in = net.backward(cache, np.ones((1, 1, 1)))
         h = 1e-6
         for j in range(2):
             x[0, j] += h
@@ -141,22 +186,22 @@ class TestMlpGradients:
             x[0, j] -= 2 * h
             down = loss()
             x[0, j] += h
-            assert grad_in[0, j] == pytest.approx((up - down) / (2 * h), abs=1e-6)
+            assert grad_in[0, 0, j] == pytest.approx((up - down) / (2 * h), abs=1e-6)
 
 
 class TestLossGradients:
     def test_critic_loss_gradcheck(self):
         rng = np.random.default_rng(11)
-        critic = Mlp([6, 8, 8, 1], generator(7, "sac"))
+        critic = Mlp([6, 8, 8, 1], generator(7, "sac"), members=2)
         S = rng.normal(size=(9, 5))
         A = rng.uniform(size=9)
         y = rng.normal(size=9)
 
         def loss():
-            return critic_loss_and_grads(critic, S, A, y)[0]
+            return sum(critic_loss_and_grads(critic, S, A, y)[0])
 
         _, analytic = critic_loss_and_grads(critic, S, A, y)
-        numeric = finite_difference(loss, critic.params())
+        numeric = finite_difference(loss, critic.flat)
         assert_grads_close(analytic, numeric)
 
     def test_actor_loss_gradcheck(self):
@@ -170,7 +215,7 @@ class TestLossGradients:
             return actor_loss_and_grads(agent, S, eps)[0]
 
         _, analytic = actor_loss_and_grads(agent, S, eps)
-        numeric = finite_difference(loss, agent.actor.params())
+        numeric = finite_difference(loss, agent.actor.flat)
         assert_grads_close(analytic, numeric)
 
 
@@ -217,25 +262,45 @@ class TestPolicy:
 
 class TestBuildState:
     def test_start_of_run(self):
-        s = build_state(2.0, 2.0, 0, 50, np.array([0.0, 2.0]),
-                        np.array([[0.0], [1.0]]))
+        s = build_state(2.0, 2.0, 0, 50, two_point_cache())
         assert s[0] == 1.0 and s[1] == 0.0
 
     def test_two_points_at_unit_distance(self):
-        s = build_state(1.0, 1.0, 5, 50, np.array([0.0, 2.0]),
-                        np.array([[0.0], [1.0]]))
+        s = build_state(1.0, 1.0, 5, 50, two_point_cache())
         assert s[4] == 1.0
 
     def test_target_moments(self):
-        s = build_state(1.0, 1.0, 5, 50, np.array([0.0, 2.0]),
-                        np.array([[0.0], [1.0]]))
+        s = build_state(1.0, 1.0, 5, 50, two_point_cache())
         assert s[2] == 1.0 and s[3] == 1.0  # mean, population std
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            build_state(1.0, 0.0, 0, 10, np.array([0.0, 1.0]), np.zeros((2, 1)))
+            build_state(1.0, 0.0, 0, 10, two_point_cache())
         with pytest.raises(ValueError):
-            build_state(1.0, 1.0, 0, 10, np.array([0.0]), np.zeros((1, 1)))
+            build_state(1.0, 1.0, 0, 10, two_point_cache(labeled=(0,)))
+
+    @pytest.mark.parametrize("p", [1, 3, 20])
+    def test_equals_direct_formula_after_acquisitions(self, p):
+        # the direct formula on X[labeled], as the state was computed before it read dx
+        def direct(cv_now, cv_initial, t, horizon, targets, features):
+            dist = pairwise_distances(features, features)
+            np.fill_diagonal(dist, np.inf)
+            return np.array([cv_now / cv_initial, t / horizon, targets.mean(),
+                             targets.std(), dist.min(axis=1).mean()])
+
+        rng = np.random.default_rng(40 + p)
+        ds = make_dataset(rng.normal(size=(30, p)), rng.normal(size=30))
+        order = rng.permutation(30)
+        labeled, pool = list(order[:3]), list(order[3:])
+        cache = build_cache(ds, SplitState(np.array(labeled), np.array(pool), seed=0),
+                            np.zeros(len(pool)))
+        for t in range(6):
+            pos = int(rng.integers(len(pool)))
+            labeled.append(pool.pop(pos))
+            cache = update_after_acquisition(cache, pos, ds.targets[labeled[-1]],
+                                             np.zeros(len(pool)))
+            expected = direct(0.7, 1.3, t, 6, ds.targets[labeled], ds.features[labeled])
+            assert np.array_equal(build_state(0.7, 1.3, t, 6, cache), expected)
 
 
 class TestReplayBuffer:
@@ -268,10 +333,10 @@ class TestSacUpdate:
         agent = SacAgent(config, generator(20, "sac"))
         buf = ReplayBuffer(100, 5)
         fill_buffer(buf, np.random.default_rng(0), 10)
-        before = [p.copy() for p in agent.actor.params()]
+        before = agent.actor.flat.copy()
         diag = sac_update(agent, buf, generator(21, "sac"))
         assert diag["updated"] is False
-        assert all(np.array_equal(a, b) for a, b in zip(before, agent.actor.params()))
+        assert np.array_equal(before, agent.actor.flat)
 
     def test_tau_one_copies_targets(self):
         config = SacConfig(hidden=8, batch_size=8, tau=1.0)
@@ -280,8 +345,7 @@ class TestSacUpdate:
         fill_buffer(buf, np.random.default_rng(1), 20)
         diag = sac_update(agent, buf, generator(23, "sac"))
         assert diag["updated"] is True
-        for tp, cp in zip(agent.target1.params(), agent.critic1.params()):
-            assert np.array_equal(tp, cp)
+        assert np.array_equal(agent.target.flat, agent.critic.flat)
 
     def test_gamma_zero_critic_regresses_to_rewards(self):
         config = SacConfig(hidden=16, batch_size=4, gamma=0.0, lr=3e-3)
@@ -297,8 +361,8 @@ class TestSacUpdate:
         for _ in range(2000):
             sac_update(agent, buf, rng)
         x = np.hstack([states, actions[:, None]])
-        q, _ = agent.critic1.forward(x)
-        mse = float(np.mean((q[:, 0] - rewards) ** 2))
+        q, _ = agent.critic.forward(x)
+        mse = float(np.mean((q[0, :, 0] - rewards) ** 2))
         assert mse < 1e-3
 
     def test_bitwise_deterministic_trajectories(self):
@@ -309,7 +373,7 @@ class TestSacUpdate:
             rng = generator(27, "sac")
             for _ in range(30):
                 sac_update(agent, buf, rng)
-            return [p.copy() for p in agent.actor.params()]
+            return [net.flat.copy() for net in (agent.actor, agent.critic, agent.target)]
 
         a, b = run(), run()
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -318,19 +382,36 @@ class TestSacUpdate:
         config = SacConfig(hidden=8)
         agent = SacAgent(config, generator(28, "sac"))
         # push targets away, then apply soft updates with critics frozen
-        for tp in agent.target1.params():
-            tp += 1.0
+        agent.target.flat += 1.0
         def gap():
-            return sum(float(np.abs(tp - cp).sum())
-                       for tp, cp in zip(agent.target1.params(), agent.critic1.params()))
+            return float(np.abs(agent.target.flat - agent.critic.flat).sum())
         gaps = [gap()]
         for _ in range(10):
-            for tp, cp in zip(agent.target1.params(), agent.critic1.params()):
-                tp *= 1.0 - config.tau
-                tp += config.tau * cp
+            agent.target.flat *= 1.0 - config.tau
+            agent.target.flat += config.tau * agent.critic.flat
             gaps.append(gap())
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] == pytest.approx(gaps[0] * (1 - config.tau) ** 10, rel=1e-9)
+
+
+def test_agent_construction_draws_five_networks_in_order():
+    """Building the agent draws the actor, both critics and both targets, in that order."""
+    config = SacConfig(hidden=8)
+    rng = generator(29, "sac")
+    agent = SacAgent(config, rng)
+    reference = generator(29, "sac")
+    draws = []
+    for sizes in [[5, 8, 8, 2]] + [[6, 8, 8, 1]] * 4:
+        net = []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            bound = 1.0 / math.sqrt(fan_in)
+            net.append(reference.uniform(-bound, bound, size=(fan_in, fan_out)))
+            net.append(reference.uniform(-bound, bound, size=fan_out))
+        draws.append(np.concatenate([d.ravel() for d in net]))
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(agent.actor.flat, draws[0])
+    assert np.array_equal(agent.critic.flat, np.concatenate(draws[1:3]))
+    assert np.array_equal(agent.target.flat, agent.critic.flat)  # target draws are discarded
 
 
 def test_agent_reward(monkeypatch):
