@@ -12,7 +12,7 @@ from wigs.geometry import build_cache
 from wigs.model import fit_bootstrap_committee, fit_ridge
 from wigs.rng import generator
 from wigs.selectors import (
-    egal_bandwidth,
+    egal_setup,
     select_egal,
     select_emcm,
     select_gsx,
@@ -34,7 +34,7 @@ preds = model.predict(X[split.pool_idx])
 cache = build_cache(dataset, split, preds)
 committee = fit_bootstrap_committee(
     X[split.labeled_idx], y[split.labeled_idx], 0.01, B=10, seed=1)
-delta = egal_bandwidth(X, seed=1)
+egal_state = egal_setup(dataset, seed=1)
 
 picks = {
     "passive": select_passive(len(split.pool_idx), generator(1, "passive")),
@@ -46,7 +46,7 @@ picks = {
     "uncertainty": select_uncertainty(model, X[split.pool_idx]),
     "qbc": select_qbc(committee, X[split.pool_idx]),
     "emcm": select_emcm(model, committee, X[split.pool_idx]),
-    "egal": select_egal(cache, delta),
+    "egal": select_egal(cache, egal_state),
 }
 
 print(f"{'strategy':<14} {'pool pos':>8} {'x':>8} {'score':>12}")

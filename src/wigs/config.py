@@ -18,13 +18,14 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import yaml
 
+from .data import Dataset
 from .geometry import DistanceCache
 from .model import Committee, RidgeModel
 from .rng import generator
 from .sac import SacConfig
 from .selectors import (
     SelectionResult,
-    egal_bandwidth,
+    egal_setup,
     select_egal,
     select_emcm,
     select_gsx,
@@ -85,14 +86,15 @@ class Kind:
 
     ``policy`` builds the weight controller from the resolved params and
     the replication seed; ``setup`` builds per-run selector state from the
-    features and the seed, once, and only for the kinds that have one.
+    dataset and the seed, once, and only for the kinds that have one (it
+    may read ``dataset.feature_distances``, built once per dataset).
     The flags name what the loop computes each iteration for this kind.
     """
 
     select: Callable[[Query], SelectionResult]
     params: dict[str, Param] = field(default_factory=dict)
     policy: Callable[[dict, int], object] | None = None
-    setup: Callable[[np.ndarray, int], object] | None = None
+    setup: Callable[[Dataset, int], object] | None = None
     cache: bool = False      # distance cache, updated after each acquisition
     cv_reward: bool = False  # the policy is fed the drop in CV RMSE
     sac_state: bool = False  # the policy is fed the learning-context vector
@@ -135,7 +137,7 @@ _COMMITTEE = {"committee_size": Param(10, lambda n: int(n) >= 2,
 
 KINDS: dict[str, Kind] = {
     "passive": Kind(lambda q: select_passive(len(q.pool_features), q.state),
-                    setup=lambda X, seed: generator(seed, "passive")),
+                    setup=lambda dataset, seed: generator(seed, "passive")),
     "gsx": Kind(lambda q: select_gsx(q.cache), cache=True),
     "gsy": Kind(lambda q: select_gsy(q.cache), cache=True),
     "igs": Kind(lambda q: select_igs(q.cache), cache=True),
@@ -162,7 +164,7 @@ KINDS: dict[str, Kind] = {
     "qbc": Kind(lambda q: select_qbc(q.committee, q.pool_features), _COMMITTEE, committee=True),
     "emcm": Kind(lambda q: select_emcm(q.model, q.committee, q.pool_features), _COMMITTEE,
                  committee=True),
-    "egal": Kind(lambda q: select_egal(q.cache, q.state), setup=egal_bandwidth, cache=True),
+    "egal": Kind(lambda q: select_egal(q.cache, q.state), setup=egal_setup, cache=True),
 }
 
 

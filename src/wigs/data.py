@@ -18,9 +18,11 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .geometry import distance_matrix
 from .rng import generator
 
 
@@ -60,6 +62,16 @@ class Dataset:
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
+
+    @cached_property
+    def feature_distances(self) -> np.ndarray:
+        """(N, N) Euclidean distances between all feature rows.
+
+        Built on first read and kept: every replication on this dataset
+        object in this process (its distance cache, the egal setup) reads
+        the same matrix.
+        """
+        return distance_matrix(self.features)
 
     @property
     def n_features(self) -> int:

@@ -1,11 +1,13 @@
 """Feature and output distances between the pool and the labeled set.
 
-A replication builds one (N, N) matrix of Euclidean feature distances
-between all dataset rows, once, through ``pairwise_distances``; the
-selectors read every feature distance from it.  On top of that matrix the
-cache keeps the pool and labeled dataset indices and the (pool x labeled)
-block with its row minima.  An acquisition drops the acquired row from
-the block and appends the acquired point's column of the matrix, so no
+``distance_matrix`` builds the (N, N) matrix of Euclidean feature
+distances between all dataset rows through ``pairwise_distances``; a
+dataset builds it once (``Dataset.feature_distances``) and every
+replication on that dataset reads every feature distance from it.  On top
+of that matrix the cache keeps the pool and labeled dataset indices, the
+(pool x labeled) block with its row minima, and each labeled point's
+nearest labeled neighbour.  An acquisition drops the acquired row from the
+block and appends the acquired point's column of the matrix, so no
 distance is computed twice.  Output distances depend on the current
 model's predictions and are derived from them on demand.
 """
@@ -13,20 +15,37 @@ model's predictions and are derived from them on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import Dataset, SplitState
+if TYPE_CHECKING:  # data imports this module for Dataset.feature_distances
+    from .data import Dataset, SplitState
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between rows of a (n, p) and rows of b (m, p).
 
-    The one formula for feature distances: the distance cache and the egal
-    bandwidth compute them here, and the SAC state reads them from the cache.
+    The one formula for feature distances: ``distance_matrix`` fills a
+    dataset's (N, N) matrix with it, and the selectors, the egal setup and
+    the SAC state read that matrix.
     """
     diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def distance_matrix(features: np.ndarray) -> np.ndarray:
+    """(N, N) feature distances between all rows of ``features``.
+
+    Filled in blocks of N // p columns, so no difference tensor larger than
+    the result is ever held; bit-equal to ``pairwise_distances(X, X)``.
+    """
+    n, p = features.shape
+    step = max(1, n // p)
+    dx = np.empty((n, n))
+    for j in range(0, n, step):
+        dx[:, j:j + step] = pairwise_distances(features, features[j:j + step])
+    return dx
 
 
 @dataclass
@@ -34,11 +53,13 @@ class DistanceCache:
     """The distance state of one replication.
 
     ``dx`` holds the feature distance between every pair of dataset rows
-    and is shared, unchanged, by every cache of the run.  ``dx_pair`` is
-    ``dx[np.ix_(pool, labeled)]`` and ``dx_min`` its row minima, both kept
-    incrementally.  Only the labeled targets are held, so no selector can
-    read a pool label; ``dy_pair`` / ``dy_min`` compare them against the
-    pool ``predictions``.
+    and is the dataset's own matrix, shared, unchanged, by every cache of
+    every replication on it.  ``dx_pair`` is ``dx[np.ix_(pool, labeled)]``
+    and ``dx_min`` its row minima; ``labeled_nn`` is each labeled point's
+    distance to its nearest other labeled point (inf while it is alone), in
+    labeling order.  All three are kept incrementally.  Only the labeled
+    targets are held, so no selector can read a pool label; ``dy_pair`` /
+    ``dy_min`` compare them against the pool ``predictions``.
     """
 
     dx: np.ndarray               # (N, N) over all dataset rows
@@ -48,6 +69,7 @@ class DistanceCache:
     predictions: np.ndarray      # (P,) current model outputs for the pool
     dx_pair: np.ndarray          # (P, L)
     dx_min: np.ndarray           # (P,)
+    labeled_nn: np.ndarray       # (L,)
 
     @property
     def n_pool(self) -> int:
@@ -66,8 +88,8 @@ def build_cache(dataset: Dataset, split: SplitState, predictions: np.ndarray) ->
     """Distance state for an initial labeled/pool partition.
 
     ``predictions`` are the current model's outputs for the pool, in pool
-    order.  ``dx`` is filled in blocks of N // p columns, so no difference
-    tensor larger than ``dx`` itself is ever held.
+    order.  ``dx`` is the dataset's matrix, built on its first read and
+    computed no further here.
     """
     if len(split.labeled_idx) == 0:
         raise ValueError("labeled set is empty")
@@ -76,15 +98,12 @@ def build_cache(dataset: Dataset, split: SplitState, predictions: np.ndarray) ->
         raise ValueError(
             f"predictions length {predictions.shape} does not match pool size {len(split.pool_idx)}"
         )
-    X = dataset.features
-    n, p = X.shape
-    step = max(1, n // p)
-    dx = np.empty((n, n))
-    for j in range(0, n, step):
-        dx[:, j:j + step] = pairwise_distances(X, X[j:j + step])
+    dx = dataset.feature_distances
     pool = np.array(split.pool_idx, dtype=np.int64)
     labeled = np.array(split.labeled_idx, dtype=np.int64)
     dx_pair = dx[np.ix_(pool, labeled)]
+    dx_labeled = dx[np.ix_(labeled, labeled)]
+    np.fill_diagonal(dx_labeled, np.inf)
     return DistanceCache(
         dx=dx,
         pool=pool,
@@ -93,6 +112,7 @@ def build_cache(dataset: Dataset, split: SplitState, predictions: np.ndarray) ->
         predictions=predictions,
         dx_pair=dx_pair,
         dx_min=dx_pair.min(axis=1),
+        labeled_nn=dx_labeled.min(axis=1),
     )
 
 
@@ -105,7 +125,9 @@ def update_after_acquisition(
     """Move pool candidate ``acquired`` (pool position) into the labeled set.
 
     The acquired row leaves ``dx_pair`` and its column of ``dx`` joins it;
-    ``predictions`` are the refit model's outputs for the remaining pool.
+    its distances to the labeled points lower their ``labeled_nn`` and give
+    its own, in O(L).  ``predictions`` are the refit model's outputs for
+    the remaining pool.
     """
     if not 0 <= acquired < cache.n_pool:
         raise IndexError(f"acquired position {acquired} not in pool of size {cache.n_pool}")
@@ -117,15 +139,18 @@ def update_after_acquisition(
     keep[acquired] = False
     new = cache.pool[acquired]
     pool = cache.pool[keep]
-    new_col = cache.dx[pool, new]
+    row = cache.dx[new]  # dx is exactly symmetric: its row is its column
+    new_col = row.take(pool)
+    to_labeled = row.take(cache.labeled)
     return DistanceCache(
         dx=cache.dx,
         pool=pool,
-        labeled=np.append(cache.labeled, new),
-        labeled_targets=np.append(cache.labeled_targets, float(true_label)),
+        labeled=np.concatenate((cache.labeled, [new])),
+        labeled_targets=np.concatenate((cache.labeled_targets, [float(true_label)])),
         predictions=predictions,
         dx_pair=np.hstack([cache.dx_pair[keep], new_col[:, None]]),
         dx_min=np.minimum(cache.dx_min[keep], new_col),
+        labeled_nn=np.concatenate((np.minimum(cache.labeled_nn, to_labeled), [to_labeled.min()])),
     )
 
 

@@ -96,7 +96,7 @@ def run_replication(
     kind = KINDS[method.kind]
     params = method.settings()
     policy = kind.policy(params, seed) if kind.policy else None
-    state = kind.setup(X, seed) if kind.setup else None
+    state = kind.setup(dataset, seed) if kind.setup else None
 
     rows_rmse = np.empty(horizon + 1)
     rows_cc = np.empty(horizon + 1)

@@ -196,22 +196,20 @@ def build_state(cv_rmse_now: float, cv_rmse_initial: float, t: int, horizon: int
     """5-feature learning-context summary computed from the labeled set only.
 
     The CV RMSE is divided by the run's initial CV RMSE so the scale is
-    comparable across datasets; the nearest-neighbor distance excludes self
-    and is read from the replication's distance matrix.
+    comparable across datasets; the nearest-neighbor distances exclude self
+    and are the cache's running ``labeled_nn``.
     """
     if cv_rmse_initial <= 0:
         raise ValueError("initial CV RMSE must be positive")
     if len(cache.labeled) < 2:
         raise ValueError("need at least 2 labeled points")
-    dist = cache.dx[np.ix_(cache.labeled, cache.labeled)]
-    np.fill_diagonal(dist, np.inf)
     targets = cache.labeled_targets
     return np.array([
         cv_rmse_now / cv_rmse_initial,
         t / horizon,
         targets.mean(),
         targets.std(),
-        dist.min(axis=1).mean(),
+        cache.labeled_nn.mean(),
     ])
 
 

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DistanceCache, normalize_phi, pairwise_distances
+from .data import Dataset
+from .geometry import DistanceCache, normalize_phi
+from .geometry import pairwise_distances  # noqa: F401  a site that bench/tracing.py wraps
 from .model import Committee, RidgeModel, predictive_variance_batch
 from .rng import generator
 
@@ -139,41 +141,59 @@ def select_emcm(
     return _pick(emcm_scores(model, committee, pool_features))
 
 
-def egal_bandwidth(features: np.ndarray, seed: int, sample_cap: int = 500) -> float:
+def egal_bandwidth(dx: np.ndarray, seed: int, sample_cap: int = 500) -> float:
     """Similarity kernel bandwidth: mean pairwise distance over a seeded sample.
 
-    Computed once per run from at most ``sample_cap`` dataset rows.
+    Read from the (N, N) feature distances ``dx`` over at most
+    ``sample_cap`` dataset rows, once per run.
     """
-    features = np.asarray(features, dtype=float)
-    n = features.shape[0]
+    n = dx.shape[0]
     take = min(sample_cap, n)
     idx = generator(seed, "egal").choice(n, size=take, replace=False)
-    sample = features[idx]
-    dist = pairwise_distances(sample, sample)
-    off_diag = dist[~np.eye(take, dtype=bool)]
+    off_diag = dx[np.ix_(idx, idx)][~np.eye(take, dtype=bool)]
     return float(off_diag.mean()) if off_diag.size else 0.0
 
 
-def egal_density(cache: DistanceCache, delta: float) -> np.ndarray:
-    """Sum of Gaussian similarities from each candidate to the other pool points."""
+def egal_similarity(dx: np.ndarray, delta: float) -> np.ndarray:
+    """Gaussian similarities exp(-d^2 / (2 delta^2)) with a zero diagonal.
+
+    Built in one buffer of the shape of ``dx``; the in-place steps give the
+    same bits as ``np.exp(-(dx ** 2) / (2.0 * delta ** 2))``.
+    """
+    if not delta > 0.0:
+        raise ValueError(f"bandwidth must be positive, got {delta}")
+    sim = np.square(dx)
+    np.negative(sim, out=sim)
+    np.divide(sim, 2.0 * delta ** 2, out=sim)
+    np.exp(sim, out=sim)
+    np.fill_diagonal(sim, 0.0)
+    return sim
+
+
+def egal_setup(dataset: Dataset, seed: int) -> np.ndarray:
+    """Per-run egal state: the similarity between every pair of dataset rows."""
+    dx = dataset.feature_distances
+    delta = egal_bandwidth(dx, seed)
     if delta <= 0.0:
         delta = 1.0  # degenerate sample; any positive bandwidth gives a valid ranking
-    dist = cache.dx[np.ix_(cache.pool, cache.pool)]
-    sim = np.exp(-(dist ** 2) / (2.0 * delta ** 2))
-    np.fill_diagonal(sim, 0.0)
-    return sim.sum(axis=1)
+    return egal_similarity(dx, delta)
 
 
-def select_egal(cache: DistanceCache, delta: float) -> SelectionResult:
+def egal_density(cache: DistanceCache, similarity: np.ndarray) -> np.ndarray:
+    """Sum of Gaussian similarities from each candidate to the other pool points."""
+    return similarity[cache.pool].take(cache.pool, axis=1).sum(axis=1)
+
+
+def select_egal(cache: DistanceCache, similarity: np.ndarray) -> SelectionResult:
     """Densest candidate among those far enough from the labeled set.
 
     Candidates below the 25th percentile of nearest-labeled feature
     distance are filtered out first (diversity); if that empties the pool,
-    all candidates are kept.
+    all candidates are kept.  ``similarity`` is the run's ``egal_setup``.
     """
     if cache.n_pool == 0:
         raise ValueError("empty candidate pool")
-    density = egal_density(cache, delta)
+    density = egal_density(cache, similarity)
     threshold = np.quantile(cache.dx_min, 0.25)
     kept = cache.dx_min >= threshold
     if not kept.any():

@@ -76,6 +76,7 @@ class TestBuildCache:
         order = rng.permutation(37)
         cache = build_cache(ds, SplitState(order[:5], order[5:], seed=0), np.zeros(32))
         assert np.array_equal(cache.dx, pairwise_distances(X, X))
+        assert np.array_equal(cache.dx, cache.dx.T)  # acquisitions read a row as the column
         assert np.array_equal(cache.dx_pair, pairwise_distances(X[order[5:]], X[order[:5]]))
 
 
@@ -99,6 +100,7 @@ class TestUpdateAfterAcquisition:
             assert np.array_equal(cache.dx_min, rebuilt.dx_min)  # exact: shared formula
             assert np.array_equal(cache.dy_min, rebuilt.dy_min)
             assert np.array_equal(cache.dx_pair, rebuilt.dx_pair)  # same column order
+            assert np.array_equal(cache.labeled_nn, rebuilt.labeled_nn)  # same labeling order
             assert np.array_equal(cache.pool, pool)
             assert np.array_equal(cache.labeled, labeled)
 

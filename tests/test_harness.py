@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import wigs.geometry
 from wigs.config import (
     KINDS,
     ExperimentConfig,
@@ -188,6 +189,18 @@ class TestRunReplication:
             assert np.all((recorded >= 0.0) & (recorded <= 1.0)), kind
             if KINDS[kind].policy is not None:
                 assert len(recorded) == trace.n_iterations, kind
+
+    def test_cache_kinds_share_one_dx_per_dataset(self, monkeypatch):
+        calls = []
+        real = wigs.geometry.pairwise_distances
+        monkeypatch.setattr(wigs.geometry, "pairwise_distances",
+                            lambda a, b: calls.append(len(b)) or real(a, b))
+        config = ExperimentConfig(dgp="two_regime", n=60, dataset_seed=4,
+                                  methods=(MethodSpec("igs", "igs"),))
+        dataset = resolve_dataset(config)
+        for kind in ("gsx", "egal", "igs"):
+            run_replication(dataset, MethodSpec(kind, kind), seed=0)
+        assert calls == [60]  # p = 1: the whole (60, 60) matrix in one block, once
 
     def test_weights_recorded_for_wigs_only(self, dataset):
         igs = run_replication(dataset, MethodSpec("igs", "igs"), seed=2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,15 @@ from wigs.geometry import (
     pairwise_distances,
     update_after_acquisition,
 )
+from wigs.config import MethodSpec
+from wigs.harness import run_replication
 from wigs.model import fit_bootstrap_committee, fit_ridge
 from wigs.rng import generator
 from wigs.selectors import (
     egal_bandwidth,
     egal_density,
+    egal_setup,
+    egal_similarity,
     emcm_scores,
     igs_scores,
     qbc_scores,
@@ -263,6 +268,17 @@ class TestQbcEmcm:
         assert s1 == pytest.approx(resid * math.sqrt(2.0 + 1.0))
 
 
+def sample_bandwidth(features, seed, sample_cap=500):
+    """The egal bandwidth as computed before it read the dataset's dx: the
+    distances of the seeded sample among themselves, from its features."""
+    n = features.shape[0]
+    take = min(sample_cap, n)
+    idx = generator(seed, "egal").choice(n, size=take, replace=False)
+    sample = features[idx]
+    dist = pairwise_distances(sample, sample)
+    return float(dist[~np.eye(take, dtype=bool)].mean())
+
+
 class TestEgal:
     def test_duplicated_candidate_wins_density(self):
         # 12-point pool: ten copies of one point, one isolated, one labeled anchor
@@ -273,7 +289,8 @@ class TestEgal:
         split = SplitState(np.array([0, 1]), np.arange(2, 13), seed=0)
         cache = build_cache(ds, split, np.zeros(11))
         delta = 5.0
-        density = egal_density(cache, delta)
+        similarity = egal_similarity(ds.feature_distances, delta)
+        density = egal_density(cache, similarity)
         # oracle: pairwise sums by hand loops
         pool = ds.features[cache.pool]
         brute = []
@@ -285,21 +302,22 @@ class TestEgal:
                     total += math.exp(-d2 / (2 * delta ** 2))
             brute.append(total)
         assert np.allclose(density, brute, atol=1e-12)
-        r = select_egal(cache, delta)
+        r = select_egal(cache, similarity)
         assert r.chosen == 0  # first duplicate: density ~9 vs isolated ~0
 
     def test_pool_of_one(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
         cache = build_cache(ds, split, np.zeros(1))
-        assert select_egal(cache, 1.0).chosen == 0
+        assert select_egal(cache, egal_similarity(ds.feature_distances, 1.0)).chosen == 0
 
     def test_density_equals_direct_formula_after_acquisitions(self):
         rng = np.random.default_rng(9)
         ds = make_dataset(rng.normal(size=(40, 20)), rng.normal(size=40))
         order = rng.permutation(40)
         cache = build_cache(ds, SplitState(order[:3], order[3:], seed=0), np.zeros(37))
-        delta = egal_bandwidth(ds.features, seed=2)
+        similarity = egal_setup(ds, seed=2)
+        delta = sample_bandwidth(ds.features, seed=2)
         for _ in range(6):
             pos = int(rng.integers(cache.n_pool))
             cache = update_after_acquisition(cache, pos, ds.targets[cache.pool[pos]],
@@ -309,21 +327,60 @@ class TestEgal:
             dist = pairwise_distances(pool_features, pool_features)
             sim = np.exp(-(dist ** 2) / (2.0 * delta ** 2))
             np.fill_diagonal(sim, 0.0)
-            assert np.array_equal(egal_density(cache, delta), sim.sum(axis=1))
+            assert np.array_equal(egal_density(cache, similarity), sim.sum(axis=1))
 
     def test_filter_fallback_when_all_coincident(self):
         ds = make_dataset([0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
         cache = build_cache(ds, split, np.zeros(2))
-        r = select_egal(cache, 1.0)  # all dx_min = 0: everyone passes >= q25 = 0
-        assert r.chosen == 0
+        r = select_egal(cache, egal_similarity(ds.feature_distances, 1.0))
+        assert r.chosen == 0  # all dx_min = 0: everyone passes >= q25 = 0
 
     def test_bandwidth_deterministic_and_positive(self):
         rng = np.random.default_rng(0)
-        feats = rng.normal(size=(700, 3))
-        a = egal_bandwidth(feats, seed=5)
-        b = egal_bandwidth(feats, seed=5)
+        ds = make_dataset(rng.normal(size=(700, 3)), np.zeros(700))
+        a = egal_bandwidth(ds.feature_distances, seed=5)
+        b = egal_bandwidth(ds.feature_distances, seed=5)
         assert a == b and a > 0
+
+    @pytest.mark.parametrize("n, p", [(60, 1), (60, 3), (60, 20), (60, 50), (520, 3)])
+    def test_bandwidth_from_dx_equals_sample_formula(self, n, p):
+        # n = 520 is above the 500-row sample cap, so the sample is a strict subset
+        rng = np.random.default_rng(n + p)
+        ds = make_dataset(rng.normal(size=(n, p)), np.zeros(n))
+        for seed in (0, 7):
+            assert egal_bandwidth(ds.feature_distances, seed) == sample_bandwidth(ds.features, seed)
+
+    def test_similarity_rejects_nonpositive_bandwidth(self):
+        with pytest.raises(ValueError, match="bandwidth"):
+            egal_similarity(np.zeros((3, 3)), 0.0)
+
+    def test_all_duplicate_rows_take_unit_bandwidth_and_run_to_exhaustion(self):
+        ds = make_dataset(np.tile([[0.3, -1.2]], (40, 1)), np.linspace(0.0, 1.0, 40))
+        assert egal_bandwidth(ds.feature_distances, seed=0) == 0.0
+        similarity = egal_setup(ds, seed=0)
+        assert np.array_equal(similarity, egal_similarity(ds.feature_distances, 1.0))
+        assert np.array_equal(similarity, 1.0 - np.eye(40))
+        trace = run_replication(ds, MethodSpec("egal", "egal"), seed=0)
+        assert trace.labeled_count[-1] == 40
+        acquired = trace.acquired_idx[1:]
+        assert len(set(acquired.tolist())) == len(acquired) == 40 - trace.labeled_count[0]
+        assert np.isfinite(trace.score[1:]).all() and np.isfinite(trace.rmse).all()
+
+    def test_setup_peak_memory_below_three_distance_matrices(self):
+        # the setup reads the dataset's dx and holds one (N, N) similarity
+        # buffer plus the sample's temporaries: no N x N x p difference tensor
+        n, p = 400, 20
+        rng = np.random.default_rng(3)
+        ds = make_dataset(rng.normal(size=(n, p)), rng.normal(size=n))
+        ds.feature_distances  # the dataset's matrix, built before the setup runs
+        tracemalloc.start()
+        try:
+            egal_setup(ds, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n * n
 
 
 class TestDensityVeto:
