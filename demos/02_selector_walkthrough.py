@@ -7,7 +7,7 @@ the additive rule keeps a whole interval of weights that pick the right
 one.
 """
 
-from wigs.data import initial_split, sample_two_regime, scale_features
+from wigs.data import Partition, initial_split, sample_two_regime, scale_features
 from wigs.geometry import build_cache
 from wigs.model import fit_bootstrap_committee, fit_ridge
 from wigs.rng import generator
@@ -31,7 +31,7 @@ X, y = dataset.features, dataset.targets
 
 model = fit_ridge(X[split.labeled_idx], y[split.labeled_idx], alpha=0.01)
 preds = model.predict(X[split.pool_idx])
-cache = build_cache(dataset, split, preds)
+cache = build_cache(dataset, Partition(dataset, split), preds)
 committee = fit_bootstrap_committee(
     X[split.labeled_idx], y[split.labeled_idx], 0.01, B=10, seed=1)
 egal_state = egal_setup(dataset, seed=1)

@@ -10,6 +10,7 @@ from .config import ExperimentConfig, MethodSpec, default_methods, load_config
 from .data import (
     ColumnMeta,
     Dataset,
+    Partition,
     PreprocessConfig,
     SplitState,
     initial_split,

@@ -124,6 +124,65 @@ class SplitState:
             raise ValueError("need at least 2 labeled points to fit a model")
 
 
+class Partition:
+    """The labeled/pool partition of one replication, moved in place.
+
+    ``order`` holds the labeled dataset indices in labeling order followed
+    by the pool in pool order, and ``features`` the dataset's rows, copied
+    once in that order.  The labeled targets sit in an append-only buffer: a
+    label enters only when its point is acquired, so no reader of the
+    partition can reach a pool label.  The ``labeled*`` and ``pool*``
+    properties are views, valid until the next ``acquire``.
+    """
+
+    def __init__(self, dataset: Dataset, split: SplitState):
+        self.order = np.concatenate([split.labeled_idx, split.pool_idx]).astype(np.int64)
+        self.n_labeled = len(split.labeled_idx)
+        self.features = dataset.features.take(self.order, axis=0)
+        self._targets = np.full(len(self.order), np.nan)
+        self._targets[:self.n_labeled] = dataset.targets.take(split.labeled_idx)
+
+    @property
+    def n_pool(self) -> int:
+        return len(self.order) - self.n_labeled
+
+    @property
+    def labeled(self) -> np.ndarray:
+        return self.order[:self.n_labeled]
+
+    @property
+    def pool(self) -> np.ndarray:
+        return self.order[self.n_labeled:]
+
+    @property
+    def labeled_features(self) -> np.ndarray:
+        return self.features[:self.n_labeled]
+
+    @property
+    def pool_features(self) -> np.ndarray:
+        return self.features[self.n_labeled:]
+
+    @property
+    def labeled_targets(self) -> np.ndarray:
+        return self._targets[:self.n_labeled]
+
+    def acquire(self, pos: int, label: float) -> None:
+        """Move pool position ``pos`` to the end of the labeled set, with its label.
+
+        Rotates ``order[L:L+pos+1]`` and the same feature rows right by one,
+        in O(pos·p); the rest of the pool keeps its order.
+        """
+        if not 0 <= pos < self.n_pool:
+            raise IndexError(f"acquired position {pos} not in pool of size {self.n_pool}")
+        lo, hi = self.n_labeled, self.n_labeled + pos
+        for rows in (self.order, self.features):
+            moved = rows[hi].copy()
+            rows[lo + 1:hi + 1] = rows[lo:hi]
+            rows[lo] = moved
+        self._targets[lo] = label
+        self.n_labeled += 1
+
+
 def quantile_midpoint(values: np.ndarray, q: float) -> float:
     """Quantile with midpoint interpolation: average of bracketing order statistics."""
     return float(np.quantile(np.asarray(values, dtype=float), q, method="midpoint"))

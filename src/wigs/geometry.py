@@ -4,12 +4,13 @@
 distances between all dataset rows through ``pairwise_distances``; a
 dataset builds it once (``Dataset.feature_distances``) and every
 replication on that dataset reads every feature distance from it.  On top
-of that matrix the cache keeps the pool and labeled dataset indices, the
-(pool x labeled) block with its row minima, and each labeled point's
-nearest labeled neighbour.  An acquisition drops the acquired row from the
-block and appends the acquired point's column of the matrix, so no
-distance is computed twice.  Output distances depend on the current
-model's predictions and are derived from them on demand.
+of that matrix the cache of one replication keeps each candidate's nearest
+labeled distance and each labeled point's nearest labeled neighbour, in
+buffers moved in place: an acquisition reads the acquired point's row of
+the matrix, so no distance is computed twice and the update costs O(N).
+The (pool x labeled) block is gathered only for the kinds that read it.
+Output distances depend on the current model's predictions and are
+derived from them on demand.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # data imports this module for Dataset.feature_distances
-    from .data import Dataset, SplitState
+    from .data import Dataset, Partition
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -50,30 +51,59 @@ def distance_matrix(features: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DistanceCache:
-    """The distance state of one replication.
+    """The distance state of one replication, moved in place.
 
     ``dx`` holds the feature distance between every pair of dataset rows
     and is the dataset's own matrix, shared, unchanged, by every cache of
-    every replication on it.  ``dx_pair`` is ``dx[np.ix_(pool, labeled)]``
-    and ``dx_min`` its row minima; ``labeled_nn`` is each labeled point's
-    distance to its nearest other labeled point (inf while it is alone), in
-    labeling order.  All three are kept incrementally.  Only the labeled
-    targets are held, so no selector can read a pool label; ``dy_pair`` /
-    ``dy_min`` compare them against the pool ``predictions``.
+    every replication on it.  ``pool``, ``labeled`` and ``labeled_targets``
+    are views of the replication's ``partition``, which holds only the
+    labeled targets, so no selector can read a pool label.  ``dx_min`` is
+    each candidate's distance to its nearest labeled point, in pool order,
+    and ``labeled_nn`` each labeled point's distance to its nearest other
+    labeled point (inf while it is alone), in labeling order; both are
+    prefixes of length-N buffers kept in place.  ``dx_pair``, the
+    (pool x labeled) block of ``dx``, is gathered on its first read and
+    kept from then on, so only the kinds that read it (igs, wigs) pay for
+    it.  ``dy_pair`` / ``dy_min`` compare the labeled targets against the
+    pool ``predictions``.
     """
 
-    dx: np.ndarray               # (N, N) over all dataset rows
-    pool: np.ndarray             # (P,) dataset indices, in pool order
-    labeled: np.ndarray          # (L,) dataset indices, in labeling order
-    labeled_targets: np.ndarray  # (L,)
-    predictions: np.ndarray      # (P,) current model outputs for the pool
-    dx_pair: np.ndarray          # (P, L)
-    dx_min: np.ndarray           # (P,)
-    labeled_nn: np.ndarray       # (L,)
+    dx: np.ndarray                      # (N, N) over all dataset rows
+    partition: Partition                # the replication's, moved by its owner
+    predictions: np.ndarray             # (P,) current model outputs for the pool
+    _dx_min: np.ndarray                 # (N,), dx_min in [:P]
+    _labeled_nn: np.ndarray             # (N,), labeled_nn in [:L]
+    _dx_pair: np.ndarray | None = None  # (P, L) once read
+
+    @property
+    def pool(self) -> np.ndarray:
+        return self.partition.pool
+
+    @property
+    def labeled(self) -> np.ndarray:
+        return self.partition.labeled
+
+    @property
+    def labeled_targets(self) -> np.ndarray:
+        return self.partition.labeled_targets
 
     @property
     def n_pool(self) -> int:
-        return len(self.pool)
+        return len(self.predictions)
+
+    @property
+    def dx_min(self) -> np.ndarray:
+        return self._dx_min[:self.n_pool]
+
+    @property
+    def labeled_nn(self) -> np.ndarray:
+        return self._labeled_nn[:len(self.dx) - self.n_pool]
+
+    @property
+    def dx_pair(self) -> np.ndarray:
+        if self._dx_pair is None:
+            self._dx_pair = self.dx[np.ix_(self.pool, self.labeled)]
+        return self._dx_pair
 
     @property
     def dy_pair(self) -> np.ndarray:
@@ -81,85 +111,95 @@ class DistanceCache:
 
     @property
     def dy_min(self) -> np.ndarray:
-        return self.dy_pair.min(axis=1)  # the labeled set is never empty
+        """Row minima of ``dy_pair`` in O(P log L).
+
+        |pred - t| is monotone in t on each side of pred, in floating point
+        too (rounding is monotone), so the minimum is at one of the two
+        sorted targets around pred: the same subtractions as ``dy_pair``,
+        and an exact minimum.
+        """
+        targets = np.sort(self.labeled_targets)  # the labeled set is never empty
+        above = np.searchsorted(targets, self.predictions)
+        lo = targets[np.maximum(above - 1, 0)]
+        hi = targets[np.minimum(above, len(targets) - 1)]
+        return np.minimum(np.abs(self.predictions - lo), np.abs(self.predictions - hi))
 
 
-def build_cache(dataset: Dataset, split: SplitState, predictions: np.ndarray) -> DistanceCache:
-    """Distance state for an initial labeled/pool partition.
+def build_cache(dataset: Dataset, partition: Partition, predictions: np.ndarray) -> DistanceCache:
+    """Distance state for the current state of ``partition``.
 
     ``predictions`` are the current model's outputs for the pool, in pool
     order.  ``dx`` is the dataset's matrix, built on its first read and
     computed no further here.
     """
-    if len(split.labeled_idx) == 0:
-        raise ValueError("labeled set is empty")
     predictions = np.asarray(predictions, dtype=float)
-    if predictions.shape != (len(split.pool_idx),):
+    if predictions.shape != (partition.n_pool,):
         raise ValueError(
-            f"predictions length {predictions.shape} does not match pool size {len(split.pool_idx)}"
+            f"predictions length {predictions.shape} does not match pool size {partition.n_pool}"
         )
     dx = dataset.feature_distances
-    pool = np.array(split.pool_idx, dtype=np.int64)
-    labeled = np.array(split.labeled_idx, dtype=np.int64)
-    dx_pair = dx[np.ix_(pool, labeled)]
+    pool, labeled = partition.pool, partition.labeled
+    n = len(dx)
+    dx_min = np.empty(n)
+    dx_min[:len(pool)] = dx[np.ix_(pool, labeled)].min(axis=1)
     dx_labeled = dx[np.ix_(labeled, labeled)]
     np.fill_diagonal(dx_labeled, np.inf)
-    return DistanceCache(
-        dx=dx,
-        pool=pool,
-        labeled=labeled,
-        labeled_targets=dataset.targets[labeled],
-        predictions=predictions,
-        dx_pair=dx_pair,
-        dx_min=dx_pair.min(axis=1),
-        labeled_nn=dx_labeled.min(axis=1),
-    )
+    labeled_nn = np.empty(n)
+    labeled_nn[:len(labeled)] = dx_labeled.min(axis=1)
+    return DistanceCache(dx, partition, predictions, dx_min, labeled_nn)
 
 
 def update_after_acquisition(
     cache: DistanceCache,
     acquired: int,
-    true_label: float,
     predictions: np.ndarray,
-) -> DistanceCache:
-    """Move pool candidate ``acquired`` (pool position) into the labeled set.
+) -> None:
+    """Follow the partition's move of pool position ``acquired`` to the labeled set.
 
-    The acquired row leaves ``dx_pair`` and its column of ``dx`` joins it;
-    its distances to the labeled points lower their ``labeled_nn`` and give
-    its own, in O(L).  ``predictions`` are the refit model's outputs for
-    the remaining pool.
+    Call it right after ``cache.partition.acquire(acquired, label)``.  The
+    acquired entry leaves ``dx_min`` by a shift, and the acquired point's
+    row of ``dx`` lowers the remaining ``dx_min`` and the ``labeled_nn`` and
+    gives its own, all in place, in O(N); a kept ``dx_pair`` drops the row
+    and gains the column, in O(P·L).  ``predictions`` are the refit
+    model's outputs for the remaining pool.
     """
-    if not 0 <= acquired < cache.n_pool:
-        raise IndexError(f"acquired position {acquired} not in pool of size {cache.n_pool}")
+    n_pool = cache.n_pool
+    if not 0 <= acquired < n_pool:
+        raise IndexError(f"acquired position {acquired} not in pool of size {n_pool}")
+    part = cache.partition
+    if part.n_pool != n_pool - 1:
+        raise ValueError("the partition must acquire exactly one point before the cache update")
     predictions = np.asarray(predictions, dtype=float)
-    if predictions.shape != (cache.n_pool - 1,):
+    if predictions.shape != (n_pool - 1,):
         raise ValueError("predictions must cover the pool minus the acquired candidate")
 
-    keep = np.ones(cache.n_pool, dtype=bool)
-    keep[acquired] = False
-    new = cache.pool[acquired]
-    pool = cache.pool[keep]
-    row = cache.dx[new]  # dx is exactly symmetric: its row is its column
-    new_col = row.take(pool)
-    to_labeled = row.take(cache.labeled)
-    return DistanceCache(
-        dx=cache.dx,
-        pool=pool,
-        labeled=np.concatenate((cache.labeled, [new])),
-        labeled_targets=np.concatenate((cache.labeled_targets, [float(true_label)])),
-        predictions=predictions,
-        dx_pair=np.hstack([cache.dx_pair[keep], new_col[:, None]]),
-        dx_min=np.minimum(cache.dx_min[keep], new_col),
-        labeled_nn=np.concatenate((np.minimum(cache.labeled_nn, to_labeled), [to_labeled.min()])),
-    )
+    n_old = part.n_labeled - 1
+    row = cache.dx[part.order[n_old]]  # dx is exactly symmetric: its row is its column
+    new_col = row.take(part.pool)
+    to_labeled = row.take(part.order[:n_old])
+
+    dx_min = cache._dx_min
+    dx_min[acquired:n_pool - 1] = dx_min[acquired + 1:n_pool]
+    np.minimum(dx_min[:n_pool - 1], new_col, out=dx_min[:n_pool - 1])
+    nn = cache._labeled_nn
+    np.minimum(nn[:n_old], to_labeled, out=nn[:n_old])
+    nn[n_old] = to_labeled.min()
+    if cache._dx_pair is not None:
+        keep = np.ones(n_pool, dtype=bool)
+        keep[acquired] = False
+        cache._dx_pair = np.hstack([cache._dx_pair[keep], new_col[:, None]])
+    cache.predictions = predictions
 
 
 def normalize_phi(values: np.ndarray) -> np.ndarray:
     """Min-max map of a nonnegative distance collection onto [0, 1].
 
-    Degenerate collections (max == min) map to all zeros.  Applied per
-    iteration, separately to the feature-distance and output-distance
-    pairwise collections, before they enter the weighted additive score.
+    Applied per iteration, separately to the feature-distance and
+    output-distance pairwise collections, before they enter the weighted
+    additive score.  Degenerate collections (max == min) map to all zeros,
+    on purpose: on identical rows every feature distance is 0, so the
+    feature term ranks no candidate, just as gsx's all-zero ``dx_min``
+    does, and the tie goes to the lowest pool position.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:

@@ -25,6 +25,7 @@ import numpy as np
 from .config import KINDS, ExperimentConfig, MethodSpec, Query, snapshot_json
 from .data import (
     Dataset,
+    Partition,
     PreprocessConfig,
     initial_split,
     load_csv,
@@ -85,13 +86,14 @@ def run_replication(
 
     Row 0 of the returned trace is the pre-acquisition baseline; row t
     records the state after the t-th acquisition with the model refit.
+    The labeled and pool rows live in one ``Partition``, moved in place on
+    each acquisition; the fits, the selectors, the distance cache and the
+    recording read slice views of it.
     """
-    X, y = dataset.features, dataset.targets
+    y = dataset.targets
     n_total = dataset.n_samples
-    split = initial_split(dataset, initial_fraction, seed)
-    labeled = list(split.labeled_idx)
-    pool = list(split.pool_idx)
-    horizon = len(pool)
+    part = Partition(dataset, initial_split(dataset, initial_fraction, seed))
+    horizon = part.n_pool
 
     kind = KINDS[method.kind]
     params = method.settings()
@@ -105,22 +107,22 @@ def run_replication(
     rows_acquired = np.full(horizon + 1, -1, dtype=np.int64)
     rows_labeled = np.empty(horizon + 1, dtype=np.int64)
     rows_wall = np.empty(horizon + 1)
+    # In dataset order: the known labels, and the predictions on the pool.
+    hybrid = y.copy()
 
     def record(slot: int, preds: np.ndarray, wall_ms: float) -> None:
-        residuals = preds - y[pool]
-        rows_rmse[slot] = hybrid_rmse(residuals, n_total)
-        hybrid = y.copy()
+        pool = part.pool
+        rows_rmse[slot] = hybrid_rmse(preds - y.take(pool), n_total)
         hybrid[pool] = preds
         rows_cc[slot] = correlation_coefficient(hybrid, y)
-        rows_labeled[slot] = len(labeled)
+        rows_labeled[slot] = part.n_labeled
         rows_wall[slot] = wall_ms
 
     start = time.perf_counter()
-    model = fit_ridge(X[labeled], y[labeled], alpha)
-    pool_features = X[pool]
-    pool_preds = model.predict(pool_features)
+    model = fit_ridge(part.labeled_features, part.labeled_targets, alpha)
+    pool_preds = model.predict(part.pool_features)
     record(0, pool_preds, (time.perf_counter() - start) * 1000.0)
-    cache = build_cache(dataset, split, pool_preds) if kind.cache else None
+    cache = build_cache(dataset, part, pool_preds) if kind.cache else None
 
     cv_prev: float | None = None
     cv_initial: float | None = None
@@ -131,8 +133,8 @@ def run_replication(
             reward = None
             context = None
             if kind.cv_reward:
-                cv_now = cv_rmse(X[labeled], y[labeled], alpha, cv_folds,
-                                 child_seed(seed, "cv", t))
+                cv_now = cv_rmse(part.labeled_features, part.labeled_targets, alpha,
+                                 cv_folds, child_seed(seed, "cv", t))
                 if cv_initial is None:
                     cv_initial = cv_now if cv_now > 0 else 1.0
                 if cv_prev is not None:
@@ -144,25 +146,24 @@ def run_replication(
         committee = None
         if kind.committee:
             committee = fit_bootstrap_committee(
-                X[labeled], y[labeled], alpha, int(params["committee_size"]),
-                child_seed(seed, "bootstrap", t))
-        result = kind.select(Query(model, pool_features, cache, committee, weight, state))
+                part.labeled_features, part.labeled_targets, alpha,
+                int(params["committee_size"]), child_seed(seed, "bootstrap", t))
+        result = kind.select(Query(model, part.pool_features, cache, committee, weight, state))
 
         pos = result.chosen
-        ds_idx = pool[pos]
-        labeled.append(ds_idx)
-        del pool[pos]
+        ds_idx = int(part.pool[pos])
+        part.acquire(pos, y[ds_idx])
+        hybrid[ds_idx] = y[ds_idx]
 
         try:
-            model = fit_ridge(X[labeled], y[labeled], alpha)
+            model = fit_ridge(part.labeled_features, part.labeled_targets, alpha)
         except Exception as exc:
             raise RuntimeError(
                 f"model fit failed at iteration {t} of {method.name}/seed {seed}"
             ) from exc
-        pool_features = X[pool]
-        pool_preds = model.predict(pool_features)
+        pool_preds = model.predict(part.pool_features)
         if kind.cache:
-            cache = update_after_acquisition(cache, pos, y[ds_idx], pool_preds)
+            update_after_acquisition(cache, pos, pool_preds)
 
         slot = t + 1
         record(slot, pool_preds, (time.perf_counter() - tick) * 1000.0)

@@ -88,7 +88,12 @@ def wigs_scores(phi_x: np.ndarray, phi_y: np.ndarray, w: float) -> np.ndarray:
 
 
 def select_wigs(cache: DistanceCache, w: float) -> SelectionResult:
-    """Weighted additive combination of normalized pairwise distances."""
+    """Weighted additive combination of normalized pairwise distances.
+
+    A collection of equal distances, such as the feature distances of a pool
+    of identical rows, normalizes to zeros (``normalize_phi``), so its term
+    adds nothing and ties go to the lowest pool position.
+    """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {w}")
     if cache.n_pool == 0 or cache.dx_pair.shape[1] == 0:
@@ -150,8 +155,13 @@ def egal_bandwidth(dx: np.ndarray, seed: int, sample_cap: int = 500) -> float:
     n = dx.shape[0]
     take = min(sample_cap, n)
     idx = generator(seed, "egal").choice(n, size=take, replace=False)
-    off_diag = dx[np.ix_(idx, idx)][~np.eye(take, dtype=bool)]
-    return float(off_diag.mean()) if off_diag.size else 0.0
+    # The off-diagonal entries, in row-major order, are the runs of ``take``
+    # between consecutive diagonal entries; moving each run forward packs
+    # them into the block's own leading slots, so no second copy is made.
+    flat = dx[np.ix_(idx, idx)].reshape(-1)
+    for k in range(take - 1):
+        flat[k * take:(k + 1) * take] = flat[k * (take + 1) + 1:(k + 1) * (take + 1)]
+    return float(flat[:take * (take - 1)].mean()) if take > 1 else 0.0
 
 
 def egal_similarity(dx: np.ndarray, delta: float) -> np.ndarray:

@@ -35,7 +35,7 @@ from wigs.selectors import (
     wigs_scores,
 )
 from wigs.weights import BanditState, mab_select, mab_update
-from wigs.data import ColumnMeta, Dataset, SplitState
+from wigs.data import ColumnMeta, Dataset, Partition, SplitState
 
 from test_model import oracle_committee
 
@@ -79,7 +79,7 @@ def test_criterion_02_selector_oracle_equivalence():
         labeled_idx, pool_idx = split.labeled_idx, split.pool_idx
         model = fit_ridge(X[labeled_idx], y[labeled_idx], 0.01)
         preds = model.predict(X[pool_idx])
-        cache = build_cache(ds, split, preds)
+        cache = build_cache(ds, Partition(ds, split), preds)
         committee = fit_bootstrap_committee(X[labeled_idx], y[labeled_idx],
                                             0.01, B=5, seed=7)
         coefs, intercepts = oracle_committee(X[labeled_idx], y[labeled_idx],

@@ -6,8 +6,10 @@ import pytest
 from wigs.data import (
     ColumnMeta,
     Dataset,
+    Partition,
     PreprocessConfig,
     PreprocessWarning,
+    SplitState,
     _sample_mixture,
     initial_split,
     load_csv,
@@ -161,6 +163,50 @@ class TestInitialSplit:
             initial_split(dataset, 1.0, seed=1)
         with pytest.raises(ValueError):
             initial_split(sample_two_regime(10, seed=0), 0.05, seed=1)  # 1 < 2 labeled
+
+
+class TestPartition:
+    def test_acquisitions_match_list_bookkeeping(self):
+        # the list-based loop as the oracle: labeled.append(pool[pos]); del pool[pos]
+        rng = np.random.default_rng(21)
+        X, y = rng.normal(size=(25, 3)), rng.normal(size=25)
+        ds = Dataset(X, y, tuple(ColumnMeta(f"x{i}", "continuous") for i in range(3)), "t")
+        split = initial_split(ds, 0.1, seed=4)
+        part = Partition(ds, split)
+        labeled, pool = list(split.labeled_idx), list(split.pool_idx)
+        while pool:
+            pos = int(rng.integers(len(pool)))
+            part.acquire(pos, y[pool[pos]])
+            labeled.append(pool.pop(pos))
+            assert np.array_equal(part.labeled, labeled) and np.array_equal(part.pool, pool)
+            assert np.array_equal(part.labeled_features, X[labeled])
+            assert np.array_equal(part.pool_features, X[pool])
+            assert np.array_equal(part.labeled_targets, y[labeled])
+            assert part.n_labeled == len(labeled) and part.n_pool == len(pool)
+
+    def test_holds_no_pool_label(self):
+        ds = sample_two_regime(12, seed=2)
+        pool = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10, 11])
+        part = Partition(ds, SplitState(np.array([3, 7]), pool, seed=0))
+        assert np.isnan(part._targets[2:]).all()
+        part.acquire(4, ds.targets[5])
+        assert np.array_equal(part.labeled_targets, ds.targets[[3, 7, 5]])
+        assert np.isnan(part._targets[3:]).all()
+
+    def test_features_are_a_copy(self):
+        ds = sample_two_regime(12, seed=2)
+        part = Partition(ds, initial_split(ds, 0.2, seed=0))
+        before = ds.features.copy()
+        part.acquire(part.n_pool - 1, 0.0)
+        assert np.array_equal(ds.features, before)
+        assert not np.shares_memory(part.features, ds.features)
+
+    def test_bad_position_raises(self):
+        ds = sample_two_regime(12, seed=2)
+        part = Partition(ds, initial_split(ds, 0.2, seed=0))
+        for pos in (-1, part.n_pool):
+            with pytest.raises(IndexError):
+                part.acquire(pos, 0.0)
 
 
 class TestGenerators:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wigs.data import ColumnMeta, Dataset, SplitState
+from wigs.data import ColumnMeta, Dataset, Partition, SplitState
 from wigs.geometry import (
     build_cache,
     normalize_phi,
@@ -16,6 +16,12 @@ def make_dataset(features, targets):
         features = features[:, None]
     meta = tuple(ColumnMeta(f"x{i}", "continuous") for i in range(features.shape[1]))
     return Dataset(features, np.asarray(targets, dtype=float), meta, "test")
+
+
+def acquire(cache, pos, label, predictions):
+    """One acquisition as the harness makes it: the partition moves, the cache follows."""
+    cache.partition.acquire(pos, label)
+    update_after_acquisition(cache, pos, predictions)
 
 
 def brute_minima(dataset, labeled_idx, pool_idx, predictions):
@@ -36,21 +42,21 @@ class TestBuildCache:
     def test_one_dimensional_example(self):
         ds = make_dataset([0.0, 1.0, 0.4], [0.0, 2.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, split, predictions=np.array([1.5]))
+        cache = build_cache(ds, Partition(ds, split), predictions=np.array([1.5]))
         assert cache.dx_min[0] == pytest.approx(0.4)   # min(0.4, 0.6)
         assert cache.dy_min[0] == pytest.approx(0.5)   # min(|1.5-0|, |1.5-2|)
 
     def test_coincident_candidate(self):
         ds = make_dataset([0.0, 1.0, 1.0], [0.0, 2.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, split, predictions=np.array([0.3]))
+        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.3]))
         assert cache.dx_min[0] == 0.0
 
     def test_rejects_bad_prediction_length(self):
         ds = make_dataset([0.0, 1.0, 0.4], [0.0, 2.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
         with pytest.raises(ValueError):
-            build_cache(ds, split, predictions=np.array([1.5, 2.0]))
+            build_cache(ds, Partition(ds, split), predictions=np.array([1.5, 2.0]))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -61,7 +67,7 @@ class TestBuildCache:
             order = rng.permutation(n)
             labeled, pool = order[:4], order[4:]
             preds = rng.normal(size=len(pool))
-            cache = build_cache(ds, SplitState(labeled, pool, seed=0), preds)
+            cache = build_cache(ds, Partition(ds, SplitState(labeled, pool, seed=0)), preds)
             dx, dy = brute_minima(ds, labeled, pool, preds)
             assert np.allclose(cache.dx_min, dx, atol=1e-12, rtol=0)
             assert np.allclose(cache.dy_min, dy, atol=1e-12, rtol=0)
@@ -74,7 +80,8 @@ class TestBuildCache:
         X = rng.normal(size=(37, p))
         ds = make_dataset(X, rng.normal(size=37))
         order = rng.permutation(37)
-        cache = build_cache(ds, SplitState(order[:5], order[5:], seed=0), np.zeros(32))
+        cache = build_cache(ds, Partition(ds, SplitState(order[:5], order[5:], seed=0)),
+                            np.zeros(32))
         assert np.array_equal(cache.dx, pairwise_distances(X, X))
         assert np.array_equal(cache.dx, cache.dx.T)  # acquisitions read a row as the column
         assert np.array_equal(cache.dx_pair, pairwise_distances(X[order[5:]], X[order[:5]]))
@@ -87,16 +94,17 @@ class TestUpdateAfterAcquisition:
         order = rng.permutation(20)
         labeled, pool = list(order[:3]), list(order[3:])
         preds = rng.normal(size=len(pool))
-        cache = build_cache(ds, SplitState(np.array(labeled), np.array(pool), seed=0), preds)
+        cache = build_cache(
+            ds, Partition(ds, SplitState(np.array(labeled), np.array(pool), seed=0)), preds)
         for _ in range(10):
             pos = int(rng.integers(len(pool)))
             ds_idx = pool[pos]
             labeled.append(ds_idx)
             del pool[pos]
             preds = rng.normal(size=len(pool))
-            cache = update_after_acquisition(cache, pos, ds.targets[ds_idx], preds)
+            acquire(cache, pos, ds.targets[ds_idx], preds)
             rebuilt = build_cache(
-                ds, SplitState(np.array(labeled), np.array(pool), seed=0), preds)
+                ds, Partition(ds, SplitState(np.array(labeled), np.array(pool), seed=0)), preds)
             assert np.array_equal(cache.dx_min, rebuilt.dx_min)  # exact: shared formula
             assert np.array_equal(cache.dy_min, rebuilt.dy_min)
             assert np.array_equal(cache.dx_pair, rebuilt.dx_pair)  # same column order
@@ -107,24 +115,33 @@ class TestUpdateAfterAcquisition:
     def test_duplicate_acquisition_leaves_dx_unchanged(self):
         ds = make_dataset([0.0, 1.0, 1.0, 0.3], [0.0, 1.0, 1.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = build_cache(ds, split, predictions=np.array([0.5, 0.5]))
+        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.5, 0.5]))
         before = cache.dx_min[1]  # candidate at 0.3
-        cache = update_after_acquisition(cache, 0, 1.0, np.array([0.5]))
+        acquire(cache, 0, 1.0, np.array([0.5]))
         assert cache.dx_min[0] == before  # new labeled point is a duplicate of x=1
 
     def test_pool_shrinks_to_zero(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.7])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, split, predictions=np.array([0.6]))
-        cache = update_after_acquisition(cache, 0, 0.7, np.zeros(0))
+        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.6]))
+        acquire(cache, 0, 0.7, np.zeros(0))
         assert cache.n_pool == 0
 
     def test_bad_position_raises(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.7])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, split, predictions=np.array([0.6]))
+        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.6]))
         with pytest.raises(IndexError):
-            update_after_acquisition(cache, 5, 0.7, np.zeros(0))
+            cache.partition.acquire(5, 0.7)
+        with pytest.raises(IndexError):
+            update_after_acquisition(cache, 5, np.zeros(0))
+
+    def test_update_without_partition_move_raises(self):
+        ds = make_dataset([0.0, 1.0, 0.5, 0.2], [0.0, 1.0, 0.7, 0.1])
+        split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
+        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.6, 0.1]))
+        with pytest.raises(ValueError, match="partition must acquire"):
+            update_after_acquisition(cache, 0, np.zeros(1))
 
     def test_dx_min_nonincreasing_for_survivors(self):
         rng = np.random.default_rng(5)
@@ -132,15 +149,57 @@ class TestUpdateAfterAcquisition:
         order = rng.permutation(30)
         labeled, pool = list(order[:2]), list(order[2:])
         preds = rng.normal(size=len(pool))
-        cache = build_cache(ds, SplitState(np.array(labeled), np.array(pool), seed=0), preds)
+        cache = build_cache(
+            ds, Partition(ds, SplitState(np.array(labeled), np.array(pool), seed=0)), preds)
         for _ in range(15):
             pos = int(rng.integers(cache.n_pool))
             ds_idx = cache.pool[pos]
             before = {int(i): d for i, d in zip(cache.pool, cache.dx_min)}
-            cache = update_after_acquisition(
-                cache, pos, ds.targets[ds_idx], rng.normal(size=cache.n_pool - 1))
+            acquire(cache, pos, ds.targets[ds_idx], rng.normal(size=cache.n_pool - 1))
             for i, d in zip(cache.pool, cache.dx_min):
                 assert d <= before[int(i)] + 1e-15
+
+
+def targets_cache(targets, predictions):
+    """A cache whose first len(targets) rows are labeled with ``targets``."""
+    targets, predictions = np.asarray(targets, float), np.asarray(predictions, float)
+    n_lab, n_pool = len(targets), len(predictions)
+    ds = make_dataset(np.arange(n_lab + n_pool, dtype=float),
+                      np.concatenate([targets, np.zeros(n_pool)]))
+    split = SplitState(np.arange(n_lab), np.arange(n_lab, n_lab + n_pool), seed=0)
+    return build_cache(ds, Partition(ds, split), predictions)
+
+
+class TestDyMin:
+    """``dy_min`` from the sorted neighbours against the full pairwise minimum, bit for bit."""
+
+    @pytest.mark.parametrize("targets, predictions", [
+        ([0.5, -1.0], [-3.0, -1.0, -0.25, 0.0, 0.5, 0.7, 9.0]),          # L = 2
+        ([1.0, 1.0, 2.0, 2.0, -0.3, 1.0], [1.0, 2.0, 1.5, 1.5000001, -0.3, -5.0, 5.0]),
+        ([3.0, 3.0], [3.0, 2.0, 4.0]),
+        ([1e16, 1e16 + 2, -1e-300, 0.1 + 0.2, 0.3], [1e16 + 1, 0.3, 0.30000000000000004,
+                                                     -1e300, 1e300, 0.0, 5e15]),
+        ([0.0, 1.0], [np.inf, -np.inf, np.nan, 0.5]),
+    ])
+    def test_equals_pairwise_minimum(self, targets, predictions):
+        cache = targets_cache(targets, predictions)
+        oracle = np.abs(np.asarray(predictions)[:, None] - np.asarray(targets)[None, :]).min(1)
+        assert cache.dy_min.tobytes() == oracle.tobytes()
+
+    def test_random_with_duplicates_and_exact_hits(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n_lab = int(rng.integers(2, 30))
+            targets = np.round(rng.normal(size=n_lab), int(rng.integers(0, 3)))  # duplicates
+            predictions = np.concatenate([
+                rng.normal(scale=2.0, size=20),
+                rng.choice(targets, size=5),                   # equal to a target
+                [targets.min() - 1.0, targets.max() + 1.0],    # outside the range
+            ])
+            cache = targets_cache(targets, predictions)
+            oracle = np.abs(predictions[:, None] - targets[None, :]).min(1)
+            assert cache.dy_min.tobytes() == oracle.tobytes()
+            assert cache.dy_min.tobytes() == cache.dy_pair.min(axis=1).tobytes()
 
 
 class TestNormalizePhi:

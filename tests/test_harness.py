@@ -1,16 +1,20 @@
+import importlib.util
 import json
 import os
 import re
+import types
 
 import numpy as np
 import pytest
 import yaml
 
 import wigs.geometry
+import wigs.harness
 from wigs.config import (
     KINDS,
     ExperimentConfig,
     MethodSpec,
+    Query,
     config_from_dict,
     config_to_dict,
     default_methods,
@@ -18,7 +22,13 @@ from wigs.config import (
     snapshot_json,
     snapshot_to_config,
 )
+from wigs.data import ColumnMeta, Dataset, Partition, SplitState, initial_split
+from wigs.geometry import build_cache
 from wigs.harness import resolve_dataset, run_experiment, run_replication
+from wigs.metrics import Trace, correlation_coefficient, hybrid_rmse
+from wigs.model import cv_rmse, fit_bootstrap_committee, fit_ridge
+from wigs.rng import child_seed
+from wigs.sac import build_state
 from wigs.selectors import veto_demo
 
 
@@ -209,6 +219,231 @@ class TestRunReplication:
             dataset, MethodSpec("w", "wigs_static", {"w": 0.25}), seed=2)
         assert np.isnan(static.weight[0])
         assert np.all(static.weight[1:] == 0.25)
+
+
+def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0.01,
+                           cv_folds=5):
+    """The acquisition loop on Python lists of labeled and pool indices, as it
+    was before the in-place partition: the oracle for ``run_replication``.
+
+    Its only departure from that loop is the distance cache, which it builds
+    afresh from the lists after every acquisition instead of updating it.
+    """
+    X, y = dataset.features, dataset.targets
+    n_total = dataset.n_samples
+    split = initial_split(dataset, initial_fraction, seed)
+    labeled = list(split.labeled_idx)
+    pool = list(split.pool_idx)
+    horizon = len(pool)
+
+    kind = KINDS[method.kind]
+    params = method.settings()
+    policy = kind.policy(params, seed) if kind.policy else None
+    state = kind.setup(dataset, seed) if kind.setup else None
+
+    def fresh_cache(preds):
+        lists = SplitState(np.array(labeled), np.array(pool, dtype=np.int64), seed=0)
+        return build_cache(dataset, Partition(dataset, lists), preds)
+
+    rows = {name: [] for name in ("rmse", "cc", "labeled", "acquired", "score", "weight")}
+
+    def record(preds):
+        rows["rmse"].append(hybrid_rmse(preds - y[pool], n_total))
+        hybrid = y.copy()
+        hybrid[pool] = preds
+        rows["cc"].append(correlation_coefficient(hybrid, y))
+        rows["labeled"].append(len(labeled))
+
+    model = fit_ridge(X[labeled], y[labeled], alpha)
+    pool_features = X[pool]
+    pool_preds = model.predict(pool_features)
+    record(pool_preds)
+    rows["acquired"].append(-1)
+    rows["score"].append(np.nan)
+    rows["weight"].append(np.nan)
+    cache = fresh_cache(pool_preds) if kind.cache else None
+
+    cv_prev = cv_initial = None
+    for t in range(horizon):
+        weight = None
+        if policy is not None:
+            reward = context = None
+            if kind.cv_reward:
+                cv_now = cv_rmse(X[labeled], y[labeled], alpha, cv_folds,
+                                 child_seed(seed, "cv", t))
+                if cv_initial is None:
+                    cv_initial = cv_now if cv_now > 0 else 1.0
+                if cv_prev is not None:
+                    reward = cv_prev - cv_now
+                if kind.sac_state:
+                    context = build_state(cv_now, cv_initial, t, horizon, cache)
+                cv_prev = cv_now
+            weight = policy.step(t, horizon, reward, context)
+        committee = None
+        if kind.committee:
+            committee = fit_bootstrap_committee(
+                X[labeled], y[labeled], alpha, int(params["committee_size"]),
+                child_seed(seed, "bootstrap", t))
+        result = kind.select(Query(model, pool_features, cache, committee, weight, state))
+
+        pos = result.chosen
+        ds_idx = pool[pos]
+        labeled.append(ds_idx)
+        del pool[pos]
+        model = fit_ridge(X[labeled], y[labeled], alpha)
+        pool_features = X[pool]
+        pool_preds = model.predict(pool_features)
+        if kind.cache:
+            cache = fresh_cache(pool_preds)
+
+        record(pool_preds)
+        rows["acquired"].append(ds_idx)
+        rows["score"].append(result.score)
+        rows["weight"].append(np.nan if weight is None else weight)
+
+    return Trace(
+        method=method.name, dataset=dataset.name, seed=int(seed),
+        labeled_count=np.array(rows["labeled"], dtype=np.int64),
+        rmse=np.array(rows["rmse"]), cc=np.array(rows["cc"]),
+        weight=np.array(rows["weight"], dtype=float), score=np.array(rows["score"]),
+        acquired_idx=np.array(rows["acquired"], dtype=np.int64),
+        wall_ms=np.zeros(len(rows["rmse"])),
+    )
+
+
+def spec_for(kind):
+    return MethodSpec(kind, kind, {"w": 0.5} if kind == "wigs_static" else {})
+
+
+def rows_dataset(features, targets, name="rows"):
+    features = np.asarray(features, dtype=float)
+    meta = tuple(ColumnMeta(f"x{i}", "continuous") for i in range(features.shape[1]))
+    return Dataset(features, np.asarray(targets, dtype=float), meta, name)
+
+
+@pytest.fixture(scope="module")
+def oracle_datasets(dataset):
+    rng = np.random.default_rng(33)
+    X = rng.normal(size=(50, 3))
+    p3 = rows_dataset(X, X @ np.array([1.0, -0.5, 0.25]) + 0.1 * rng.normal(size=50), "p3")
+    return {"two_regime": dataset, "p3": p3}
+
+
+class TestListOracle:
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("data", ["two_regime", "p3"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_field_bit_equal_to_list_loop(self, oracle_datasets, kind, data, seed):
+        ds = oracle_datasets[data]
+        got = run_replication(ds, spec_for(kind), seed)
+        want = list_based_replication(ds, spec_for(kind), seed)
+        for field in ("method", "dataset", "seed"):
+            assert getattr(got, field) == getattr(want, field)
+        for field in ("labeled_count", "rmse", "cc", "weight", "score", "acquired_idx"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # standard library imports only
+    return module
+
+
+def _global_names(code):
+    """Global names a function's code reads, nested functions included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _global_names(const)
+    return names
+
+
+LOOP_SITES = {"initial_split", "fit_ridge", "cv_rmse", "fit_bootstrap_committee", "build_cache",
+              "update_after_acquisition", "build_state", "hybrid_rmse", "correlation_coefficient"}
+
+
+class TestTracerSeesTheLoop:
+    """The traced benchmark wraps ``wigs.harness`` globals; the loop must keep
+    calling every one of them through that module, or the traced run reads 0.
+
+    The ``select_*`` sites are left out: the kind table calls the selectors
+    through ``wigs.config``, so the tracer reads 0 calls there today (the
+    FOUND line on ``bench/tracing.py`` in CHANGES.md).
+    """
+
+    @pytest.fixture(scope="class")
+    def calls(self, dataset):
+        loop_names = _global_names(run_replication.__code__)
+        sites = {attr for _, _, layer_sites in _tracing_module().LAYERS
+                 for path, attr in layer_sites
+                 if path == "wigs.harness" and attr in loop_names
+                 and not attr.startswith("select_")}
+        counts = dict.fromkeys(sites, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in sites:
+                mp.setattr(wigs.harness, name, counting(name, getattr(wigs.harness, name)))
+            for method in default_methods():
+                wigs.harness.run_replication(dataset, method, seed=0)
+        return counts
+
+    def test_loop_reads_every_traced_site(self, calls):
+        assert set(calls) == LOOP_SITES
+
+    @pytest.mark.parametrize("name", sorted(LOOP_SITES))
+    def test_site_called_over_default_battery(self, calls, name):
+        assert calls[name] >= 1, name
+
+
+CACHE_KINDS = [kind for kind, spec in KINDS.items() if spec.cache]
+
+
+class TestDegenerateRows:
+    """Duplicated and identical rows go through the partition and the cache on purpose."""
+
+    @staticmethod
+    def run_checked(ds, kind, monkeypatch):
+        positions = []
+        real = wigs.harness.update_after_acquisition
+
+        def checked(cache, pos, predictions):
+            real(cache, pos, predictions)
+            positions.append(pos)
+            everything = np.sort(np.concatenate([cache.labeled, cache.pool]))
+            assert np.array_equal(everything, np.arange(ds.n_samples))
+
+        monkeypatch.setattr(wigs.harness, "update_after_acquisition", checked)
+        trace = run_replication(ds, spec_for(kind), seed=3)
+        acquired = trace.acquired_idx[1:]
+        assert len(positions) == trace.n_iterations == len(acquired)
+        assert len(set(acquired.tolist())) == len(acquired)  # no repeated acquisition
+        assert trace.labeled_count[-1] == ds.n_samples
+        assert np.isfinite(trace.rmse).all() and trace.rmse[-1] == 0.0
+        return positions
+
+    @pytest.mark.parametrize("kind", CACHE_KINDS)
+    def test_every_row_duplicated(self, kind, monkeypatch):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(20, 2))
+        ds = rows_dataset(np.vstack([X, X]), rng.normal(size=40))
+        self.run_checked(ds, kind, monkeypatch)
+
+    @pytest.mark.parametrize("kind", CACHE_KINDS)
+    def test_all_rows_identical(self, kind, monkeypatch):
+        ds = rows_dataset(np.tile([[0.4, -1.1]], (40, 1)), np.linspace(-1.0, 2.0, 40))
+        positions = self.run_checked(ds, kind, monkeypatch)
+        if kind == "gsx":
+            # every dx_min is 0: the tie goes to the lowest pool position
+            assert positions == [0] * len(positions)
 
 
 class TestRunExperiment:

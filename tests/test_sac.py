@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wigs.config import ExperimentConfig, MethodSpec
-from wigs.data import ColumnMeta, Dataset, SplitState, initial_split
-from wigs.geometry import build_cache, pairwise_distances, update_after_acquisition
+from wigs.data import ColumnMeta, Dataset, Partition, SplitState, initial_split
+from wigs.geometry import build_cache, pairwise_distances
 from wigs.harness import resolve_dataset, run_replication
 from wigs.model import cv_rmse
 from wigs.rng import child_seed, generator
@@ -22,6 +22,8 @@ from wigs.sac import (
     sample_action,
 )
 from wigs.weights import BanditPolicy
+
+from test_geometry import acquire
 
 
 def finite_difference(loss_fn, flat, h=1e-5):
@@ -54,7 +56,7 @@ def two_point_cache(labeled=(0, 1)):
     """Cache over rows x = 0, 1, 5 with targets 0, 2, 9; the rest is pool."""
     ds = make_dataset([[0.0], [1.0], [5.0]], [0.0, 2.0, 9.0])
     pool = [i for i in range(3) if i not in labeled]
-    return build_cache(ds, SplitState(np.array(labeled), np.array(pool), seed=0),
+    return build_cache(ds, Partition(ds, SplitState(np.array(labeled), np.array(pool), seed=0)),
                        np.zeros(len(pool)))
 
 
@@ -292,13 +294,12 @@ class TestBuildState:
         ds = make_dataset(rng.normal(size=(30, p)), rng.normal(size=30))
         order = rng.permutation(30)
         labeled, pool = list(order[:3]), list(order[3:])
-        cache = build_cache(ds, SplitState(np.array(labeled), np.array(pool), seed=0),
-                            np.zeros(len(pool)))
+        split = SplitState(np.array(labeled), np.array(pool), seed=0)
+        cache = build_cache(ds, Partition(ds, split), np.zeros(len(pool)))
         for t in range(6):
             pos = int(rng.integers(len(pool)))
             labeled.append(pool.pop(pos))
-            cache = update_after_acquisition(cache, pos, ds.targets[labeled[-1]],
-                                             np.zeros(len(pool)))
+            acquire(cache, pos, ds.targets[labeled[-1]], np.zeros(len(pool)))
             expected = direct(0.7, 1.3, t, 6, ds.targets[labeled], ds.features[labeled])
             assert np.array_equal(build_state(0.7, 1.3, t, 6, cache), expected)
 

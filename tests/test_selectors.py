@@ -4,12 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wigs.data import ColumnMeta, Dataset, SplitState
+from wigs.data import ColumnMeta, Dataset, Partition, SplitState
 from wigs.geometry import (
     build_cache,
     normalize_phi,
     pairwise_distances,
-    update_after_acquisition,
 )
 from wigs.config import MethodSpec
 from wigs.harness import run_replication
@@ -37,6 +36,7 @@ from wigs.selectors import (
     wigs_scores,
 )
 
+from test_geometry import acquire
 from test_model import oracle_committee
 
 
@@ -58,7 +58,7 @@ def random_state(rng, max_n=40):
     split = SplitState(order[:k], order[k:], seed=0)
     model = fit_ridge(ds.features[split.labeled_idx], ds.targets[split.labeled_idx], 0.01)
     preds = model.predict(ds.features[split.pool_idx])
-    cache = build_cache(ds, split, preds)
+    cache = build_cache(ds, Partition(ds, split), preds)
     return ds, split, model, preds, cache
 
 
@@ -87,26 +87,26 @@ class TestGreedyFamily:
     def test_gsx_hand_example(self):
         ds = make_dataset([0.0, 1.0, 0.1, 0.5, 0.9], [0.0] * 5)
         split = SplitState(np.array([0, 1]), np.array([2, 3, 4]), seed=0)
-        cache = build_cache(ds, split, np.zeros(3))
+        cache = build_cache(ds, Partition(ds, split), np.zeros(3))
         assert select_gsx(cache).chosen == 1  # x=0.5, dx_min 0.5 beats 0.1, 0.1
 
     def test_gsx_all_coincident_tie(self):
         ds = make_dataset([0.0, 1.0, 0.0, 1.0], [0.0] * 4)
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = build_cache(ds, split, np.zeros(2))
+        cache = build_cache(ds, Partition(ds, split), np.zeros(2))
         r = select_gsx(cache)
         assert r.chosen == 0 and r.score == 0.0
 
     def test_gsy_hand_example(self):
         ds = make_dataset([0.0, 1.0, 0.2, 0.4, 0.6], [0.0, 2.0, 0.0, 0.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3, 4]), seed=0)
-        cache = build_cache(ds, split, predictions=np.array([1.0, 0.1, 2.6]))
+        cache = build_cache(ds, Partition(ds, split), predictions=np.array([1.0, 0.1, 2.6]))
         assert select_gsy(cache).chosen == 0  # dy_min 1.0 beats 0.1 and 0.6
 
     def test_gsy_prediction_on_known_label(self):
         ds = make_dataset([0.0, 1.0, 0.2, 0.4], [0.0, 2.0, 0.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = build_cache(ds, split, predictions=np.array([2.0, 0.5]))
+        cache = build_cache(ds, Partition(ds, split), predictions=np.array([2.0, 0.5]))
         r = select_gsy(cache)
         assert r.chosen == 1  # first candidate scores 0
 
@@ -118,7 +118,7 @@ class TestGreedyFamily:
     def test_igs_zero_on_coincident(self):
         ds = make_dataset([0.0, 1.0, 0.0, 0.5], [0.0, 1.0, 3.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = build_cache(ds, split, predictions=np.array([5.0, 0.7]))
+        cache = build_cache(ds, Partition(ds, split), predictions=np.array([5.0, 0.7]))
         assert igs_scores(cache.dx_pair, cache.dy_pair)[0] == 0.0
 
     def test_igs_scale_invariance(self):
@@ -138,7 +138,7 @@ class TestGreedyFamily:
     def test_wigs_weight_bounds(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, split, predictions=np.array([0.5]))
+        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.5]))
         with pytest.raises(ValueError):
             select_wigs(cache, 1.5)
 
@@ -287,7 +287,7 @@ class TestEgal:
         features = np.vstack([[[-50.0, -50.0]], [[-49.0, -50.0]], copies, isolated])
         ds = make_dataset(features, np.zeros(13))
         split = SplitState(np.array([0, 1]), np.arange(2, 13), seed=0)
-        cache = build_cache(ds, split, np.zeros(11))
+        cache = build_cache(ds, Partition(ds, split), np.zeros(11))
         delta = 5.0
         similarity = egal_similarity(ds.feature_distances, delta)
         density = egal_density(cache, similarity)
@@ -308,20 +308,20 @@ class TestEgal:
     def test_pool_of_one(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, split, np.zeros(1))
+        cache = build_cache(ds, Partition(ds, split), np.zeros(1))
         assert select_egal(cache, egal_similarity(ds.feature_distances, 1.0)).chosen == 0
 
     def test_density_equals_direct_formula_after_acquisitions(self):
         rng = np.random.default_rng(9)
         ds = make_dataset(rng.normal(size=(40, 20)), rng.normal(size=40))
         order = rng.permutation(40)
-        cache = build_cache(ds, SplitState(order[:3], order[3:], seed=0), np.zeros(37))
+        cache = build_cache(ds, Partition(ds, SplitState(order[:3], order[3:], seed=0)),
+                            np.zeros(37))
         similarity = egal_setup(ds, seed=2)
         delta = sample_bandwidth(ds.features, seed=2)
         for _ in range(6):
             pos = int(rng.integers(cache.n_pool))
-            cache = update_after_acquisition(cache, pos, ds.targets[cache.pool[pos]],
-                                             np.zeros(cache.n_pool - 1))
+            acquire(cache, pos, ds.targets[cache.pool[pos]], np.zeros(cache.n_pool - 1))
             # oracle: the pool's own pairwise distances, computed from its features
             pool_features = ds.features[cache.pool]
             dist = pairwise_distances(pool_features, pool_features)
@@ -332,7 +332,7 @@ class TestEgal:
     def test_filter_fallback_when_all_coincident(self):
         ds = make_dataset([0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = build_cache(ds, split, np.zeros(2))
+        cache = build_cache(ds, Partition(ds, split), np.zeros(2))
         r = select_egal(cache, egal_similarity(ds.feature_distances, 1.0))
         assert r.chosen == 0  # all dx_min = 0: everyone passes >= q25 = 0
 
@@ -381,6 +381,21 @@ class TestEgal:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * n * n
+
+    def test_bandwidth_peak_memory_below_one_and_a_half_distance_matrices(self):
+        # the sample block is the one (N, N)-sized buffer: its off-diagonal
+        # entries are packed into its own leading slots, not copied out
+        n, p = 400, 20
+        rng = np.random.default_rng(3)
+        ds = make_dataset(rng.normal(size=(n, p)), rng.normal(size=n))
+        dx = ds.feature_distances
+        tracemalloc.start()
+        try:
+            egal_bandwidth(dx, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
 
 class TestDensityVeto:
