@@ -16,7 +16,6 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-import yaml
 
 from .data import Dataset
 from .geometry import DistanceCache
@@ -288,6 +287,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     """Parse a YAML config file (sections: dataset, preprocessing, split,
     model, run, methods); see the README for the full schema."""
+    import yaml
+
     with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
 

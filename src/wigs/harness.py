@@ -17,7 +17,6 @@ import io
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,6 +299,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                 else:
                     consume(task, result, None)
         else:
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             with ProcessPoolExecutor(max_workers=config.parallelism,
                                      initializer=_init_worker,
                                      initargs=(dataset,)) as pool:

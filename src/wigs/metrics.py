@@ -53,15 +53,18 @@ def correlation_coefficient(predictions: np.ndarray, truth: np.ndarray) -> float
     """Pearson correlation of the hybrid predictions with the ground truth.
 
     Returns NaN (recorded as missing) when the truth has zero variance.
+    The means are x.sum() / x.size: the same add.reduce and division as
+    x.mean(), without its dispatch.
     """
     predictions = np.asarray(predictions, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if predictions.shape != truth.shape or truth.size < 2:
         raise ValueError("need two same-length vectors of at least 2 points")
-    pc = predictions - predictions.mean()
-    tc = truth - truth.mean()
-    denom = math.sqrt(float(pc @ pc) * float(tc @ tc))
-    if float(tc @ tc) == 0.0 or denom == 0.0:
+    pc = predictions - predictions.sum() / predictions.size
+    tc = truth - truth.sum() / truth.size
+    tt = float(tc @ tc)
+    denom = math.sqrt(float(pc @ pc) * tt)
+    if tt == 0.0 or denom == 0.0:
         return float("nan")
     return float(pc @ tc) / denom
 

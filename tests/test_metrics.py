@@ -70,6 +70,66 @@ class TestCorrelationCoefficient:
                                                   np.array([5.0, 5.0])))
 
 
+def mean_formula_correlation(predictions, truth):
+    """The formula with x.mean() and tc @ tc taken twice, as the oracle."""
+    pc = predictions - predictions.mean()
+    tc = truth - truth.mean()
+    denom = math.sqrt(float(pc @ pc) * float(tc @ tc))
+    if float(tc @ tc) == 0.0 or denom == 0.0:
+        return float("nan")
+    return float(pc @ tc) / denom
+
+
+def assert_same_bits_or_both_nan(predictions, truth):
+    got = correlation_coefficient(predictions, truth)
+    want = mean_formula_correlation(predictions, truth)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestCorrelationMatchesMeanFormula:
+    """x.sum() / x.size in place of x.mean() keeps every bit of cc."""
+
+    def test_random_vectors_of_length_2_to_1000(self):
+        rng = np.random.default_rng(5)
+        for n in [2, 3, 4, 7, 8, 9, 15, 16, 17, 100, 127, 128, 129, 400, 999, 1000]:
+            for scale, offset in [(1.0, 0.0), (1e-3, 1e6), (1e8, -3.0)]:
+                truth = offset + scale * rng.normal(size=n)
+                preds = truth + scale * rng.normal(size=n)
+                assert_same_bits_or_both_nan(preds, truth)
+
+    def test_constant_truth_is_nan_in_both(self):
+        for n in [2, 9, 400]:
+            truth = np.full(n, 0.1)
+            assert_same_bits_or_both_nan(np.linspace(0.0, 1.0, n), truth)
+            assert math.isnan(correlation_coefficient(np.linspace(0.0, 1.0, n), truth))
+
+    def test_constant_predictions(self):
+        for n in [2, 9, 400]:
+            truth = np.linspace(-1.0, 2.0, n)
+            for value in [0.0, 0.1, 1e6]:
+                assert_same_bits_or_both_nan(np.full(n, value), truth)
+
+    def test_hybrid_vectors_of_one_replication(self, monkeypatch):
+        import wigs.harness
+        from wigs.config import MethodSpec
+
+        seen = []
+
+        def spy(predictions, truth):
+            seen.append((predictions.copy(), truth.copy()))
+            return correlation_coefficient(predictions, truth)
+
+        monkeypatch.setattr(wigs.harness, "correlation_coefficient", spy)
+        ds = sample_two_regime(60, seed=2)
+        wigs.harness.run_replication(ds, MethodSpec("wigs", "wigs_static", {"w": 0.5}), 1)
+        assert len(seen) > 50
+        for predictions, truth in seen:
+            assert_same_bits_or_both_nan(predictions, truth)
+
+
 class TestAuc:
     def test_two_panel_example(self):
         assert auc_trapezoid(np.array([1.0, 3.0, 2.0])) == 4.5
@@ -229,3 +289,14 @@ def test_import_wigs_loads_only_numpy_and_pyyaml():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
     assert out.strip() == "['wigs']"
+
+
+def test_import_wigs_defers_yaml_and_the_process_pool():
+    # PyYAML is imported by load_config and the process pool by a parallel
+    # run_experiment, so a bare import wigs loads neither
+    src = os.path.dirname(os.path.dirname(wigs.__file__))
+    code = ("import sys, wigs; print(sorted(m for m in sys.modules"
+            " if m == 'yaml' or m.startswith(('yaml.', 'concurrent.futures.process'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "[]"

@@ -3,6 +3,7 @@ import pytest
 
 from wigs.model import (
     FoldWarning,
+    _ridge,
     cv_rmse,
     fit_bootstrap_committee,
     fit_ridge,
@@ -260,3 +261,83 @@ class TestKernelMatchesClosedForm:
         terms = np.abs(queries) @ np.abs(coefs).T + np.abs(intercepts)
         assert_rel(committee.predict_matrix(queries), (queries @ coefs.T + intercepts).T,
                    scale=terms)
+
+
+def weighted_concatenate_ridge(X, y, weights, alpha):
+    """The kernel before its unweighted pass: W^1/2 scaling for every
+    weighting, alpha * eye added, and [Xc'W yc | I] built by concatenation."""
+    B, p = weights.shape[0], X.shape[1]
+    total = weights.sum(axis=1)
+    x_mean = weights @ X / total[:, None]
+    y_mean = weights @ y / total
+    root = np.sqrt(weights)[:, :, None]
+    A = (X - x_mean[:, None, :]) * root
+    At = np.swapaxes(A, 1, 2)
+    gram = At @ A + alpha * np.eye(p)
+    rhs = np.concatenate([At @ ((y - y_mean[:, None])[:, :, None] * root),
+                          np.broadcast_to(np.eye(p), (B, p, p))], axis=2)
+    solution = np.linalg.solve(gram, rhs)
+    intercepts = y_mean - np.einsum("bp,bp->b", solution[:, :, 0], x_mean)
+    return solution[:, :, 0], intercepts, solution[:, :, 1:], x_mean
+
+
+def exactness_case(p, case):
+    """oracle_case plus a column constant over the rows (0.1, whose mean is
+    inexact) and the two-row set."""
+    if case == "constant":
+        X, y = oracle_case(p, "plain")
+        X[:, -1] = 0.1
+    elif case == "two_rows":
+        X, y = oracle_case(p, "plain")
+        X, y = X[:2], y[:2]
+    else:
+        X, y = oracle_case(p, case)
+    return X, y
+
+
+def assert_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+@pytest.mark.parametrize("case", ["plain", "offset", "duplicates", "constant", "two_rows"])
+@pytest.mark.parametrize("p", [1, 3, 20])
+class TestKernelBitEqualToWeightedConcatenate:
+    """Every fit gives the same bits as the weighted, concatenated kernel."""
+
+    def test_fit_ridge_against_ones_weights(self, p, case):
+        X, y = exactness_case(p, case)
+        model = fit_ridge(X, y, 0.01)
+        coef, intercepts, gram_inverse, x_mean = weighted_concatenate_ridge(
+            X, y, np.ones((1, len(y))), 0.01)
+        assert_bits([model.coefficients, np.float64(model.intercept), model.gram_inverse,
+                     model.feature_means],
+                    [coef[0], intercepts[0], gram_inverse[0], x_mean[0]])
+
+    def test_cv_masks(self, p, case):
+        X, y = exactness_case(p, case)
+        k = len(y)
+        for folds, seed in [(2, 8), (min(5, k), 3), (k, 1)]:
+            sizes = np.full(folds, k // folds)
+            sizes[:k % folds] += 1
+            fold = np.empty(k, dtype=int)
+            fold[generator(seed, "cv").permutation(k)] = np.repeat(np.arange(folds), sizes)
+            train = (fold != np.arange(folds)[:, None]).astype(float)
+            want = weighted_concatenate_ridge(X, y, train, 0.01)
+            assert_bits(_ridge(X, y, train, 0.01), want)
+            coef, intercepts = want[:2]
+            residuals = y - (np.einsum("ip,ip->i", X, coef[fold]) + intercepts[fold])
+            assert cv_rmse(X, y, 0.01, folds, seed) == float(np.sqrt(residuals @ residuals / k))
+
+    def test_bootstrap_counts(self, p, case):
+        X, y = exactness_case(p, case)
+        k = len(y)
+        counts = np.stack([
+            np.bincount(generator(3 + i, "bootstrap").integers(0, k, size=k), minlength=k)
+            for i in range(10)
+        ]).astype(float)
+        want = weighted_concatenate_ridge(X, y, counts, 0.01)
+        assert_bits(_ridge(X, y, counts, 0.01), want)
+        committee = fit_bootstrap_committee(X, y, 0.01, B=10, seed=3)
+        assert_bits([committee.coefficients, committee.intercepts], want[:2])
