@@ -21,7 +21,7 @@ from .data import (
     scale_features,
 )
 from .geometry import DistanceCache, build_cache, normalize_phi, update_after_acquisition
-from .harness import RunRecord, run_experiment, run_replication
+from .harness import RunRecord, run_block, run_experiment, run_replication
 from .metrics import (
     Trace,
     auc_trapezoid,

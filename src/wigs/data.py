@@ -133,13 +133,20 @@ class Partition:
     label enters only when its point is acquired, so no reader of the
     partition can reach a pool label.  The ``labeled*`` and ``pool*``
     properties are views, valid until the next ``acquire``.
+
+    ``features`` (N, p) and ``targets`` (N,) are the buffers to fill, new
+    ones by default; a block of replications passes row r of one
+    (R, N, p) and one (R, N) buffer to each member, so that its labeled
+    rows are one (R, L, p) view.
     """
 
-    def __init__(self, dataset: Dataset, split: SplitState):
+    def __init__(self, dataset: Dataset, split: SplitState,
+                 features: np.ndarray | None = None, targets: np.ndarray | None = None):
         self.order = np.concatenate([split.labeled_idx, split.pool_idx]).astype(np.int64)
         self.n_labeled = len(split.labeled_idx)
-        self.features = dataset.features.take(self.order, axis=0)
-        self._targets = np.full(len(self.order), np.nan)
+        self.features = dataset.features.take(self.order, axis=0, out=features)
+        self._targets = np.empty(len(self.order)) if targets is None else targets
+        self._targets.fill(np.nan)
         self._targets[:self.n_labeled] = dataset.targets.take(split.labeled_idx)
 
     @property

@@ -7,7 +7,8 @@ cross-validated RMSE drop as reward feedback before choosing each
 iteration's weight.  Replication seeds are ``base_seed + index`` and every
 source of randomness inside a replication derives from that one seed, so
 any (method, seed) pair can run in any process at any time and produce the
-same trace.
+same trace.  The seeds of one method run as a lockstep block that shares
+each iteration's ridge solves; a seed's trace does not depend on its block.
 """
 
 from __future__ import annotations
@@ -73,6 +74,166 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
     return scale_features(raw, config.scaling)
 
 
+def run_block(
+    dataset: Dataset,
+    method: MethodSpec,
+    seeds,
+    initial_fraction: float = 0.05,
+    alpha: float = 0.01,
+    cv_folds: int = 5,
+) -> list[Trace]:
+    """Run one replication of ``method`` per seed, in lockstep, to pool exhaustion.
+
+    Row 0 of each trace is the pre-acquisition baseline; row t records the
+    state after the t-th acquisition with the model refit.  Every seed has
+    the same horizon, so at each iteration all R labeled sets hold the same
+    number of rows, L: seed r's partition moves its rows in place in row r
+    of one (R, N, p) buffer, and the block's refit, CV and committee are
+    each one kernel call on the (R, L, p) view of the labeled rows.  The
+    policy step, selection, acquisition, distance cache and recording run
+    per seed.  A seed's trace is the same bits whatever block it runs in.
+
+    ``wall_ms`` of a row is the seed's own work for it plus 1/R of the
+    block's kernel calls for it: the initial fit and prediction for row 0,
+    and the iteration up to its recording for row t.  The set-up, the
+    initial distance cache and the recording are left out, as in a run of
+    one seed at a time, so a block of one times what such a run timed.
+    """
+    clock = time.perf_counter
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("a block needs at least one seed")
+    R = len(seeds)
+    y = dataset.targets
+    n_total = dataset.n_samples
+    kind = KINDS[method.kind]
+    params = method.settings()
+    features = np.empty((R, *dataset.features.shape))
+    labels = np.empty((R, n_total))
+    parts = [Partition(dataset, initial_split(dataset, initial_fraction, seed), features[r], labels[r])
+             for r, seed in enumerate(seeds)]
+    n_labeled = parts[0].n_labeled
+    horizon = n_total - n_labeled
+    policies = [kind.policy(params, seed) if kind.policy else None for seed in seeds]
+    states = [kind.setup(dataset, seed) if kind.setup else None for seed in seeds]
+
+    rows_rmse = np.empty((R, horizon + 1))
+    rows_cc = np.empty((R, horizon + 1))
+    rows_weight = np.full((R, horizon + 1), np.nan)
+    rows_score = np.full((R, horizon + 1), np.nan)
+    rows_acquired = np.full((R, horizon + 1), -1, dtype=np.int64)
+    rows_labeled = np.empty((R, horizon + 1), dtype=np.int64)
+    own = [[0.0] * (horizon + 1) for _ in seeds]  # seconds of each seed's own work per row
+    shared = [0.0] * (horizon + 1)                # seconds of the block's kernel calls per row
+    # In dataset order: the known labels, and the predictions on the pool.
+    hybrids = [y.copy() for _ in seeds]
+
+    def record(r: int, slot: int, preds: np.ndarray) -> None:
+        pool = parts[r].pool
+        rows_rmse[r, slot] = hybrid_rmse(preds - y.take(pool), n_total)
+        hybrid = hybrids[r]
+        hybrid[pool] = preds
+        rows_cc[r, slot] = correlation_coefficient(hybrid, y)
+        rows_labeled[r, slot] = parts[r].n_labeled
+
+    last = clock()
+    models = fit_ridge(features[:, :n_labeled], labels[:, :n_labeled], alpha)
+    now = clock()
+    shared[0] = now - last
+    last = now
+    caches = [None] * R
+    for r, part in enumerate(parts):
+        pool_preds = models[r].predict(part.pool_features)
+        own[r][0] = clock() - last
+        record(r, 0, pool_preds)
+        if kind.cache:
+            caches[r] = build_cache(dataset, part, pool_preds)
+        last = clock()
+
+    cv_now = committees = None
+    cv_prev = [None] * R
+    cv_initial = [None] * R
+    for t in range(horizon):
+        slot = t + 1
+        if kind.cv_reward:
+            cv_now = cv_rmse(features[:, :n_labeled], labels[:, :n_labeled], alpha, cv_folds,
+                             [child_seed(seed, "cv", t) for seed in seeds])
+        if kind.committee:
+            committees = fit_bootstrap_committee(
+                features[:, :n_labeled], labels[:, :n_labeled], alpha,
+                int(params["committee_size"]), [child_seed(seed, "bootstrap", t) for seed in seeds])
+        now = clock()
+        shared[slot] = now - last
+        last = now
+
+        positions = [0] * R
+        for r, part in enumerate(parts):
+            weight = None
+            policy = policies[r]
+            if policy is not None:
+                reward = None
+                context = None
+                if kind.cv_reward:
+                    cv = cv_now[r]
+                    if cv_initial[r] is None:
+                        cv_initial[r] = cv if cv > 0 else 1.0
+                    if cv_prev[r] is not None:
+                        reward = cv_prev[r] - cv
+                    if kind.sac_state:
+                        context = build_state(cv, cv_initial[r], t, horizon, caches[r])
+                    cv_prev[r] = cv
+                weight = policy.step(t, horizon, reward, context)
+                rows_weight[r, slot] = weight
+            result = kind.select(Query(models[r], part.pool_features, caches[r],
+                                       committees[r] if committees else None, weight, states[r]))
+            pos = result.chosen
+            ds_idx = int(part.pool[pos])
+            part.acquire(pos, y[ds_idx])
+            hybrids[r][ds_idx] = y[ds_idx]
+            positions[r] = pos
+            rows_acquired[r, slot] = ds_idx
+            rows_score[r, slot] = result.score
+            now = clock()
+            own[r][slot] = now - last
+            last = now
+
+        n_labeled += 1
+        try:
+            models = fit_ridge(features[:, :n_labeled], labels[:, :n_labeled], alpha)
+        except Exception as exc:
+            raise RuntimeError(
+                f"model fit failed at iteration {t} of {method.name}/seed "
+                + ", ".join(map(str, seeds))
+            ) from exc
+        now = clock()
+        shared[slot] += now - last
+        last = now
+        for r, part in enumerate(parts):
+            pool_preds = models[r].predict(part.pool_features)
+            if kind.cache:
+                update_after_acquisition(caches[r], positions[r], pool_preds)
+            own[r][slot] += clock() - last
+            record(r, slot, pool_preds)
+            last = clock()
+
+    wall_ms = (np.array(own) + np.array(shared) / R) * 1000.0
+    return [
+        Trace(
+            method=method.name,
+            dataset=dataset.name,
+            seed=seed,
+            labeled_count=rows_labeled[r],
+            rmse=rows_rmse[r],
+            cc=rows_cc[r],
+            weight=rows_weight[r],
+            score=rows_score[r],
+            acquired_idx=rows_acquired[r],
+            wall_ms=wall_ms[r],
+        )
+        for r, seed in enumerate(seeds)
+    ]
+
+
 def run_replication(
     dataset: Dataset,
     method: MethodSpec,
@@ -81,108 +242,8 @@ def run_replication(
     alpha: float = 0.01,
     cv_folds: int = 5,
 ) -> Trace:
-    """Run one (method, seed) replication to pool exhaustion.
-
-    Row 0 of the returned trace is the pre-acquisition baseline; row t
-    records the state after the t-th acquisition with the model refit.
-    The labeled and pool rows live in one ``Partition``, moved in place on
-    each acquisition; the fits, the selectors, the distance cache and the
-    recording read slice views of it.
-    """
-    y = dataset.targets
-    n_total = dataset.n_samples
-    part = Partition(dataset, initial_split(dataset, initial_fraction, seed))
-    horizon = part.n_pool
-
-    kind = KINDS[method.kind]
-    params = method.settings()
-    policy = kind.policy(params, seed) if kind.policy else None
-    state = kind.setup(dataset, seed) if kind.setup else None
-
-    rows_rmse = np.empty(horizon + 1)
-    rows_cc = np.empty(horizon + 1)
-    rows_weight = np.full(horizon + 1, np.nan)
-    rows_score = np.full(horizon + 1, np.nan)
-    rows_acquired = np.full(horizon + 1, -1, dtype=np.int64)
-    rows_labeled = np.empty(horizon + 1, dtype=np.int64)
-    rows_wall = np.empty(horizon + 1)
-    # In dataset order: the known labels, and the predictions on the pool.
-    hybrid = y.copy()
-
-    def record(slot: int, preds: np.ndarray, wall_ms: float) -> None:
-        pool = part.pool
-        rows_rmse[slot] = hybrid_rmse(preds - y.take(pool), n_total)
-        hybrid[pool] = preds
-        rows_cc[slot] = correlation_coefficient(hybrid, y)
-        rows_labeled[slot] = part.n_labeled
-        rows_wall[slot] = wall_ms
-
-    start = time.perf_counter()
-    model = fit_ridge(part.labeled_features, part.labeled_targets, alpha)
-    pool_preds = model.predict(part.pool_features)
-    record(0, pool_preds, (time.perf_counter() - start) * 1000.0)
-    cache = build_cache(dataset, part, pool_preds) if kind.cache else None
-
-    cv_prev: float | None = None
-    cv_initial: float | None = None
-    for t in range(horizon):
-        tick = time.perf_counter()
-        weight = None
-        if policy is not None:
-            reward = None
-            context = None
-            if kind.cv_reward:
-                cv_now = cv_rmse(part.labeled_features, part.labeled_targets, alpha,
-                                 cv_folds, child_seed(seed, "cv", t))
-                if cv_initial is None:
-                    cv_initial = cv_now if cv_now > 0 else 1.0
-                if cv_prev is not None:
-                    reward = cv_prev - cv_now
-                if kind.sac_state:
-                    context = build_state(cv_now, cv_initial, t, horizon, cache)
-                cv_prev = cv_now
-            weight = policy.step(t, horizon, reward, context)
-        committee = None
-        if kind.committee:
-            committee = fit_bootstrap_committee(
-                part.labeled_features, part.labeled_targets, alpha,
-                int(params["committee_size"]), child_seed(seed, "bootstrap", t))
-        result = kind.select(Query(model, part.pool_features, cache, committee, weight, state))
-
-        pos = result.chosen
-        ds_idx = int(part.pool[pos])
-        part.acquire(pos, y[ds_idx])
-        hybrid[ds_idx] = y[ds_idx]
-
-        try:
-            model = fit_ridge(part.labeled_features, part.labeled_targets, alpha)
-        except Exception as exc:
-            raise RuntimeError(
-                f"model fit failed at iteration {t} of {method.name}/seed {seed}"
-            ) from exc
-        pool_preds = model.predict(part.pool_features)
-        if kind.cache:
-            update_after_acquisition(cache, pos, pool_preds)
-
-        slot = t + 1
-        record(slot, pool_preds, (time.perf_counter() - tick) * 1000.0)
-        rows_acquired[slot] = ds_idx
-        rows_score[slot] = result.score
-        if weight is not None:
-            rows_weight[slot] = weight
-
-    return Trace(
-        method=method.name,
-        dataset=dataset.name,
-        seed=int(seed),
-        labeled_count=rows_labeled,
-        rmse=rows_rmse,
-        cc=rows_cc,
-        weight=rows_weight,
-        score=rows_score,
-        acquired_idx=rows_acquired,
-        wall_ms=rows_wall,
-    )
+    """Run one (method, seed) replication to pool exhaustion: a block of one seed."""
+    return run_block(dataset, method, (seed,), initial_fraction, alpha, cv_folds)[0]
 
 
 @dataclass(frozen=True)
@@ -243,21 +304,40 @@ def _init_worker(dataset: Dataset) -> None:
     _worker_dataset = dataset
 
 
-def _run_task(args) -> Trace:
-    method, seed, frac, alpha, cv_folds = args
-    return run_replication(_worker_dataset, method, seed, frac, alpha, cv_folds)
+def _attempt(method: MethodSpec, seeds: tuple[int, ...], settings) -> list[tuple]:
+    """(seed, trace, None) for each seed of a block that ran, or
+    (seed, None, traceback text) for each seed of a block that raised."""
+    try:
+        traces = run_block(_worker_dataset, method, seeds, *settings)
+    except Exception:
+        failure = traceback.format_exc()
+        return [(seed, None, failure) for seed in seeds]
+    return [(seed, trace, None) for seed, trace in zip(seeds, traces)]
+
+
+def _run_task(args) -> list[tuple]:
+    """The outcomes of one block of seeds.  If the block raises, its seeds
+    rerun one at a time: a failing seed gives the error its own block of one
+    gives, and the others keep their traces."""
+    method, seeds, *settings = args
+    outcomes = _attempt(method, seeds, settings)
+    if len(seeds) > 1 and outcomes[0][2] is not None:
+        outcomes = [outcome for seed in seeds for outcome in _attempt(method, (seed,), settings)]
+    return outcomes
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Execute every (method, seed) pair and persist the record directory.
 
-    Pairs are seed-isolated, so they may run across processes; the final
-    trace file is written sorted by (method, seed, iteration) and is
-    byte-identical for any parallelism degree.  Each finished trace is
-    formatted once: the text is appended to a .part file as the pair
-    finishes and reused, in sorted order, for traces.csv.  After a crash
-    the .part file keeps the finished pairs, but a rerun starts over and
-    does not read it.
+    Each task is one block of a method's seeds (``run_block``): all of them
+    at parallelism 1, and ceil(replications / parallelism) of them
+    otherwise, so every worker gets work.  A seed's trace does not depend
+    on its block, so the final trace file, written sorted by (method,
+    seed, iteration), is byte-identical for any parallelism degree.  Each
+    finished trace is formatted once: the text is appended to a .part file
+    as its block finishes and reused, in sorted order, for traces.csv.
+    After a crash the .part file keeps the finished pairs, but a rerun
+    starts over and does not read it.
     """
     out_dir = config.resolved_out_dir()
     os.makedirs(out_dir, exist_ok=True)
@@ -265,12 +345,11 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     _atomic_write(os.path.join(out_dir, "config.json"), snapshot_json(config))
     save_csv(dataset, os.path.join(out_dir, "dataset.csv"))
 
-    tasks = []
-    for method in config.methods:
-        for i in range(config.replications):
-            seed = config.base_seed + i
-            tasks.append((method, seed, config.initial_fraction,
-                          config.alpha, config.cv_folds))
+    seeds = [config.base_seed + i for i in range(config.replications)]
+    size = -(-len(seeds) // config.parallelism)
+    tasks = [(method, tuple(seeds[i:i + size]), config.initial_fraction,
+              config.alpha, config.cv_folds)
+             for method in config.methods for i in range(0, len(seeds), size)]
 
     # (method, seed) -> (trace, its traces.csv rows, its timings.csv rows)
     finished: dict[tuple[str, int], tuple[Trace, str, str]] = {}
@@ -279,25 +358,20 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     with open(part_path, "w", encoding="utf-8", newline="") as part:
         part.write(",".join(TRACE_COLUMNS) + "\n")
 
-        def consume(task, outcome, failure):
-            method, seed = task[0], task[1]
-            if failure is not None:
-                errors.append((method.name, seed, failure))
-                return
-            text = _format_rows(trace_rows(outcome))
-            finished[(method.name, seed)] = (outcome, text, _format_rows(timing_rows(outcome)))
-            part.write(text)
+        def consume(method, outcomes):
+            for seed, trace, error in outcomes:
+                if error is not None:
+                    errors.append((method.name, seed, error))
+                    continue
+                text = _format_rows(trace_rows(trace))
+                finished[(method.name, seed)] = (trace, text, _format_rows(timing_rows(trace)))
+                part.write(text)
             part.flush()
 
         if config.parallelism == 1:
             _init_worker(dataset)
             for task in tasks:
-                try:
-                    result = _run_task(task)
-                except Exception:
-                    consume(task, None, traceback.format_exc())
-                else:
-                    consume(task, result, None)
+                consume(task[0], _run_task(task))
         else:
             from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -308,11 +382,11 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                 for fut in as_completed(futures):
                     task = futures[fut]
                     try:
-                        result = fut.result()
-                    except Exception:
-                        consume(task, None, traceback.format_exc())
-                    else:
-                        consume(task, result, None)
+                        outcomes = fut.result()
+                    except Exception:  # the worker died: every seed of its block failed
+                        failure = traceback.format_exc()
+                        outcomes = [(seed, None, failure) for seed in task[1]]
+                    consume(task[0], outcomes)
 
     done = [finished[key] for key in sorted(finished)]
     _atomic_write(

@@ -1,11 +1,13 @@
 """Ridge regression with an unpenalized intercept, fitted in closed form.
 
-Every fit is one kernel call: B row weightings of one labeled set, each
-centred on its own weighted means, solved as (Xc' W Xc + alpha I) beta =
-Xc' W yc in one batched solve.  A plain fit is the unweighted pass, every
-row weighted 1 (and keeps the inverse Gram for predictive variances), a
-K-fold CV fit a 0/1 train mask per fold, a bootstrap committee a row of
-resample counts per member.
+Every fit is one kernel call: B row weightings of each of R labeled sets
+of one size, each centred on its own weighted means, solved as
+(Xc' W Xc + alpha I) beta = Xc' W yc in one batched solve.  A plain fit is
+the unweighted pass, every row weighted 1 (and keeps the inverse Gram for
+predictive variances), a K-fold CV fit a 0/1 train mask per fold, a
+bootstrap committee a row of resample counts per member.  The public fits
+take one labeled set, (k, p), as the block of one it is a view of, or a
+stacked block, (R, k, p), and then return one result per set.
 """
 
 from __future__ import annotations
@@ -37,9 +39,15 @@ class RidgeModel:
 
 
 def _ridge(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None, alpha: float):
-    """Coefficients (B, p), intercepts (B,), inverse Grams (B, p, p) and means
-    (B, p) of the fits under each row of a (B, k) weight matrix.  The Gram is
-    A'A with A = W^1/2 Xc, so it is exactly symmetric.
+    """Coefficients (R, B, p), intercepts (R, B), inverse Grams (R, B, p, p) and
+    means (R, B, p) of the fits of a block of R labeled sets, X (R, k, p) and
+    y (R, k), each under every row of its (B, k) weight matrix, weights
+    (R, B, k).  The Gram is A'A with A = W^1/2 Xc, so it is exactly symmetric.
+
+    Every product runs per (k, p) matrix of the block, through the same
+    matmul, solve and einsum inner loops as a 2-D call, so a set's fit has
+    the same bits whatever block it sits in; ``X`` may be a strided view,
+    such as the labeled rows of one (R, N, p) buffer.
 
     weights=None is the one fit with every row weighted 1: it skips the
     W^1/2 scaling, which is exact because x * 1.0 == x.  The inverse Gram
@@ -50,53 +58,74 @@ def _ridge(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None, alpha: floa
     solve(gram, I) gave the joint inverse bit for bit (0 of 3,000) but costs
     a second factorisation.
     """
-    k, p = X.shape
+    R, k, p = X.shape
     unweighted = weights is None
     if unweighted:
-        weights = np.ones((1, k))
-    B = weights.shape[0]
-    total = weights.sum(axis=1)
-    x_mean = weights @ X / total[:, None]
-    y_mean = weights @ y / total
-    A = X - x_mean[:, None, :]                              # (B, k, p), W^1/2 Xc
-    yc = (y - y_mean[:, None])[:, :, None]
+        weights = np.ones((R, 1, k))
+    B = weights.shape[1]
+    total = weights.sum(axis=2)
+    x_mean = weights @ X / total[:, :, None]
+    y_mean = (weights @ y[:, :, None])[:, :, 0] / total
+    A = X[:, None] - x_mean[:, :, None, :]                  # (R, B, k, p), W^1/2 Xc
+    yc = (y[:, None, :] - y_mean[:, :, None])[..., None]
     if not unweighted:
-        root = np.sqrt(weights)[:, :, None]
+        root = np.sqrt(weights)[..., None]
         A *= root
         yc *= root
-    At = np.swapaxes(A, 1, 2)
+    At = np.swapaxes(A, 2, 3)
     gram = At @ A
-    gram.reshape(B, p * p)[:, ::p + 1] += alpha             # the diagonal, in place
-    rhs = np.zeros((B, p, p + 1))                           # [Xc'W yc | I]
-    rhs[:, :, :1] = At @ yc
-    rhs.reshape(B, p * (p + 1))[:, 1::p + 2] = 1.0
+    gram.reshape(R * B, p * p)[:, ::p + 1] += alpha         # the diagonal, in place
+    rhs = np.zeros((R, B, p, p + 1))                        # [Xc'W yc | I]
+    rhs[..., :1] = At @ yc
+    rhs.reshape(R * B, p * (p + 1))[:, 1::p + 2] = 1.0
     solution = np.linalg.solve(gram, rhs)
-    intercepts = y_mean - np.einsum("bp,bp->b", solution[:, :, 0], x_mean)
-    return solution[:, :, 0], intercepts, solution[:, :, 1:], x_mean
+    intercepts = y_mean - np.einsum("rbp,rbp->rb", solution[..., 0], x_mean)
+    return solution[..., 0], intercepts, solution[..., 1:], x_mean
 
 
-def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
+def _block(X, y) -> tuple[np.ndarray, np.ndarray, bool]:
+    """A stacked (R, k, p) / (R, k) pair as float arrays, or one (k, p) / (k,)
+    set as the R = 1 view of itself; the flag says which was given."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    stacked = X.ndim == 3
+    if not stacked:
+        X, y = X[None], y[None]
+    if X.ndim != 3 or y.shape != X.shape[:2]:
+        raise ValueError("X must be (k, p) and y (k,), or stacked as (R, k, p) and (R, k)")
+    return X, y, stacked
+
+
+def _seeds(seed, R: int, stacked: bool) -> list[int]:
+    seeds = list(seed) if stacked else [seed]
+    if len(seeds) != R:
+        raise ValueError(f"a block of {R} sets needs {R} seeds, got {len(seeds)}")
+    return seeds
+
+
+def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel | list[RidgeModel]:
     """Fit ridge coefficients on column-centered data; intercept unpenalized.
 
+    X (k, p) and y (k,) give one model; a block X (R, k, p) and y (R, k)
+    gives the list of its R models, each the same bits as its own 2-D fit.
     sigma2_hat is the residual variance RSS / max(k - p - 1, 1); the floor
     keeps it defined for the tiny labeled sets of early iterations.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError("X must be (k, p) and y (k,)")
-    if X.shape[0] < 2:
+    X, y, stacked = _block(X, y)
+    R, k, p = X.shape
+    if k < 2:
         raise ValueError("need at least 2 training rows")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite training data")
-    k, p = X.shape
     coef, intercepts, gram_inverse, x_mean = _ridge(X, y, None, alpha)
-    residuals = y - (X @ coef[0] + intercepts[0])
-    return RidgeModel(coefficients=coef[0], intercept=float(intercepts[0]),
-                      sigma2_hat=float(residuals @ residuals) / max(k - p - 1, 1),
-                      gram_inverse=gram_inverse[0], feature_means=x_mean[0])
+    residuals = y - ((X @ coef[:, 0, :, None])[..., 0] + intercepts)
+    sigma2 = np.vecdot(residuals, residuals) / max(k - p - 1, 1)
+    # RidgeModel(coefficients, intercept, sigma2_hat, gram_inverse, feature_means)
+    models = list(map(RidgeModel, coef[:, 0], intercepts[:, 0].tolist(), sigma2.tolist(),
+                      gram_inverse[:, 0], x_mean[:, 0]))
+    return models if stacked else models[0]
 
 
 def predictive_variance_batch(model: RidgeModel, X: np.ndarray) -> np.ndarray:
@@ -109,20 +138,22 @@ def predictive_variance_batch(model: RidgeModel, X: np.ndarray) -> np.ndarray:
     return model.sigma2_hat * np.einsum("ij,jk,ik->i", Xc, model.gram_inverse, Xc)
 
 
-def cv_rmse(X: np.ndarray, y: np.ndarray, alpha: float, folds: int, seed: int) -> float:
+def cv_rmse(X: np.ndarray, y: np.ndarray, alpha: float, folds: int, seed) -> float | list[float]:
     """K-fold cross-validation RMSE pooled over all held-out residuals.
 
     Fold assignment is a seeded shuffle of the row indices split into
     near-equal contiguous chunks.  When there are fewer rows than folds the
     fold count drops to the row count (leave-one-out) with a FoldWarning.
+    A block X (R, k, p), y (R, k) takes a sequence of R seeds, one per set,
+    and gives the list of R values, all folds of all sets in one kernel call.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    k = X.shape[0]
+    X, y, stacked = _block(X, y)
+    R, k, _ = X.shape
     if k < 2:
         raise ValueError("need at least 2 rows for cross-validation")
     if folds < 2:
         raise ValueError("need at least 2 folds")
+    seeds = _seeds(seed, R, stacked)
     if folds > k:
         warnings.warn(
             f"{folds}-fold CV reduced to {k}-fold (leave-one-out) for {k} rows",
@@ -132,12 +163,16 @@ def cv_rmse(X: np.ndarray, y: np.ndarray, alpha: float, folds: int, seed: int) -
         folds = k
     sizes = np.full(folds, k // folds)
     sizes[:k % folds] += 1
-    fold = np.empty(k, dtype=int)
-    fold[generator(seed, "cv").permutation(k)] = np.repeat(np.arange(folds), sizes)
-    train = (fold != np.arange(folds)[:, None]).astype(float)
+    chunks = np.repeat(np.arange(folds), sizes)
+    fold = np.empty((R, k), dtype=int)
+    for r, s in enumerate(seeds):
+        fold[r, generator(s, "cv").permutation(k)] = chunks
+    train = (fold[:, None, :] != np.arange(folds)[:, None]).astype(float)
     coef, intercepts, _, _ = _ridge(X, y, train, alpha)
-    residuals = y - (np.einsum("ip,ip->i", X, coef[fold]) + intercepts[fold])
-    return float(np.sqrt(residuals @ residuals / k))
+    rows = np.arange(R)[:, None]
+    residuals = y - (np.einsum("rip,rip->ri", X, coef[rows, fold]) + intercepts[rows, fold])
+    rmse = np.sqrt(np.vecdot(residuals, residuals) / k)
+    return rmse.tolist() if stacked else float(rmse[0])
 
 
 @dataclass(frozen=True)
@@ -161,23 +196,26 @@ class Committee:
 
 
 def fit_bootstrap_committee(
-    X: np.ndarray, y: np.ndarray, alpha: float, B: int, seed: int
-) -> Committee:
+    X: np.ndarray, y: np.ndarray, alpha: float, B: int, seed
+) -> Committee | list[Committee]:
     """B ridge fits on with-replacement resamples of size k.
 
     Member i draws its resample from a generator seeded with seed + i, so
-    no member's resample depends on the others or on B.
+    no member's resample depends on the others or on B.  A block X
+    (R, k, p), y (R, k) takes a sequence of R seeds and gives the list of
+    R committees, all R·B members in one kernel call.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y, stacked = _block(X, y)
     if B < 2:
         raise ValueError("need at least 2 committee members")
-    k = X.shape[0]
+    R, k, _ = X.shape
     if k < 2:
         raise ValueError("need at least 2 training rows")
-    counts = np.stack([
-        np.bincount(generator(seed + i, "bootstrap").integers(0, k, size=k), minlength=k)
-        for i in range(B)
-    ]).astype(float)
+    counts = np.empty((R, B, k))
+    for r, s in enumerate(_seeds(seed, R, stacked)):
+        for i in range(B):
+            counts[r, i] = np.bincount(generator(s + i, "bootstrap").integers(0, k, size=k),
+                                       minlength=k)
     coef, intercepts, _, _ = _ridge(X, y, counts, alpha)
-    return Committee(coefficients=coef, intercepts=intercepts)
+    committees = [Committee(coefficients=coef[r], intercepts=intercepts[r]) for r in range(R)]
+    return committees if stacked else committees[0]

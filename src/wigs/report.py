@@ -61,14 +61,17 @@ def load_record(record_dir: str) -> RunRecord:
         os.path.splitext(os.path.basename(config.csv_path))[0]
     dataset = Dataset(features, targets, meta, dataset_name)
 
-    grouped: dict[tuple[str, int], list[list[str]]] = defaultdict(list)
+    # Parsed as read, one tuple per row, so no row is held as strings.
+    grouped: dict[tuple[str, int, str], list[tuple]] = defaultdict(list)
     with open(os.path.join(record_dir, "traces.csv"), newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError("unrecognized trace schema")
         for row in reader:
-            grouped[(row[1], int(row[2]))].append(row)
+            grouped[(row[1], int(row[2]), row[0])].append(
+                (int(row[3]), int(row[4]), float(row[5]), float(row[6]), float(row[7]),
+                 float(row[8]), int(row[9])))
 
     walls: dict[tuple[str, int], dict[int, float]] = defaultdict(dict)
     timings_path = os.path.join(record_dir, "timings.csv")
@@ -80,20 +83,20 @@ def load_record(record_dir: str) -> RunRecord:
                 walls[(row[1], int(row[2]))][int(row[3])] = float(row[4])
 
     traces = []
-    for (method, seed), rows in sorted(grouped.items()):
-        rows.sort(key=lambda r: int(r[3]))
+    for (method, seed, dataset_name), rows in sorted(grouped.items()):
+        rows.sort(key=lambda r: r[0])
         wall = walls.get((method, seed), {})
         traces.append(Trace(
             method=method,
-            dataset=rows[0][0],
+            dataset=dataset_name,
             seed=seed,
-            labeled_count=np.array([int(r[4]) for r in rows], dtype=np.int64),
-            rmse=np.array([float(r[5]) for r in rows]),
-            cc=np.array([float(r[6]) for r in rows]),
-            weight=np.array([float(r[7]) for r in rows]),
-            score=np.array([float(r[8]) for r in rows]),
-            acquired_idx=np.array([int(r[9]) for r in rows], dtype=np.int64),
-            wall_ms=np.array([wall.get(int(r[3]), 0.0) for r in rows]),
+            labeled_count=np.array([r[1] for r in rows], dtype=np.int64),
+            rmse=np.array([r[2] for r in rows]),
+            cc=np.array([r[3] for r in rows]),
+            weight=np.array([r[4] for r in rows]),
+            score=np.array([r[5] for r in rows]),
+            acquired_idx=np.array([r[6] for r in rows], dtype=np.int64),
+            wall_ms=np.array([wall.get(r[0], 0.0) for r in rows]),
         ))
     return RunRecord(config=config, dataset=dataset, traces=tuple(traces),
                      errors=(), record_dir=record_dir)

@@ -12,7 +12,7 @@ import pytest
 from wigs.cli import main as cli_main
 from wigs.config import ExperimentConfig, MethodSpec, default_methods
 from wigs.geometry import build_cache, normalize_phi
-from wigs.harness import resolve_dataset, run_experiment, run_replication
+from wigs.harness import resolve_dataset, run_block, run_experiment
 from wigs.metrics import relative_auc, wilcoxon_signed_rank
 from wigs.model import fit_bootstrap_committee, fit_ridge
 from wigs.rng import generator
@@ -189,14 +189,15 @@ def test_criterion_04_weight_extremes_match_pure_strategies():
     config = ExperimentConfig(dgp="two_regime", n=200, dataset_seed=7,
                               methods=(MethodSpec("igs", "igs"),))
     dataset = resolve_dataset(config)
+    seeds = (11, 12, 13)
+    gsx = run_block(dataset, MethodSpec("gsx", "gsx"), seeds)
+    w1 = run_block(dataset, MethodSpec("w1", "wigs_static", {"w": 1.0}), seeds)
+    gsy = run_block(dataset, MethodSpec("gsy", "gsy"), seeds)
+    w0 = run_block(dataset, MethodSpec("w0", "wigs_static", {"w": 0.0}), seeds)
     ok = True
-    for seed in (11, 12, 13):
-        gsx = run_replication(dataset, MethodSpec("gsx", "gsx"), seed)
-        w1 = run_replication(dataset, MethodSpec("w1", "wigs_static", {"w": 1.0}), seed)
-        gsy = run_replication(dataset, MethodSpec("gsy", "gsy"), seed)
-        w0 = run_replication(dataset, MethodSpec("w0", "wigs_static", {"w": 0.0}), seed)
-        ok = ok and np.array_equal(gsx.acquired_idx, w1.acquired_idx)
-        ok = ok and np.array_equal(gsy.acquired_idx, w0.acquired_idx)
+    for r in range(len(seeds)):
+        ok = ok and np.array_equal(gsx[r].acquired_idx, w1[r].acquired_idx)
+        ok = ok and np.array_equal(gsy[r].acquired_idx, w0[r].acquired_idx)
     elapsed = time.perf_counter() - start
     good = ok and elapsed < 60.0
     report_line(4, "weight 1/0 matches pure feature/output greedy", good,
@@ -215,7 +216,7 @@ def test_criterion_05_directional_reproduction_two_regime():
         "w075": MethodSpec("w075", "wigs_static", {"w": 0.75}),
         "w025": MethodSpec("w025", "wigs_static", {"w": 0.25}),
     }
-    traces = {name: {s: run_replication(dataset, spec, s) for s in seeds}
+    traces = {name: dict(zip(seeds, run_block(dataset, spec, seeds)))
               for name, spec in specs.items()}
     rel075 = float(np.mean([relative_auc(traces["w075"][s].rmse,
                                          traces["igs"][s].rmse) for s in seeds]))

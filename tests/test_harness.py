@@ -1,7 +1,10 @@
+import dataclasses
 import importlib.util
 import json
+import multiprocessing
 import os
 import re
+import time
 import types
 
 import numpy as np
@@ -24,7 +27,7 @@ from wigs.config import (
 )
 from wigs.data import ColumnMeta, Dataset, Partition, SplitState, initial_split
 from wigs.geometry import build_cache
-from wigs.harness import resolve_dataset, run_experiment, run_replication
+from wigs.harness import resolve_dataset, run_block, run_experiment, run_replication
 from wigs.metrics import Trace, correlation_coefficient, hybrid_rmse
 from wigs.model import cv_rmse, fit_bootstrap_committee, fit_ridge
 from wigs.rng import child_seed
@@ -366,8 +369,9 @@ LOOP_SITES = {"initial_split", "fit_ridge", "cv_rmse", "fit_bootstrap_committee"
 
 
 class TestTracerSeesTheLoop:
-    """The traced benchmark wraps ``wigs.harness`` globals; the loop must keep
-    calling every one of them through that module, or the traced run reads 0.
+    """The traced benchmark wraps ``wigs.harness`` globals; the block loop,
+    ``run_block``, must keep calling every one of them through that module,
+    or the traced run reads 0.
 
     The ``select_*`` sites are left out: the kind table calls the selectors
     through ``wigs.config``, so the tracer reads 0 calls there today (the
@@ -376,7 +380,7 @@ class TestTracerSeesTheLoop:
 
     @pytest.fixture(scope="class")
     def calls(self, dataset):
-        loop_names = _global_names(run_replication.__code__)
+        loop_names = _global_names(run_block.__code__)
         sites = {attr for _, _, layer_sites in _tracing_module().LAYERS
                  for path, attr in layer_sites
                  if path == "wigs.harness" and attr in loop_names
@@ -496,14 +500,14 @@ class TestRunExperiment:
 
     def test_replication_errors_recorded_and_rest_continue(self, tmp_path, monkeypatch):
         import wigs.harness as harness_module
-        real = harness_module.run_replication
+        real = harness_module.run_block
 
-        def flaky(dataset, method, seed, *args, **kwargs):
-            if seed == 101:
+        def flaky(dataset, method, seeds, *args, **kwargs):
+            if 101 in seeds:
                 raise RuntimeError("synthetic failure")
-            return real(dataset, method, seed, *args, **kwargs)
+            return real(dataset, method, seeds, *args, **kwargs)
 
-        monkeypatch.setattr(harness_module, "run_replication", flaky)
+        monkeypatch.setattr(harness_module, "run_block", flaky)
         config = small_config(tmp_path, (MethodSpec("igs", "igs"),),
                               n=40, replications=3)
         record = run_experiment(config)
@@ -525,6 +529,98 @@ class TestRunExperiment:
         record = run_experiment(config)
         assert record.dataset.n_samples == 50
         assert record.traces[0].rmse[-1] == 0.0
+
+
+def assert_same_trace(got, want):
+    """Every field but wall_ms, in bits."""
+    for field in ("method", "dataset", "seed"):
+        assert getattr(got, field) == getattr(want, field)
+    for field in ("labeled_count", "rmse", "cc", "weight", "score", "acquired_idx"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def read_bytes(record, name):
+    with open(os.path.join(record.record_dir, name), "rb") as fh:
+        return fh.read()
+
+
+class TestBlockInvariance:
+    """A seed's trace does not depend on the block it runs in."""
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_alone_in_twenty_and_in_another_block(self, dataset, kind):
+        spec = spec_for(kind)
+        twenty = run_block(dataset, spec, range(20))
+        other = run_block(dataset, spec, (19, 31, 7, 0, 12))
+        assert [trace.seed for trace in twenty] == list(range(20))
+        assert [trace.seed for trace in other] == [19, 31, 7, 0, 12]
+        for trace in other:
+            alone = run_replication(dataset, spec, trace.seed)
+            assert_same_trace(trace, alone)
+            if trace.seed < 20:
+                assert_same_trace(twenty[trace.seed], alone)
+
+    def test_traces_csv_same_at_parallelism_one_and_two(self, tmp_path):
+        methods = (MethodSpec("gsx", "gsx"), MethodSpec("mab", "wigs_mab"), MethodSpec("qbc", "qbc"))
+        serial, parallel = (
+            run_experiment(small_config(tmp_path / str(degree), methods, n=40,
+                                        replications=20, parallelism=degree))
+            for degree in (1, 2))
+        assert read_bytes(serial, "traces.csv") == read_bytes(parallel, "traces.csv")
+
+
+class TestFailureIsolation:
+    """One seed that raises costs its block only that seed's trace."""
+
+    BAD_SEED = 103  # of seeds 100..105; a block of 3 at parallelism 2
+
+    @staticmethod
+    def patch_gsx(monkeypatch, bad_seed):
+        """gsx with a selector that raises at the 5th acquisition of ``bad_seed``."""
+        real = KINDS["gsx"]
+
+        def select(q):
+            q.state["calls"] += 1
+            if q.state["seed"] == bad_seed and q.state["calls"] == 5:
+                raise RuntimeError(f"synthetic selector failure for seed {bad_seed}")
+            return real.select(q)
+
+        monkeypatch.setitem(KINDS, "gsx", dataclasses.replace(
+            real, select=select, setup=lambda dataset, seed: {"seed": seed, "calls": 0}))
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_other_seeds_keep_their_traces(self, tmp_path, monkeypatch, parallelism):
+        if parallelism > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched kind reaches the workers only through fork")
+        methods = (MethodSpec("gsx", "gsx"), MethodSpec("igs", "igs"))
+        clean = run_experiment(small_config(tmp_path / "clean", methods, n=40, replications=6))
+        self.patch_gsx(monkeypatch, self.BAD_SEED)
+        alone = run_experiment(small_config(tmp_path / "alone", methods[:1], n=40,
+                                            replications=1, base_seed=self.BAD_SEED))
+        record = run_experiment(small_config(tmp_path / "run", methods, n=40, replications=6,
+                                             parallelism=parallelism))
+
+        assert [error[:2] for error in alone.errors] == [("gsx", self.BAD_SEED)]
+        assert alone.errors[0][2].rstrip().endswith(
+            f"RuntimeError: synthetic selector failure for seed {self.BAD_SEED}")
+        assert record.errors == alone.errors
+        assert read_bytes(record, "errors.csv") == read_bytes(alone, "errors.csv")
+        want = [trace for trace in clean.traces if (trace.method, trace.seed) != ("gsx", self.BAD_SEED)]
+        assert len(record.traces) == len(want) == 11
+        for got, expected in zip(record.traces, want):
+            assert_same_trace(got, expected)
+
+
+class TestTimings:
+    @pytest.mark.parametrize("kind", ["gsx", "wigs_mab", "qbc"])
+    def test_wall_ms_finite_nonnegative_and_within_the_block(self, dataset, kind):
+        start = time.perf_counter()
+        traces = run_block(dataset, spec_for(kind), range(5))
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        wall_ms = np.concatenate([trace.wall_ms for trace in traces])
+        assert np.isfinite(wall_ms).all() and (wall_ms >= 0.0).all()
+        assert wall_ms.sum() <= elapsed_ms
 
 
 class TestVetoDemo:

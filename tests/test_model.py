@@ -1,3 +1,6 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -295,6 +298,11 @@ def exactness_case(p, case):
     return X, y
 
 
+def one_set_ridge(X, y, weights, alpha):
+    """The kernel on one labeled set: its block of one, unstacked."""
+    return [a[0] for a in _ridge(X[None], y[None], weights[None], alpha)]
+
+
 def assert_bits(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -325,7 +333,7 @@ class TestKernelBitEqualToWeightedConcatenate:
             fold[generator(seed, "cv").permutation(k)] = np.repeat(np.arange(folds), sizes)
             train = (fold != np.arange(folds)[:, None]).astype(float)
             want = weighted_concatenate_ridge(X, y, train, 0.01)
-            assert_bits(_ridge(X, y, train, 0.01), want)
+            assert_bits(one_set_ridge(X, y, train, 0.01), want)
             coef, intercepts = want[:2]
             residuals = y - (np.einsum("ip,ip->i", X, coef[fold]) + intercepts[fold])
             assert cv_rmse(X, y, 0.01, folds, seed) == float(np.sqrt(residuals @ residuals / k))
@@ -338,6 +346,77 @@ class TestKernelBitEqualToWeightedConcatenate:
             for i in range(10)
         ]).astype(float)
         want = weighted_concatenate_ridge(X, y, counts, 0.01)
-        assert_bits(_ridge(X, y, counts, 0.01), want)
+        assert_bits(one_set_ridge(X, y, counts, 0.01), want)
         committee = fit_bootstrap_committee(X, y, 0.01, B=10, seed=3)
         assert_bits([committee.coefficients, committee.intercepts], want[:2])
+
+
+def block_case(R, p, case):
+    """R labeled sets of k rows as the (R, k, p) / (R, k) views of the first k
+    rows of (R, 30, p) / (R, 30) buffers, as the harness holds them: plain,
+    column 0 offset by 1e6, each set's rows duplicated, k = 2, or k = 3
+    (fewer rows than 5 folds)."""
+    rng = np.random.default_rng(100 * R + p)
+    features = rng.normal(size=(R, 30, p))
+    targets = features[:, :, 0] + rng.normal(size=(R, 30))
+    k = {"two_rows": 2, "few_rows": 3}.get(case, 24)
+    if case == "offset":
+        features[:, :, 0] += 1e6
+    elif case == "duplicates":
+        features[:, 12:24], targets[:, 12:24] = features[:, :12], targets[:, :12]
+    return features[:, :k], targets[:, :k], [int(s) for s in rng.integers(0, 2**31, size=R)]
+
+
+@pytest.mark.parametrize("case", ["plain", "offset", "duplicates", "two_rows", "few_rows"])
+@pytest.mark.parametrize("p", [1, 3, 20])
+@pytest.mark.parametrize("R", [1, 2, 7, 20])
+class TestBlockEqualsPerSetCalls:
+    """A stacked call gives, for every set of the block, the bits of its own 2-D call."""
+
+    def test_fit_ridge(self, R, p, case):
+        X, y, _ = block_case(R, p, case)
+        models = fit_ridge(X, y, 0.01)
+        assert len(models) == R
+        for r, model in enumerate(models):
+            alone = fit_ridge(X[r], y[r], 0.01)
+            assert_bits([model.coefficients, np.float64(model.intercept), model.gram_inverse,
+                         model.feature_means, np.float64(model.sigma2_hat)],
+                        [alone.coefficients, np.float64(alone.intercept), alone.gram_inverse,
+                         alone.feature_means, np.float64(alone.sigma2_hat)])
+
+    def test_cv_rmse(self, R, p, case):
+        X, y, seeds = block_case(R, p, case)
+        k = X.shape[1]
+        for folds in (2, 5, k):
+            warns = pytest.warns(FoldWarning) if folds > k else contextlib.nullcontext()
+            with warns:
+                got = cv_rmse(X, y, 0.01, folds, seeds)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FoldWarning)
+                want = [cv_rmse(X[r], y[r], 0.01, folds, seeds[r]) for r in range(R)]
+            assert_bits(got, want)
+
+    def test_committee(self, R, p, case):
+        X, y, seeds = block_case(R, p, case)
+        committees = fit_bootstrap_committee(X, y, 0.01, 10, seeds)
+        assert len(committees) == R
+        for r, committee in enumerate(committees):
+            alone = fit_bootstrap_committee(X[r], y[r], 0.01, 10, seeds[r])
+            assert_bits([committee.coefficients, committee.intercepts],
+                        [alone.coefficients, alone.intercepts])
+
+
+class TestBlockShapes:
+    def test_seed_count_must_match_block(self):
+        X, y, seeds = block_case(3, 2, "plain")
+        with pytest.raises(ValueError, match="a block of 3 sets needs 3 seeds, got 2"):
+            cv_rmse(X, y, 0.01, 5, seeds[:2])
+        with pytest.raises(ValueError, match="a block of 3 sets needs 3 seeds, got 2"):
+            fit_bootstrap_committee(X, y, 0.01, 10, seeds[:2])
+
+    def test_targets_must_match_rows(self):
+        X, y, _ = block_case(3, 2, "plain")
+        with pytest.raises(ValueError, match="stacked as"):
+            fit_ridge(X, y[:, :-1], 0.01)
+        with pytest.raises(ValueError, match="stacked as"):
+            fit_ridge(X[0], y, 0.01)
