@@ -63,6 +63,12 @@ TRACE_COLUMNS = (
 )
 TIMING_COLUMNS = ("dataset", "method", "seed", "iteration", "wall_ms")
 
+# A block holds all of its seeds' replications at once, so run_experiment
+# splits a method's seeds into blocks whose estimated footprint
+# (``seed_bytes``) stays under this many bytes.  A seed's trace does not
+# depend on its block, so the split changes no result.
+BLOCK_BYTES = 64 * 2**20
+
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
     """Materialize the configured dataset, preprocessing included."""
     pre = PreprocessConfig(scaling=config.scaling,
@@ -153,15 +159,17 @@ def run_block(
     cv_now = committees = None
     cv_prev = [None] * R
     cv_initial = [None] * R
+    committee_size = int(params["committee_size"]) if kind.committee else 0
+    labeled_x, labeled_y = features[:, :n_labeled], labels[:, :n_labeled]
     for t in range(horizon):
         slot = t + 1
         if kind.cv_reward:
-            cv_now = cv_rmse(features[:, :n_labeled], labels[:, :n_labeled], alpha, cv_folds,
+            cv_now = cv_rmse(labeled_x, labeled_y, alpha, cv_folds,
                              [child_seed(seed, "cv", t) for seed in seeds])
         if kind.committee:
             committees = fit_bootstrap_committee(
-                features[:, :n_labeled], labels[:, :n_labeled], alpha,
-                int(params["committee_size"]), [child_seed(seed, "bootstrap", t) for seed in seeds])
+                labeled_x, labeled_y, alpha, committee_size,
+                [child_seed(seed, "bootstrap", t) for seed in seeds])
         now = clock()
         shared[slot] = now - last
         last = now
@@ -198,8 +206,9 @@ def run_block(
             last = now
 
         n_labeled += 1
+        labeled_x, labeled_y = features[:, :n_labeled], labels[:, :n_labeled]
         try:
-            models = fit_ridge(features[:, :n_labeled], labels[:, :n_labeled], alpha)
+            models = fit_ridge(labeled_x, labeled_y, alpha)
         except Exception as exc:
             raise RuntimeError(
                 f"model fit failed at iteration {t} of {method.name}/seed "
@@ -304,6 +313,29 @@ def _init_worker(dataset: Dataset) -> None:
     _worker_dataset = dataset
 
 
+def seed_bytes(n_samples: int, n_features: int, method: MethodSpec, cv_folds: int) -> int:
+    """An upper bound on the bytes one seed adds to a block of ``method`` on
+    an (N, p) dataset: an N x N float array (egal's similarity matrix, or a
+    distance cache's pool x labeled block and its copy as it grows, at most
+    N²/2), its partition rows, and its share of a stacked kernel call, one
+    centred (k, p) copy of the labeled rows per fit, k <= N."""
+    kind = KINDS[method.kind]
+    fits = 1
+    if kind.committee:
+        fits = max(fits, int(method.settings()["committee_size"]))
+    if kind.cv_reward:
+        fits = max(fits, cv_folds)
+    return 8 * n_samples * (n_samples + n_features * (fits + 1))
+
+
+def seed_blocks(seeds: list[int], per_seed: int, parallelism: int) -> list[tuple[int, ...]]:
+    """Consecutive blocks of ``seeds``: ceil(len / parallelism) seeds each,
+    so every worker gets work, and fewer where their ``per_seed`` bytes
+    would pass ``BLOCK_BYTES``; at least one seed per block."""
+    size = min(-(-len(seeds) // parallelism), max(1, BLOCK_BYTES // per_seed))
+    return [tuple(seeds[i:i + size]) for i in range(0, len(seeds), size)]
+
+
 def _attempt(method: MethodSpec, seeds: tuple[int, ...], settings) -> list[tuple]:
     """(seed, trace, None) for each seed of a block that ran, or
     (seed, None, traceback text) for each seed of a block that raised."""
@@ -331,9 +363,11 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     Each task is one block of a method's seeds (``run_block``): all of them
     at parallelism 1, and ceil(replications / parallelism) of them
-    otherwise, so every worker gets work.  A seed's trace does not depend
-    on its block, so the final trace file, written sorted by (method,
-    seed, iteration), is byte-identical for any parallelism degree.  Each
+    otherwise, so every worker gets work, in smaller blocks where a block
+    would hold more than ``BLOCK_BYTES`` (``seed_blocks``).  A seed's trace
+    does not depend on its block, so the final trace file, written sorted
+    by (method, seed, iteration), is byte-identical for any parallelism
+    degree and any split.  Each
     finished trace is formatted once: the text is appended to a .part file
     as its block finishes and reused, in sorted order, for traces.csv.
     After a crash the .part file keeps the finished pairs, but a rerun
@@ -346,10 +380,12 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     save_csv(dataset, os.path.join(out_dir, "dataset.csv"))
 
     seeds = [config.base_seed + i for i in range(config.replications)]
-    size = -(-len(seeds) // config.parallelism)
-    tasks = [(method, tuple(seeds[i:i + size]), config.initial_fraction,
-              config.alpha, config.cv_folds)
-             for method in config.methods for i in range(0, len(seeds), size)]
+    n_samples, n_features = dataset.features.shape
+    tasks = [(method, block, config.initial_fraction, config.alpha, config.cv_folds)
+             for method in config.methods
+             for block in seed_blocks(
+                 seeds, seed_bytes(n_samples, n_features, method, config.cv_folds),
+                 config.parallelism)]
 
     # (method, seed) -> (trace, its traces.csv rows, its timings.csv rows)
     finished: dict[tuple[str, int], tuple[Trace, str, str]] = {}

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .rng import generator
 
@@ -38,6 +39,10 @@ class RidgeModel:
         return X @ self.coefficients + self.intercept
 
 
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
 def _ridge(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None, alpha: float):
     """Coefficients (R, B, p), intercepts (R, B), inverse Grams (R, B, p, p) and
     means (R, B, p) of the fits of a block of R labeled sets, X (R, k, p) and
@@ -56,7 +61,8 @@ def _ridge(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None, alpha: floa
     changed the coefficient bits in 2,456 of 3,000 random systems (199 of 473
     at p = 1, all 1,272 at p >= 10), so traces.csv would move; a separate
     solve(gram, I) gave the joint inverse bit for bit (0 of 3,000) but costs
-    a second factorisation.
+    a second factorisation.  The wrapper of np.linalg.solve cost about 3 µs
+    of a 6 µs p = 1 solve, as much as the block axis costs a one-set fit.
     """
     R, k, p = X.shape
     unweighted = weights is None
@@ -78,7 +84,12 @@ def _ridge(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None, alpha: floa
     rhs = np.zeros((R, B, p, p + 1))                        # [Xc'W yc | I]
     rhs[..., :1] = At @ yc
     rhs.reshape(R * B, p * (p + 1))[:, 1::p + 2] = 1.0
-    solution = np.linalg.solve(gram, rhs)
+    # np.linalg.solve's own gufunc under its own error state, without the
+    # wrapper's checks, which hold for these float64 stacks by construction:
+    # the same bits, and still LinAlgError on a singular Gram.
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        solution = _umath_linalg.solve(gram, rhs)
     intercepts = y_mean - np.einsum("rbp,rbp->rb", solution[..., 0], x_mean)
     return solution[..., 0], intercepts, solution[..., 1:], x_mean
 
@@ -122,9 +133,10 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel | list[R
     coef, intercepts, gram_inverse, x_mean = _ridge(X, y, None, alpha)
     residuals = y - ((X @ coef[:, 0, :, None])[..., 0] + intercepts)
     sigma2 = np.vecdot(residuals, residuals) / max(k - p - 1, 1)
-    # RidgeModel(coefficients, intercept, sigma2_hat, gram_inverse, feature_means)
-    models = list(map(RidgeModel, coef[:, 0], intercepts[:, 0].tolist(), sigma2.tolist(),
-                      gram_inverse[:, 0], x_mean[:, 0]))
+    models = [RidgeModel(coefficients=coef[r, 0], intercept=float(intercepts[r, 0]),
+                         sigma2_hat=float(sigma2[r]), gram_inverse=gram_inverse[r, 0],
+                         feature_means=x_mean[r, 0])
+              for r in range(R)]
     return models if stacked else models[0]
 
 
@@ -171,8 +183,8 @@ def cv_rmse(X: np.ndarray, y: np.ndarray, alpha: float, folds: int, seed) -> flo
     coef, intercepts, _, _ = _ridge(X, y, train, alpha)
     rows = np.arange(R)[:, None]
     residuals = y - (np.einsum("rip,rip->ri", X, coef[rows, fold]) + intercepts[rows, fold])
-    rmse = np.sqrt(np.vecdot(residuals, residuals) / k)
-    return rmse.tolist() if stacked else float(rmse[0])
+    rmse = np.sqrt(np.vecdot(residuals, residuals) / k).tolist()
+    return rmse if stacked else rmse[0]
 
 
 @dataclass(frozen=True)

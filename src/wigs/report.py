@@ -61,17 +61,19 @@ def load_record(record_dir: str) -> RunRecord:
         os.path.splitext(os.path.basename(config.csv_path))[0]
     dataset = Dataset(features, targets, meta, dataset_name)
 
-    # Parsed as read, one tuple per row, so no row is held as strings.
-    grouped: dict[tuple[str, int, str], list[tuple]] = defaultdict(list)
+    # Each row is parsed as it is read, so the file is never held as lists
+    # of strings: (iteration, labeled_count, rmse, cc, weight, score,
+    # acquired_idx, dataset).
+    grouped: dict[tuple[str, int], list[tuple]] = defaultdict(list)
     with open(os.path.join(record_dir, "traces.csv"), newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError("unrecognized trace schema")
         for row in reader:
-            grouped[(row[1], int(row[2]), row[0])].append(
+            grouped[(row[1], int(row[2]))].append(
                 (int(row[3]), int(row[4]), float(row[5]), float(row[6]), float(row[7]),
-                 float(row[8]), int(row[9])))
+                 float(row[8]), int(row[9]), row[0]))
 
     walls: dict[tuple[str, int], dict[int, float]] = defaultdict(dict)
     timings_path = os.path.join(record_dir, "timings.csv")
@@ -83,12 +85,12 @@ def load_record(record_dir: str) -> RunRecord:
                 walls[(row[1], int(row[2]))][int(row[3])] = float(row[4])
 
     traces = []
-    for (method, seed, dataset_name), rows in sorted(grouped.items()):
+    for (method, seed), rows in sorted(grouped.items()):
         rows.sort(key=lambda r: r[0])
         wall = walls.get((method, seed), {})
         traces.append(Trace(
             method=method,
-            dataset=dataset_name,
+            dataset=rows[0][7],
             seed=seed,
             labeled_count=np.array([r[1] for r in rows], dtype=np.int64),
             rmse=np.array([r[2] for r in rows]),

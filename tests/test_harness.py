@@ -27,7 +27,14 @@ from wigs.config import (
 )
 from wigs.data import ColumnMeta, Dataset, Partition, SplitState, initial_split
 from wigs.geometry import build_cache
-from wigs.harness import resolve_dataset, run_block, run_experiment, run_replication
+from wigs.harness import (
+    resolve_dataset,
+    run_block,
+    run_experiment,
+    run_replication,
+    seed_blocks,
+    seed_bytes,
+)
 from wigs.metrics import Trace, correlation_coefficient, hybrid_rmse
 from wigs.model import cv_rmse, fit_bootstrap_committee, fit_ridge
 from wigs.rng import child_seed
@@ -568,6 +575,55 @@ class TestBlockInvariance:
                                         replications=20, parallelism=degree))
             for degree in (1, 2))
         assert read_bytes(serial, "traces.csv") == read_bytes(parallel, "traces.csv")
+
+
+class TestBlockBudget:
+    """run_experiment splits a method's seeds where a block would hold more
+    than BLOCK_BYTES; the split changes no result."""
+
+    EGAL = MethodSpec("egal", "egal")
+
+    def test_large_n_egal_runs_in_blocks_smaller_than_replications(self):
+        per_seed = seed_bytes(10_000, 2, self.EGAL, 5)
+        assert per_seed >= 8 * 10_000 ** 2  # the similarity matrix
+        blocks = seed_blocks(list(range(20)), per_seed, 1)
+        assert [len(block) for block in blocks] == [1] * 20
+        assert [seed for block in blocks for seed in block] == list(range(20))
+
+    def test_small_n_runs_in_one_block_per_worker(self):
+        seeds = list(range(20))
+        assert seed_blocks(seeds, seed_bytes(80, 1, self.EGAL, 5), 1) == [tuple(seeds)]
+        assert seed_blocks(seeds, seed_bytes(80, 1, self.EGAL, 5), 3) == [
+            tuple(seeds[:7]), tuple(seeds[7:14]), tuple(seeds[14:])]
+
+    def test_committee_and_cv_fits_count_per_seed(self):
+        plain = seed_bytes(400, 20, MethodSpec("igs", "igs"), 5)
+        assert seed_bytes(400, 20, MethodSpec("qbc", "qbc", {"committee_size": 10}), 5) > plain
+        assert seed_bytes(400, 20, MethodSpec("mab", "wigs_mab"), 5) > plain
+
+    def test_split_blocks_write_the_same_record(self, tmp_path, monkeypatch):
+        import wigs.harness as harness_module
+        methods = (self.EGAL, MethodSpec("qbc", "qbc"), MethodSpec("mab", "wigs_mab"))
+        whole = run_experiment(small_config(tmp_path / "whole", methods, n=40, replications=6))
+
+        real = harness_module.run_block
+        sizes = []
+
+        def spy(dataset, method, seeds, *args, **kwargs):
+            sizes.append((method.name, len(seeds)))
+            return real(dataset, method, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(harness_module, "run_block", spy)
+        n_features = whole.dataset.features.shape[1]
+        monkeypatch.setattr(harness_module, "BLOCK_BYTES",
+                            2 * seed_bytes(40, n_features, self.EGAL, 5) + 1)
+        split = run_experiment(small_config(tmp_path / "split", methods, n=40, replications=6))
+
+        assert ("egal", 2) in sizes and max(size for _, size in sizes) < 6
+        assert sum(size for _, size in sizes) == 18
+        assert read_bytes(split, "traces.csv") == read_bytes(whole, "traces.csv")
+        for got, want in zip(split.traces, whole.traces, strict=True):
+            assert_same_trace(got, want)
 
 
 class TestFailureIsolation:
