@@ -22,6 +22,7 @@ from .geometry import DistanceCache
 from .model import Committee, RidgeModel
 from .rng import generator
 from .sac import SacConfig
+from .sac import state_bytes as sac_state_bytes
 from .selectors import (
     SelectionResult,
     egal_setup,
@@ -87,13 +88,17 @@ class Kind:
     the replication seed; ``setup`` builds per-run selector state from the
     dataset and the seed, once, and only for the kinds that have one (it
     may read ``dataset.feature_distances``, built once per dataset).
-    The flags name what the loop computes each iteration for this kind.
+    ``state_bytes`` bounds what that controller and setup state hold for
+    the resolved params on an N-row dataset, for the kinds where it grows
+    with N or is large.  The flags name what the loop computes each
+    iteration for this kind.
     """
 
     select: Callable[[Query], SelectionResult]
     params: dict[str, Param] = field(default_factory=dict)
     policy: Callable[[dict, int], object] | None = None
     setup: Callable[[Dataset, int], object] | None = None
+    state_bytes: Callable[[dict, int], int] | None = None
     cache: bool = False      # distance cache, updated after each acquisition
     cv_reward: bool = False  # the policy is fed the drop in CV RMSE
     sac_state: bool = False  # the policy is fed the learning-context vector
@@ -122,9 +127,13 @@ def _sac_param(name: str, default) -> Param:
     return Param(default, check, f"{name} must be {noun}")
 
 
+def _sac_config(p: dict) -> SacConfig:
+    return SacConfig(**{k: v for k, v in p.items() if k != "updates_per_step"})
+
+
 def _sac_policy(p: dict, seed: int) -> SacPolicy:
-    config = SacConfig(**{k: v for k, v in p.items() if k != "updates_per_step"})
-    return SacPolicy(config, generator(seed, "sac"), updates_per_step=int(p["updates_per_step"]))
+    return SacPolicy(_sac_config(p), generator(seed, "sac"),
+                     updates_per_step=int(p["updates_per_step"]))
 
 
 def _decay(default: float) -> dict[str, Param]:
@@ -158,12 +167,14 @@ KINDS: dict[str, Kind] = {
         _select_wigs,
         {**{f.name: _sac_param(f.name, f.default) for f in fields(SacConfig) if f.init},
          "updates_per_step": _sac_param("updates_per_step", 1)},
-        policy=_sac_policy, cache=True, cv_reward=True, sac_state=True),
+        policy=_sac_policy, state_bytes=lambda p, n: sac_state_bytes(_sac_config(p), n),
+        cache=True, cv_reward=True, sac_state=True),
     "uncertainty": Kind(lambda q: select_uncertainty(q.model, q.pool_features)),
     "qbc": Kind(lambda q: select_qbc(q.committee, q.pool_features), _COMMITTEE, committee=True),
     "emcm": Kind(lambda q: select_emcm(q.model, q.committee, q.pool_features), _COMMITTEE,
                  committee=True),
-    "egal": Kind(lambda q: select_egal(q.cache, q.state), setup=egal_setup, cache=True),
+    "egal": Kind(lambda q: select_egal(q.cache, q.state), setup=egal_setup,
+                 state_bytes=lambda p, n: 8 * n * n, cache=True),  # the similarity matrix
 }
 
 

@@ -315,17 +315,23 @@ def _init_worker(dataset: Dataset) -> None:
 
 def seed_bytes(n_samples: int, n_features: int, method: MethodSpec, cv_folds: int) -> int:
     """An upper bound on the bytes one seed adds to a block of ``method`` on
-    an (N, p) dataset: an N x N float array (egal's similarity matrix, or a
-    distance cache's pool x labeled block and its copy as it grows, at most
-    N²/2), its partition rows, and its share of a stacked kernel call, one
-    centred (k, p) copy of the labeled rows per fit, k <= N."""
+    an (N, p) dataset: its partition rows, one centred (k, p) copy of the
+    labeled rows per fit of a stacked kernel call (k <= N), a distance
+    cache's pool x labeled block and its copy as it grows (at most N²/2
+    floats), and the kind's ``state_bytes``."""
     kind = KINDS[method.kind]
+    params = method.settings()
     fits = 1
     if kind.committee:
-        fits = max(fits, int(method.settings()["committee_size"]))
+        fits = max(fits, int(params["committee_size"]))
     if kind.cv_reward:
         fits = max(fits, cv_folds)
-    return 8 * n_samples * (n_samples + n_features * (fits + 1))
+    size = 8 * n_samples * n_features * (fits + 1)
+    if kind.cache:
+        size += 8 * n_samples * n_samples // 2
+    if kind.state_bytes:
+        size += kind.state_bytes(params, n_samples)
+    return size
 
 
 def seed_blocks(seeds: list[int], per_seed: int, parallelism: int) -> list[tuple[int, ...]]:

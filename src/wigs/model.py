@@ -178,7 +178,7 @@ def cv_rmse(X: np.ndarray, y: np.ndarray, alpha: float, folds: int, seed) -> flo
     chunks = np.repeat(np.arange(folds), sizes)
     fold = np.empty((R, k), dtype=int)
     for r, s in enumerate(seeds):
-        fold[r, generator(s, "cv").permutation(k)] = chunks
+        fold[r][generator(s, "cv").permutation(k)] = chunks
     train = (fold[:, None, :] != np.arange(folds)[:, None]).astype(float)
     coef, intercepts, _, _ = _ridge(X, y, train, alpha)
     rows = np.arange(R)[:, None]

@@ -47,6 +47,11 @@ class SacConfig:
     log_std_max: float = 2.0
 
 
+def param_count(sizes: list[int]) -> int:
+    """Weights and biases of one member of an ``Mlp`` with these layer sizes."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
 class Mlp:
     """Fully connected net, ReLU on hidden layers, linear output.
 
@@ -62,9 +67,7 @@ class Mlp:
     def __init__(self, sizes: list[int], rng: np.random.Generator, members: int = 1):
         self.sizes = list(sizes)
         self.members = members
-        per_member = sum((fan_in + 1) * fan_out
-                         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-        self.flat = np.empty(members * per_member)
+        self.flat = np.empty(members * param_count(sizes))
         self.weights, self.biases = self.views(self.flat)
         for m in range(members):
             for w, b in zip(self.weights, self.biases):
@@ -174,15 +177,32 @@ class ReplayBuffer:
                 self.next_states[idx])
 
 
+def net_sizes(c: SacConfig) -> tuple[list[int], list[int]]:
+    """Layer sizes of the actor and of each twin-critic member."""
+    hidden = [c.hidden, c.hidden]
+    return [c.state_dim, *hidden, 2 * c.action_dim], [c.state_dim + c.action_dim, *hidden, 1]
+
+
+def state_bytes(config: SacConfig, transitions: int) -> int:
+    """Bytes of a SAC controller's arrays once ``transitions`` have been
+    pushed: the actor and its two Adam moments, the twin critic, its target
+    and its two Adam moments, and the replay rows written so far (the
+    buffer's unwritten rows are zero pages that are never touched)."""
+    actor, critic = net_sizes(config)
+    rows = min(transitions, config.buffer_capacity)
+    return 8 * (3 * param_count(actor) + 4 * 2 * param_count(critic)
+                + rows * (2 * config.state_dim + 2))
+
+
 class SacAgent:
     """Actor, two-member twin critic, its target, and one Adam per trained net."""
 
     def __init__(self, config: SacConfig, rng: np.random.Generator):
         c = config
         self.config = c
-        hidden = [c.hidden, c.hidden]
-        self.actor = Mlp([c.state_dim, *hidden, 2 * c.action_dim], rng)
-        self.critic = Mlp([c.state_dim + c.action_dim, *hidden, 1], rng, members=2)
+        actor, critic = net_sizes(c)
+        self.actor = Mlp(actor, rng)
+        self.critic = Mlp(critic, rng, members=2)
         # The target's own initial draws are discarded: they only hold the
         # "sac" stream's position.  It starts as a copy of the critic.
         self.target = Mlp(self.critic.sizes, rng, members=2)

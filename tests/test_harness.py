@@ -597,9 +597,11 @@ class TestBlockBudget:
             tuple(seeds[:7]), tuple(seeds[7:14]), tuple(seeds[14:])]
 
     def test_committee_and_cv_fits_count_per_seed(self):
-        plain = seed_bytes(400, 20, MethodSpec("igs", "igs"), 5)
-        assert seed_bytes(400, 20, MethodSpec("qbc", "qbc", {"committee_size": 10}), 5) > plain
-        assert seed_bytes(400, 20, MethodSpec("mab", "wigs_mab"), 5) > plain
+        one_fit = seed_bytes(400, 20, MethodSpec("uncertainty", "uncertainty"), 5)
+        assert seed_bytes(400, 20, MethodSpec("qbc", "qbc", {"committee_size": 10}), 5) > one_fit
+        cached = seed_bytes(400, 20, MethodSpec("igs", "igs"), 5)
+        assert seed_bytes(400, 20, MethodSpec("mab", "wigs_mab"), 5) > cached
+        assert seed_bytes(400, 20, MethodSpec("sac", "wigs_sac"), 5) > cached
 
     def test_split_blocks_write_the_same_record(self, tmp_path, monkeypatch):
         import wigs.harness as harness_module
@@ -619,7 +621,7 @@ class TestBlockBudget:
                             2 * seed_bytes(40, n_features, self.EGAL, 5) + 1)
         split = run_experiment(small_config(tmp_path / "split", methods, n=40, replications=6))
 
-        assert ("egal", 2) in sizes and max(size for _, size in sizes) < 6
+        assert [size for name, size in sizes if name == "egal"] == [2, 2, 2]
         assert sum(size for _, size in sizes) == 18
         assert read_bytes(split, "traces.csv") == read_bytes(whole, "traces.csv")
         for got, want in zip(split.traces, whole.traces, strict=True):

@@ -420,3 +420,15 @@ class TestBlockShapes:
             fit_ridge(X, y[:, :-1], 0.01)
         with pytest.raises(ValueError, match="stacked as"):
             fit_ridge(X[0], y, 0.01)
+
+    def test_singular_gram_raises_linalg_error(self):
+        # Rows all equal centre to zero, so with alpha = 0 every Gram of the
+        # block is the zero matrix.
+        X = np.ones((2, 4, 3))
+        y = np.arange(8.0).reshape(2, 4)
+        before = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _ridge(X, y, None, 0.0)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _ridge(X, y, np.ones((2, 3, 4)), 0.0)
+        assert np.geterr() == before  # the solve's error state does not leak

@@ -20,6 +20,7 @@ from wigs.sac import (
     critic_loss_and_grads,
     sac_update,
     sample_action,
+    state_bytes,
 )
 from wigs.weights import BanditPolicy
 
@@ -326,6 +327,24 @@ def fill_buffer(buf, rng, n, state_dim=5):
     for _ in range(n):
         buf.push(Transition(rng.normal(size=state_dim), float(rng.uniform()),
                             float(rng.normal()), rng.normal(size=state_dim)))
+
+
+class TestStateBytes:
+    @pytest.mark.parametrize("hidden", [8, 64])
+    def test_counts_every_net_and_adam_moment(self, hidden):
+        config = SacConfig(hidden=hidden, buffer_capacity=50)
+        agent = SacAgent(config, np.random.default_rng(0))
+        arrays = (agent.actor.flat, agent.critic.flat, agent.target.flat,
+                  agent.opt_actor.m, agent.opt_actor.v, agent.opt_critic.m, agent.opt_critic.v)
+        assert state_bytes(config, 0) == sum(a.nbytes for a in arrays)
+
+    def test_counts_the_written_replay_rows_up_to_capacity(self):
+        config = SacConfig(hidden=8, buffer_capacity=50)
+        buffer = ReplayBuffer(config.buffer_capacity, config.state_dim)
+        full = sum(a.nbytes for a in (buffer.states, buffer.actions, buffer.rewards,
+                                      buffer.next_states))
+        assert state_bytes(config, 10) - state_bytes(config, 0) == full // 5
+        assert state_bytes(config, 10_000) - state_bytes(config, 0) == full
 
 
 class TestSacUpdate:
