@@ -69,6 +69,7 @@ TIMING_COLUMNS = ("dataset", "method", "seed", "iteration", "wall_ms")
 # depend on its block, so the split changes no result.
 BLOCK_BYTES = 64 * 2**20
 
+
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
     """Materialize the configured dataset, preprocessing included."""
     pre = PreprocessConfig(scaling=config.scaling,
