@@ -54,6 +54,6 @@ from .selectors import (
     verify_density_veto,
     veto_demo,
 )
-from .weights import BanditState, mab_select, mab_update
+from .weights import BanditPolicy
 
 __version__ = "0.1.0"

@@ -105,8 +105,13 @@ class Kind:
     committee: bool = False  # a bootstrap committee is refit before selection
 
 
+def _real(value) -> bool:
+    """A number; bools are not, nor are strings (PyYAML reads ``2e0`` as one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _unit(value) -> bool:
-    return value is not None and 0.0 <= float(value) <= 1.0
+    return _real(value) and 0.0 <= value <= 1.0
 
 
 def _select_wigs(q: Query) -> SelectionResult:
@@ -119,7 +124,7 @@ def _sac_param(name: str, default) -> Param:
     integral = isinstance(default, int)
 
     def check(v) -> bool:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral if integral else numbers.Real):
+        if not _real(v) or integral and not isinstance(v, numbers.Integral):
             return False
         return v >= 1 if integral else (v > 0 or name != "lr")
 
@@ -127,21 +132,13 @@ def _sac_param(name: str, default) -> Param:
     return Param(default, check, f"{name} must be {noun}")
 
 
-def _sac_config(p: dict) -> SacConfig:
-    return SacConfig(**{k: v for k, v in p.items() if k != "updates_per_step"})
-
-
-def _sac_policy(p: dict, seed: int) -> SacPolicy:
-    return SacPolicy(_sac_config(p), generator(seed, "sac"),
-                     updates_per_step=int(p["updates_per_step"]))
-
-
 def _decay(default: float) -> dict[str, Param]:
-    return {"c": Param(default, lambda c: float(c) > 0, "decay constant must be positive")}
+    return {"c": Param(default, lambda c: _real(c) and c > 0, "decay constant must be positive")}
 
 
-_COMMITTEE = {"committee_size": Param(10, lambda n: int(n) >= 2,
-                                      "committee needs at least 2 members")}
+_COMMITTEE = {"committee_size": Param(
+    10, lambda n: _real(n) and isinstance(n, numbers.Integral) and n >= 2,
+    "committee needs at least 2 members (an integer)")}
 
 KINDS: dict[str, Kind] = {
     "passive": Kind(lambda q: select_passive(len(q.pool_features), q.state),
@@ -160,14 +157,14 @@ KINDS: dict[str, Kind] = {
         _select_wigs,
         {"arms": Param((0.25, 0.50, 0.75), lambda arms: bool(arms) and all(map(_unit, arms)),
                        "bandit arms must lie in [0, 1]"),
-         "c_explore": Param(2.0, lambda c: float(c) >= 0, "c_explore must be nonnegative")},
+         "c_explore": Param(2.0, lambda c: _real(c) and c >= 0, "c_explore must be nonnegative")},
         policy=lambda p, seed: BanditPolicy(tuple(p["arms"]), float(p["c_explore"])),
         cache=True, cv_reward=True),
     "wigs_sac": Kind(
         _select_wigs,
-        {**{f.name: _sac_param(f.name, f.default) for f in fields(SacConfig) if f.init},
-         "updates_per_step": _sac_param("updates_per_step", 1)},
-        policy=_sac_policy, state_bytes=lambda p, n: sac_state_bytes(_sac_config(p), n),
+        {f.name: _sac_param(f.name, f.default) for f in fields(SacConfig) if f.init},
+        policy=lambda p, seed: SacPolicy(SacConfig(**p), generator(seed, "sac")),
+        state_bytes=lambda p, n: sac_state_bytes(SacConfig(**p), n),
         cache=True, cv_reward=True, sac_state=True),
     "uncertainty": Kind(lambda q: select_uncertainty(q.model, q.pool_features)),
     "qbc": Kind(lambda q: select_qbc(q.committee, q.pool_features), _COMMITTEE, committee=True),
@@ -199,8 +196,13 @@ class MethodSpec:
             if key not in kind.params:
                 raise ValueError(f"{self.name}: unknown parameter {key!r} for kind {self.kind!r}")
         for key, value in self.settings().items():
-            if not kind.params[key].check(value):
-                raise ValueError(f"{self.name}: {kind.params[key].rule}")
+            param = kind.params[key]
+            try:
+                ok = param.check(value)
+            except (TypeError, ValueError):  # a value of the wrong type, e.g. one number as arms
+                ok = False
+            if not ok:
+                raise ValueError(f"{self.name}: {param.rule}")
 
     def settings(self) -> dict:
         """The params with the kind's defaults filled in."""

@@ -45,6 +45,7 @@ class SacConfig:
     buffer_capacity: int = 10_000
     log_std_min: float = -20.0
     log_std_max: float = 2.0
+    updates_per_step: int = 1  # gradient steps per stored transition
 
 
 def param_count(sizes: list[int]) -> int:
@@ -141,14 +142,6 @@ class Adam:
         params -= self.lr * (self.m / correct1) / (np.sqrt(self.v / correct2) + self.eps)
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: float
-    reward: float
-    next_state: np.ndarray
-
-
 class ReplayBuffer:
     """Fixed-capacity FIFO store of transitions, sampled uniformly."""
 
@@ -163,12 +156,13 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return min(self.insertions, self.capacity)
 
-    def push(self, tr: Transition) -> None:
+    def push(self, state: np.ndarray, action: float, reward: float,
+             next_state: np.ndarray) -> None:
         i = self.insertions % self.capacity
-        self.states[i] = tr.state
-        self.actions[i] = tr.action
-        self.rewards[i] = tr.reward
-        self.next_states[i] = tr.next_state
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
         self.insertions += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator):
@@ -335,7 +329,7 @@ def sac_update(agent: SacAgent, buffer: ReplayBuffer, rng: np.random.Generator) 
     """One gradient step on both critics and the actor, then a soft target update.
 
     A call with fewer buffered transitions than the batch size is a
-    recorded no-op.  Transitions are never treated as terminal: the whole
+    recorded no-op.  No stored transition is treated as terminal: the whole
     run is one episode, so the bootstrap always uses the stored next state.
     """
     c = agent.config

@@ -1,69 +1,22 @@
 """Controllers for the per-iteration selection weight.
 
-Every policy emits a weight in [0, 1] each iteration through one
-interface: ``step(t, horizon, reward, context)``.  Static and decay
-schedules ignore the feedback arguments; the UCB1 bandit folds the reward
-into the arm it pulled last; the actor-critic policy additionally consumes
-the learning-context state vector.  Rewards are drops in cross-validation
-RMSE, so the first call of a run passes ``reward=None``.
+Every policy is one object that holds its own state and emits a weight in
+[0, 1] each iteration through one interface: ``step(t, horizon, reward,
+context)``.  Static and decay schedules ignore the feedback arguments;
+``BanditPolicy`` keeps UCB1 counts and running means per arm and credits
+the reward to the arm it pulled last; ``SacPolicy`` owns an actor-critic
+agent and its replay buffer and also consumes the learning-context state
+vector.  Rewards are drops in cross-validation RMSE, so the first call of
+a run passes ``reward=None``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sac import ReplayBuffer, SacAgent, SacConfig, Transition, sac_update, sample_action
-
-
-@dataclass(frozen=True)
-class BanditState:
-    """UCB1 bookkeeping over a coarse grid of candidate weights."""
-
-    arms: tuple[float, ...] = (0.25, 0.50, 0.75)
-    c_explore: float = 2.0
-    counts: tuple[int, ...] = ()
-    means: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not self.arms:
-            raise ValueError("need at least one arm")
-        if any(not 0.0 <= a <= 1.0 for a in self.arms):
-            raise ValueError("arms must lie in [0, 1]")
-        if not self.counts:
-            object.__setattr__(self, "counts", (0,) * len(self.arms))
-            object.__setattr__(self, "means", (0.0,) * len(self.arms))
-
-    @property
-    def total_pulls(self) -> int:
-        return sum(self.counts)
-
-
-def mab_select(state: BanditState) -> int:
-    """Arm to pull: round-robin until every arm has a reward, then UCB1.
-
-    The UCB index is mean_i + c_explore * sqrt(ln n / n_i) with n the total
-    completed pulls; ties break toward the lowest arm index.
-    """
-    counts = np.array(state.counts)
-    if (counts == 0).any():
-        return int(np.flatnonzero(counts == 0)[0])
-    n = state.total_pulls
-    ucb = np.array(state.means) + state.c_explore * np.sqrt(np.log(n) / counts)
-    return int(np.argmax(ucb))
-
-
-def mab_update(state: BanditState, arm: int, reward: float) -> BanditState:
-    """Fold a reward into one arm's running mean."""
-    if not 0 <= arm < len(state.arms):
-        raise ValueError(f"unknown arm {arm}")
-    counts = list(state.counts)
-    means = list(state.means)
-    counts[arm] += 1
-    means[arm] += (reward - means[arm]) / counts[arm]
-    return replace(state, counts=tuple(counts), means=tuple(means))
+from .sac import ReplayBuffer, SacAgent, SacConfig, sac_update, sample_action
 
 
 def _check_step(t: int, horizon: int) -> None:
@@ -112,18 +65,38 @@ class ExpDecayPolicy:
 
 
 class BanditPolicy:
-    """UCB1 over discrete weights; pulls are credited when the reward lands."""
+    """UCB1 over a coarse grid of candidate weights.
+
+    ``counts`` and ``means`` hold each arm's completed pulls and running
+    mean reward; ``arm`` is the arm pulled last, credited when the next
+    reward lands.  Untried arms are pulled round-robin, then the arm with
+    the largest index mean_i + c_explore * sqrt(ln n / n_i), n the total
+    completed pulls; ties break toward the lowest arm index.
+    """
 
     def __init__(self, arms=(0.25, 0.50, 0.75), c_explore: float = 2.0):
-        self.state = BanditState(arms=tuple(arms), c_explore=c_explore)
-        self._last_arm: int | None = None
+        self.arms = tuple(arms)
+        if not self.arms:
+            raise ValueError("need at least one arm")
+        if any(not 0.0 <= a <= 1.0 for a in self.arms):
+            raise ValueError("arms must lie in [0, 1]")
+        self.c_explore = c_explore
+        self.counts = np.zeros(len(self.arms), dtype=np.int64)
+        self.means = np.zeros(len(self.arms))
+        self.arm: int | None = None
 
     def step(self, t, horizon, reward=None, context=None) -> float:
-        if reward is not None and self._last_arm is not None:
-            self.state = mab_update(self.state, self._last_arm, reward)
-        arm = mab_select(self.state)
-        self._last_arm = arm
-        return self.state.arms[arm]
+        if reward is not None and self.arm is not None:
+            self.counts[self.arm] += 1
+            self.means[self.arm] += (reward - self.means[self.arm]) / self.counts[self.arm]
+        untried = np.flatnonzero(self.counts == 0)
+        if len(untried):
+            self.arm = int(untried[0])
+        else:
+            n = self.counts.sum()
+            ucb = self.means + self.c_explore * np.sqrt(np.log(n) / self.counts)
+            self.arm = int(np.argmax(ucb))
+        return self.arms[self.arm]
 
 
 class SacPolicy:
@@ -131,15 +104,14 @@ class SacPolicy:
 
     ``context`` must be the learning-context state vector.  Once two CV
     values exist (reward is not None), the previous (state, action) pair
-    and the reward are stored as a transition and one gradient step runs.
+    and the reward are stored as a transition and
+    ``config.updates_per_step`` gradient steps run.
     """
 
-    def __init__(self, config: SacConfig, rng: np.random.Generator,
-                 updates_per_step: int = 1):
+    def __init__(self, config: SacConfig, rng: np.random.Generator):
         self.agent = SacAgent(config, rng)
         self.buffer = ReplayBuffer(config.buffer_capacity, config.state_dim)
         self.rng = rng
-        self.updates_per_step = updates_per_step
         self._prev: tuple[np.ndarray, float] | None = None
 
     def step(self, t, horizon, reward=None, context=None) -> float:
@@ -147,9 +119,8 @@ class SacPolicy:
             raise ValueError("the actor-critic policy needs a state vector")
         context = np.asarray(context, dtype=float)
         if reward is not None and self._prev is not None:
-            prev_state, prev_action = self._prev
-            self.buffer.push(Transition(prev_state, prev_action, reward, context))
-            for _ in range(self.updates_per_step):
+            self.buffer.push(*self._prev, reward, context)
+            for _ in range(self.agent.config.updates_per_step):
                 sac_update(self.agent, self.buffer, self.rng)
         action, _ = sample_action(self.agent, context, self.rng)
         self._prev = (context, action)

@@ -20,7 +20,6 @@ from wigs.sac import (
     ReplayBuffer,
     SacAgent,
     SacConfig,
-    Transition,
     actor_loss_and_grads,
     critic_loss_and_grads,
     sac_update,
@@ -34,7 +33,7 @@ from wigs.selectors import (
     veto_demo,
     wigs_scores,
 )
-from wigs.weights import BanditState, mab_select, mab_update
+from wigs.weights import BanditPolicy
 from wigs.data import ColumnMeta, Dataset, Partition, SplitState
 
 from test_model import oracle_committee
@@ -259,13 +258,14 @@ def test_criterion_07_bandit_stationary_convergence():
     freqs = []
     for seed in range(10):
         rng = generator(seed, "dgp")
-        state = BanditState(c_explore=2.0)
+        policy = BanditPolicy(c_explore=2.0)
         picks = []
-        for _ in range(1000):
-            arm = mab_select(state)
+        reward = None
+        for t in range(1000):
+            policy.step(t, 1000, reward)
+            arm = policy.arm
             picks.append(arm)
             reward = float(arm_means[arm] + arm_std * rng.standard_normal())
-            state = mab_update(state, arm, reward)
         picks = np.array(picks)
         freqs.append(float(np.mean(picks[100:1000] == 1)))
     elapsed = time.perf_counter() - start
@@ -290,10 +290,10 @@ def test_criterion_08_sac_control_sanity():
         state = np.zeros(config.state_dim)
         for _ in range(config.batch_size):  # fill one batch before updates
             a, _ = sample_action(agent, state, rng)
-            buf.push(Transition(state, a, 1.0 - abs(a - 0.75), state))
+            buf.push(state, a, 1.0 - abs(a - 0.75), state)
         for _ in range(5000):
             a, _ = sample_action(agent, state, rng)
-            buf.push(Transition(state, a, 1.0 - abs(a - 0.75), state))
+            buf.push(state, a, 1.0 - abs(a - 0.75), state)
             sac_update(agent, buf, rng)
         det, _ = sample_action(agent, state, deterministic=True)
         devs.append(abs(det - 0.75))

@@ -122,6 +122,16 @@ methods:
         ("wigs_sac", {"updates_per_step": 0}, "updates_per_step must be an integer >= 1"),
         ("wigs_sac", {"gamma": "0.99"}, "gamma must be a number"),
         ("wigs_sac", {"tau": False}, "tau must be a number"),
+        ("qbc", {"committee_size": 2.5}, "committee needs at least 2"),
+        ("emcm", {"committee_size": 10.0}, "committee needs at least 2"),
+        ("qbc", {"committee_size": "10"}, "committee needs at least 2"),
+        ("wigs_mab", {"arms": 0.5}, "bandit arms must lie in"),
+        ("wigs_mab", {"c_explore": None}, "c_explore must be nonnegative"),
+        ("wigs_linear", {"c": None}, "decay constant must be positive"),
+        ("wigs_static", {"w": [0.5]}, "static weight must lie in"),
+        ("wigs_mab", yaml.safe_load("arms: [5e-1]"), "bandit arms must lie in"),  # a str
+        ("wigs_mab", yaml.safe_load("c_explore: 2e0"), "c_explore must be nonnegative"),
+        ("wigs_static", {"w": True}, "static weight must lie in"),
     ])
     def test_method_validation(self, kind, params, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -14,7 +14,6 @@ from wigs.sac import (
     ReplayBuffer,
     SacAgent,
     SacConfig,
-    Transition,
     actor_loss_and_grads,
     build_state,
     critic_loss_and_grads,
@@ -309,7 +308,7 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=3, state_dim=2)
         for i in range(4):
-            buf.push(Transition(np.full(2, float(i)), 0.5, float(i), np.zeros(2)))
+            buf.push(np.full(2, float(i)), 0.5, float(i), np.zeros(2))
         assert len(buf) == 3
         assert buf.insertions == 4
         assert 0.0 not in buf.rewards  # oldest evicted
@@ -317,7 +316,7 @@ class TestReplayBuffer:
     def test_sampling_deterministic(self):
         buf = ReplayBuffer(capacity=10, state_dim=2)
         for i in range(6):
-            buf.push(Transition(np.full(2, float(i)), 0.1, float(i), np.zeros(2)))
+            buf.push(np.full(2, float(i)), 0.1, float(i), np.zeros(2))
         a = buf.sample(4, generator(1, "sac"))
         b = buf.sample(4, generator(1, "sac"))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -325,8 +324,8 @@ class TestReplayBuffer:
 
 def fill_buffer(buf, rng, n, state_dim=5):
     for _ in range(n):
-        buf.push(Transition(rng.normal(size=state_dim), float(rng.uniform()),
-                            float(rng.normal()), rng.normal(size=state_dim)))
+        buf.push(rng.normal(size=state_dim), float(rng.uniform()),
+                 float(rng.normal()), rng.normal(size=state_dim))
 
 
 class TestStateBytes:
@@ -376,7 +375,7 @@ class TestSacUpdate:
         actions = rng_data.uniform(size=4)
         rewards = np.array([0.5, -0.3, 0.1, 0.8])
         for i in range(4):
-            buf.push(Transition(states[i], actions[i], rewards[i], states[i]))
+            buf.push(states[i], actions[i], rewards[i], states[i])
         rng = generator(25, "sac")
         for _ in range(2000):
             sac_update(agent, buf, rng)

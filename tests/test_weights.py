@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wigs.weights import (
-    BanditPolicy,
-    BanditState,
-    ExpDecayPolicy,
-    LinearDecayPolicy,
-    StaticPolicy,
-    mab_select,
-    mab_update,
-)
+from wigs.weights import BanditPolicy, ExpDecayPolicy, LinearDecayPolicy, StaticPolicy
 
 
 class TestSchedules:
@@ -54,65 +46,65 @@ class TestSchedules:
                 policy(1.0).step(t, 10)
 
 
+def credit(policy, rewards):
+    """Pull once, then credit each reward to the arm just pulled and pull
+    again; returns the arm of the last pull."""
+    policy.step(0, 10)
+    for reward in rewards:
+        policy.step(0, 10, reward)
+    return policy.arm
+
+
 class TestBandit:
     def test_round_robin_initialization(self):
-        state = BanditState()
+        policy = BanditPolicy()
         picks = []
-        for reward in (0.5, 0.1, 0.2):
-            arm = mab_select(state)
-            picks.append(arm)
-            state = mab_update(state, arm, reward)
+        reward = None
+        for next_reward in (0.5, 0.1, 0.2):
+            policy.step(0, 10, reward)
+            picks.append(policy.arm)
+            reward = next_reward
         assert picks == [0, 1, 2]
 
     def test_ucb_hand_arithmetic(self):
-        state = BanditState(c_explore=2.0)
-        for arm, reward in ((0, 0.1), (1, 0.2), (2, 0.0)):
-            state = mab_update(state, arm, reward)
+        policy = BanditPolicy(c_explore=2.0)
+        # round-robin credits arms 0, 1, 2 in turn
+        arm = credit(policy, (0.1, 0.2, 0.0))
         # n = 3, all counts 1: bonus 2*sqrt(ln 3) identical -> mean decides
         bonus = 2.0 * math.sqrt(math.log(3.0))
-        ucb = [m + bonus for m in state.means]
+        ucb = [m + bonus for m in policy.means]
         assert np.argmax(ucb) == 1
-        assert mab_select(state) == 1
+        assert arm == 1
 
     def test_zero_exploration_is_greedy(self):
-        state = BanditState(c_explore=0.0)
-        for arm, reward in ((0, 0.3), (1, 0.1), (2, 0.2)):
-            state = mab_update(state, arm, reward)
-        assert mab_select(state) == 0
+        assert credit(BanditPolicy(c_explore=0.0), (0.3, 0.1, 0.2)) == 0
 
     def test_tie_goes_to_lowest_arm(self):
-        state = BanditState(c_explore=2.0)
-        for arm in range(3):
-            state = mab_update(state, arm, 0.5)
-        assert mab_select(state) == 0
+        assert credit(BanditPolicy(c_explore=2.0), (0.5, 0.5, 0.5)) == 0
 
     def test_running_mean(self):
-        state = BanditState()
-        state = mab_update(state, 0, 1.0)
-        state = mab_update(state, 0, 3.0)
-        assert state.means[0] == 2.0
-        assert state.counts[0] == 2
+        policy = BanditPolicy(arms=(0.25,))  # one arm: every reward lands on arm 0
+        credit(policy, (1.0, 3.0))
+        assert policy.means[0] == 2.0
+        assert policy.counts[0] == 2
 
     def test_zero_reward_only_neutral_at_zero_mean(self):
-        state = BanditState()
-        state = mab_update(state, 1, 0.0)
-        assert state.means[1] == 0.0
-        state = mab_update(state, 1, 0.0)
-        assert state.means[1] == 0.0
+        policy = BanditPolicy(arms=(0.25,))
+        credit(policy, (0.0,))
+        assert policy.means[0] == 0.0
+        policy.step(0, 10, 0.0)
+        assert policy.means[0] == 0.0
 
     def test_counts_match_updates(self):
-        state = BanditState()
-        for i in range(7):
-            state = mab_update(state, i % 3, 0.1 * i)
-        assert state.total_pulls == 7
-
-    def test_unknown_arm(self):
-        with pytest.raises(ValueError):
-            mab_update(BanditState(), 5, 0.1)
+        policy = BanditPolicy()
+        credit(policy, [0.1 * i for i in range(7)])
+        assert policy.counts.sum() == 7
 
     def test_arms_validated(self):
         with pytest.raises(ValueError):
-            BanditState(arms=(0.2, 1.5))
+            BanditPolicy(arms=(0.2, 1.5))
+        with pytest.raises(ValueError):
+            BanditPolicy(arms=())
 
 
 class TestPolicyInterface:
@@ -130,8 +122,8 @@ class TestPolicyInterface:
         w0 = policy.step(0, 10, reward=None)
         assert w0 == 0.25  # first round-robin pull
         policy.step(1, 10, reward=0.9)
-        assert policy.state.counts == (1, 0, 0)
-        assert policy.state.means[0] == 0.9
+        assert policy.counts.tolist() == [1, 0, 0]
+        assert policy.means[0] == 0.9
 
     def test_bandit_policy_emits_arm_values(self):
         policy = BanditPolicy(arms=(0.1, 0.5, 0.9))
