@@ -11,7 +11,6 @@ from .data import (
     ColumnMeta,
     Dataset,
     Partition,
-    PreprocessConfig,
     SplitState,
     initial_split,
     load_csv,

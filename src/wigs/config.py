@@ -10,6 +10,7 @@ outputs, so a finished run can be replayed byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from collections.abc import Callable
@@ -106,8 +107,10 @@ class Kind:
 
 
 def _real(value) -> bool:
-    """A number; bools are not, nor are strings (PyYAML reads ``2e0`` as one)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite number; bools are not, nor are strings (PyYAML reads ``2e0``
+    as one).  An int too large for a float raises OverflowError."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 def _unit(value) -> bool:
@@ -199,7 +202,7 @@ class MethodSpec:
             param = kind.params[key]
             try:
                 ok = param.check(value)
-            except (TypeError, ValueError):  # a value of the wrong type, e.g. one number as arms
+            except (TypeError, ValueError, OverflowError):  # e.g. one number as arms, 10**400
                 ok = False
             if not ok:
                 raise ValueError(f"{self.name}: {param.rule}")
@@ -242,8 +245,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown scaling {self.scaling!r}")
         if not 0.0 < self.initial_fraction < 1.0:
             raise ValueError("initial_fraction must lie in (0, 1)")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:  # NaN fails both comparisons
+            raise ValueError("alpha must be positive and finite")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
         if not self.methods:
@@ -297,52 +300,56 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(**d)
 
 
+# YAML section -> key -> (ExperimentConfig field, reader applied to the value
+# or None).  The defaults live only in ExperimentConfig.
+_YAML_FIELDS = {
+    "dataset": {"csv": ("csv_path", None), "dgp": ("dgp", None), "n": ("n", None),
+                "seed": ("dataset_seed", int)},
+    "preprocessing": {"scaling": ("scaling", None),
+                      "categorical_columns": ("categorical_columns", None)},
+    "split": {"initial_fraction": ("initial_fraction", float)},
+    "model": {"alpha": ("alpha", float), "cv_folds": ("cv_folds", int)},
+    "run": {"replications": ("replications", int), "base_seed": ("base_seed", int),
+            "parallelism": ("parallelism", int), "out_dir": ("out_dir", str)},
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse a YAML config file (sections: dataset, preprocessing, split,
-    model, run, methods); see the README for the full schema."""
+    model, run, methods); see the README for the full schema.  An unknown
+    section or key is an error."""
     import yaml
 
     with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
 
-    dataset = raw.get("dataset") or {}
-    preprocessing = raw.get("preprocessing") or {}
-    split = raw.get("split") or {}
-    model = raw.get("model") or {}
-    run = raw.get("run") or {}
+    d = {}
+    for section, entries in raw.items():
+        if section == "methods":
+            continue
+        if section not in _YAML_FIELDS:
+            raise ValueError(f"unknown config section {section!r}")
+        for key, value in (entries or {}).items():
+            if key not in _YAML_FIELDS[section]:
+                raise ValueError(f"unknown key {key!r} in config section {section!r}")
+            name, read = _YAML_FIELDS[section][key]
+            d[name] = value if read is None else read(value)
 
     methods_raw = raw.get("methods")
     if methods_raw == "default" or methods_raw is None:
-        methods = default_methods()
+        d["methods"] = [asdict(m) for m in default_methods()]
     else:
-        methods = []
+        d["methods"] = []
         for entry in methods_raw:
             entry = dict(entry)
-            name = entry.pop("name")
-            kind = entry.pop("kind")
+            name, kind = entry.pop("name"), entry.pop("kind")
             params = entry.pop("params", None)
             if params is None:
                 params = entry  # flat style: remaining keys are the params
-            methods.append(MethodSpec(name, kind, dict(params)))
-        methods = tuple(methods)
-
-    cat = preprocessing.get("categorical_columns")
-    return ExperimentConfig(
-        csv_path=dataset.get("csv"),
-        dgp=dataset.get("dgp"),
-        n=dataset.get("n"),
-        dataset_seed=int(dataset.get("seed", 0)),
-        scaling=preprocessing.get("scaling", "zscore"),
-        categorical_columns=tuple(cat) if cat is not None else None,
-        initial_fraction=float(split.get("initial_fraction", 0.05)),
-        alpha=float(model.get("alpha", 0.01)),
-        cv_folds=int(model.get("cv_folds", 5)),
-        methods=methods,
-        replications=int(run.get("replications", 1)),
-        base_seed=int(run.get("base_seed", 0)),
-        parallelism=int(run.get("parallelism", 1)),
-        out_dir=str(run.get("out_dir", "results")),
-    )
+            elif entry:
+                raise ValueError(f"{name}: unknown keys {sorted(entry)} beside params")
+            d["methods"].append({"name": name, "kind": kind, "params": params})
+    return config_from_dict(d)
 
 
 def snapshot_json(config: ExperimentConfig) -> str:

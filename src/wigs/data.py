@@ -1,9 +1,11 @@
 """Dataset ingestion, preprocessing, initial splits, and synthetic generators.
 
 A :class:`Dataset` is the immutable ground truth for one task: a numeric
-feature matrix (already scaled / one-hot encoded), a target vector that is
-never scaled, and per-column metadata.  CSV files follow one convention:
-UTF-8, comma-separated, header row, last column is the target.
+feature matrix, a target vector that is never scaled, and per-column
+metadata.  Data enters raw, from ``load_csv`` or a bundled generator, and
+``scale_features`` is the one preprocessing step for every source.  CSV
+files follow one convention: UTF-8, comma-separated, header row, last
+column is the target.
 
 Two bundled generators produce 1-D regression tasks whose feature density
 is a non-uniform three-component Gaussian mixture, with noise bands placed
@@ -57,7 +59,7 @@ class Dataset:
         if self.targets.shape != (self.features.shape[0],):
             raise ValueError("targets length must match feature rows")
         if not (np.isfinite(self.features).all() and np.isfinite(self.targets).all()):
-            raise ValueError("non-finite entries after preprocessing")
+            raise ValueError("non-finite feature or target entries")
 
     @property
     def n_samples(self) -> int:
@@ -87,24 +89,6 @@ class Dataset:
             else:
                 names.extend(f"{meta.name}={c}" for c in meta.categories)
         return names
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    """How raw columns become the feature matrix.
-
-    scaling: "zscore" ((x - mean) / population std) or "robust"
-    ((x - median) / IQR with midpoint-interpolated quartiles).
-    categorical_columns: explicit header names, or None to auto-detect
-    (a column is categorical iff any cell fails numeric parsing).
-    """
-
-    scaling: str = "zscore"
-    categorical_columns: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.scaling not in ("zscore", "robust"):
-            raise ValueError(f"unknown scaling mode: {self.scaling!r}")
 
 
 @dataclass(frozen=True)
@@ -216,12 +200,15 @@ def _parse_float(cell: str) -> float | None:
         return None
 
 
-def load_csv(path: str | os.PathLike, config: PreprocessConfig) -> Dataset:
-    """Load and preprocess a CSV file (header row, last column = target).
+def load_csv(path: str | os.PathLike,
+             categorical_columns: tuple[str, ...] | None = None) -> Dataset:
+    """Parse a CSV file (header row, last column = target) into a raw dataset.
 
-    Continuous columns are scaled per ``config``; categorical columns are
-    one-hot encoded in category sort order; the target is never scaled.
-    Zero-spread continuous columns are dropped with a PreprocessWarning.
+    A feature column is categorical if ``categorical_columns`` names it, or,
+    when that is None, if any of its cells fails numeric parsing; it is
+    one-hot encoded in category sort order.  Continuous columns and the
+    target are kept as read and no column is dropped: ``scale_features``
+    does the preprocessing.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
@@ -239,61 +226,48 @@ def load_csv(path: str | os.PathLike, config: PreprocessConfig) -> Dataset:
     if any(len(r) != n_cols for r in data):
         raise ValueError(f"{path}: ragged rows")
 
+    *columns, target_cells = zip(*data)
     targets = np.empty(len(data))
-    for i, row in enumerate(data):
-        val = _parse_float(row[-1])
+    for i, cell in enumerate(target_cells):
+        val = _parse_float(cell)
         if val is None:
-            raise ValueError(f"{path}: unparseable target {row[-1]!r} in row {i + 2}")
+            raise ValueError(f"{path}: unparseable target {cell!r} in row {i + 2}")
         targets[i] = val
 
     blocks: list[np.ndarray] = []
     metas: list[ColumnMeta] = []
-    for j, name in enumerate(header[:-1]):
-        cells = [row[j] for row in data]
+    for name, cells in zip(header, columns):
         parsed = [_parse_float(c) for c in cells]
-        if config.categorical_columns is not None:
-            is_cat = name in config.categorical_columns
+        if categorical_columns is not None:
+            is_cat = name in categorical_columns
         else:
-            is_cat = any(v is None for v in parsed)
+            is_cat = None in parsed
         if is_cat:
             categories = tuple(sorted(set(cells)))
             block = np.zeros((len(data), len(categories)))
             lookup = {c: k for k, c in enumerate(categories)}
             for i, cell in enumerate(cells):
                 block[i, lookup[cell]] = 1.0
-            blocks.append(block)
             metas.append(ColumnMeta(name, "categorical", categories))
         else:
-            col = np.array(parsed, dtype=float)
-            scaled = _scale_continuous(col, config.scaling)
-            if scaled is None:
-                warnings.warn(
-                    f"{path}: column {name!r} has zero spread under "
-                    f"{config.scaling} scaling; dropped",
-                    PreprocessWarning,
-                    stacklevel=2,
-                )
-                continue
-            blocks.append(scaled[:, None])
+            block = np.array(parsed, dtype=float)[:, None]
             metas.append(ColumnMeta(name, "continuous"))
-    if not blocks:
-        raise ValueError(f"{path}: no usable feature columns")
-
+        blocks.append(block)
     base = os.path.splitext(os.path.basename(path))[0]
-    return Dataset(
-        features=np.hstack(blocks),
-        targets=targets,
-        column_meta=tuple(metas),
-        name=base,
-    )
+    return Dataset(np.hstack(blocks), targets, tuple(metas), base)
 
 
 def scale_features(dataset: Dataset, scaling: str) -> Dataset:
-    """Rescale the continuous columns of an in-memory dataset.
+    """Scale the continuous columns of a raw dataset: the one preprocessing step.
 
-    Used to run generated datasets through the same preprocessing as CSV
-    inputs.  One-hot blocks are left untouched; the target is never scaled.
+    ``scaling`` is "zscore" ((x - mean) / population std) or "robust"
+    ((x - median) / IQR with midpoint-interpolated quartiles).  One-hot
+    blocks are kept as they are and the target is never scaled.  A
+    continuous column with zero spread under the mode is dropped with a
+    PreprocessWarning.
     """
+    if scaling not in ("zscore", "robust"):
+        raise ValueError(f"unknown scaling mode: {scaling!r}")
     blocks: list[np.ndarray] = []
     metas: list[ColumnMeta] = []
     j = 0
@@ -308,7 +282,8 @@ def scale_features(dataset: Dataset, scaling: str) -> Dataset:
         j += 1
         if scaled is None:
             warnings.warn(
-                f"{dataset.name}: column {meta.name!r} has zero spread; dropped",
+                f"{dataset.name}: column {meta.name!r} has zero spread under "
+                f"{scaling} scaling; dropped",
                 PreprocessWarning,
                 stacklevel=2,
             )
@@ -316,7 +291,7 @@ def scale_features(dataset: Dataset, scaling: str) -> Dataset:
         blocks.append(scaled[:, None])
         metas.append(meta)
     if not blocks:
-        raise ValueError("no usable feature columns after scaling")
+        raise ValueError(f"{dataset.name}: no usable feature columns after scaling")
     return Dataset(np.hstack(blocks), dataset.targets, tuple(metas), dataset.name)
 
 

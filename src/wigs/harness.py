@@ -26,7 +26,6 @@ from .config import KINDS, ExperimentConfig, MethodSpec, Query, snapshot_json
 from .data import (
     Dataset,
     Partition,
-    PreprocessConfig,
     initial_split,
     load_csv,
     sample_three_regime,
@@ -71,13 +70,12 @@ BLOCK_BYTES = 64 * 2**20
 
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
-    """Materialize the configured dataset, preprocessing included."""
-    pre = PreprocessConfig(scaling=config.scaling,
-                           categorical_columns=config.categorical_columns)
+    """Build the configured raw dataset (CSV or generator) and scale it."""
     if config.csv_path is not None:
-        return load_csv(config.csv_path, pre)
-    sampler = sample_two_regime if config.dgp == "two_regime" else sample_three_regime
-    raw = sampler(config.n, config.dataset_seed)
+        raw = load_csv(config.csv_path, config.categorical_columns)
+    else:
+        sampler = sample_two_regime if config.dgp == "two_regime" else sample_three_regime
+        raw = sampler(config.n, config.dataset_seed)
     return scale_features(raw, config.scaling)
 
 

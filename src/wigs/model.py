@@ -12,6 +12,7 @@ stacked block, (R, k, p), and then return one result per set.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -126,8 +127,8 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel | list[R
     R, k, p = X.shape
     if k < 2:
         raise ValueError("need at least 2 training rows")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # NaN fails both comparisons
+        raise ValueError("alpha must be positive and finite")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite training data")
     coef, intercepts, gram_inverse, x_mean = _ridge(X, y, None, alpha)

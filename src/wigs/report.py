@@ -16,11 +16,12 @@ import csv
 import os
 import warnings
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import ColumnMeta, Dataset
+from .data import load_csv
 from .harness import RunRecord, TRACE_COLUMNS, _atomic_write, _format_rows
 
 # Not called here; bench/tracing.py wraps these names.
@@ -39,15 +40,6 @@ class ReportWarning(UserWarning):
     """Recorded when a table cannot be produced from the given record."""
 
 
-def _read_matrix_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Read an already-preprocessed dataset export without rescaling it."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    values = np.array([[float(c) for c in row] for row in data])
-    return values[:, :-1], values[:, -1], header[:-1]
-
-
 def load_record(record_dir: str) -> RunRecord:
     """Rebuild a RunRecord from a persisted record directory."""
     from .config import snapshot_to_config
@@ -55,11 +47,9 @@ def load_record(record_dir: str) -> RunRecord:
     with open(os.path.join(record_dir, "config.json"), encoding="utf-8") as fh:
         config = snapshot_to_config(fh.read())
 
-    features, targets, names = _read_matrix_csv(os.path.join(record_dir, "dataset.csv"))
-    meta = tuple(ColumnMeta(n, "continuous") for n in names)
-    dataset_name = config.dgp if config.dgp is not None else \
-        os.path.splitext(os.path.basename(config.csv_path))[0]
-    dataset = Dataset(features, targets, meta, dataset_name)
+    # dataset.csv holds the preprocessed features: parsed, not scaled again.
+    name = config.dgp or os.path.splitext(os.path.basename(config.csv_path))[0]
+    dataset = replace(load_csv(os.path.join(record_dir, "dataset.csv")), name=name)
 
     # Each row is parsed as it is read, so the file is never held as lists
     # of strings: (iteration, labeled_count, rmse, cc, weight, score,

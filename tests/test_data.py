@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from wigs.data import (
     ColumnMeta,
     Dataset,
     Partition,
-    PreprocessConfig,
     PreprocessWarning,
     SplitState,
     _sample_mixture,
@@ -33,10 +33,15 @@ def write_csv(path, header, rows):
     return path
 
 
+def preprocess(path, scaling="zscore", categorical_columns=None):
+    """The CSV path of resolve_dataset: parse, then the one scaling step."""
+    return scale_features(load_csv(path, categorical_columns), scaling)
+
+
 class TestLoadCsv:
     def test_zscore_column(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "y"], [[1, 0], [2, 0], [3, 1]])
-        ds = load_csv(path, PreprocessConfig(scaling="zscore"))
+        ds = preprocess(path, "zscore")
         # oracle: mean 2, population std sqrt(2/3)
         std = math.sqrt(2.0 / 3.0)
         expected = np.array([(1 - 2) / std, 0.0, (3 - 2) / std])
@@ -46,8 +51,9 @@ class TestLoadCsv:
     def test_constant_column_dropped_with_warning(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "b", "y"],
                          [[5, 1, 0], [5, 2, 0], [5, 3, 1]])
-        with pytest.warns(PreprocessWarning):
-            ds = load_csv(path, PreprocessConfig(scaling="zscore"))
+        with pytest.warns(PreprocessWarning,
+                          match="d: column 'a' has zero spread under zscore scaling"):
+            ds = preprocess(path, "zscore")
         assert ds.n_features == 1
         assert ds.feature_names == ["b"]
 
@@ -64,7 +70,7 @@ class TestLoadCsv:
         median = midpoint_quantile(col, 0.5)
         iqr = midpoint_quantile(col, 0.75) - midpoint_quantile(col, 0.25)
         assert median == 2.5
-        ds = load_csv(path, PreprocessConfig(scaling="robust"))
+        ds = preprocess(path, "robust")
         expected = (np.array(col) - median) / iqr
         assert np.allclose(ds.features[:, 0], expected, atol=1e-12)
         # the library helper agrees with the oracle rule
@@ -74,14 +80,15 @@ class TestLoadCsv:
     def test_zero_iqr_column_dropped_under_robust(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "b", "y"],
                          [[5, 1, 0], [5, 2, 0], [5, 3, 1], [5, 9, 1]])
-        with pytest.warns(PreprocessWarning):
-            ds = load_csv(path, PreprocessConfig(scaling="robust"))
+        with pytest.warns(PreprocessWarning,
+                          match="d: column 'a' has zero spread under robust scaling"):
+            ds = preprocess(path, "robust")
         assert ds.feature_names == ["b"]
 
     def test_one_hot_encoding(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["color", "a", "y"],
                          [["red", 1, 0], ["blue", 2, 1], ["red", 3, 2], ["green", 4, 3]])
-        ds = load_csv(path, PreprocessConfig(scaling="zscore"))
+        ds = preprocess(path, "zscore")
         onehot = ds.features[:, :3]  # categories sorted: blue, green, red
         assert np.array_equal(onehot.sum(axis=1), np.ones(4))
         assert ds.column_meta[0].categories == ("blue", "green", "red")
@@ -90,44 +97,55 @@ class TestLoadCsv:
 
     def test_declared_categorical_overrides_autodetect(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["code", "y"], [[1, 0], [2, 1], [1, 2]])
-        ds = load_csv(path, PreprocessConfig(categorical_columns=("code",)))
+        ds = preprocess(path, categorical_columns=("code",))
         assert ds.column_meta[0].kind == "categorical"
         assert np.array_equal(ds.features.sum(axis=1), np.ones(3))
 
     def test_target_never_scaled(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "y"], [[1, 10], [2, 20], [3, 40]])
-        ds = load_csv(path, PreprocessConfig())
+        ds = preprocess(path)
         assert np.array_equal(ds.targets, [10.0, 20.0, 40.0])
 
     def test_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_csv(tmp_path / "missing.csv", PreprocessConfig())
+            load_csv(tmp_path / "missing.csv")
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         with pytest.raises(ValueError, match="empty"):
-            load_csv(empty, PreprocessConfig())
+            load_csv(empty)
         bad_target = write_csv(tmp_path / "bad.csv", ["a", "y"],
                                [[1, "x"], [2, 3], [3, 4]])
         with pytest.raises(ValueError, match="target"):
-            load_csv(bad_target, PreprocessConfig())
+            load_csv(bad_target)
         short = write_csv(tmp_path / "short.csv", ["a", "y"], [[1, 2]])
         with pytest.raises(ValueError, match="2 data rows"):
-            load_csv(short, PreprocessConfig())
+            load_csv(short)
 
     def test_roundtrip_save_load(self, tmp_path):
         ds = sample_two_regime(30, seed=4)
         path = tmp_path / "export.csv"
         save_csv(ds, path)
-        back = load_csv(path, PreprocessConfig())
-        # reload applies zscore; compare targets (never scaled) and shape
-        assert np.array_equal(back.targets, ds.targets)
-        assert back.features.shape == ds.features.shape
+        back = load_csv(path)
+        # load_csv only parses, so the round trip is exact
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.targets.tobytes() == ds.targets.tobytes()
+        assert back.column_meta == ds.column_meta and back.name == "export"
+
+    def test_parses_without_scaling_or_dropping(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["color", "a", "const", "y"],
+                         [["red", 1.5, 5, 0], ["blue", -2, 5, 1], ["red", 30, 5, 2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(path)
+        assert ds.feature_names == ["color=blue", "color=red", "a", "const"]
+        assert np.array_equal(ds.features, [[0, 1, 1.5, 5], [1, 0, -2, 5], [0, 1, 30, 5]])
+        assert np.array_equal(ds.targets, [0.0, 1.0, 2.0])
 
     def test_zscore_invariant_on_loaded_columns(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = [[v, w, 0.0] for v, w in rng.normal(size=(20, 2))]
         path = write_csv(tmp_path / "d.csv", ["a", "b", "y"], rows)
-        ds = load_csv(path, PreprocessConfig(scaling="zscore"))
+        ds = preprocess(path, "zscore")
         assert np.all(np.abs(ds.features.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(ds.features.std(axis=0) - 1.0) < 1e-9)
 
@@ -251,6 +269,10 @@ class TestScaleFeatures:
         assert abs(scaled.features[:, 0].mean()) < 1e-9
         assert abs(scaled.features[:, 0].std() - 1.0) < 1e-9
         assert np.array_equal(scaled.targets, ds.targets)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown scaling mode: 'bogus'"):
+            scale_features(sample_two_regime(20, seed=2), "bogus")
 
     def test_dataset_invariants(self):
         with pytest.raises(ValueError):

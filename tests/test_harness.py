@@ -84,6 +84,30 @@ methods:
         assert config.alpha == 0.5 and config.cv_folds == 3
         assert config.methods[1].params["w"] == 0.75
         assert config.replications == 4 and config.base_seed == 7
+        assert config == ExperimentConfig(
+            dgp="two_regime", n=80, dataset_seed=3, scaling="robust", initial_fraction=0.1,
+            alpha=0.5, cv_folds=3, replications=4, base_seed=7, parallelism=2, out_dir="out",
+            methods=(MethodSpec("igs", "igs"), MethodSpec("wigs_s_0.75", "wigs_static",
+                                                          {"w": 0.75})))
+
+    def test_yaml_defaults_come_from_the_dataclass(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("dataset:\n  dgp: two_regime\n  n: 40\nmodel:\n")
+        assert load_config(str(path)) == ExperimentConfig(dgp="two_regime", n=40,
+                                                          methods=default_methods())
+
+    @pytest.mark.parametrize("text, message", [
+        ("model:\n  alhpa: 0.5\n", "unknown key 'alhpa' in config section 'model'"),
+        ("run:\n  replication: 100\n", "unknown key 'replication' in config section 'run'"),
+        ("runs:\n  replications: 100\n", "unknown config section 'runs'"),
+        ("methods:\n  - name: s\n    kind: wigs_static\n    params: {w: 0.5}\n    c: 1.0\n",
+         "s: unknown keys ['c'] beside params"),
+    ], ids=["model_key", "run_key", "section", "key_beside_params"])
+    def test_yaml_typo_rejected(self, tmp_path, text, message):
+        path = tmp_path / "config.yaml"
+        path.write_text("dataset:\n  dgp: two_regime\n  n: 40\n" + text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(str(path))
 
     def test_default_methods_battery(self):
         methods = default_methods()
@@ -97,6 +121,10 @@ methods:
             ExperimentConfig(dgp="two_regime", n=50, methods=())
         with pytest.raises(ValueError):
             ExperimentConfig(dgp="nope", n=50, methods=(MethodSpec("igs", "igs"),))
+        for alpha in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                ExperimentConfig(dgp="two_regime", n=50, alpha=alpha,
+                                 methods=(MethodSpec("igs", "igs"),))
 
     @pytest.mark.parametrize("kind, params, message", [
         ("wigs_static", {}, "static weight must lie in"),
@@ -132,6 +160,18 @@ methods:
         ("wigs_mab", yaml.safe_load("arms: [5e-1]"), "bandit arms must lie in"),  # a str
         ("wigs_mab", yaml.safe_load("c_explore: 2e0"), "c_explore must be nonnegative"),
         ("wigs_static", {"w": True}, "static weight must lie in"),
+        ("wigs_exp", yaml.safe_load("c: .inf"), "decay constant must be positive"),
+        ("wigs_linear", {"c": float("nan")}, "decay constant must be positive"),
+        ("wigs_mab", yaml.safe_load("c_explore: .inf"), "c_explore must be nonnegative"),
+        ("wigs_mab", {"arms": (0.5, float("nan"))}, "bandit arms must lie in"),
+        ("wigs_static", {"w": float("nan")}, "static weight must lie in"),
+        ("wigs_sac", yaml.safe_load("gamma: .nan"), "gamma must be a number"),
+        ("wigs_sac", yaml.safe_load("tau: .inf"), "tau must be a number"),
+        ("wigs_sac", {"lr": float("inf")}, "lr must be a positive number"),
+        ("wigs_sac", {"log_std_min": float("-inf")}, "log_std_min must be a number"),
+        ("wigs_sac", {"hidden": 10**400}, "hidden must be an integer >= 1"),
+        ("qbc", {"committee_size": 10**400}, "committee needs at least 2"),
+        ("wigs_exp", {"c": 10**400}, "decay constant must be positive"),
     ])
     def test_method_validation(self, kind, params, message):
         with pytest.raises(ValueError, match=re.escape(message)):

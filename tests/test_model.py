@@ -123,8 +123,9 @@ class TestFitRidge:
             fit_ridge(np.array([[1.0]]), np.array([1.0]), alpha=0.01)
         with pytest.raises(ValueError):
             fit_ridge(np.array([[1.0], [2.0]]), np.array([1.0, np.nan]), alpha=0.01)
-        with pytest.raises(ValueError):
-            fit_ridge(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), alpha=0.0)
+        for alpha in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                fit_ridge(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), alpha=alpha)
 
     def test_gram_inverse_symmetric_pd(self):
         rng = np.random.default_rng(9)

@@ -6,6 +6,7 @@ import pytest
 
 from wigs.cli import main
 from wigs.config import ExperimentConfig, MethodSpec
+from wigs.data import PreprocessWarning
 from wigs.harness import run_experiment
 from wigs.report import ReportWarning, emit_report, load_record
 
@@ -151,6 +152,13 @@ class TestEmitReport:
         assert all(float(r[6]) == 1.0 for r in igs_rows)
 
 
+def assert_same_dataset(loaded, ran):
+    assert loaded.features.tobytes() == ran.features.tobytes()
+    assert loaded.targets.tobytes() == ran.targets.tobytes()
+    assert loaded.feature_names == ran.feature_names
+    assert loaded.name == ran.name
+
+
 class TestLoadRecord:
     def test_roundtrip(self, record):
         emit_report(record)
@@ -161,7 +169,27 @@ class TestLoadRecord:
             other = orig[(tr.method, tr.seed)]
             assert np.array_equal(tr.rmse, other.rmse)
             assert np.array_equal(tr.acquired_idx, other.acquired_idx)
-        assert loaded.dataset.n_samples == record.dataset.n_samples
+        assert_same_dataset(loaded.dataset, record.dataset)
+
+    def test_csv_record_roundtrip(self, tmp_path):
+        # a categorical column (one-hot in the record) and a constant one
+        # (dropped by scaling): dataset.csv must read back as the run's data
+        rng = np.random.default_rng(5)
+        path = tmp_path / "mixed.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["color", "a", "const", "b", "y"])
+            for i in range(30):
+                writer.writerow([("red", "blue", "green")[i % 3], repr(float(rng.normal())),
+                                 "5", repr(float(rng.exponential())), repr(float(rng.normal()))])
+        config = ExperimentConfig(csv_path=str(path), scaling="robust",
+                                  methods=(MethodSpec("gsx", "gsx"),),
+                                  out_dir=str(tmp_path / "rec"))
+        with pytest.warns(PreprocessWarning, match="mixed: column 'const'"):
+            record = run_experiment(config)
+        assert record.dataset.feature_names == [
+            "color=blue", "color=green", "color=red", "a", "b"]
+        assert_same_dataset(load_record(record.record_dir).dataset, record.dataset)
 
 
 class TestCli:
