@@ -113,6 +113,11 @@ def _real(value) -> bool:
         and math.isfinite(value)
 
 
+def _integer(value) -> bool:
+    """An integer; bools are not, nor are integral floats such as 2.0."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _unit(value) -> bool:
     return _real(value) and 0.0 <= value <= 1.0
 
@@ -239,25 +244,25 @@ class ExperimentConfig:
         if self.dgp is not None:
             if self.dgp not in ("two_regime", "three_regime"):
                 raise ValueError(f"unknown generator {self.dgp!r}")
-            if self.n is None or self.n < 2:
-                raise ValueError("generator runs need n >= 2")
+            if not (_integer(self.n) and self.n >= 2):
+                raise ValueError("generator runs need an integer n >= 2")
         if self.scaling not in ("zscore", "robust"):
             raise ValueError(f"unknown scaling {self.scaling!r}")
         if not 0.0 < self.initial_fraction < 1.0:
             raise ValueError("initial_fraction must lie in (0, 1)")
         if not 0 < self.alpha < math.inf:  # NaN fails both comparisons
             raise ValueError("alpha must be positive and finite")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be at least 2")
+        if not (_integer(self.cv_folds) and self.cv_folds >= 2):
+            raise ValueError("cv_folds must be an integer >= 2")
         if not self.methods:
             raise ValueError("methods list is empty")
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ValueError("method names must be unique")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
+        if not (_integer(self.replications) and self.replications >= 1):
+            raise ValueError("replications must be an integer >= 1")
+        if not (_integer(self.parallelism) and self.parallelism >= 1):
+            raise ValueError("parallelism must be an integer >= 1")
 
     def resolved_out_dir(self) -> str:
         return os.environ.get(ENV_OUT_DIR, self.out_dir)
@@ -300,17 +305,25 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(**d)
 
 
+def _read_int(value) -> int:
+    """``int`` that drops no fraction: 3, 3.0 and "3" read as 3, 2.5 is an error."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError("not an integer")
+    return number
+
+
 # YAML section -> key -> (ExperimentConfig field, reader applied to the value
 # or None).  The defaults live only in ExperimentConfig.
 _YAML_FIELDS = {
     "dataset": {"csv": ("csv_path", None), "dgp": ("dgp", None), "n": ("n", None),
-                "seed": ("dataset_seed", int)},
+                "seed": ("dataset_seed", _read_int)},
     "preprocessing": {"scaling": ("scaling", None),
                       "categorical_columns": ("categorical_columns", None)},
     "split": {"initial_fraction": ("initial_fraction", float)},
-    "model": {"alpha": ("alpha", float), "cv_folds": ("cv_folds", int)},
-    "run": {"replications": ("replications", int), "base_seed": ("base_seed", int),
-            "parallelism": ("parallelism", int), "out_dir": ("out_dir", str)},
+    "model": {"alpha": ("alpha", float), "cv_folds": ("cv_folds", _read_int)},
+    "run": {"replications": ("replications", _read_int), "base_seed": ("base_seed", _read_int),
+            "parallelism": ("parallelism", _read_int), "out_dir": ("out_dir", str)},
 }
 
 
@@ -333,7 +346,10 @@ def load_config(path: str) -> ExperimentConfig:
             if key not in _YAML_FIELDS[section]:
                 raise ValueError(f"unknown key {key!r} in config section {section!r}")
             name, read = _YAML_FIELDS[section][key]
-            d[name] = value if read is None else read(value)
+            try:
+                d[name] = value if read is None else read(value)
+            except (TypeError, ValueError, OverflowError) as exc:  # e.g. .inf, .nan, 2.5
+                raise ValueError(f"{section}.{key} = {value!r}: {exc}") from exc
 
     methods_raw = raw.get("methods")
     if methods_raw == "default" or methods_raw is None:

@@ -107,7 +107,9 @@ class DistanceCache:
 
     @property
     def dy_pair(self) -> np.ndarray:
-        return np.abs(self.predictions[:, None] - self.labeled_targets[None, :])
+        """|prediction - target| for every (pool, labeled) pair, in one new buffer."""
+        diff = np.subtract.outer(self.predictions, self.labeled_targets)
+        return np.abs(diff, out=diff)
 
     @property
     def dy_min(self) -> np.ndarray:
@@ -184,14 +186,17 @@ def update_after_acquisition(
     nn = cache._labeled_nn
     np.minimum(nn[:n_old], to_labeled, out=nn[:n_old])
     nn[n_old] = to_labeled.min()
-    if cache._dx_pair is not None:
-        keep = np.ones(n_pool, dtype=bool)
-        keep[acquired] = False
-        cache._dx_pair = np.hstack([cache._dx_pair[keep], new_col[:, None]])
+    old = cache._dx_pair
+    if old is not None:  # one (P-1, L+1) allocation: the kept rows, then the new column
+        pair = np.empty((n_pool - 1, old.shape[1] + 1))
+        pair[:acquired, :-1] = old[:acquired]
+        pair[acquired:, :-1] = old[acquired + 1:]
+        pair[:, -1] = new_col
+        cache._dx_pair = pair
     cache.predictions = predictions
 
 
-def normalize_phi(values: np.ndarray) -> np.ndarray:
+def normalize_phi(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Min-max map of a nonnegative distance collection onto [0, 1].
 
     Applied per iteration, separately to the feature-distance and
@@ -200,12 +205,19 @@ def normalize_phi(values: np.ndarray) -> np.ndarray:
     on purpose: on identical rows every feature distance is 0, so the
     feature term ranks no candidate, just as gsx's all-zero ``dx_min``
     does, and the tie goes to the lowest pool position.
+
+    ``out``, a float array of the shape of ``values`` (``values`` itself
+    allowed), receives the result, with the same bits as a new array.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot normalize an empty collection")
     lo = values.min()
     hi = values.max()
+    if out is None:
+        out = np.empty_like(values)
     if hi == lo:
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)
+        out.fill(0.0)
+        return out
+    np.subtract(values, lo, out=out)
+    return np.divide(out, hi - lo, out=out)

@@ -7,14 +7,17 @@ cross-validated RMSE drop as reward feedback before choosing each
 iteration's weight.  Replication seeds are ``base_seed + index`` and every
 source of randomness inside a replication derives from that one seed, so
 any (method, seed) pair can run in any process at any time and produce the
-same trace.  The seeds of one method run as a lockstep block that shares
-each iteration's ridge solves; a seed's trace does not depend on its block.
+same trace.  Pairs of any methods on one dataset run as a lockstep block:
+each iteration makes one stacked refit for the whole block, one CV call for
+the pairs that take a CV reward and one committee call per committee size;
+a pair's trace does not depend on its block.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import time
 import traceback
@@ -62,10 +65,10 @@ TRACE_COLUMNS = (
 )
 TIMING_COLUMNS = ("dataset", "method", "seed", "iteration", "wall_ms")
 
-# A block holds all of its seeds' replications at once, so run_experiment
-# splits a method's seeds into blocks whose estimated footprint
-# (``seed_bytes``) stays under this many bytes.  A seed's trace does not
-# depend on its block, so the split changes no result.
+# A block holds all of its pairs' replications at once, so run_experiment
+# cuts the (method, seed) pairs into blocks whose summed estimated footprint
+# (``seed_bytes``) stays under this many bytes.  A pair's trace does not
+# depend on its block, so the cut changes no result.
 BLOCK_BYTES = 64 * 2**20
 
 
@@ -79,48 +82,84 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
     return scale_features(raw, config.scaling)
 
 
+def _fit_group(method: MethodSpec) -> tuple[bool, int]:
+    """The stacked calls a pair of ``method`` joins besides the refit: whether
+    it takes the CV call, and the committee size it is fitted at (0: none)."""
+    kind = KINDS[method.kind]
+    return kind.cv_reward, int(method.settings()["committee_size"]) if kind.committee else 0
+
+
+def _failing_fits(X: np.ndarray, y: np.ndarray, alpha: float, names: list[str]) -> list[str]:
+    """The names of the sets of a failed stacked fit that fail on their own
+    (all of them if none does)."""
+    failing = []
+    for r, name in enumerate(names):
+        try:
+            fit_ridge(X[r], y[r], alpha)
+        except Exception:
+            failing.append(name)
+    return failing or names
+
+
 def run_block(
     dataset: Dataset,
-    method: MethodSpec,
-    seeds,
+    pairs,
     initial_fraction: float = 0.05,
     alpha: float = 0.01,
     cv_folds: int = 5,
 ) -> list[Trace]:
-    """Run one replication of ``method`` per seed, in lockstep, to pool exhaustion.
+    """Run one replication per (method, seed) pair, in lockstep, to pool exhaustion.
 
     Row 0 of each trace is the pre-acquisition baseline; row t records the
-    state after the t-th acquisition with the model refit.  Every seed has
+    state after the t-th acquisition with the model refit.  Every pair has
     the same horizon, so at each iteration all R labeled sets hold the same
-    number of rows, L: seed r's partition moves its rows in place in row r
-    of one (R, N, p) buffer, and the block's refit, CV and committee are
-    each one kernel call on the (R, L, p) view of the labeled rows.  The
-    policy step, selection, acquisition, distance cache and recording run
-    per seed.  A seed's trace is the same bits whatever block it runs in.
+    number of rows, L: pair r's partition moves its rows in place in one row
+    of an (R, N, p) buffer, and the block's refit is one kernel call on the
+    (R, L, p) view of the labeled rows.  The buffer rows are ordered by the
+    other calls a pair joins (``_fit_group``), so the CV call of the pairs
+    whose kind takes a CV reward, and the committee call of the pairs of
+    each committee size, are each one kernel call on a slice of that view.
+    The policy step, selection, acquisition, distance cache and recording
+    run per pair.  A pair's trace is the same bits whatever block it runs
+    in, and the traces come back in the order of ``pairs``.
 
-    ``wall_ms`` of a row is the seed's own work for it plus 1/R of the
-    block's kernel calls for it: the initial fit and prediction for row 0,
-    and the iteration up to its recording for row t.  The set-up, the
-    initial distance cache and the recording are left out, as in a run of
-    one seed at a time, so a block of one times what such a run timed.
+    ``wall_ms`` of a row is the pair's own work for it plus its share of the
+    block's kernel calls for it: 1/R of the refit, and 1/R' of a CV or
+    committee call that R' pairs share, if the pair is one of them.  Row 0
+    is the initial fit and prediction, row t the iteration up to its
+    recording.  The set-up, the initial distance cache and the recording are
+    left out, as in a run of one pair at a time, so a block of one times
+    what such a run timed.
     """
     clock = time.perf_counter
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValueError("a block needs at least one seed")
-    R = len(seeds)
+    pairs = [(method, int(seed)) for method, seed in pairs]
+    if not pairs:
+        raise ValueError("a block needs at least one (method, seed) pair")
+    R = len(pairs)
+    keys = [_fit_group(method) for method, _ in pairs]
+    order = sorted(range(R), key=keys.__getitem__)  # stable: pairs keep their order in a group
+    methods = [pairs[i][0] for i in order]
+    seeds = [pairs[i][1] for i in order]
+    names = [f"{method.name}/{seed}" for method, seed in zip(methods, seeds)]
+    kinds = [KINDS[method.kind] for method in methods]
+    groups, start = [], 0  # (takes the CV call, committee size, its slice of the block)
+    for (takes_cv, committee_size), members in itertools.groupby(keys[i] for i in order):
+        stop = start + len(list(members))
+        if takes_cv or committee_size:
+            groups.append((takes_cv, committee_size, slice(start, stop)))
+        start = stop
+
     y = dataset.targets
     n_total = dataset.n_samples
-    kind = KINDS[method.kind]
-    params = method.settings()
     features = np.empty((R, *dataset.features.shape))
     labels = np.empty((R, n_total))
     parts = [Partition(dataset, initial_split(dataset, initial_fraction, seed), features[r], labels[r])
              for r, seed in enumerate(seeds)]
     n_labeled = parts[0].n_labeled
     horizon = n_total - n_labeled
-    policies = [kind.policy(params, seed) if kind.policy else None for seed in seeds]
-    states = [kind.setup(dataset, seed) if kind.setup else None for seed in seeds]
+    policies = [kind.policy(method.settings(), seed) if kind.policy else None
+                for kind, method, seed in zip(kinds, methods, seeds)]
+    states = [kind.setup(dataset, seed) if kind.setup else None for kind, seed in zip(kinds, seeds)]
 
     rows_rmse = np.empty((R, horizon + 1))
     rows_cc = np.empty((R, horizon + 1))
@@ -128,10 +167,10 @@ def run_block(
     rows_score = np.full((R, horizon + 1), np.nan)
     rows_acquired = np.full((R, horizon + 1), -1, dtype=np.int64)
     rows_labeled = np.empty((R, horizon + 1), dtype=np.int64)
-    own = [[0.0] * (horizon + 1) for _ in seeds]  # seconds of each seed's own work per row
-    shared = [0.0] * (horizon + 1)                # seconds of the block's kernel calls per row
+    own = [[0.0] * (horizon + 1) for _ in range(R)]  # seconds of each pair's own work per row
+    shared = np.zeros((R, horizon + 1))              # seconds of its share of the kernel calls
     # In dataset order: the known labels, and the predictions on the pool.
-    hybrids = [y.copy() for _ in seeds]
+    hybrids = [y.copy() for _ in range(R)]
 
     def record(r: int, slot: int, preds: np.ndarray) -> None:
         pool = parts[r].pool
@@ -144,37 +183,42 @@ def run_block(
     last = clock()
     models = fit_ridge(features[:, :n_labeled], labels[:, :n_labeled], alpha)
     now = clock()
-    shared[0] = now - last
+    shared[:, 0] = (now - last) / R
     last = now
     caches = [None] * R
     for r, part in enumerate(parts):
         pool_preds = models[r].predict(part.pool_features)
         own[r][0] = clock() - last
         record(r, 0, pool_preds)
-        if kind.cache:
+        if kinds[r].cache:
             caches[r] = build_cache(dataset, part, pool_preds)
         last = clock()
 
-    cv_now = committees = None
+    cv_now = [None] * R
+    committees = [None] * R
     cv_prev = [None] * R
     cv_initial = [None] * R
-    committee_size = int(params["committee_size"]) if kind.committee else 0
     labeled_x, labeled_y = features[:, :n_labeled], labels[:, :n_labeled]
     for t in range(horizon):
         slot = t + 1
-        if kind.cv_reward:
-            cv_now = cv_rmse(labeled_x, labeled_y, alpha, cv_folds,
-                             [child_seed(seed, "cv", t) for seed in seeds])
-        if kind.committee:
-            committees = fit_bootstrap_committee(
-                labeled_x, labeled_y, alpha, committee_size,
-                [child_seed(seed, "bootstrap", t) for seed in seeds])
-        now = clock()
-        shared[slot] = now - last
-        last = now
+        for takes_cv, committee_size, rows in groups:
+            if takes_cv:
+                cv_now[rows] = cv_rmse(labeled_x[rows], labeled_y[rows], alpha, cv_folds,
+                                       [child_seed(seed, "cv", t) for seed in seeds[rows]])
+                now = clock()
+                shared[rows, slot] += (now - last) / (rows.stop - rows.start)
+                last = now
+            if committee_size:
+                committees[rows] = fit_bootstrap_committee(
+                    labeled_x[rows], labeled_y[rows], alpha, committee_size,
+                    [child_seed(seed, "bootstrap", t) for seed in seeds[rows]])
+                now = clock()
+                shared[rows, slot] += (now - last) / (rows.stop - rows.start)
+                last = now
 
         positions = [0] * R
         for r, part in enumerate(parts):
+            kind = kinds[r]
             weight = None
             policy = policies[r]
             if policy is not None:
@@ -192,7 +236,7 @@ def run_block(
                 weight = policy.step(t, horizon, reward, context)
                 rows_weight[r, slot] = weight
             result = kind.select(Query(models[r], part.pool_features, caches[r],
-                                       committees[r] if committees else None, weight, states[r]))
+                                       committees[r], weight, states[r]))
             pos = result.chosen
             ds_idx = int(part.pool[pos])
             part.acquire(pos, y[ds_idx])
@@ -209,27 +253,27 @@ def run_block(
         try:
             models = fit_ridge(labeled_x, labeled_y, alpha)
         except Exception as exc:
-            raise RuntimeError(
-                f"model fit failed at iteration {t} of {method.name}/seed "
-                + ", ".join(map(str, seeds))
-            ) from exc
+            raise RuntimeError(f"model fit failed at iteration {t} of "
+                               + ", ".join(_failing_fits(labeled_x, labeled_y, alpha, names))
+                               ) from exc
         now = clock()
-        shared[slot] += now - last
+        shared[:, slot] += (now - last) / R
         last = now
         for r, part in enumerate(parts):
             pool_preds = models[r].predict(part.pool_features)
-            if kind.cache:
+            if kinds[r].cache:
                 update_after_acquisition(caches[r], positions[r], pool_preds)
             own[r][slot] += clock() - last
             record(r, slot, pool_preds)
             last = clock()
 
-    wall_ms = (np.array(own) + np.array(shared) / R) * 1000.0
-    return [
-        Trace(
-            method=method.name,
+    wall_ms = (np.array(own) + shared) * 1000.0
+    traces = [None] * R
+    for r, i in enumerate(order):
+        traces[i] = Trace(
+            method=methods[r].name,
             dataset=dataset.name,
-            seed=seed,
+            seed=seeds[r],
             labeled_count=rows_labeled[r],
             rmse=rows_rmse[r],
             cc=rows_cc[r],
@@ -238,8 +282,7 @@ def run_block(
             acquired_idx=rows_acquired[r],
             wall_ms=wall_ms[r],
         )
-        for r, seed in enumerate(seeds)
-    ]
+    return traces
 
 
 def run_replication(
@@ -250,8 +293,8 @@ def run_replication(
     alpha: float = 0.01,
     cv_folds: int = 5,
 ) -> Trace:
-    """Run one (method, seed) replication to pool exhaustion: a block of one seed."""
-    return run_block(dataset, method, (seed,), initial_fraction, alpha, cv_folds)[0]
+    """Run one (method, seed) replication to pool exhaustion: a block of one pair."""
+    return run_block(dataset, [(method, seed)], initial_fraction, alpha, cv_folds)[0]
 
 
 @dataclass(frozen=True)
@@ -307,17 +350,17 @@ def _atomic_write(path: str, text: str) -> None:
 _worker_dataset: Dataset | None = None
 
 
-def _init_worker(dataset: Dataset) -> None:
+def _init_worker(dataset: Dataset | None) -> None:
     global _worker_dataset
     _worker_dataset = dataset
 
 
 def seed_bytes(n_samples: int, n_features: int, method: MethodSpec, cv_folds: int) -> int:
-    """An upper bound on the bytes one seed adds to a block of ``method`` on
-    an (N, p) dataset: its partition rows, one centred (k, p) copy of the
-    labeled rows per fit of a stacked kernel call (k <= N), a distance
-    cache's pool x labeled block and its copy as it grows (at most N²/2
-    floats), and the kind's ``state_bytes``."""
+    """An upper bound on the bytes one (``method``, seed) pair adds to a
+    block on an (N, p) dataset: its partition rows, one centred (k, p) copy
+    of the labeled rows per fit of a stacked kernel call (k <= N), a
+    distance cache's pool x labeled block and its copy as it grows (at most
+    N²/2 floats), and the kind's ``state_bytes``."""
     kind = KINDS[method.kind]
     params = method.settings()
     fits = 1
@@ -333,50 +376,63 @@ def seed_bytes(n_samples: int, n_features: int, method: MethodSpec, cv_folds: in
     return size
 
 
-def seed_blocks(seeds: list[int], per_seed: int, parallelism: int) -> list[tuple[int, ...]]:
-    """Consecutive blocks of ``seeds``: ceil(len / parallelism) seeds each,
-    so every worker gets work, and fewer where their ``per_seed`` bytes
-    would pass ``BLOCK_BYTES``; at least one seed per block."""
-    size = min(-(-len(seeds) // parallelism), max(1, BLOCK_BYTES // per_seed))
-    return [tuple(seeds[i:i + size]) for i in range(0, len(seeds), size)]
+def pair_blocks(pairs: list, pair_bytes: list[int], parallelism: int) -> list[tuple]:
+    """Consecutive blocks of ``pairs``: ceil(len / parallelism) pairs each,
+    so every worker gets work, each cut further before a pair whose
+    ``pair_bytes`` would take the block's sum past ``BLOCK_BYTES``; at least
+    one pair per block."""
+    size = -(-len(pairs) // parallelism)
+    blocks = []
+    for start in range(0, len(pairs), size):
+        block, total = [], 0
+        for pair, nbytes in zip(pairs[start:start + size], pair_bytes[start:start + size]):
+            if block and total + nbytes > BLOCK_BYTES:
+                blocks.append(tuple(block))
+                block, total = [], 0
+            block.append(pair)
+            total += nbytes
+        blocks.append(tuple(block))
+    return blocks
 
 
-def _attempt(method: MethodSpec, seeds: tuple[int, ...], settings) -> list[tuple]:
-    """(seed, trace, None) for each seed of a block that ran, or
-    (seed, None, traceback text) for each seed of a block that raised."""
+def _attempt(pairs: tuple, settings) -> list[tuple]:
+    """(method, seed, trace, None) for each pair of a block that ran, or
+    (method, seed, None, traceback text) for each pair of a block that raised."""
     try:
-        traces = run_block(_worker_dataset, method, seeds, *settings)
+        traces = run_block(_worker_dataset, pairs, *settings)
     except Exception:
         failure = traceback.format_exc()
-        return [(seed, None, failure) for seed in seeds]
-    return [(seed, trace, None) for seed, trace in zip(seeds, traces)]
+        return [(method, seed, None, failure) for method, seed in pairs]
+    return [(method, seed, trace, None) for (method, seed), trace in zip(pairs, traces)]
 
 
 def _run_task(args) -> list[tuple]:
-    """The outcomes of one block of seeds.  If the block raises, its seeds
-    rerun one at a time: a failing seed gives the error its own block of one
+    """The outcomes of one block of pairs.  If the block raises, its pairs
+    rerun one at a time: a failing pair gives the error its own block of one
     gives, and the others keep their traces."""
-    method, seeds, *settings = args
-    outcomes = _attempt(method, seeds, settings)
-    if len(seeds) > 1 and outcomes[0][2] is not None:
-        outcomes = [outcome for seed in seeds for outcome in _attempt(method, (seed,), settings)]
+    pairs, *settings = args
+    outcomes = _attempt(pairs, settings)
+    if len(pairs) > 1 and outcomes[0][3] is not None:
+        outcomes = [outcome for pair in pairs for outcome in _attempt((pair,), settings)]
     return outcomes
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Execute every (method, seed) pair and persist the record directory.
 
-    Each task is one block of a method's seeds (``run_block``): all of them
-    at parallelism 1, and ceil(replications / parallelism) of them
-    otherwise, so every worker gets work, in smaller blocks where a block
-    would hold more than ``BLOCK_BYTES`` (``seed_blocks``).  A seed's trace
-    does not depend on its block, so the final trace file, written sorted
-    by (method, seed, iteration), is byte-identical for any parallelism
-    degree and any split.  Each
-    finished trace is formatted once: the text is appended to a .part file
-    as its block finishes and reused, in sorted order, for traces.csv.
+    The pairs, method by method and seed by seed within a method, are cut
+    into consecutive blocks (``run_block``): one block at parallelism 1, and
+    ceil(pairs / parallelism) pairs per block otherwise, so every worker
+    gets work, cut further where a block's summed ``seed_bytes`` would pass
+    ``BLOCK_BYTES`` (``pair_blocks``).  A pair's trace does not depend on
+    its block, so the final trace file, written sorted by (method, seed,
+    iteration), is byte-identical for any parallelism degree and any split.
+    Each finished trace is formatted once: the text is appended to a .part
+    file as its block finishes and reused, in sorted order, for traces.csv.
     After a crash the .part file keeps the finished pairs, but a rerun
-    starts over and does not read it.
+    starts over and does not read it.  When the run returns, neither this
+    module nor the returned dataset keeps the dataset's (N, N) distance
+    matrix.
     """
     out_dir = config.resolved_out_dir()
     os.makedirs(out_dir, exist_ok=True)
@@ -386,11 +442,12 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     seeds = [config.base_seed + i for i in range(config.replications)]
     n_samples, n_features = dataset.features.shape
-    tasks = [(method, block, config.initial_fraction, config.alpha, config.cv_folds)
-             for method in config.methods
-             for block in seed_blocks(
-                 seeds, seed_bytes(n_samples, n_features, method, config.cv_folds),
-                 config.parallelism)]
+    pairs = [(method, seed) for method in config.methods for seed in seeds]
+    pair_bytes = [seed_bytes(n_samples, n_features, method, config.cv_folds)
+                  for method, _ in pairs]
+    settings = (config.initial_fraction, config.alpha, config.cv_folds)
+    tasks = [(block, *settings)
+             for block in pair_blocks(pairs, pair_bytes, config.parallelism)]
 
     # (method, seed) -> (trace, its traces.csv rows, its timings.csv rows)
     finished: dict[tuple[str, int], tuple[Trace, str, str]] = {}
@@ -399,8 +456,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     with open(part_path, "w", encoding="utf-8", newline="") as part:
         part.write(",".join(TRACE_COLUMNS) + "\n")
 
-        def consume(method, outcomes):
-            for seed, trace, error in outcomes:
+        def consume(outcomes):
+            for method, seed, trace, error in outcomes:
                 if error is not None:
                     errors.append((method.name, seed, error))
                     continue
@@ -411,8 +468,11 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
         if config.parallelism == 1:
             _init_worker(dataset)
-            for task in tasks:
-                consume(task[0], _run_task(task))
+            try:
+                for task in tasks:
+                    consume(_run_task(task))
+            finally:
+                _init_worker(None)
         else:
             from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -421,13 +481,14 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                                      initargs=(dataset,)) as pool:
                 futures = {pool.submit(_run_task, task): task for task in tasks}
                 for fut in as_completed(futures):
-                    task = futures[fut]
                     try:
                         outcomes = fut.result()
-                    except Exception:  # the worker died: every seed of its block failed
+                    except Exception:  # the worker died: every pair of its block failed
                         failure = traceback.format_exc()
-                        outcomes = [(seed, None, failure) for seed in task[1]]
-                    consume(task[0], outcomes)
+                        outcomes = [(method, seed, None, failure)
+                                    for method, seed in futures[fut][0]]
+                    consume(outcomes)
+    vars(dataset).pop("feature_distances", None)  # the cached (N, N) matrix
 
     done = [finished[key] for key in sorted(finished)]
     _atomic_write(

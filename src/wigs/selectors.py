@@ -28,6 +28,10 @@ from .model import Committee, RidgeModel, predictive_variance_batch
 from .rng import generator
 
 
+# Candidates per chunk of egal's density sums: a (chunk, N) gather at a time.
+EGAL_CHUNK_ROWS = 64
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     chosen: int                      # position in the current pool list
@@ -72,10 +76,16 @@ def igs_scores(dx_pair: np.ndarray, dy_pair: np.ndarray) -> np.ndarray:
 
 
 def select_igs(cache: DistanceCache) -> SelectionResult:
-    """Multiplicative combination of feature and output distances."""
+    """Multiplicative combination of feature and output distances.
+
+    ``igs_scores`` with the product formed in the ``dy_pair`` buffer, so
+    the scoring holds one (P, L) buffer; the same bits.
+    """
     if cache.n_pool == 0 or cache.dx_pair.shape[1] == 0:
         raise ValueError("empty pool or labeled set")
-    return _pick(igs_scores(cache.dx_pair, cache.dy_pair))
+    product = cache.dy_pair
+    np.multiply(cache.dx_pair, product, out=product)
+    return _pick(product.min(axis=1))
 
 
 def wigs_scores(phi_x: np.ndarray, phi_y: np.ndarray, w: float) -> np.ndarray:
@@ -92,15 +102,21 @@ def select_wigs(cache: DistanceCache, w: float) -> SelectionResult:
 
     A collection of equal distances, such as the feature distances of a pool
     of identical rows, normalizes to zeros (``normalize_phi``), so its term
-    adds nothing and ties go to the lowest pool position.
+    adds nothing and ties go to the lowest pool position.  The operations
+    of ``wigs_scores`` on the two normalized collections, in the same order,
+    in two (P, L) buffers: the same bits.
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {w}")
     if cache.n_pool == 0 or cache.dx_pair.shape[1] == 0:
         raise ValueError("empty pool or labeled set")
     phi_x = normalize_phi(cache.dx_pair)
-    phi_y = normalize_phi(cache.dy_pair)
-    return _pick(wigs_scores(phi_x, phi_y, w))
+    phi_y = cache.dy_pair
+    normalize_phi(phi_y, out=phi_y)
+    np.multiply(w, phi_x, out=phi_x)
+    np.multiply(1.0 - w, phi_y, out=phi_y)
+    np.add(phi_x, phi_y, out=phi_x)
+    return _pick(phi_x.min(axis=1))
 
 
 def uncertainty_scores(model: RidgeModel, pool_features: np.ndarray) -> np.ndarray:
@@ -190,8 +206,19 @@ def egal_setup(dataset: Dataset, seed: int) -> np.ndarray:
 
 
 def egal_density(cache: DistanceCache, similarity: np.ndarray) -> np.ndarray:
-    """Sum of Gaussian similarities from each candidate to the other pool points."""
-    return similarity[cache.pool].take(cache.pool, axis=1).sum(axis=1)
+    """Sum of Gaussian similarities from each candidate to the other pool points.
+
+    Summed ``EGAL_CHUNK_ROWS`` candidates at a time, so no (P, N) gather is
+    held: each candidate's row is the same P contiguous values, summed the
+    same way, whatever chunk it falls in.
+    """
+    pool = cache.pool
+    chunk = EGAL_CHUNK_ROWS
+    density = np.empty(len(pool))
+    for start in range(0, len(pool), chunk):
+        rows = similarity.take(pool[start:start + chunk], axis=0)
+        density[start:start + chunk] = rows.take(pool, axis=1).sum(axis=1)
+    return density
 
 
 def select_egal(cache: DistanceCache, similarity: np.ndarray) -> SelectionResult:

@@ -189,10 +189,10 @@ def test_criterion_04_weight_extremes_match_pure_strategies():
                               methods=(MethodSpec("igs", "igs"),))
     dataset = resolve_dataset(config)
     seeds = (11, 12, 13)
-    gsx = run_block(dataset, MethodSpec("gsx", "gsx"), seeds)
-    w1 = run_block(dataset, MethodSpec("w1", "wigs_static", {"w": 1.0}), seeds)
-    gsy = run_block(dataset, MethodSpec("gsy", "gsy"), seeds)
-    w0 = run_block(dataset, MethodSpec("w0", "wigs_static", {"w": 0.0}), seeds)
+    specs = (MethodSpec("gsx", "gsx"), MethodSpec("w1", "wigs_static", {"w": 1.0}),
+             MethodSpec("gsy", "gsy"), MethodSpec("w0", "wigs_static", {"w": 0.0}))
+    traces = run_block(dataset, [(spec, seed) for spec in specs for seed in seeds])
+    gsx, w1, gsy, w0 = (traces[i:i + len(seeds)] for i in range(0, len(traces), len(seeds)))
     ok = True
     for r in range(len(seeds)):
         ok = ok and np.array_equal(gsx[r].acquired_idx, w1[r].acquired_idx)
@@ -215,8 +215,9 @@ def test_criterion_05_directional_reproduction_two_regime():
         "w075": MethodSpec("w075", "wigs_static", {"w": 0.75}),
         "w025": MethodSpec("w025", "wigs_static", {"w": 0.25}),
     }
-    traces = {name: dict(zip(seeds, run_block(dataset, spec, seeds)))
-              for name, spec in specs.items()}
+    block = run_block(dataset, [(spec, seed) for spec in specs.values() for seed in seeds])
+    traces = {name: {trace.seed: trace for trace in block if trace.method == name}
+              for name in specs}
     rel075 = float(np.mean([relative_auc(traces["w075"][s].rmse,
                                          traces["igs"][s].rmse) for s in seeds]))
     rel025 = float(np.mean([relative_auc(traces["w025"][s].rmse,

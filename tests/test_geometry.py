@@ -112,6 +112,32 @@ class TestUpdateAfterAcquisition:
             assert np.array_equal(cache.pool, pool)
             assert np.array_equal(cache.labeled, labeled)
 
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_dx_pair_update_in_one_allocation(self, where):
+        """The (P-1, L+1) block is the bits of a fresh gather, built in one
+        allocation: no (P-1, L) copy of the kept rows beside it."""
+        import tracemalloc
+
+        rng = np.random.default_rng(14)
+        n, k = 400, 200
+        ds = make_dataset(rng.normal(size=(n, 3)), rng.normal(size=n))
+        order = rng.permutation(n)
+        cache = build_cache(ds, Partition(ds, SplitState(order[:k], order[k:], seed=0)),
+                            np.zeros(n - k))
+        cache.dx_pair  # gathered and kept from here on
+        pos = {"first": 0, "middle": (n - k) // 2, "last": n - k - 1}[where]
+        cache.partition.acquire(pos, ds.targets[cache.pool[pos]])
+        preds = np.zeros(n - k - 1)
+        tracemalloc.start()
+        try:
+            update_after_acquisition(cache, pos, preds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache.dx_pair.tobytes() == ds.feature_distances[
+            np.ix_(cache.pool, cache.labeled)].tobytes()
+        assert peak < 1.2 * 8 * (n - k - 1) * (k + 1)
+
     def test_duplicate_acquisition_leaves_dx_unchanged(self):
         ds = make_dataset([0.0, 1.0, 1.0, 0.3], [0.0, 1.0, 1.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
@@ -219,6 +245,20 @@ class TestNormalizePhi:
         out = normalize_phi(m)
         assert out.shape == m.shape
         assert out.min() == 0.0 and out.max() == 1.0
+
+    def test_out_gives_the_bits_of_a_new_array(self):
+        rng = np.random.default_rng(13)
+        cases = [rng.uniform(0.0, 5.0, size=(7, 4)), np.full((3, 5), 2.5), np.zeros((4, 2)),
+                 rng.normal(size=9) ** 2]
+        for values in cases:
+            want = (values - values.min()) / (values.max() - values.min()) \
+                if values.max() > values.min() else np.zeros_like(values)
+            buffer = np.full_like(values, np.nan)
+            assert normalize_phi(values, out=buffer) is buffer
+            assert buffer.tobytes() == want.tobytes() == normalize_phi(values).tobytes()
+            in_place = values.copy()
+            normalize_phi(in_place, out=in_place)
+            assert in_place.tobytes() == want.tobytes()
 
     def test_argmax_of_minima_preserved(self):
         # monotone affine map: argmax_n min_m phi(d_nm) == argmax_n min_m d_nm

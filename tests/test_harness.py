@@ -28,11 +28,12 @@ from wigs.config import (
 from wigs.data import ColumnMeta, Dataset, Partition, SplitState, initial_split
 from wigs.geometry import build_cache
 from wigs.harness import (
+    BLOCK_BYTES,
+    pair_blocks,
     resolve_dataset,
     run_block,
     run_experiment,
     run_replication,
-    seed_blocks,
     seed_bytes,
 )
 from wigs.metrics import Trace, correlation_coefficient, hybrid_rmse
@@ -125,6 +126,50 @@ methods:
             with pytest.raises(ValueError, match="alpha must be positive and finite"):
                 ExperimentConfig(dgp="two_regime", n=50, alpha=alpha,
                                  methods=(MethodSpec("igs", "igs"),))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 40.5, "generator runs need an integer n >= 2"),
+        ("n", float("inf"), "generator runs need an integer n >= 2"),
+        ("n", True, "generator runs need an integer n >= 2"),
+        ("n", 1, "generator runs need an integer n >= 2"),
+        ("replications", 2.5, "replications must be an integer >= 1"),
+        ("replications", True, "replications must be an integer >= 1"),
+        ("replications", 0, "replications must be an integer >= 1"),
+        ("cv_folds", 2.5, "cv_folds must be an integer >= 2"),
+        ("cv_folds", float("nan"), "cv_folds must be an integer >= 2"),
+        ("parallelism", 1.5, "parallelism must be an integer >= 1"),
+        ("parallelism", True, "parallelism must be an integer >= 1"),
+    ])
+    def test_integer_fields(self, field, value, message):
+        settings = {"dgp": "two_regime", "n": 50, "methods": (MethodSpec("igs", "igs"),)}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(**{**settings, field: value})
+        assert ExperimentConfig(**{**settings, field: np.int64(3)})  # numpy integers are integers
+
+    @pytest.mark.parametrize("text, message", [
+        ("run:\n  replications: .inf\n",
+         "run.replications = inf: cannot convert float infinity to integer"),
+        ("run:\n  replications: .nan\n", "run.replications = nan: cannot convert float NaN"),
+        ("run:\n  replications: 2.5\n", "run.replications = 2.5: not an integer"),
+        ("run:\n  parallelism: -.inf\n", "run.parallelism = -inf: cannot convert"),
+        ("model:\n  cv_folds: 2.5\n", "model.cv_folds = 2.5: not an integer"),
+        ("run:\n  base_seed: many\n", "run.base_seed = 'many': invalid literal for int()"),
+    ], ids=["inf", "nan", "fraction", "minus_inf", "cv_folds_fraction", "word"])
+    def test_yaml_integer_key_named(self, tmp_path, text, message):
+        path = tmp_path / "config.yaml"
+        path.write_text("dataset:\n  dgp: two_regime\n  n: 40\n" + text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(str(path))
+
+    def test_yaml_generator_size_must_be_an_integer(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        for n, ok in (("40.5", False), (".inf", False), ("40", True), ("40.0", False)):
+            path.write_text(f"dataset:\n  dgp: two_regime\n  n: {n}\n")
+            if ok:
+                assert load_config(str(path)).n == 40
+            else:
+                with pytest.raises(ValueError, match="generator runs need an integer n >= 2"):
+                    load_config(str(path))
 
     @pytest.mark.parametrize("kind, params, message", [
         ("wigs_static", {}, "static weight must lie in"),
@@ -559,10 +604,10 @@ class TestRunExperiment:
         import wigs.harness as harness_module
         real = harness_module.run_block
 
-        def flaky(dataset, method, seeds, *args, **kwargs):
-            if 101 in seeds:
+        def flaky(dataset, pairs, *args, **kwargs):
+            if any(seed == 101 for _, seed in pairs):
                 raise RuntimeError("synthetic failure")
-            return real(dataset, method, seeds, *args, **kwargs)
+            return real(dataset, pairs, *args, **kwargs)
 
         monkeypatch.setattr(harness_module, "run_block", flaky)
         config = small_config(tmp_path, (MethodSpec("igs", "igs"),),
@@ -575,6 +620,33 @@ class TestRunExperiment:
         assert os.path.exists(errors_path)
         with open(errors_path) as fh:
             assert "synthetic failure" in fh.read()
+
+    def test_run_releases_the_distance_matrix(self, tmp_path):
+        record = run_experiment(small_config(tmp_path, (MethodSpec("igs", "igs"),), n=40))
+        assert wigs.harness._worker_dataset is None
+        assert "feature_distances" not in record.dataset.__dict__
+
+    def test_fit_failure_names_the_failing_pairs(self, dataset, monkeypatch):
+        """The stacked refit fails as one; the error names the pairs whose
+        own fit fails: those of seed 4, whose first labeled row is poisoned."""
+        real = wigs.harness.fit_ridge
+        n_initial = len(initial_split(dataset, 0.05, 4).labeled_idx)
+        poisoned = dataset.features[initial_split(dataset, 0.05, 4).labeled_idx[0]]
+        assert not np.array_equal(
+            dataset.features[initial_split(dataset, 0.05, 3).labeled_idx[0]], poisoned)
+
+        def fragile(X, y, alpha):
+            sets = X if X.ndim == 3 else X[None]
+            if X.shape[-2] == n_initial + 3 and any(np.array_equal(x[0], poisoned) for x in sets):
+                raise np.linalg.LinAlgError("synthetic singular Gram")
+            return real(X, y, alpha)
+
+        monkeypatch.setattr(wigs.harness, "fit_ridge", fragile)
+        pairs = [(spec_for("gsx"), 3), (spec_for("igs"), 4), (spec_for("qbc"), 3),
+                 (spec_for("passive"), 4)]
+        with pytest.raises(RuntimeError,
+                           match=r"^model fit failed at iteration 2 of igs/4, passive/4$"):
+            run_block(dataset, pairs)
 
     def test_csv_dataset_source(self, tmp_path):
         from wigs.data import sample_two_regime, save_csv
@@ -608,8 +680,8 @@ class TestBlockInvariance:
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_alone_in_twenty_and_in_another_block(self, dataset, kind):
         spec = spec_for(kind)
-        twenty = run_block(dataset, spec, range(20))
-        other = run_block(dataset, spec, (19, 31, 7, 0, 12))
+        twenty = run_block(dataset, [(spec, seed) for seed in range(20)])
+        other = run_block(dataset, [(spec, seed) for seed in (19, 31, 7, 0, 12)])
         assert [trace.seed for trace in twenty] == list(range(20))
         assert [trace.seed for trace in other] == [19, 31, 7, 0, 12]
         for trace in other:
@@ -617,6 +689,41 @@ class TestBlockInvariance:
             assert_same_trace(trace, alone)
             if trace.seed < 20:
                 assert_same_trace(twenty[trace.seed], alone)
+
+    def test_every_kind_in_one_block(self, dataset):
+        """Every kind, a second seed of one kind and a second committee size,
+        in one block whose kernel groups interleave in ``pairs``."""
+        pairs = [(spec_for(kind), 3) for kind in KINDS]
+        pairs.insert(2, (MethodSpec("qbc4", "qbc", {"committee_size": 4}), 5))
+        pairs.append((spec_for("wigs_mab"), 8))
+        traces = run_block(dataset, pairs)
+        assert [(trace.method, trace.seed) for trace in traces] == [
+            (spec.name, seed) for spec, seed in pairs]
+        for (spec, seed), trace in zip(pairs, traces):
+            assert_same_trace(trace, run_replication(dataset, spec, seed))
+
+    def test_one_kernel_call_per_group_and_iteration(self, dataset, monkeypatch):
+        """One refit for the whole block, one CV call for the CV pairs and one
+        committee call per committee size, each over exactly those pairs."""
+        calls = []
+
+        def counting(name):
+            real = getattr(wigs.harness, name)
+
+            def wrapper(X, *args, **kwargs):
+                calls.append((name, len(X)))
+                return real(X, *args, **kwargs)
+            return wrapper
+
+        for name in ("fit_ridge", "cv_rmse", "fit_bootstrap_committee"):
+            monkeypatch.setattr(wigs.harness, name, counting(name))
+        pairs = [(spec_for("passive"), 0), (spec_for("wigs_mab"), 0), (spec_for("qbc"), 0),
+                 (spec_for("wigs_sac"), 1), (spec_for("emcm"), 2),
+                 (MethodSpec("qbc4", "qbc", {"committee_size": 4}), 0), (spec_for("igs"), 0)]
+        horizon = run_block(dataset, pairs)[0].n_iterations
+        assert sorted(set(calls)) == [("cv_rmse", 2), ("fit_bootstrap_committee", 1),
+                                      ("fit_bootstrap_committee", 2), ("fit_ridge", 7)]
+        assert len(calls) == (horizon + 1) + 3 * horizon
 
     def test_traces_csv_same_at_parallelism_one_and_two(self, tmp_path):
         methods = (MethodSpec("gsx", "gsx"), MethodSpec("mab", "wigs_mab"), MethodSpec("qbc", "qbc"))
@@ -628,23 +735,33 @@ class TestBlockInvariance:
 
 
 class TestBlockBudget:
-    """run_experiment splits a method's seeds where a block would hold more
-    than BLOCK_BYTES; the split changes no result."""
+    """run_experiment cuts the (method, seed) pairs where a block's summed
+    estimate would pass BLOCK_BYTES; the cut changes no result."""
 
     EGAL = MethodSpec("egal", "egal")
 
     def test_large_n_egal_runs_in_blocks_smaller_than_replications(self):
         per_seed = seed_bytes(10_000, 2, self.EGAL, 5)
         assert per_seed >= 8 * 10_000 ** 2  # the similarity matrix
-        blocks = seed_blocks(list(range(20)), per_seed, 1)
+        pairs = [(self.EGAL, seed) for seed in range(20)]
+        blocks = pair_blocks(pairs, [per_seed] * 20, 1)
         assert [len(block) for block in blocks] == [1] * 20
-        assert [seed for block in blocks for seed in block] == list(range(20))
+        assert [pair for block in blocks for pair in block] == pairs
 
     def test_small_n_runs_in_one_block_per_worker(self):
-        seeds = list(range(20))
-        assert seed_blocks(seeds, seed_bytes(80, 1, self.EGAL, 5), 1) == [tuple(seeds)]
-        assert seed_blocks(seeds, seed_bytes(80, 1, self.EGAL, 5), 3) == [
-            tuple(seeds[:7]), tuple(seeds[7:14]), tuple(seeds[14:])]
+        pairs = [(self.EGAL, seed) for seed in range(20)]
+        sizes = [seed_bytes(80, 1, self.EGAL, 5)] * 20
+        assert pair_blocks(pairs, sizes, 1) == [tuple(pairs)]
+        assert pair_blocks(pairs, sizes, 3) == [
+            tuple(pairs[:7]), tuple(pairs[7:14]), tuple(pairs[14:])]
+
+    def test_methods_share_a_block_up_to_the_summed_budget(self):
+        cheap = MethodSpec("gsx", "gsx")
+        pairs = [(cheap, 0), (cheap, 1), (self.EGAL, 0), (self.EGAL, 1), (cheap, 2)]
+        sizes = [1, 1, BLOCK_BYTES - 1, BLOCK_BYTES - 1, 1]
+        assert pair_blocks(pairs, sizes, 1) == [
+            tuple(pairs[:2]), (pairs[2],), tuple(pairs[3:])]
+        assert pair_blocks(pairs, [1] * 5, 2) == [tuple(pairs[:3]), tuple(pairs[3:])]
 
     def test_committee_and_cv_fits_count_per_seed(self):
         one_fit = seed_bytes(400, 20, MethodSpec("uncertainty", "uncertainty"), 5)
@@ -659,11 +776,11 @@ class TestBlockBudget:
         whole = run_experiment(small_config(tmp_path / "whole", methods, n=40, replications=6))
 
         real = harness_module.run_block
-        sizes = []
+        blocks = []
 
-        def spy(dataset, method, seeds, *args, **kwargs):
-            sizes.append((method.name, len(seeds)))
-            return real(dataset, method, seeds, *args, **kwargs)
+        def spy(dataset, pairs, *args, **kwargs):
+            blocks.append([method.name for method, _ in pairs])
+            return real(dataset, pairs, *args, **kwargs)
 
         monkeypatch.setattr(harness_module, "run_block", spy)
         n_features = whole.dataset.features.shape[1]
@@ -671,8 +788,10 @@ class TestBlockBudget:
                             2 * seed_bytes(40, n_features, self.EGAL, 5) + 1)
         split = run_experiment(small_config(tmp_path / "split", methods, n=40, replications=6))
 
-        assert [size for name, size in sizes if name == "egal"] == [2, 2, 2]
-        assert sum(size for _, size in sizes) == 18
+        assert [block.count("egal") for block in blocks if "egal" in block] == [2, 2, 2]
+        assert blocks[:3] == [["egal", "egal"]] * 3
+        assert sum(len(block) for block in blocks) == 18
+        assert any(len(set(block)) > 1 for block in blocks)  # qbc and mab pairs share one
         assert read_bytes(split, "traces.csv") == read_bytes(whole, "traces.csv")
         for got, want in zip(split.traces, whole.traces, strict=True):
             assert_same_trace(got, want)
@@ -721,14 +840,36 @@ class TestFailureIsolation:
 
 
 class TestTimings:
-    @pytest.mark.parametrize("kind", ["gsx", "wigs_mab", "qbc"])
-    def test_wall_ms_finite_nonnegative_and_within_the_block(self, dataset, kind):
+    @pytest.mark.parametrize("kinds", [["gsx"], ["wigs_mab"], ["qbc"], list(KINDS)],
+                             ids=["gsx", "wigs_mab", "qbc", "mixed"])
+    def test_wall_ms_finite_nonnegative_and_within_the_block(self, dataset, kinds):
+        pairs = [(spec_for(kind), seed) for kind in kinds
+                 for seed in range(5 if len(kinds) == 1 else 1)]
         start = time.perf_counter()
-        traces = run_block(dataset, spec_for(kind), range(5))
+        traces = run_block(dataset, pairs)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         wall_ms = np.concatenate([trace.wall_ms for trace in traces])
         assert np.isfinite(wall_ms).all() and (wall_ms >= 0.0).all()
         assert wall_ms.sum() <= elapsed_ms
+
+    SLEEP_MS = 5.0
+
+    @pytest.mark.parametrize("site, kind", [("fit_bootstrap_committee", "qbc"),
+                                            ("cv_rmse", "wigs_mab")])
+    def test_a_kernel_call_is_timed_on_its_own_pairs(self, dataset, monkeypatch, site, kind):
+        """A slow committee (or CV) call lands on the rows of the pairs it
+        fits, whole when it fits one pair, and on no other pair's rows."""
+        real = getattr(wigs.harness, site)
+
+        def slow(*args, **kwargs):
+            time.sleep(self.SLEEP_MS / 1000.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wigs.harness, site, slow)
+        passive, fitted = run_block(dataset, [(spec_for("passive"), 0), (spec_for(kind), 0)])
+        assert (fitted.wall_ms[1:] >= self.SLEEP_MS).all()
+        # an even split would put at least SLEEP_MS / 2 on every passive row
+        assert np.median(passive.wall_ms[1:]) < self.SLEEP_MS / 4
 
 
 class TestVetoDemo:

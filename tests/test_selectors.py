@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import wigs.selectors
 from wigs.data import ColumnMeta, Dataset, Partition, SplitState
 from wigs.geometry import (
     build_cache,
@@ -32,6 +33,7 @@ from wigs.selectors import (
     select_uncertainty,
     select_wigs,
     uncertainty_scores,
+    _pick,
     verify_density_veto,
     wigs_scores,
 )
@@ -150,6 +152,71 @@ class TestGreedyFamily:
                 assert select_wigs(cache, 1.0).chosen == select_gsx(cache).chosen
             if cache.dy_pair.max() > cache.dy_pair.min():
                 assert select_wigs(cache, 0.0).chosen == select_gsy(cache).chosen
+
+
+def fixed_cache(features, targets, predictions, n_labeled):
+    ds = make_dataset(features, targets)
+    split = SplitState(np.arange(n_labeled), np.arange(n_labeled, len(targets)), seed=0)
+    return build_cache(ds, Partition(ds, split), np.asarray(predictions, dtype=float))
+
+
+def scoring_caches():
+    """Random caches, then degenerate ones: equal feature distances, equal
+    targets and predictions, both, and predictions equal to the targets."""
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        yield random_state(rng)[4]
+    n, k = 12, 4
+    identical = np.tile([[0.3, -1.0]], (n, 1))
+    spread = rng.normal(size=(n, 2))
+    yield fixed_cache(identical, rng.normal(size=n), rng.normal(size=n - k), k)
+    yield fixed_cache(spread, np.full(n, 0.7), np.full(n - k, 0.2), k)
+    yield fixed_cache(identical, np.full(n, 0.7), np.full(n - k, 0.2), k)
+    yield fixed_cache(spread, np.full(n, 0.7), np.full(n - k, 0.7), k)
+    yield fixed_cache(identical, np.full(n, 0.7), np.full(n - k, 0.7), k)
+
+
+def same_result(got, want):
+    return got.chosen == want.chosen and \
+        np.float64(got.score).tobytes() == np.float64(want.score).tobytes()
+
+
+class TestScoringBuffers:
+    """select_wigs and select_igs score in at most two (P, L) buffers, with
+    the bits of the plain score functions, and leave the cache as it was."""
+
+    def test_wigs_bits_equal_the_plain_chain(self):
+        rng = np.random.default_rng(32)
+        for cache in scoring_caches():
+            dx_before = cache.dx_pair.tobytes()
+            for w in (0.0, 1.0, 0.5, 0.25, float(rng.uniform())):
+                want = _pick(wigs_scores(normalize_phi(cache.dx_pair),
+                                         normalize_phi(cache.dy_pair), w))
+                assert same_result(select_wigs(cache, w), want), w
+            assert cache.dx_pair.tobytes() == dx_before
+
+    def test_igs_bits_equal_the_plain_product(self):
+        for cache in scoring_caches():
+            dx_before = cache.dx_pair.tobytes()
+            want = _pick(igs_scores(cache.dx_pair, cache.dy_pair))
+            assert same_result(select_igs(cache), want)
+            assert cache.dx_pair.tobytes() == dx_before
+
+    @pytest.mark.parametrize("select, buffers", [
+        (lambda cache: select_wigs(cache, 0.4), 2), (select_igs, 1)], ids=["wigs", "igs"])
+    def test_peak_memory(self, select, buffers):
+        rng = np.random.default_rng(34)
+        n, k = 800, 400  # large enough that numpy's fixed ufunc buffers stay in the slack
+        cache = fixed_cache(rng.normal(size=(n, 3)), rng.normal(size=n),
+                            rng.normal(size=n - k), k)
+        cache.dx_pair  # gathered before the scoring, as in the loop
+        tracemalloc.start()
+        try:
+            select(cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (buffers + 0.2) * 8 * (n - k) * k
 
 
 class TestBruteForceOracles:
@@ -328,6 +395,33 @@ class TestEgal:
             sim = np.exp(-(dist ** 2) / (2.0 * delta ** 2))
             np.fill_diagonal(sim, 0.0)
             assert np.array_equal(egal_density(cache, similarity), sim.sum(axis=1))
+
+    def test_density_chunks_give_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        ds = make_dataset(rng.normal(size=(150, 4)), rng.normal(size=150))
+        order = rng.permutation(150)
+        cache = build_cache(ds, Partition(ds, SplitState(order[:8], order[8:], seed=0)),
+                            np.zeros(142))
+        similarity = egal_setup(ds, seed=1)
+        whole = similarity[cache.pool].take(cache.pool, axis=1).sum(axis=1)
+        for chunk in (1, 2, 7, 64, 141, 142, 500):
+            monkeypatch.setattr(wigs.selectors, "EGAL_CHUNK_ROWS", chunk)
+            assert egal_density(cache, similarity).tobytes() == whole.tobytes(), chunk
+
+    def test_density_holds_no_pool_by_dataset_gather(self):
+        rng = np.random.default_rng(11)
+        n = 400
+        ds = make_dataset(rng.normal(size=(n, 2)), rng.normal(size=n))
+        cache = build_cache(ds, Partition(ds, SplitState(np.arange(20), np.arange(20, n), seed=0)),
+                            np.zeros(n - 20))
+        similarity = egal_similarity(ds.feature_distances, 1.0)
+        tracemalloc.start()
+        try:
+            egal_density(cache, similarity)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n - 20) * n / 2
 
     def test_filter_fallback_when_all_coincident(self):
         ds = make_dataset([0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0])
