@@ -15,6 +15,7 @@ import numbers
 import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,11 +70,11 @@ class Param:
     rule: str = ""  # the error message when ``check`` fails
 
 
-@dataclass(frozen=True)
-class Query:
-    """What a selector may read at one iteration."""
+class Query(NamedTuple):
+    """What a selector may read at one iteration (a tuple: one is built per
+    pair per iteration)."""
 
-    model: RidgeModel
+    model: RidgeModel | None  # built only for the kinds that read it (``Kind.model``)
     pool_features: np.ndarray
     cache: DistanceCache | None
     committee: Committee | None
@@ -104,6 +105,7 @@ class Kind:
     cv_reward: bool = False  # the policy is fed the drop in CV RMSE
     sac_state: bool = False  # the policy is fed the learning-context vector
     committee: bool = False  # a bootstrap committee is refit before selection
+    model: bool = False      # the selector reads the pair's fitted model
 
 
 def _real(value) -> bool:
@@ -174,10 +176,10 @@ KINDS: dict[str, Kind] = {
         policy=lambda p, seed: SacPolicy(SacConfig(**p), generator(seed, "sac")),
         state_bytes=lambda p, n: sac_state_bytes(SacConfig(**p), n),
         cache=True, cv_reward=True, sac_state=True),
-    "uncertainty": Kind(lambda q: select_uncertainty(q.model, q.pool_features)),
+    "uncertainty": Kind(lambda q: select_uncertainty(q.model, q.pool_features), model=True),
     "qbc": Kind(lambda q: select_qbc(q.committee, q.pool_features), _COMMITTEE, committee=True),
     "emcm": Kind(lambda q: select_emcm(q.model, q.committee, q.pool_features), _COMMITTEE,
-                 committee=True),
+                 committee=True, model=True),
     "egal": Kind(lambda q: select_egal(q.cache, q.state), setup=egal_setup,
                  state_bytes=lambda p, n: 8 * n * n, cache=True),  # the similarity matrix
 }

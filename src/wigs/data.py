@@ -118,15 +118,18 @@ class Partition:
     partition can reach a pool label.  The ``labeled*`` and ``pool*``
     properties are views, valid until the next ``acquire``.
 
-    ``features`` (N, p) and ``targets`` (N,) are the buffers to fill, new
-    ones by default; a block of replications passes row r of one
-    (R, N, p) and one (R, N) buffer to each member, so that its labeled
-    rows are one (R, L, p) view.
+    ``features`` (N, p), ``targets`` (N,) and ``order`` (N,) int64 are the
+    buffers to fill, new ones by default; a block of replications passes
+    row r of one (R, N, p), one (R, N) and one (R, N) int64 buffer to each
+    member, so that its labeled rows are one (R, L, p) view and its pools
+    one (R, P) view.
     """
 
-    def __init__(self, dataset: Dataset, split: SplitState,
-                 features: np.ndarray | None = None, targets: np.ndarray | None = None):
-        self.order = np.concatenate([split.labeled_idx, split.pool_idx]).astype(np.int64)
+    def __init__(self, dataset: Dataset, split: SplitState, features: np.ndarray | None = None,
+                 targets: np.ndarray | None = None, order: np.ndarray | None = None):
+        if order is None:
+            order = np.empty(len(split.labeled_idx) + len(split.pool_idx), dtype=np.int64)
+        self.order = np.concatenate([split.labeled_idx, split.pool_idx], out=order)
         self.n_labeled = len(split.labeled_idx)
         self.features = dataset.features.take(self.order, axis=0, out=features)
         self._targets = np.empty(len(self.order)) if targets is None else targets
@@ -166,10 +169,12 @@ class Partition:
         if not 0 <= pos < self.n_pool:
             raise IndexError(f"acquired position {pos} not in pool of size {self.n_pool}")
         lo, hi = self.n_labeled, self.n_labeled + pos
-        for rows in (self.order, self.features):
-            moved = rows[hi].copy()
-            rows[lo + 1:hi + 1] = rows[lo:hi]
-            rows[lo] = moved
+        order, features = self.order, self.features
+        moved, row = order[hi], features[hi].copy()  # a scalar is a copy already
+        order[lo + 1:hi + 1] = order[lo:hi]
+        order[lo] = moved
+        features[lo + 1:hi + 1] = features[lo:hi]
+        features[lo] = row
         self._targets[lo] = label
         self.n_labeled += 1
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import os
 import time
 import traceback
@@ -101,6 +102,210 @@ def _failing_fits(X: np.ndarray, y: np.ndarray, alpha: float, names: list[str]) 
     return failing or names
 
 
+class _Block:
+    """The state of one lockstep block of (method, seed) pairs, and the
+    phases of its iterations.
+
+    Row r of every buffer belongs to pair r in fit-group order (the pairs
+    sorted stably by ``_fit_group``), so the CV call and each committee
+    call take one slice of rows.  Pair r's partition moves its rows in
+    place in row r of ``features`` (R, N, p), ``labels`` (R, N) and
+    ``orders`` (R, N), so with L labeled rows the labeled sets are the
+    (R, L, ...) views and the pools ``orders[:, L:]``.  ``hybrid`` holds
+    each pair's known labels and pool predictions in dataset order.
+    ``own`` and ``shared`` book the seconds of each row of each pair, from
+    the mark ``last``, which the recording resets: it is left out.
+    """
+
+    def __init__(self, dataset: Dataset, pairs, initial_fraction: float, alpha: float,
+                 cv_folds: int):
+        pairs = [(method, int(seed)) for method, seed in pairs]
+        if not pairs:
+            raise ValueError("a block needs at least one (method, seed) pair")
+        R = len(pairs)
+        keys = [_fit_group(method) for method, _ in pairs]
+        # stable: the pairs keep their order within a group
+        self.rank = sorted(range(R), key=keys.__getitem__)
+        self.methods = [pairs[i][0] for i in self.rank]
+        self.seeds = [pairs[i][1] for i in self.rank]
+        self.names = [f"{method.name}/{seed}" for method, seed in zip(self.methods, self.seeds)]
+        self.kinds = [KINDS[method.kind] for method in self.methods]
+        self.groups, start = [], 0  # (takes the CV call, committee size, its rows)
+        for (takes_cv, committee_size), members in itertools.groupby(keys[i] for i in self.rank):
+            stop = start + len(list(members))
+            if takes_cv or committee_size:
+                self.groups.append((takes_cv, committee_size, slice(start, stop)))
+            start = stop
+        self.dataset, self.alpha, self.cv_folds = dataset, alpha, cv_folds
+
+        y = dataset.targets
+        n_total = dataset.n_samples
+        self.features = np.empty((R, *dataset.features.shape))
+        self.labels = np.empty((R, n_total))
+        self.orders = np.empty((R, n_total), dtype=np.int64)
+        self.parts = [Partition(dataset, initial_split(dataset, initial_fraction, seed),
+                                self.features[r], self.labels[r], self.orders[r])
+                      for r, seed in enumerate(self.seeds)]
+        self.n_labeled = self.parts[0].n_labeled
+        self.labeled = self.features[:, :self.n_labeled], self.labels[:, :self.n_labeled]
+        self.horizon = horizon = n_total - self.n_labeled
+        self.policies = [kind.policy(method.settings(), seed) if kind.policy else None
+                         for kind, method, seed in zip(self.kinds, self.methods, self.seeds)]
+        self.states = [kind.setup(dataset, seed) if kind.setup else None
+                       for kind, seed in zip(self.kinds, self.seeds)]
+        self.caches = [None] * R
+        self.cv_now = [None] * R
+        self.cv_prev = [None] * R
+        self.cv_initial = [None] * R
+        self.committees = [None] * R
+        self.positions = [0] * R  # the pool position each pair acquired last
+
+        self.everyone, self.rows = slice(0, R), np.arange(R)[:, None]
+        self.hybrid = np.empty((R, n_total))
+        self.hybrid[:] = y
+        self.centred_truth = y - y.sum() / y.size  # as correlation_coefficient centres it
+        self.rmse = np.empty((R, horizon + 1))
+        self.cc = np.empty((R, horizon + 1))
+        self.weight = np.full((R, horizon + 1), np.nan)
+        self.score = np.full((R, horizon + 1), np.nan)
+        self.acquired = np.full((R, horizon + 1), -1, dtype=np.int64)
+        self.own = [[0.0] * (horizon + 1) for _ in range(R)]  # each pair's own work per row
+        self.shared = np.zeros((R, horizon + 1))             # its share of the kernel calls
+        self.last = time.perf_counter()
+
+    def charge(self, rows: slice, slot: int) -> None:
+        """Share the seconds since ``last`` evenly among the pairs of ``rows``, in row ``slot``."""
+        now = time.perf_counter()
+        self.shared[rows, slot] += (now - self.last) / (rows.stop - rows.start)
+        self.last = now
+
+    def fit(self, slot: int) -> None:
+        """The refit: one kernel call on the block's labeled rows.  A failing
+        refit names the pairs whose own fit fails."""
+        X, y = self.labeled
+        try:
+            self.model = fit_ridge(X, y, self.alpha)
+        except Exception as exc:
+            if not slot:
+                raise
+            raise RuntimeError(f"model fit failed at iteration {slot - 1} of "
+                               + ", ".join(_failing_fits(X, y, self.alpha, self.names))) from exc
+        self.charge(self.everyone, slot)
+
+    def fit_groups(self, t: int) -> None:
+        """The CV call of each group that takes one and the committee call of
+        each committee size, each one kernel call on the group's rows."""
+        X, y = self.labeled
+        for takes_cv, committee_size, rows in self.groups:
+            seeds = self.seeds[rows]
+            if takes_cv:
+                self.cv_now[rows] = cv_rmse(X[rows], y[rows], self.alpha, self.cv_folds,
+                                            [child_seed(seed, "cv", t) for seed in seeds])
+                self.charge(rows, t + 1)
+            if committee_size:
+                self.committees[rows] = fit_bootstrap_committee(
+                    X[rows], y[rows], self.alpha, committee_size,
+                    [child_seed(seed, "bootstrap", t) for seed in seeds])
+                self.charge(rows, t + 1)
+
+    def select(self, t: int) -> None:
+        """Policy step, selection and acquisition, pair by pair."""
+        clock, last, slot, y = time.perf_counter, self.last, t + 1, self.dataset.targets
+        for r, part in enumerate(self.parts):
+            kind = self.kinds[r]
+            weight = None
+            policy = self.policies[r]
+            if policy is not None:
+                reward = None
+                context = None
+                if kind.cv_reward:
+                    cv = self.cv_now[r]
+                    if self.cv_initial[r] is None:
+                        self.cv_initial[r] = cv if cv > 0 else 1.0
+                    if self.cv_prev[r] is not None:
+                        reward = self.cv_prev[r] - cv
+                    if kind.sac_state:
+                        context = build_state(cv, self.cv_initial[r], t, self.horizon,
+                                              self.caches[r])
+                    self.cv_prev[r] = cv
+                weight = policy.step(t, self.horizon, reward, context)
+                self.weight[r, slot] = weight
+            result = kind.select(Query(self.model[r] if kind.model else None, part.pool_features,
+                                       self.caches[r], self.committees[r], weight, self.states[r]))
+            pos = result.chosen
+            ds_idx = int(part.pool[pos])
+            part.acquire(pos, y[ds_idx])
+            self.positions[r] = pos
+            self.acquired[r, slot] = ds_idx
+            self.score[r, slot] = result.score
+            now = clock()
+            self.own[r][slot] = now - last
+            last = now
+        self.last = last
+        self.n_labeled += 1
+        self.labeled = self.features[:, :self.n_labeled], self.labels[:, :self.n_labeled]
+
+    def predict(self, slot: int) -> None:
+        """Each pair's predictions on its pool, into columns 1: of one
+        (R, P + 1) buffer, and its distance cache moved to them, pair by pair."""
+        clock, last, own, model = time.perf_counter, self.last, self.own, self.model
+        R, N = self.orders.shape
+        buffer = self.preds = np.empty((R, N - self.n_labeled + 1))
+        for r, (part, cache) in enumerate(zip(self.parts, self.caches)):
+            preds = part.pool_features.dot(model.coefficients[r], buffer[r, 1:])
+            preds += model.intercepts[r]
+            if cache is not None:
+                update_after_acquisition(cache, self.positions[r], preds)
+            now = clock()
+            own[r][slot] += now - last
+            last = now
+        self.last = last
+
+    def record(self, slot: int) -> None:
+        """Row ``slot`` of every trace in one pass over the block: the hybrid
+        RMSE of each pool's residuals and the correlation of each hybrid with
+        the truth.  Column 0 of the prediction buffer takes the label of each
+        pair's last labeled point, the one the pool has just lost (at row 0 a
+        label the hybrid holds already), so one assignment updates every
+        hybrid; its zero residual is left out of the RMSE.  A non-finite
+        prediction or residual square makes its RMSE non-finite, and then
+        this raises, naming the pairs."""
+        y, preds = self.dataset.targets, self.preds
+        columns = self.orders[:, self.n_labeled - 1:]  # the last labeled point, then the pool
+        truth = y.take(columns)
+        preds[:, 0] = truth[:, 0]
+        rmse = hybrid_rmse((preds - truth)[:, 1:], y.size)
+        # A finite RMSE is below 1.4e154, so the sum is finite iff every RMSE is.
+        if not math.isfinite(np.add.reduce(rmse)):
+            raise ValueError(f"non-finite predictions or rmse at iteration {slot} of "
+                             + ", ".join(self.names[r] for r in np.flatnonzero(~np.isfinite(rmse))))
+        self.rmse[:, slot] = rmse
+        self.hybrid[self.rows, columns] = preds
+        self.cc[:, slot] = correlation_coefficient(self.hybrid, y, self.centred_truth)
+        self.last = time.perf_counter()
+
+    def traces(self) -> list[Trace]:
+        """The traces, in the order of the block's ``pairs``."""
+        wall_ms = (np.array(self.own) + self.shared) * 1000.0
+        n_total = self.dataset.n_samples
+        labeled = np.tile(np.arange(n_total - self.horizon, n_total + 1), (len(self.rank), 1))
+        traces = [None] * len(self.rank)
+        for r, i in enumerate(self.rank):
+            traces[i] = Trace(
+                method=self.methods[r].name,
+                dataset=self.dataset.name,
+                seed=self.seeds[r],
+                labeled_count=labeled[r],
+                rmse=self.rmse[r],
+                cc=self.cc[r],
+                weight=self.weight[r],
+                score=self.score[r],
+                acquired_idx=self.acquired[r],
+                wall_ms=wall_ms[r],
+            )
+        return traces
+
+
 def run_block(
     dataset: Dataset,
     pairs,
@@ -113,176 +318,38 @@ def run_block(
     Row 0 of each trace is the pre-acquisition baseline; row t records the
     state after the t-th acquisition with the model refit.  Every pair has
     the same horizon, so at each iteration all R labeled sets hold the same
-    number of rows, L: pair r's partition moves its rows in place in one row
-    of an (R, N, p) buffer, and the block's refit is one kernel call on the
-    (R, L, p) view of the labeled rows.  The buffer rows are ordered by the
-    other calls a pair joins (``_fit_group``), so the CV call of the pairs
-    whose kind takes a CV reward, and the committee call of the pairs of
-    each committee size, are each one kernel call on a slice of that view.
-    The policy step, selection, acquisition, distance cache and recording
-    run per pair.  A pair's trace is the same bits whatever block it runs
-    in, and the traces come back in the order of ``pairs``.
+    number of rows, L, and an iteration runs the phases of ``_Block`` over
+    the whole block: the CV call of the pairs whose kind takes a CV reward
+    and one committee call per committee size (each one kernel call), the
+    policy step, selection and acquisition (pair by pair), the refit (one
+    kernel call on the (R, L, p) labeled rows), each pair's prediction into
+    one (R, P) buffer and its distance cache (pair by pair), and the
+    recording of row t of all R traces in one pass.  A prediction or RMSE
+    that is not finite raises ``ValueError`` naming the pairs and the
+    iteration.  A pair's trace is the same bits whatever block it runs in,
+    and the traces come back in the order of ``pairs``.
 
     ``wall_ms`` of a row is the pair's own work for it plus its share of the
     block's kernel calls for it: 1/R of the refit, and 1/R' of a CV or
     committee call that R' pairs share, if the pair is one of them.  Row 0
     is the initial fit and prediction, row t the iteration up to its
-    recording.  The set-up, the initial distance cache and the recording are
-    left out, as in a run of one pair at a time, so a block of one times
-    what such a run timed.
+    recording; prediction is charged to its pair.  The set-up, the initial
+    distance cache and the recording are left out, as in a run of one pair
+    at a time, so a block of one times what such a run timed.
     """
-    clock = time.perf_counter
-    pairs = [(method, int(seed)) for method, seed in pairs]
-    if not pairs:
-        raise ValueError("a block needs at least one (method, seed) pair")
-    R = len(pairs)
-    keys = [_fit_group(method) for method, _ in pairs]
-    order = sorted(range(R), key=keys.__getitem__)  # stable: pairs keep their order in a group
-    methods = [pairs[i][0] for i in order]
-    seeds = [pairs[i][1] for i in order]
-    names = [f"{method.name}/{seed}" for method, seed in zip(methods, seeds)]
-    kinds = [KINDS[method.kind] for method in methods]
-    groups, start = [], 0  # (takes the CV call, committee size, its slice of the block)
-    for (takes_cv, committee_size), members in itertools.groupby(keys[i] for i in order):
-        stop = start + len(list(members))
-        if takes_cv or committee_size:
-            groups.append((takes_cv, committee_size, slice(start, stop)))
-        start = stop
-
-    y = dataset.targets
-    n_total = dataset.n_samples
-    features = np.empty((R, *dataset.features.shape))
-    labels = np.empty((R, n_total))
-    parts = [Partition(dataset, initial_split(dataset, initial_fraction, seed), features[r], labels[r])
-             for r, seed in enumerate(seeds)]
-    n_labeled = parts[0].n_labeled
-    horizon = n_total - n_labeled
-    policies = [kind.policy(method.settings(), seed) if kind.policy else None
-                for kind, method, seed in zip(kinds, methods, seeds)]
-    states = [kind.setup(dataset, seed) if kind.setup else None for kind, seed in zip(kinds, seeds)]
-
-    rows_rmse = np.empty((R, horizon + 1))
-    rows_cc = np.empty((R, horizon + 1))
-    rows_weight = np.full((R, horizon + 1), np.nan)
-    rows_score = np.full((R, horizon + 1), np.nan)
-    rows_acquired = np.full((R, horizon + 1), -1, dtype=np.int64)
-    rows_labeled = np.empty((R, horizon + 1), dtype=np.int64)
-    own = [[0.0] * (horizon + 1) for _ in range(R)]  # seconds of each pair's own work per row
-    shared = np.zeros((R, horizon + 1))              # seconds of its share of the kernel calls
-    # In dataset order: the known labels, and the predictions on the pool.
-    hybrids = [y.copy() for _ in range(R)]
-
-    def record(r: int, slot: int, preds: np.ndarray) -> None:
-        pool = parts[r].pool
-        rows_rmse[r, slot] = hybrid_rmse(preds - y.take(pool), n_total)
-        hybrid = hybrids[r]
-        hybrid[pool] = preds
-        rows_cc[r, slot] = correlation_coefficient(hybrid, y)
-        rows_labeled[r, slot] = parts[r].n_labeled
-
-    last = clock()
-    models = fit_ridge(features[:, :n_labeled], labels[:, :n_labeled], alpha)
-    now = clock()
-    shared[:, 0] = (now - last) / R
-    last = now
-    caches = [None] * R
-    for r, part in enumerate(parts):
-        pool_preds = models[r].predict(part.pool_features)
-        own[r][0] = clock() - last
-        record(r, 0, pool_preds)
-        if kinds[r].cache:
-            caches[r] = build_cache(dataset, part, pool_preds)
-        last = clock()
-
-    cv_now = [None] * R
-    committees = [None] * R
-    cv_prev = [None] * R
-    cv_initial = [None] * R
-    labeled_x, labeled_y = features[:, :n_labeled], labels[:, :n_labeled]
-    for t in range(horizon):
-        slot = t + 1
-        for takes_cv, committee_size, rows in groups:
-            if takes_cv:
-                cv_now[rows] = cv_rmse(labeled_x[rows], labeled_y[rows], alpha, cv_folds,
-                                       [child_seed(seed, "cv", t) for seed in seeds[rows]])
-                now = clock()
-                shared[rows, slot] += (now - last) / (rows.stop - rows.start)
-                last = now
-            if committee_size:
-                committees[rows] = fit_bootstrap_committee(
-                    labeled_x[rows], labeled_y[rows], alpha, committee_size,
-                    [child_seed(seed, "bootstrap", t) for seed in seeds[rows]])
-                now = clock()
-                shared[rows, slot] += (now - last) / (rows.stop - rows.start)
-                last = now
-
-        positions = [0] * R
-        for r, part in enumerate(parts):
-            kind = kinds[r]
-            weight = None
-            policy = policies[r]
-            if policy is not None:
-                reward = None
-                context = None
-                if kind.cv_reward:
-                    cv = cv_now[r]
-                    if cv_initial[r] is None:
-                        cv_initial[r] = cv if cv > 0 else 1.0
-                    if cv_prev[r] is not None:
-                        reward = cv_prev[r] - cv
-                    if kind.sac_state:
-                        context = build_state(cv, cv_initial[r], t, horizon, caches[r])
-                    cv_prev[r] = cv
-                weight = policy.step(t, horizon, reward, context)
-                rows_weight[r, slot] = weight
-            result = kind.select(Query(models[r], part.pool_features, caches[r],
-                                       committees[r], weight, states[r]))
-            pos = result.chosen
-            ds_idx = int(part.pool[pos])
-            part.acquire(pos, y[ds_idx])
-            hybrids[r][ds_idx] = y[ds_idx]
-            positions[r] = pos
-            rows_acquired[r, slot] = ds_idx
-            rows_score[r, slot] = result.score
-            now = clock()
-            own[r][slot] = now - last
-            last = now
-
-        n_labeled += 1
-        labeled_x, labeled_y = features[:, :n_labeled], labels[:, :n_labeled]
-        try:
-            models = fit_ridge(labeled_x, labeled_y, alpha)
-        except Exception as exc:
-            raise RuntimeError(f"model fit failed at iteration {t} of "
-                               + ", ".join(_failing_fits(labeled_x, labeled_y, alpha, names))
-                               ) from exc
-        now = clock()
-        shared[:, slot] += (now - last) / R
-        last = now
-        for r, part in enumerate(parts):
-            pool_preds = models[r].predict(part.pool_features)
-            if kinds[r].cache:
-                update_after_acquisition(caches[r], positions[r], pool_preds)
-            own[r][slot] += clock() - last
-            record(r, slot, pool_preds)
-            last = clock()
-
-    wall_ms = (np.array(own) + shared) * 1000.0
-    traces = [None] * R
-    for r, i in enumerate(order):
-        traces[i] = Trace(
-            method=methods[r].name,
-            dataset=dataset.name,
-            seed=seeds[r],
-            labeled_count=rows_labeled[r],
-            rmse=rows_rmse[r],
-            cc=rows_cc[r],
-            weight=rows_weight[r],
-            score=rows_score[r],
-            acquired_idx=rows_acquired[r],
-            wall_ms=wall_ms[r],
-        )
-    return traces
+    block = _Block(dataset, pairs, initial_fraction, alpha, cv_folds)
+    block.fit(0)
+    block.predict(0)
+    block.caches = [build_cache(dataset, part, preds[1:]) if kind.cache else None
+                    for kind, part, preds in zip(block.kinds, block.parts, block.preds)]
+    block.record(0)
+    for t in range(block.horizon):
+        block.fit_groups(t)
+        block.select(t)
+        block.fit(t + 1)
+        block.predict(t + 1)
+        block.record(t + 1)
+    return block.traces()
 
 
 def run_replication(

@@ -41,28 +41,49 @@ class Trace:
         return len(self.rmse) - 1
 
 
-def hybrid_rmse(pool_residuals: np.ndarray, n_total: int) -> float:
-    """Full-pool RMSE from pool residuals alone (labeled residuals are zero)."""
+def hybrid_rmse(pool_residuals: np.ndarray, n_total: int) -> float | np.ndarray:
+    """Full-pool RMSE from pool residuals alone (labeled residuals are zero).
+
+    A stack of R residual vectors, (R, P), gives the (R,) values of its
+    rows in one pass: the row-wise ``np.vecdot`` runs the same dot product
+    as ``x @ x``, so each row has the bits of its own 1-D call, and a row
+    of an empty pool (P = 0) reads exactly 0.0.
+    """
     pool_residuals = np.asarray(pool_residuals, dtype=float)
+    if pool_residuals.ndim == 2:
+        return np.sqrt(np.vecdot(pool_residuals, pool_residuals) / n_total)
     if pool_residuals.size == 0:
         return 0.0
     return float(np.sqrt(pool_residuals @ pool_residuals / n_total))
 
 
-def correlation_coefficient(predictions: np.ndarray, truth: np.ndarray) -> float:
+def correlation_coefficient(predictions: np.ndarray, truth: np.ndarray,
+                            centred_truth: np.ndarray | None = None) -> float | np.ndarray:
     """Pearson correlation of the hybrid predictions with the ground truth.
 
-    Returns NaN (recorded as missing) when the truth has zero variance.
-    The means are x.sum() / x.size: the same add.reduce and division as
-    x.mean(), without its dispatch.
+    Returns NaN (recorded as missing) when the truth or the predictions
+    have zero variance.  The means are x.sum() / x.size: the same
+    add.reduce and division as x.mean(), without its dispatch.
+
+    A stack of R hybrid vectors, (R, N), gives the (R,) correlations of its
+    rows with the one truth in one pass, each the bits of its own 1-D call:
+    the row sums and the row-wise ``np.vecdot`` run the same reductions as
+    ``x.sum()`` and ``x @ y``.  A caller that correlates many stacks with
+    one truth passes ``centred_truth``, ``truth - truth.sum() / truth.size``
+    computed once.
     """
     predictions = np.asarray(predictions, dtype=float)
     truth = np.asarray(truth, dtype=float)
-    if predictions.shape != truth.shape or truth.size < 2:
-        raise ValueError("need two same-length vectors of at least 2 points")
-    pc = predictions - predictions.sum() / predictions.size
-    tc = truth - truth.sum() / truth.size
+    if predictions.shape[-1:] != truth.shape or predictions.ndim > 2 or truth.size < 2:
+        raise ValueError("need same-length vectors of at least 2 points, or a stack of them")
+    tc = truth - truth.sum() / truth.size if centred_truth is None else centred_truth
     tt = float(tc @ tc)
+    if predictions.ndim == 2:
+        pc = predictions - (np.add.reduce(predictions, 1) / truth.size)[:, None]  # as .sum()
+        denom = np.sqrt(np.vecdot(pc, pc) * tt)  # 0 on every row if tt == 0
+        denom[denom == 0.0] = np.nan  # x / NaN is NaN, with no warning
+        return np.vecdot(pc, tc) / denom
+    pc = predictions - predictions.sum() / predictions.size
     denom = math.sqrt(float(pc @ pc) * tt)
     if tt == 0.0 or denom == 0.0:
         return float("nan")

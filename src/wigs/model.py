@@ -7,7 +7,8 @@ the unweighted pass, every row weighted 1 (and keeps the inverse Gram for
 predictive variances), a K-fold CV fit a 0/1 train mask per fold, a
 bootstrap committee a row of resample counts per member.  The public fits
 take one labeled set, (k, p), as the block of one it is a view of, or a
-stacked block, (R, k, p), and then return one result per set.
+stacked block, (R, k, p), and then return one result per set: a plain fit
+of a block returns its arrays, ``RidgeFits``, with no object per set.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -38,6 +40,40 @@ class RidgeModel:
         """Predictions for a (n, p) matrix or a single (p,) vector."""
         X = np.asarray(X, dtype=float)
         return X @ self.coefficients + self.intercept
+
+
+@dataclass
+class RidgeFits:
+    """The plain fits of a block of R labeled sets, one row per set.
+
+    ``fits[r]`` is set r's ``RidgeModel``, built on demand from views of
+    these arrays, so a block that predicts from the arrays builds none.
+    The residual variances are computed on their first read, from the
+    training block ``X`` (R, k, p), ``y`` (R, k), which must not change
+    before it: a block whose kinds read no model never pays for them.
+    """
+
+    coefficients: np.ndarray   # (R, p)
+    intercepts: np.ndarray     # (R,)
+    gram_inverse: np.ndarray   # (R, p, p)
+    feature_means: np.ndarray  # (R, p)
+    X: np.ndarray
+    y: np.ndarray
+
+    @cached_property
+    def sigma2_hat(self) -> np.ndarray:
+        """(R,) residual variances, as ``fit_ridge`` defines them."""
+        _, k, p = self.X.shape
+        fitted = (self.X @ self.coefficients[:, :, None])[..., 0] + self.intercepts[:, None]
+        residuals = self.y - fitted
+        return np.vecdot(residuals, residuals) / max(k - p - 1, 1)
+
+    def __len__(self) -> int:
+        return len(self.intercepts)
+
+    def __getitem__(self, r: int) -> RidgeModel:
+        return RidgeModel(self.coefficients[r], float(self.intercepts[r]),
+                          float(self.sigma2_hat[r]), self.gram_inverse[r], self.feature_means[r])
 
 
 def _singular(err, flag):
@@ -68,9 +104,10 @@ def _ridge(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None, alpha: floa
     R, k, p = X.shape
     unweighted = weights is None
     if unweighted:
-        weights = np.ones((R, 1, k))
+        weights = np.empty((R, 1, k))
+        weights.fill(1.0)
     B = weights.shape[1]
-    total = weights.sum(axis=2)
+    total = np.add.reduce(weights, 2)  # weights.sum(axis=2) without its dispatch
     x_mean = weights @ X / total[:, :, None]
     y_mean = (weights @ y[:, :, None])[:, :, 0] / total
     A = X[:, None] - x_mean[:, :, None, :]                  # (R, B, k, p), W^1/2 Xc
@@ -79,11 +116,11 @@ def _ridge(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None, alpha: floa
         root = np.sqrt(weights)[..., None]
         A *= root
         yc *= root
-    At = np.swapaxes(A, 2, 3)
+    At = A.swapaxes(2, 3)
     gram = At @ A
     gram.reshape(R * B, p * p)[:, ::p + 1] += alpha         # the diagonal, in place
     rhs = np.zeros((R, B, p, p + 1))                        # [Xc'W yc | I]
-    rhs[..., :1] = At @ yc
+    np.matmul(At, yc, out=rhs[..., :1])
     rhs.reshape(R * B, p * (p + 1))[:, 1::p + 2] = 1.0
     # np.linalg.solve's own gufunc under its own error state, without the
     # wrapper's checks, which hold for these float64 stacks by construction:
@@ -115,30 +152,26 @@ def _seeds(seed, R: int, stacked: bool) -> list[int]:
     return seeds
 
 
-def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel | list[RidgeModel]:
+def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel | RidgeFits:
     """Fit ridge coefficients on column-centered data; intercept unpenalized.
 
     X (k, p) and y (k,) give one model; a block X (R, k, p) and y (R, k)
-    gives the list of its R models, each the same bits as its own 2-D fit.
-    sigma2_hat is the residual variance RSS / max(k - p - 1, 1); the floor
-    keeps it defined for the tiny labeled sets of early iterations.
+    gives its arrays, ``RidgeFits``, each set's row the same bits as its own
+    2-D fit.  sigma2_hat is the residual variance RSS / max(k - p - 1, 1);
+    the floor keeps it defined for the tiny labeled sets of early iterations.
     """
     X, y, stacked = _block(X, y)
-    R, k, p = X.shape
-    if k < 2:
+    if X.shape[1] < 2:
         raise ValueError("need at least 2 training rows")
     if not 0 < alpha < math.inf:  # NaN fails both comparisons
         raise ValueError("alpha must be positive and finite")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+    # A finite sum proves every entry finite; only a non-finite one needs the entrywise check.
+    if not (math.isfinite(np.add.reduce(X, None)) and math.isfinite(np.add.reduce(y, None))) \
+            and not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite training data")
     coef, intercepts, gram_inverse, x_mean = _ridge(X, y, None, alpha)
-    residuals = y - ((X @ coef[:, 0, :, None])[..., 0] + intercepts)
-    sigma2 = np.vecdot(residuals, residuals) / max(k - p - 1, 1)
-    models = [RidgeModel(coefficients=coef[r, 0], intercept=float(intercepts[r, 0]),
-                         sigma2_hat=float(sigma2[r]), gram_inverse=gram_inverse[r, 0],
-                         feature_means=x_mean[r, 0])
-              for r in range(R)]
-    return models if stacked else models[0]
+    fits = RidgeFits(coef[:, 0], intercepts[:, 0], gram_inverse[:, 0], x_mean[:, 0], X, y)
+    return fits if stacked else fits[0]
 
 
 def predictive_variance_batch(model: RidgeModel, X: np.ndarray) -> np.ndarray:

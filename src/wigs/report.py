@@ -130,7 +130,11 @@ def emit_report(record: RunRecord, out_dir: str | None = None) -> dict[str, str]
     if baseline is not None and baseline in by_method:
         base_traces = by_method[baseline]
 
+        # A seed whose baseline trace integrates to zero (an exact fit from
+        # the start) has no ratio: it is left out, with a warning, and a
+        # method with no defined ratio gets no row rather than a NaN mean.
         rel_rows = [("dataset", "method", "mean_rel_auc", "n_seeds")]
+        undefined = 0
         for name in methods:
             ratios = []
             for seed, tr in sorted(by_method[name].items()):
@@ -139,10 +143,13 @@ def emit_report(record: RunRecord, out_dir: str | None = None) -> dict[str, str]
                 try:
                     ratios.append(relative_auc(tr.rmse, base_traces[seed].rmse))
                 except ValueError:
-                    continue  # degenerate seed: baseline trace integrates to zero
+                    undefined += 1
             if ratios:
                 rel_rows.append((record.dataset.name, name,
                                  repr(float(np.mean(ratios))), len(ratios)))
+        if undefined:
+            warnings.warn(f"{undefined} (method, seed) relative AUCs undefined "
+                          "(zero baseline AUC); seeds skipped", ReportWarning, stacklevel=2)
         path = os.path.join(out, "rel_auc.csv")
         _atomic_write(path, _format_rows(rel_rows))
         written["rel_auc"] = path

@@ -18,6 +18,7 @@ and the additive escape hatch checkable on explicit score tuples, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,7 @@ from .rng import generator
 EGAL_CHUNK_ROWS = 64
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     chosen: int                      # position in the current pool list
     score: float                     # criterion value of the winner
 

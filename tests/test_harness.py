@@ -431,12 +431,14 @@ def oracle_datasets(dataset):
     rng = np.random.default_rng(33)
     X = rng.normal(size=(50, 3))
     p3 = rows_dataset(X, X @ np.array([1.0, -0.5, 0.25]) + 0.1 * rng.normal(size=50), "p3")
-    return {"two_regime": dataset, "p3": p3}
+    X = rng.normal(size=(50, 20))  # p = 20: the block predicts with ndarray.dot, the oracle with @
+    p20 = rows_dataset(X, np.sin(X[:, 0]) + 0.3 * X[:, 1] + 0.1 * rng.normal(size=50), "p20")
+    return {"two_regime": dataset, "p3": p3, "p20": p20}
 
 
 class TestListOracle:
     @pytest.mark.parametrize("kind", list(KINDS))
-    @pytest.mark.parametrize("data", ["two_regime", "p3"])
+    @pytest.mark.parametrize("data", ["two_regime", "p3", "p20"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_field_bit_equal_to_list_loop(self, oracle_datasets, kind, data, seed):
         ds = oracle_datasets[data]
@@ -472,8 +474,8 @@ LOOP_SITES = {"initial_split", "fit_ridge", "cv_rmse", "fit_bootstrap_committee"
 
 class TestTracerSeesTheLoop:
     """The traced benchmark wraps ``wigs.harness`` globals; the block loop,
-    ``run_block``, must keep calling every one of them through that module,
-    or the traced run reads 0.
+    ``run_block`` and the phases of its ``_Block``, must keep calling every
+    one of them through that module, or the traced run reads 0.
 
     The ``select_*`` sites are left out: the kind table calls the selectors
     through ``wigs.config``, so the tracer reads 0 calls there today (the
@@ -482,7 +484,9 @@ class TestTracerSeesTheLoop:
 
     @pytest.fixture(scope="class")
     def calls(self, dataset):
-        loop_names = _global_names(run_block.__code__)
+        loop_names = _global_names(run_block.__code__).union(
+            *(_global_names(phase.__code__) for phase in vars(wigs.harness._Block).values()
+              if isinstance(phase, types.FunctionType)))
         sites = {attr for _, _, layer_sites in _tracing_module().LAYERS
                  for path, attr in layer_sites
                  if path == "wigs.harness" and attr in loop_names
@@ -704,7 +708,9 @@ class TestBlockInvariance:
 
     def test_one_kernel_call_per_group_and_iteration(self, dataset, monkeypatch):
         """One refit for the whole block, one CV call for the CV pairs and one
-        committee call per committee size, each over exactly those pairs."""
+        committee call per committee size, each over exactly those pairs, and
+        one call of each recording site per row over the whole block,
+        whatever R is."""
         calls = []
 
         def counting(name):
@@ -715,15 +721,22 @@ class TestBlockInvariance:
                 return real(X, *args, **kwargs)
             return wrapper
 
-        for name in ("fit_ridge", "cv_rmse", "fit_bootstrap_committee"):
+        for name in ("fit_ridge", "cv_rmse", "fit_bootstrap_committee", "hybrid_rmse",
+                     "correlation_coefficient"):
             monkeypatch.setattr(wigs.harness, name, counting(name))
         pairs = [(spec_for("passive"), 0), (spec_for("wigs_mab"), 0), (spec_for("qbc"), 0),
                  (spec_for("wigs_sac"), 1), (spec_for("emcm"), 2),
                  (MethodSpec("qbc4", "qbc", {"committee_size": 4}), 0), (spec_for("igs"), 0)]
         horizon = run_block(dataset, pairs)[0].n_iterations
-        assert sorted(set(calls)) == [("cv_rmse", 2), ("fit_bootstrap_committee", 1),
-                                      ("fit_bootstrap_committee", 2), ("fit_ridge", 7)]
-        assert len(calls) == (horizon + 1) + 3 * horizon
+        assert sorted(set(calls)) == [("correlation_coefficient", 7), ("cv_rmse", 2),
+                                      ("fit_bootstrap_committee", 1),
+                                      ("fit_bootstrap_committee", 2), ("fit_ridge", 7),
+                                      ("hybrid_rmse", 7)]
+        assert len(calls) == 3 * (horizon + 1) + 3 * horizon
+        calls.clear()
+        run_replication(dataset, spec_for("gsx"), 0)
+        assert sorted(calls) == sorted([("correlation_coefficient", 1), ("fit_ridge", 1),
+                                        ("hybrid_rmse", 1)] * (horizon + 1))
 
     def test_traces_csv_same_at_parallelism_one_and_two(self, tmp_path):
         methods = (MethodSpec("gsx", "gsx"), MethodSpec("mab", "wigs_mab"), MethodSpec("qbc", "qbc"))
@@ -732,6 +745,43 @@ class TestBlockInvariance:
                                         replications=20, parallelism=degree))
             for degree in (1, 2))
         assert read_bytes(serial, "traces.csv") == read_bytes(parallel, "traces.csv")
+
+
+def huge_target_dataset(n=40):
+    """Targets near 1e300 (targets are never scaled): the squared residuals overflow."""
+    rng = np.random.default_rng(8)
+    return rng.uniform(size=(n, 1)), 1e300 * (1.0 + 0.1 * rng.normal(size=n))
+
+
+class TestNonFiniteRecordFails:
+    """A prediction or RMSE that is not finite fails on purpose, in one check
+    per iteration over the block, naming the pairs and the iteration."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    def test_block_error_names_the_failing_pairs(self):
+        ds = rows_dataset(*huge_target_dataset())
+        with pytest.raises(ValueError, match=r"^non-finite predictions or rmse at iteration 0 "
+                                             r"of gsx/0, passive/1$"):
+            run_block(ds, [(spec_for("gsx"), 0), (spec_for("passive"), 1)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_default_kind_gives_the_same_error_row(self, tmp_path):
+        features, targets = huge_target_dataset()
+        path = tmp_path / "huge.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("x,y\n")
+            fh.writelines(f"{x!r},{y!r}\n" for x, y in zip(features[:, 0].tolist(),
+                                                            targets.tolist()))
+        methods = default_methods()
+        record = run_experiment(ExperimentConfig(
+            csv_path=str(path), methods=methods, replications=2, base_seed=0,
+            out_dir=str(tmp_path / "record")))
+        assert record.traces == ()
+        assert [error[:2] for error in record.errors] == [
+            (method.name, seed) for method in methods for seed in (0, 1)]
+        for method, seed, error in record.errors:
+            assert error.rstrip().splitlines()[-1] == (
+                f"ValueError: non-finite predictions or rmse at iteration 0 of {method}/{seed}")
 
 
 class TestBlockBudget:

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import subprocess
+import warnings
 import sys
 
 import numpy as np
@@ -112,22 +113,85 @@ class TestCorrelationMatchesMeanFormula:
             for value in [0.0, 0.1, 1e6]:
                 assert_same_bits_or_both_nan(np.full(n, value), truth)
 
-    def test_hybrid_vectors_of_one_replication(self, monkeypatch):
+    def test_hybrid_vectors_of_one_block(self, monkeypatch):
+        """Every row of every stack the block loop correlates gives the bits
+        of the mean formula on that row."""
         import wigs.harness
         from wigs.config import MethodSpec
 
         seen = []
 
-        def spy(predictions, truth):
-            seen.append((predictions.copy(), truth.copy()))
-            return correlation_coefficient(predictions, truth)
+        def spy(predictions, truth, centred_truth=None):
+            got = correlation_coefficient(predictions, truth, centred_truth)
+            seen.append((predictions.copy(), truth.copy(), got))
+            return got
 
         monkeypatch.setattr(wigs.harness, "correlation_coefficient", spy)
         ds = sample_two_regime(60, seed=2)
-        wigs.harness.run_replication(ds, MethodSpec("wigs", "wigs_static", {"w": 0.5}), 1)
+        method = MethodSpec("wigs", "wigs_static", {"w": 0.5})
+        wigs.harness.run_block(ds, [(method, 1), (method, 2), (MethodSpec("gsx", "gsx"), 1)])
         assert len(seen) > 50
-        for predictions, truth in seen:
-            assert_same_bits_or_both_nan(predictions, truth)
+        for predictions, truth, got in seen:
+            assert predictions.shape == (3, 60) and got.shape == (3,)
+            for row, value in zip(predictions, got):
+                want = mean_formula_correlation(row, truth)
+                if math.isnan(want):
+                    assert math.isnan(value)
+                else:
+                    assert np.float64(value).tobytes() == np.float64(want).tobytes()
+
+
+def assert_bits_or_both_nan(got, want):
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("N", [2, 80, 400])
+@pytest.mark.parametrize("R", [1, 3, 100])
+class TestStackedMetricsMatchOneDimensional:
+    """Each row of an (R, ·) stack gives the bits of its own 1-D call, the
+    oracle, with no warning on the NaN rows."""
+
+    def test_hybrid_rmse(self, R, N):
+        rng = np.random.default_rng(1000 * R + N)
+        for P in sorted({0, 1, N // 2, N - 1}):
+            residuals = rng.normal(size=(R, P)) * rng.choice([1e-3, 1.0, 1e3], size=(R, 1))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = hybrid_rmse(residuals, N)
+            assert got.shape == (R,)
+            for row, value in zip(residuals, got):
+                assert np.float64(value).tobytes() == np.float64(hybrid_rmse(row, N)).tobytes()
+            if P == 0:  # the final row: every label known
+                assert got.tobytes() == np.zeros(R).tobytes()
+
+    def test_correlation_coefficient(self, R, N):
+        rng = np.random.default_rng(1000 * R + N + 1)
+        truth = 1.0 + 3.0 * rng.normal(size=N)
+        centred = truth - truth.sum() / truth.size
+        hybrids = truth + rng.normal(size=(R, N)) * rng.choice([1e-3, 1.0, 1e3], size=(R, 1))
+        flat = hybrids.copy()
+        flat[0] = 0.25  # an all-equal hybrid row
+        for stack in (hybrids, flat):
+            for given in (None, centred):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = correlation_coefficient(stack, truth, given)
+                assert got.shape == (R,)
+                for row, value in zip(stack, got):
+                    assert_bits_or_both_nan(value, correlation_coefficient(row, truth))
+                    assert_bits_or_both_nan(value, mean_formula_correlation(row, truth))
+        assert math.isnan(correlation_coefficient(flat, truth)[0])
+
+    def test_zero_variance_truth_is_nan_on_every_row(self, R, N):
+        # 0.5 is centred exactly (0.1 is not at every N, in 1-D calls too)
+        rng = np.random.default_rng(1000 * R + N + 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = correlation_coefficient(rng.normal(size=(R, N)), np.full(N, 0.5))
+        assert got.shape == (R,) and np.isnan(got).all()
 
 
 class TestAuc:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wigs.cli import main
-from wigs.config import ExperimentConfig, MethodSpec
+from wigs.config import KINDS, ExperimentConfig, MethodSpec, default_methods
 from wigs.data import PreprocessWarning
 from wigs.harness import run_experiment
 from wigs.report import ReportWarning, emit_report, load_record
@@ -143,6 +143,33 @@ class TestEmitReport:
         with pytest.warns(ReportWarning):
             files = emit_report(rec)
         assert "wilcoxon" in files
+
+    def test_constant_targets_end_to_end(self, tmp_path):
+        """Constant targets on purpose: every cc is NaN (a truth of zero
+        variance) and the rest of each row finite; every fit is exact, so
+        every rmse is 0.0, no relative AUC is defined, and rel_auc.csv holds
+        its header alone, with a ReportWarning."""
+        rng = np.random.default_rng(3)
+        path = tmp_path / "flat.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("a,b,y\n")
+            fh.writelines(f"{a!r},{b!r},2.0\n" for a, b in rng.normal(size=(30, 2)).tolist())
+        methods = default_methods()
+        record = run_experiment(ExperimentConfig(
+            csv_path=str(path), methods=methods, replications=2, out_dir=str(tmp_path / "rec")))
+        assert record.errors == ()
+        loaded = load_record(record.record_dir)
+        kinds = {method.name: KINDS[method.kind] for method in methods}
+        assert sorted((tr.method, tr.seed) for tr in loaded.traces) == sorted(
+            (method.name, seed) for method in methods for seed in (0, 1))
+        for tr in loaded.traces:
+            assert np.isnan(tr.cc).all(), tr.method
+            assert (tr.rmse == 0.0).all(), tr.method
+            assert np.isfinite(tr.score[1:]).all(), tr.method
+            assert np.isfinite(tr.weight[1:]).all() == (kinds[tr.method].policy is not None)
+        with pytest.warns(ReportWarning, match="relative AUCs undefined"):
+            files = emit_report(loaded)
+        assert read_csv(files["rel_auc"]) == [["dataset", "method", "mean_rel_auc", "n_seeds"]]
 
     def test_label_efficiency_identity_for_baseline(self, record):
         files = emit_report(record)
