@@ -11,6 +11,7 @@ from .data import (
     ColumnMeta,
     Dataset,
     Partition,
+    PartitionBlock,
     SplitState,
     initial_split,
     load_csv,
@@ -19,7 +20,13 @@ from .data import (
     save_csv,
     scale_features,
 )
-from .geometry import DistanceCache, build_cache, normalize_phi, update_after_acquisition
+from .geometry import (
+    DistanceBlock,
+    DistanceCache,
+    build_cache,
+    normalize_phi,
+    update_after_acquisition,
+)
 from .harness import RunRecord, run_block, run_experiment, run_replication
 from .metrics import (
     Trace,

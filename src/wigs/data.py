@@ -108,75 +108,127 @@ class SplitState:
             raise ValueError("need at least 2 labeled points to fit a model")
 
 
-class Partition:
-    """The labeled/pool partition of one replication, moved in place.
+class PartitionBlock:
+    """The labeled/pool partitions of a block of replications on one dataset,
+    moved in lockstep.
 
-    ``order`` holds the labeled dataset indices in labeling order followed
-    by the pool in pool order, and ``features`` the dataset's rows, copied
-    once in that order.  The labeled targets sit in an append-only buffer: a
-    label enters only when its point is acquired, so no reader of the
-    partition can reach a pool label.  The ``labeled*`` and ``pool*``
-    properties are views, valid until the next ``acquire``.
-
-    ``features`` (N, p), ``targets`` (N,) and ``order`` (N,) int64 are the
-    buffers to fill, new ones by default; a block of replications passes
-    row r of one (R, N, p), one (R, N) and one (R, N) int64 buffer to each
-    member, so that its labeled rows are one (R, L, p) view and its pools
-    one (R, P) view.
+    Row r of ``orders`` (R, N) int64 holds partition r's labeled dataset
+    indices in labeling order followed by its pool in pool order, row r of
+    ``features`` (R, N, p) the dataset's rows in that order, and row r of
+    ``labels`` (R, N) its labeled targets, NaN beyond ``n_labeled``: a label
+    enters only when its point is acquired.  Every row holds the same
+    number of labeled points, so the labeled sets are the (R, L, ...) views
+    and the pools ``orders[:, L:]``.  Each row is filled by a ``Partition``
+    built on it, and ``acquire`` moves all rows at once.  ``positions`` and
+    ``sources`` describe the last move, so that a state kept in the same
+    column order (a ``DistanceBlock``) can follow it with one ``take``.
     """
 
-    def __init__(self, dataset: Dataset, split: SplitState, features: np.ndarray | None = None,
-                 targets: np.ndarray | None = None, order: np.ndarray | None = None):
-        if order is None:
-            order = np.empty(len(split.labeled_idx) + len(split.pool_idx), dtype=np.int64)
-        self.order = np.concatenate([split.labeled_idx, split.pool_idx], out=order)
-        self.n_labeled = len(split.labeled_idx)
-        self.features = dataset.features.take(self.order, axis=0, out=features)
-        self._targets = np.empty(len(self.order)) if targets is None else targets
-        self._targets.fill(np.nan)
-        self._targets[:self.n_labeled] = dataset.targets.take(split.labeled_idx)
+    def __init__(self, dataset: Dataset, n_rows: int, n_labeled: int):
+        n, p = dataset.features.shape
+        self.targets = dataset.targets
+        self.orders = np.empty((n_rows, n), dtype=np.int64)
+        self.features = np.empty((n_rows, n, p))
+        self.labels = np.empty((n_rows, n))
+        self.n_labeled = n_labeled
+        self.positions = self.sources = None  # of the last move
+        self._n = n
+        self._flat = np.arange(n_rows * n).reshape(n_rows, n)  # flat index of (row, column)
+        self._before = self._flat - 1
+        self._columns = self._flat[0]  # 0..N-1
+        self._flat_features = self.features.reshape(n_rows * n, p)
 
     @property
     def n_pool(self) -> int:
-        return len(self.order) - self.n_labeled
+        return self._n - self.n_labeled
+
+    def acquire(self, positions) -> np.ndarray:
+        """Move pool position ``positions[r]`` of every row r to the end of its
+        labeled set, with its label, in one pass; return the acquired
+        dataset indices, (R,).
+
+        Each row's pool from its start to its position rotates right by one
+        and the rest keeps its order: with L labeled, the new pool column
+        L + j takes column L + j - 1 for 0 < j <= pos and column L + pos
+        for j = 0.  Over the columns up to the largest position, that is one
+        (R, width) array of flat source indices, ``sources``, and
+        ``orders`` and ``features`` move by one flat ``take`` of it each;
+        the labels take the targets of the acquired points.
+        """
+        L = self.n_labeled
+        lo, hi = min(positions), max(positions)
+        if lo < 0 or hi >= self.n_pool:
+            bad = lo if lo < 0 else hi
+            raise IndexError(f"acquired position {bad} not in pool of size {self.n_pool}")
+        self.positions = positions = np.asarray(positions)
+        width, column = hi + 1, positions[:, None]
+        window = self._flat[:, L:L + width]
+        src = np.where(self._columns[:width] <= column, self._before[:, L:L + width], window)
+        src[:, 0] = window[:, 0] + positions
+        self.sources = src
+        orders = self.orders
+        orders[:, L:L + width] = orders.take(src)
+        self.features[:, L:L + width] = self._flat_features.take(src, 0)
+        acquired = orders[:, L]
+        self.labels[:, L] = self.targets.take(acquired)
+        self.n_labeled = L + 1
+        return acquired
+
+
+class Partition:
+    """The labeled/pool partition of one replication: row ``row`` of a
+    ``PartitionBlock``, a new block of one by default.
+
+    ``order`` holds the labeled dataset indices in labeling order followed
+    by the pool in pool order, and ``features`` the dataset's rows, copied
+    once in that order.  The labeled targets sit in an append-only buffer,
+    so no reader of the partition can reach a pool label.  These are row
+    views of the block's buffers, and ``n_labeled`` is the block's count:
+    the block's ``acquire`` moves every partition of it.  The ``labeled*``
+    and ``pool*`` properties are views, valid until the next move.
+    """
+
+    def __init__(self, dataset: Dataset, split: SplitState, block: PartitionBlock | None = None,
+                 row: int = 0):
+        n_labeled = len(split.labeled_idx)
+        if block is None:
+            block = PartitionBlock(dataset, 1, n_labeled)
+        elif block.n_labeled != n_labeled:
+            raise ValueError(f"split has {n_labeled} labeled points, its block {block.n_labeled}")
+        self.block, self.row = block, row
+        self.order = np.concatenate([split.labeled_idx, split.pool_idx], out=block.orders[row])
+        self.features = dataset.features.take(self.order, axis=0, out=block.features[row])
+        self._targets = block.labels[row]
+        self._targets.fill(np.nan)
+        self._targets[:n_labeled] = dataset.targets.take(split.labeled_idx)
+
+    @property
+    def n_labeled(self) -> int:
+        return self.block.n_labeled
+
+    @property
+    def n_pool(self) -> int:
+        return len(self.order) - self.block.n_labeled
 
     @property
     def labeled(self) -> np.ndarray:
-        return self.order[:self.n_labeled]
+        return self.order[:self.block.n_labeled]
 
     @property
     def pool(self) -> np.ndarray:
-        return self.order[self.n_labeled:]
+        return self.order[self.block.n_labeled:]
 
     @property
     def labeled_features(self) -> np.ndarray:
-        return self.features[:self.n_labeled]
+        return self.features[:self.block.n_labeled]
 
     @property
     def pool_features(self) -> np.ndarray:
-        return self.features[self.n_labeled:]
+        return self.features[self.block.n_labeled:]
 
     @property
     def labeled_targets(self) -> np.ndarray:
-        return self._targets[:self.n_labeled]
-
-    def acquire(self, pos: int, label: float) -> None:
-        """Move pool position ``pos`` to the end of the labeled set, with its label.
-
-        Rotates ``order[L:L+pos+1]`` and the same feature rows right by one,
-        in O(pos·p); the rest of the pool keeps its order.
-        """
-        if not 0 <= pos < self.n_pool:
-            raise IndexError(f"acquired position {pos} not in pool of size {self.n_pool}")
-        lo, hi = self.n_labeled, self.n_labeled + pos
-        order, features = self.order, self.features
-        moved, row = order[hi], features[hi].copy()  # a scalar is a copy already
-        order[lo + 1:hi + 1] = order[lo:hi]
-        order[lo] = moved
-        features[lo + 1:hi + 1] = features[lo:hi]
-        features[lo] = row
-        self._targets[lo] = label
-        self.n_labeled += 1
+        return self._targets[:self.block.n_labeled]
 
 
 def quantile_midpoint(values: np.ndarray, q: float) -> float:

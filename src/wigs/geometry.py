@@ -4,13 +4,17 @@
 distances between all dataset rows through ``pairwise_distances``; a
 dataset builds it once (``Dataset.feature_distances``) and every
 replication on that dataset reads every feature distance from it.  On top
-of that matrix the cache of one replication keeps each candidate's nearest
-labeled distance and each labeled point's nearest labeled neighbour, in
-buffers moved in place: an acquisition reads the acquired point's row of
-the matrix, so no distance is computed twice and the update costs O(N).
-The (pool x labeled) block is gathered only for the kinds that read it.
-Output distances depend on the current model's predictions and are
-derived from them on demand.
+of that matrix the distance state of a replication keeps, for every point
+in its partition's column order, the distance to its nearest labeled point
+other than itself: for a labeled point its nearest labeled neighbour, for
+a candidate its nearest labeled distance.  The states of a block's cache
+pairs are rows of one (Rc, N) ``DistanceBlock`` buffer, and
+``update_after_acquisition`` moves them all in one pass per acquisition:
+the rows rotate as their partitions did, and the acquired points' rows of
+the matrix lower them, so no distance is computed twice and the update
+costs O(N) per pair.  The (pool x labeled) block is gathered only for the
+kinds that read it, and kept pair by pair.  Output distances depend on the
+current model's predictions and are derived from them on demand.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # data imports this module for Dataset.feature_distances
-    from .data import Dataset, Partition
+    from .data import Dataset, Partition, PartitionBlock
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,9 +53,41 @@ def distance_matrix(features: np.ndarray) -> np.ndarray:
     return dx
 
 
+class DistanceBlock:
+    """The distance states of a block's cache pairs, moved in one pass.
+
+    Cache i follows partition ``rows[i]`` of ``partitions``.  Row i of
+    ``nearest`` (Rc, N) holds, in that partition's column order, each
+    point's distance to its nearest labeled point other than itself: the
+    first L entries are the labeled points' nearest labeled neighbours
+    (``labeled_nn``), the rest the candidates' nearest labeled distances
+    (``dx_min``).  ``dx_pairs[i]`` is cache i's (pool x labeled) block of
+    ``dx`` once it has been read, and None until then.  ``n_labeled`` is
+    the labeled count the states cover.  The ``DistanceCache`` views that
+    ``build_cache`` makes refer to the block, and the block to none of
+    them, so no reference cycle outlives a run.
+    """
+
+    def __init__(self, dx: np.ndarray, partitions: PartitionBlock, rows):
+        self.dx, self.partitions = dx, partitions
+        self.rows = np.asarray(rows, dtype=np.intp)
+        n_rows, n = len(self.rows), len(dx)
+        self.nearest = np.empty((n_rows, n))
+        self.dx_pairs: list[np.ndarray | None] = [None] * n_rows
+        self.n_labeled = partitions.n_labeled
+        # every partition row, in order: the partitions' arrays need no gather
+        self._all_rows = self.rows.tolist() == list(range(len(partitions.orders)))
+        # a flat index of partition row rows[i], less (rows[i] - i) * N, is one of row i here
+        self._row_shift = ((self.rows - np.arange(n_rows)) * n)[:, None]
+        self._flat_dx, self._flat_nearest = dx.reshape(-1), self.nearest.reshape(-1)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 @dataclass
 class DistanceCache:
-    """The distance state of one replication, moved in place.
+    """The distance state of one replication: row ``row`` of ``block``.
 
     ``dx`` holds the feature distance between every pair of dataset rows
     and is the dataset's own matrix, shared, unchanged, by every cache of
@@ -60,20 +96,25 @@ class DistanceCache:
     labeled targets, so no selector can read a pool label.  ``dx_min`` is
     each candidate's distance to its nearest labeled point, in pool order,
     and ``labeled_nn`` each labeled point's distance to its nearest other
-    labeled point (inf while it is alone), in labeling order; both are
-    prefixes of length-N buffers kept in place.  ``dx_pair``, the
-    (pool x labeled) block of ``dx``, is gathered on its first read and
-    kept from then on, so only the kinds that read it (igs, wigs) pay for
-    it.  ``dy_pair`` / ``dy_min`` compare the labeled targets against the
-    pool ``predictions``.
+    labeled point (inf while it is alone), in labeling order: the two parts
+    of the cache's row of its block's buffer, moved in place by
+    ``update_after_acquisition``.  ``dx_pair``, the (pool x labeled) block
+    of ``dx``, is gathered on its first read and kept by the block from
+    then on, so only the kinds that read it (igs, wigs) pay for it.  ``dy_pair`` / ``dy_min``
+    compare the labeled targets against the pool ``predictions``, which
+    the cache's owner sets after each refit.
     """
 
-    dx: np.ndarray                      # (N, N) over all dataset rows
-    partition: Partition                # the replication's, moved by its owner
+    block: DistanceBlock                # moved by update_after_acquisition
+    row: int
+    partition: Partition                # the replication's, moved by its block
     predictions: np.ndarray             # (P,) current model outputs for the pool
-    _dx_min: np.ndarray                 # (N,), dx_min in [:P]
-    _labeled_nn: np.ndarray             # (N,), labeled_nn in [:L]
-    _dx_pair: np.ndarray | None = None  # (P, L) once read
+    _nearest: np.ndarray                # (N,) the block's row
+
+    @property
+    def dx(self) -> np.ndarray:
+        """(N, N) over all dataset rows."""
+        return self.block.dx
 
     @property
     def pool(self) -> np.ndarray:
@@ -89,21 +130,22 @@ class DistanceCache:
 
     @property
     def n_pool(self) -> int:
-        return len(self.predictions)
+        return self.partition.n_pool
 
     @property
     def dx_min(self) -> np.ndarray:
-        return self._dx_min[:self.n_pool]
+        return self._nearest[self.partition.block.n_labeled:]
 
     @property
     def labeled_nn(self) -> np.ndarray:
-        return self._labeled_nn[:len(self.dx) - self.n_pool]
+        return self._nearest[:self.partition.block.n_labeled]
 
     @property
     def dx_pair(self) -> np.ndarray:
-        if self._dx_pair is None:
-            self._dx_pair = self.dx[np.ix_(self.pool, self.labeled)]
-        return self._dx_pair
+        pairs = self.block.dx_pairs
+        if pairs[self.row] is None:
+            pairs[self.row] = self.dx[np.ix_(self.pool, self.labeled)]
+        return pairs[self.row]
 
     @property
     def dy_pair(self) -> np.ndarray:
@@ -127,8 +169,10 @@ class DistanceCache:
         return np.minimum(np.abs(self.predictions - lo), np.abs(self.predictions - hi))
 
 
-def build_cache(dataset: Dataset, partition: Partition, predictions: np.ndarray) -> DistanceCache:
-    """Distance state for the current state of ``partition``.
+def build_cache(dataset: Dataset, partition: Partition, predictions: np.ndarray,
+                block: DistanceBlock | None = None, row: int = 0) -> DistanceCache:
+    """Distance state for the current state of ``partition``, in row ``row``
+    of ``block``: by default a new block of one that follows the partition.
 
     ``predictions`` are the current model's outputs for the pool, in pool
     order.  ``dx`` is the dataset's matrix, built on its first read and
@@ -140,60 +184,57 @@ def build_cache(dataset: Dataset, partition: Partition, predictions: np.ndarray)
             f"predictions length {predictions.shape} does not match pool size {partition.n_pool}"
         )
     dx = dataset.feature_distances
+    if block is None:
+        block = DistanceBlock(dx, partition.block, [partition.row])
+    elif block.partitions is not partition.block or block.rows[row] != partition.row:
+        raise ValueError(f"row {row} of the distance block does not follow this partition")
     pool, labeled = partition.pool, partition.labeled
-    n = len(dx)
-    dx_min = np.empty(n)
-    dx_min[:len(pool)] = dx[np.ix_(pool, labeled)].min(axis=1)
+    nearest = block.nearest[row]
+    nearest[len(labeled):] = dx[np.ix_(pool, labeled)].min(axis=1)
     dx_labeled = dx[np.ix_(labeled, labeled)]
     np.fill_diagonal(dx_labeled, np.inf)
-    labeled_nn = np.empty(n)
-    labeled_nn[:len(labeled)] = dx_labeled.min(axis=1)
-    return DistanceCache(dx, partition, predictions, dx_min, labeled_nn)
+    nearest[:len(labeled)] = dx_labeled.min(axis=1)
+    return DistanceCache(block, row, partition, predictions, nearest)
 
 
-def update_after_acquisition(
-    cache: DistanceCache,
-    acquired: int,
-    predictions: np.ndarray,
-) -> None:
-    """Follow the partition's move of pool position ``acquired`` to the labeled set.
+def update_after_acquisition(block: DistanceBlock) -> None:
+    """Follow the partitions' last move (``PartitionBlock.acquire``) with
+    every cache of ``block`` at once.
 
-    Call it right after ``cache.partition.acquire(acquired, label)``.  The
-    acquired entry leaves ``dx_min`` by a shift, and the acquired point's
-    row of ``dx`` lowers the remaining ``dx_min`` and the ``labeled_nn`` and
-    gives its own, all in place, in O(N); a kept ``dx_pair`` drops the row
-    and gains the column, in O(P·L).  ``predictions`` are the refit
-    model's outputs for the remaining pool.
+    Each row of ``nearest`` rotates as its partition's order did, by one
+    ``take`` of the move's flat sources, so the acquired point's nearest
+    labeled distance becomes its nearest labeled neighbour.  One gather of
+    ``dx`` reads each acquired point's row in its partition's order, and
+    one ``np.minimum`` lowers every other point's entry by it: all in O(N)
+    per cache.  A kept ``dx_pair`` drops the row and gains the column, in
+    O(P·L), pair by pair.  The pool ``predictions`` stay with the cache's
+    owner.
     """
-    n_pool = cache.n_pool
-    if not 0 <= acquired < n_pool:
-        raise IndexError(f"acquired position {acquired} not in pool of size {n_pool}")
-    part = cache.partition
-    if part.n_pool != n_pool - 1:
-        raise ValueError("the partition must acquire exactly one point before the cache update")
-    predictions = np.asarray(predictions, dtype=float)
-    if predictions.shape != (n_pool - 1,):
-        raise ValueError("predictions must cover the pool minus the acquired candidate")
-
-    n_old = part.n_labeled - 1
-    row = cache.dx[part.order[n_old]]  # dx is exactly symmetric: its row is its column
-    new_col = row.take(part.pool)
-    to_labeled = row.take(part.order[:n_old])
-
-    dx_min = cache._dx_min
-    dx_min[acquired:n_pool - 1] = dx_min[acquired + 1:n_pool]
-    np.minimum(dx_min[:n_pool - 1], new_col, out=dx_min[:n_pool - 1])
-    nn = cache._labeled_nn
-    np.minimum(nn[:n_old], to_labeled, out=nn[:n_old])
-    nn[n_old] = to_labeled.min()
-    old = cache._dx_pair
-    if old is not None:  # one (P-1, L+1) allocation: the kept rows, then the new column
-        pair = np.empty((n_pool - 1, old.shape[1] + 1))
-        pair[:acquired, :-1] = old[:acquired]
-        pair[acquired:, :-1] = old[acquired + 1:]
-        pair[:, -1] = new_col
-        cache._dx_pair = pair
-    cache.predictions = predictions
+    parts = block.partitions
+    n_old = block.n_labeled
+    if parts.n_labeled != n_old + 1:
+        raise ValueError("every partition must acquire exactly one point before the cache update")
+    orders, sources, positions = parts.orders, parts.sources, parts.positions
+    if not block._all_rows:
+        orders = orders.take(block.rows, axis=0)
+        sources = sources.take(block.rows, axis=0) - block._row_shift
+    nearest = block.nearest
+    nearest[:, n_old:n_old + sources.shape[1]] = block._flat_nearest.take(sources)
+    n = orders.shape[1]
+    # row i: dx[acquired_i, orders_i], with the acquired point itself at column n_old
+    gathered = block._flat_dx.take(orders + orders[:, n_old:n_old + 1] * n)
+    gathered[:, n_old] = np.inf  # its own entry keeps its nearest labeled distance
+    np.minimum(nearest, gathered, out=nearest)
+    pairs = block.dx_pairs
+    for i, old in enumerate(pairs):
+        if old is not None:  # one (P-1, L+1) allocation: the kept rows, then the new column
+            acquired = positions[block.rows[i]]
+            pair = np.empty((len(old) - 1, n_old + 1))
+            pair[:acquired, :-1] = old[:acquired]
+            pair[acquired:, :-1] = old[acquired + 1:]
+            pair[:, -1] = gathered[i, n_old + 1:]
+            pairs[i] = pair
+    block.n_labeled = n_old + 1
 
 
 def normalize_phi(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

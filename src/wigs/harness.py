@@ -30,6 +30,7 @@ from .config import KINDS, ExperimentConfig, MethodSpec, Query, snapshot_json
 from .data import (
     Dataset,
     Partition,
+    PartitionBlock,
     initial_split,
     load_csv,
     sample_three_regime,
@@ -37,8 +38,8 @@ from .data import (
     save_csv,
     scale_features,
 )
-from .geometry import build_cache, update_after_acquisition
-from .metrics import Trace, correlation_coefficient, hybrid_rmse
+from .geometry import DistanceBlock, build_cache, update_after_acquisition
+from .metrics import Trace, centre_truth, correlation_coefficient, hybrid_rmse
 from .model import cv_rmse, fit_bootstrap_committee, fit_ridge
 from .rng import child_seed
 from .sac import build_state
@@ -108,13 +109,17 @@ class _Block:
 
     Row r of every buffer belongs to pair r in fit-group order (the pairs
     sorted stably by ``_fit_group``), so the CV call and each committee
-    call take one slice of rows.  Pair r's partition moves its rows in
-    place in row r of ``features`` (R, N, p), ``labels`` (R, N) and
+    call take one slice of rows.  Pair r's partition is row r of one
+    ``PartitionBlock``: its ``features`` (R, N, p), ``labels`` (R, N) and
     ``orders`` (R, N), so with L labeled rows the labeled sets are the
-    (R, L, ...) views and the pools ``orders[:, L:]``.  ``hybrid`` holds
-    each pair's known labels and pool predictions in dataset order.
-    ``own`` and ``shared`` book the seconds of each row of each pair, from
-    the mark ``last``, which the recording resets: it is left out.
+    (R, L, ...) views and the pools ``orders[:, L:]``.  The distance caches
+    of the pairs whose kind keeps one (``cache_rows``) are rows of one
+    ``DistanceBlock``, ``distances``.  ``move`` moves every partition and
+    then every distance state in one pass each.  ``hybrid`` holds each
+    pair's known labels and pool predictions in dataset order.  ``own`` books
+    the seconds of each pair's own work and ``shares`` those of each shared
+    call, per row, from the mark ``last``, which the recording resets: it
+    is left out.
     """
 
     def __init__(self, dataset: Dataset, pairs, initial_fraction: float, alpha: float,
@@ -130,53 +135,67 @@ class _Block:
         self.seeds = [pairs[i][1] for i in self.rank]
         self.names = [f"{method.name}/{seed}" for method, seed in zip(self.methods, self.seeds)]
         self.kinds = [KINDS[method.kind] for method in self.methods]
-        self.groups, start = [], 0  # (takes the CV call, committee size, its rows)
+        groups, start = [], 0  # (takes the CV call, committee size, its rows)
         for (takes_cv, committee_size), members in itertools.groupby(keys[i] for i in self.rank):
             stop = start + len(list(members))
             if takes_cv or committee_size:
-                self.groups.append((takes_cv, committee_size, slice(start, stop)))
+                groups.append((takes_cv, committee_size, slice(start, stop)))
             start = stop
         self.dataset, self.alpha, self.cv_folds = dataset, alpha, cv_folds
 
         y = dataset.targets
         n_total = dataset.n_samples
-        self.features = np.empty((R, *dataset.features.shape))
-        self.labels = np.empty((R, n_total))
-        self.orders = np.empty((R, n_total), dtype=np.int64)
-        self.parts = [Partition(dataset, initial_split(dataset, initial_fraction, seed),
-                                self.features[r], self.labels[r], self.orders[r])
-                      for r, seed in enumerate(self.seeds)]
-        self.n_labeled = self.parts[0].n_labeled
-        self.labeled = self.features[:, :self.n_labeled], self.labels[:, :self.n_labeled]
-        self.horizon = horizon = n_total - self.n_labeled
+        splits = [initial_split(dataset, initial_fraction, seed) for seed in self.seeds]
+        self.partitions = PartitionBlock(dataset, R, len(splits[0].labeled_idx))
+        self.parts = [Partition(dataset, split, self.partitions, r)
+                      for r, split in enumerate(splits)]
+        self.features, self.labels = self.partitions.features, self.partitions.labels
+        self.orders = self.partitions.orders
+        n_labeled = self.partitions.n_labeled
+        self.labeled = self.features[:, :n_labeled], self.labels[:, :n_labeled]
+        self.horizon = horizon = n_total - n_labeled
         self.policies = [kind.policy(method.settings(), seed) if kind.policy else None
                          for kind, method, seed in zip(self.kinds, self.methods, self.seeds)]
         self.states = [kind.setup(dataset, seed) if kind.setup else None
                        for kind, seed in zip(self.kinds, self.seeds)]
         self.caches = [None] * R
+        self.cache_rows = [r for r, kind in enumerate(self.kinds) if kind.cache]
+        self.distances = None
         self.cv_now = [None] * R
         self.cv_prev = [None] * R
         self.cv_initial = [None] * R
         self.committees = [None] * R
-        self.positions = [0] * R  # the pool position each pair acquired last
+        self.positions = [0] * R  # the pool position each pair chose last
 
-        self.everyone, self.rows = slice(0, R), np.arange(R)[:, None]
+        self.rows = np.arange(R)[:, None]
         self.hybrid = np.empty((R, n_total))
         self.hybrid[:] = y
-        self.centred_truth = y - y.sum() / y.size  # as correlation_coefficient centres it
+        self.centred_truth = centre_truth(y)  # as correlation_coefficient centres it
         self.rmse = np.empty((R, horizon + 1))
         self.cc = np.empty((R, horizon + 1))
         self.weight = np.full((R, horizon + 1), np.nan)
         self.score = np.full((R, horizon + 1), np.nan)
-        self.acquired = np.full((R, horizon + 1), -1, dtype=np.int64)
         self.own = [[0.0] * (horizon + 1) for _ in range(R)]  # each pair's own work per row
-        self.shared = np.zeros((R, horizon + 1))             # its share of the kernel calls
+        self.shares = []  # (rows, their count, per-row seconds of the calls they share)
+        self.everyone_s = self.share(slice(0, R), R)
+        if self.cache_rows:
+            self.distances_s = self.share(self.cache_rows, len(self.cache_rows))
+        self.groups = [(takes_cv, committee_size, rows, self.share(rows, rows.stop - rows.start))
+                       for takes_cv, committee_size, rows in groups]
         self.last = time.perf_counter()
 
-    def charge(self, rows: slice, slot: int) -> None:
-        """Share the seconds since ``last`` evenly among the pairs of ``rows``, in row ``slot``."""
+    def share(self, rows, count: int) -> list[float]:
+        """The per-row seconds of the calls that the ``count`` pairs of
+        ``rows`` share; ``traces`` splits them evenly among those pairs."""
+        seconds = [0.0] * (self.horizon + 1)
+        self.shares.append((rows, count, seconds))
+        return seconds
+
+    def charge(self, seconds: list[float], slot: int) -> None:
+        """Book the seconds since ``last`` to the shared call ``seconds`` (from
+        ``share``), in row ``slot``."""
         now = time.perf_counter()
-        self.shared[rows, slot] += (now - self.last) / (rows.stop - rows.start)
+        seconds[slot] += now - self.last
         self.last = now
 
     def fit(self, slot: int) -> None:
@@ -190,27 +209,29 @@ class _Block:
                 raise
             raise RuntimeError(f"model fit failed at iteration {slot - 1} of "
                                + ", ".join(_failing_fits(X, y, self.alpha, self.names))) from exc
-        self.charge(self.everyone, slot)
+        self.charge(self.everyone_s, slot)
 
     def fit_groups(self, t: int) -> None:
         """The CV call of each group that takes one and the committee call of
         each committee size, each one kernel call on the group's rows."""
         X, y = self.labeled
-        for takes_cv, committee_size, rows in self.groups:
+        for takes_cv, committee_size, rows, seconds in self.groups:
             seeds = self.seeds[rows]
             if takes_cv:
                 self.cv_now[rows] = cv_rmse(X[rows], y[rows], self.alpha, self.cv_folds,
                                             [child_seed(seed, "cv", t) for seed in seeds])
-                self.charge(rows, t + 1)
+                self.charge(seconds, t + 1)
             if committee_size:
                 self.committees[rows] = fit_bootstrap_committee(
                     X[rows], y[rows], self.alpha, committee_size,
                     [child_seed(seed, "bootstrap", t) for seed in seeds])
-                self.charge(rows, t + 1)
+                self.charge(seconds, t + 1)
 
     def select(self, t: int) -> None:
-        """Policy step, selection and acquisition, pair by pair."""
-        clock, last, slot, y = time.perf_counter, self.last, t + 1, self.dataset.targets
+        """Policy step and selection, pair by pair: each pair's chosen pool
+        position and its score.  A pair's selection reads only its own
+        state, so the moves wait for ``move``."""
+        clock, last, slot, positions = time.perf_counter, self.last, t + 1, self.positions
         for r, part in enumerate(self.parts):
             kind = self.kinds[r]
             weight = None
@@ -232,34 +253,55 @@ class _Block:
                 self.weight[r, slot] = weight
             result = kind.select(Query(self.model[r] if kind.model else None, part.pool_features,
                                        self.caches[r], self.committees[r], weight, self.states[r]))
-            pos = result.chosen
-            ds_idx = int(part.pool[pos])
-            part.acquire(pos, y[ds_idx])
-            self.positions[r] = pos
-            self.acquired[r, slot] = ds_idx
+            positions[r] = result.chosen
             self.score[r, slot] = result.score
             now = clock()
             self.own[r][slot] = now - last
             last = now
         self.last = last
-        self.n_labeled += 1
-        self.labeled = self.features[:, :self.n_labeled], self.labels[:, :self.n_labeled]
+
+    def move(self, slot: int) -> None:
+        """The acquisition of every pair: all R partitions in one move, its
+        time shared by all R pairs like a kernel call, then the distance
+        states of the cache pairs in one update, its time shared by those
+        pairs alone."""
+        self.partitions.acquire(self.positions)
+        self.charge(self.everyone_s, slot)
+        if self.distances is not None:
+            update_after_acquisition(self.distances)
+            self.charge(self.distances_s, slot)
+        n_labeled = self.partitions.n_labeled
+        self.labeled = self.features[:, :n_labeled], self.labels[:, :n_labeled]
+
+    def build_caches(self) -> None:
+        """The distance state of every cache pair, as rows of one
+        ``DistanceBlock``, for the initial partitions and predictions."""
+        if not self.cache_rows:
+            return
+        self.distances = DistanceBlock(self.dataset.feature_distances, self.partitions,
+                                       self.cache_rows)
+        for i, r in enumerate(self.cache_rows):
+            self.caches[r] = build_cache(self.dataset, self.parts[r], self.preds[r, 1:],
+                                         self.distances, i)
 
     def predict(self, slot: int) -> None:
         """Each pair's predictions on its pool, into columns 1: of one
-        (R, P + 1) buffer, and its distance cache moved to them, pair by pair."""
+        (R, P + 1) buffer, which its distance cache then reads: each pair's
+        product with its coefficients, then every intercept in one add,
+        shared by all R pairs."""
         clock, last, own, model = time.perf_counter, self.last, self.own, self.model
-        R, N = self.orders.shape
-        buffer = self.preds = np.empty((R, N - self.n_labeled + 1))
+        buffer = self.preds = np.empty((len(self.parts), self.partitions.n_pool + 1))
         for r, (part, cache) in enumerate(zip(self.parts, self.caches)):
             preds = part.pool_features.dot(model.coefficients[r], buffer[r, 1:])
-            preds += model.intercepts[r]
             if cache is not None:
-                update_after_acquisition(cache, self.positions[r], preds)
+                cache.predictions = preds
             now = clock()
             own[r][slot] += now - last
             last = now
         self.last = last
+        pool = buffer[:, 1:]
+        pool += model.intercepts[:, None]
+        self.charge(self.everyone_s, slot)
 
     def record(self, slot: int) -> None:
         """Row ``slot`` of every trace in one pass over the block: the hybrid
@@ -271,7 +313,8 @@ class _Block:
         prediction or residual square makes its RMSE non-finite, and then
         this raises, naming the pairs."""
         y, preds = self.dataset.targets, self.preds
-        columns = self.orders[:, self.n_labeled - 1:]  # the last labeled point, then the pool
+        # the last labeled point, then the pool
+        columns = self.orders[:, self.partitions.n_labeled - 1:]
         truth = y.take(columns)
         preds[:, 0] = truth[:, 0]
         rmse = hybrid_rmse((preds - truth)[:, 1:], y.size)
@@ -286,9 +329,16 @@ class _Block:
 
     def traces(self) -> list[Trace]:
         """The traces, in the order of the block's ``pairs``."""
-        wall_ms = (np.array(self.own) + self.shared) * 1000.0
+        shared = np.zeros((len(self.rank), self.horizon + 1))
+        for rows, count, seconds in self.shares:
+            shared[rows] += np.array(seconds) / count
+        wall_ms = (np.array(self.own) + shared) * 1000.0
         n_total = self.dataset.n_samples
         labeled = np.tile(np.arange(n_total - self.horizon, n_total + 1), (len(self.rank), 1))
+        # each labeled set is in labeling order: its tail is the acquisitions
+        acquired = np.empty((len(self.rank), self.horizon + 1), dtype=np.int64)
+        acquired[:, 0] = -1
+        acquired[:, 1:] = self.orders[:, n_total - self.horizon:]
         traces = [None] * len(self.rank)
         for r, i in enumerate(self.rank):
             traces[i] = Trace(
@@ -300,7 +350,7 @@ class _Block:
                 cc=self.cc[r],
                 weight=self.weight[r],
                 score=self.score[r],
-                acquired_idx=self.acquired[r],
+                acquired_idx=acquired[r],
                 wall_ms=wall_ms[r],
             )
         return traces
@@ -321,31 +371,35 @@ def run_block(
     number of rows, L, and an iteration runs the phases of ``_Block`` over
     the whole block: the CV call of the pairs whose kind takes a CV reward
     and one committee call per committee size (each one kernel call), the
-    policy step, selection and acquisition (pair by pair), the refit (one
-    kernel call on the (R, L, p) labeled rows), each pair's prediction into
-    one (R, P) buffer and its distance cache (pair by pair), and the
-    recording of row t of all R traces in one pass.  A prediction or RMSE
-    that is not finite raises ``ValueError`` naming the pairs and the
-    iteration.  A pair's trace is the same bits whatever block it runs in,
-    and the traces come back in the order of ``pairs``.
+    policy step and selection (pair by pair), the move (every partition in
+    one pass, then every cache pair's distance state in one
+    ``update_after_acquisition`` call), the refit (one kernel call on the
+    (R, L, p) labeled rows), each pair's prediction into one (R, P) buffer,
+    and the recording of row t of all R traces in one pass.  A prediction
+    or RMSE that is not finite raises ``ValueError`` naming the pairs and
+    the iteration.  A pair's trace is the same bits whatever block it runs
+    in, and the traces come back in the order of ``pairs``.
 
     ``wall_ms`` of a row is the pair's own work for it plus its share of the
-    block's kernel calls for it: 1/R of the refit, and 1/R' of a CV or
+    block's shared calls for it: 1/R of the partition move, of the refit
+    and of the intercepts' add, 1/Rc of the distance update that the Rc
+    cache pairs share, if the pair is one of them, and 1/R' of a CV or
     committee call that R' pairs share, if the pair is one of them.  Row 0
     is the initial fit and prediction, row t the iteration up to its
-    recording; prediction is charged to its pair.  The set-up, the initial
-    distance cache and the recording are left out, as in a run of one pair
-    at a time, so a block of one times what such a run timed.
+    recording; each pair's own product with its coefficients is charged to
+    it.  The set-up, the initial distance cache and the
+    recording are left out, as in a run of one pair at a time, so a block
+    of one times what such a run timed.
     """
     block = _Block(dataset, pairs, initial_fraction, alpha, cv_folds)
     block.fit(0)
     block.predict(0)
-    block.caches = [build_cache(dataset, part, preds[1:]) if kind.cache else None
-                    for kind, part, preds in zip(block.kinds, block.parts, block.preds)]
+    block.build_caches()
     block.record(0)
     for t in range(block.horizon):
         block.fit_groups(t)
         block.select(t)
+        block.move(t + 1)
         block.fit(t + 1)
         block.predict(t + 1)
         block.record(t + 1)
@@ -375,24 +429,27 @@ class RunRecord:
     record_dir: str
 
 
-def trace_rows(trace: Trace) -> list[tuple]:
-    rows = []
-    for i in range(len(trace.rmse)):
-        rows.append((
-            trace.dataset, trace.method, trace.seed, i,
-            int(trace.labeled_count[i]),
-            repr(float(trace.rmse[i])), repr(float(trace.cc[i])),
-            repr(float(trace.weight[i])), repr(float(trace.score[i])),
-            int(trace.acquired_idx[i]),
-        ))
-    return rows
+def _key_prefix(trace: Trace) -> str:
+    """The trace's (dataset, method, seed) cells, quoted by ``csv.writer``."""
+    return _format_rows([(trace.dataset, trace.method, trace.seed)])[:-1]
 
 
-def timing_rows(trace: Trace) -> list[tuple]:
-    return [
-        (trace.dataset, trace.method, trace.seed, i, repr(float(trace.wall_ms[i])))
-        for i in range(len(trace.wall_ms))
-    ]
+def trace_rows(trace: Trace) -> str:
+    """The trace's ``traces.csv`` rows, as CSV text: the key cells quoted
+    once, and each number column read with one ``.tolist()``, the floats
+    written with ``repr``."""
+    prefix = _key_prefix(trace)
+    return "".join(
+        f"{prefix},{i},{count},{rmse!r},{cc!r},{weight!r},{score!r},{acquired}\n"
+        for i, (count, rmse, cc, weight, score, acquired) in enumerate(zip(
+            trace.labeled_count.tolist(), trace.rmse.tolist(), trace.cc.tolist(),
+            trace.weight.tolist(), trace.score.tolist(), trace.acquired_idx.tolist())))
+
+
+def timing_rows(trace: Trace) -> str:
+    """The trace's ``timings.csv`` rows, as CSV text, like ``trace_rows``."""
+    prefix = _key_prefix(trace)
+    return "".join(f"{prefix},{i},{ms!r}\n" for i, ms in enumerate(trace.wall_ms.tolist()))
 
 
 def _format_rows(rows: list[tuple]) -> str:
@@ -403,10 +460,12 @@ def _format_rows(rows: list[tuple]) -> str:
     return buf.getvalue()
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, *chunks: str) -> None:
+    """Write ``chunks`` in order to ``path`` through a temporary file, so a
+    reader sees the old file or the whole new one; no joined copy is made."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -528,8 +587,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                 if error is not None:
                     errors.append((method.name, seed, error))
                     continue
-                text = _format_rows(trace_rows(trace))
-                finished[(method.name, seed)] = (trace, text, _format_rows(timing_rows(trace)))
+                text = trace_rows(trace)
+                finished[(method.name, seed)] = (trace, text, timing_rows(trace))
                 part.write(text)
             part.flush()
 
@@ -560,11 +619,11 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     done = [finished[key] for key in sorted(finished)]
     _atomic_write(
         os.path.join(out_dir, "traces.csv"),
-        ",".join(TRACE_COLUMNS) + "\n" + "".join(rows for _, rows, _ in done),
+        ",".join(TRACE_COLUMNS) + "\n", *(rows for _, rows, _ in done),
     )
     _atomic_write(
         os.path.join(out_dir, "timings.csv"),
-        ",".join(TIMING_COLUMNS) + "\n" + "".join(rows for _, _, rows in done),
+        ",".join(TIMING_COLUMNS) + "\n", *(rows for _, _, rows in done),
     )
     os.remove(part_path)
     if errors:

@@ -57,26 +57,47 @@ def hybrid_rmse(pool_residuals: np.ndarray, n_total: int) -> float | np.ndarray:
     return float(np.sqrt(pool_residuals @ pool_residuals / n_total))
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def centre_truth(truth: np.ndarray) -> np.ndarray:
+    """``truth - truth.sum() / truth.size``, or zeros when the truth is
+    constant up to rounding.
+
+    A constant truth whose mean is not exact in binary (0.1 at N = 80)
+    centres to rounding noise, about 1e-17 here, not to zeros; correlating
+    with that noise reads any value.  So the truth counts as constant when
+    the norm of its centred values is at most N·eps·max|y|, a bound on the
+    rounding error of its mean over N terms, and it then centres to zeros,
+    which ``correlation_coefficient`` reads as zero variance.  Comparing
+    norms, not squares, keeps the test from overflowing.
+    """
+    tc = truth - truth.sum() / truth.size
+    if math.sqrt(float(tc @ tc)) <= truth.size * _EPS * float(np.abs(truth).max()):
+        tc.fill(0.0)
+    return tc
+
+
 def correlation_coefficient(predictions: np.ndarray, truth: np.ndarray,
                             centred_truth: np.ndarray | None = None) -> float | np.ndarray:
     """Pearson correlation of the hybrid predictions with the ground truth.
 
-    Returns NaN (recorded as missing) when the truth or the predictions
-    have zero variance.  The means are x.sum() / x.size: the same
-    add.reduce and division as x.mean(), without its dispatch.
+    Returns NaN (recorded as missing) when the truth (``centre_truth``) or
+    the predictions have zero variance.  The means are x.sum() / x.size:
+    the same add.reduce and division as x.mean(), without its dispatch.
 
     A stack of R hybrid vectors, (R, N), gives the (R,) correlations of its
     rows with the one truth in one pass, each the bits of its own 1-D call:
     the row sums and the row-wise ``np.vecdot`` run the same reductions as
     ``x.sum()`` and ``x @ y``.  A caller that correlates many stacks with
-    one truth passes ``centred_truth``, ``truth - truth.sum() / truth.size``
-    computed once.
+    one truth passes ``centred_truth``, ``centre_truth(truth)`` computed
+    once.
     """
     predictions = np.asarray(predictions, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if predictions.shape[-1:] != truth.shape or predictions.ndim > 2 or truth.size < 2:
         raise ValueError("need same-length vectors of at least 2 points, or a stack of them")
-    tc = truth - truth.sum() / truth.size if centred_truth is None else centred_truth
+    tc = centre_truth(truth) if centred_truth is None else centred_truth
     tt = float(tc @ tc)
     if predictions.ndim == 2:
         pc = predictions - (np.add.reduce(predictions, 1) / truth.size)[:, None]  # as .sum()

@@ -8,6 +8,7 @@ from wigs.data import (
     ColumnMeta,
     Dataset,
     Partition,
+    PartitionBlock,
     PreprocessWarning,
     SplitState,
     _sample_mixture,
@@ -194,7 +195,7 @@ class TestPartition:
         labeled, pool = list(split.labeled_idx), list(split.pool_idx)
         while pool:
             pos = int(rng.integers(len(pool)))
-            part.acquire(pos, y[pool[pos]])
+            assert part.block.acquire([pos]).tolist() == [pool[pos]]
             labeled.append(pool.pop(pos))
             assert np.array_equal(part.labeled, labeled) and np.array_equal(part.pool, pool)
             assert np.array_equal(part.labeled_features, X[labeled])
@@ -207,7 +208,7 @@ class TestPartition:
         pool = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10, 11])
         part = Partition(ds, SplitState(np.array([3, 7]), pool, seed=0))
         assert np.isnan(part._targets[2:]).all()
-        part.acquire(4, ds.targets[5])
+        part.block.acquire([4])
         assert np.array_equal(part.labeled_targets, ds.targets[[3, 7, 5]])
         assert np.isnan(part._targets[3:]).all()
 
@@ -215,7 +216,7 @@ class TestPartition:
         ds = sample_two_regime(12, seed=2)
         part = Partition(ds, initial_split(ds, 0.2, seed=0))
         before = ds.features.copy()
-        part.acquire(part.n_pool - 1, 0.0)
+        part.block.acquire([part.n_pool - 1])
         assert np.array_equal(ds.features, before)
         assert not np.shares_memory(part.features, ds.features)
 
@@ -224,7 +225,24 @@ class TestPartition:
         part = Partition(ds, initial_split(ds, 0.2, seed=0))
         for pos in (-1, part.n_pool):
             with pytest.raises(IndexError):
-                part.acquire(pos, 0.0)
+                part.block.acquire([pos])
+        assert part.n_labeled == 3  # nothing moved
+
+    def test_rows_of_one_block_move_together(self):
+        # each Partition is a row view of its block; its count is the block's
+        ds = sample_two_regime(12, seed=2)
+        block = PartitionBlock(ds, 2, 3)
+        parts = [Partition(ds, initial_split(ds, 0.2, seed), block, r)
+                 for r, seed in enumerate((0, 1))]
+        assert all(np.shares_memory(part.order, block.orders) for part in parts)
+        before = [part.pool.copy() for part in parts]
+        acquired = block.acquire([0, 8])
+        assert acquired.tolist() == [before[0][0], before[1][8]]
+        for part, pool, pos in zip(parts, before, (0, 8)):
+            assert part.n_labeled == 4 and part.labeled[-1] == pool[pos]
+            assert np.array_equal(part.pool, np.delete(pool, pos))
+        with pytest.raises(ValueError, match="labeled points"):
+            Partition(ds, initial_split(ds, 0.5, 0), block, 0)
 
 
 class TestGenerators:

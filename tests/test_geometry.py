@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from wigs.data import ColumnMeta, Dataset, Partition, SplitState
+from wigs.data import ColumnMeta, Dataset, Partition, PartitionBlock, SplitState
 from wigs.geometry import (
+    DistanceBlock,
     build_cache,
     normalize_phi,
     pairwise_distances,
@@ -18,10 +19,12 @@ def make_dataset(features, targets):
     return Dataset(features, np.asarray(targets, dtype=float), meta, "test")
 
 
-def acquire(cache, pos, label, predictions):
-    """One acquisition as the harness makes it: the partition moves, the cache follows."""
-    cache.partition.acquire(pos, label)
-    update_after_acquisition(cache, pos, predictions)
+def acquire(cache, pos, predictions):
+    """One acquisition as the harness makes it, on the cache's block of one:
+    the partition moves, the distance state follows, the refit predicts."""
+    cache.partition.block.acquire([pos])
+    update_after_acquisition(cache.block)
+    cache.predictions = np.asarray(predictions, dtype=float)
 
 
 def brute_minima(dataset, labeled_idx, pool_idx, predictions):
@@ -102,7 +105,7 @@ class TestUpdateAfterAcquisition:
             labeled.append(ds_idx)
             del pool[pos]
             preds = rng.normal(size=len(pool))
-            acquire(cache, pos, ds.targets[ds_idx], preds)
+            acquire(cache, pos, preds)
             rebuilt = build_cache(
                 ds, Partition(ds, SplitState(np.array(labeled), np.array(pool), seed=0)), preds)
             assert np.array_equal(cache.dx_min, rebuilt.dx_min)  # exact: shared formula
@@ -126,11 +129,10 @@ class TestUpdateAfterAcquisition:
                             np.zeros(n - k))
         cache.dx_pair  # gathered and kept from here on
         pos = {"first": 0, "middle": (n - k) // 2, "last": n - k - 1}[where]
-        cache.partition.acquire(pos, ds.targets[cache.pool[pos]])
-        preds = np.zeros(n - k - 1)
+        cache.partition.block.acquire([pos])
         tracemalloc.start()
         try:
-            update_after_acquisition(cache, pos, preds)
+            update_after_acquisition(cache.block)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -143,31 +145,36 @@ class TestUpdateAfterAcquisition:
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
         cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.5, 0.5]))
         before = cache.dx_min[1]  # candidate at 0.3
-        acquire(cache, 0, 1.0, np.array([0.5]))
+        acquire(cache, 0, np.array([0.5]))
         assert cache.dx_min[0] == before  # new labeled point is a duplicate of x=1
 
     def test_pool_shrinks_to_zero(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.7])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
         cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.6]))
-        acquire(cache, 0, 0.7, np.zeros(0))
+        acquire(cache, 0, np.zeros(0))
         assert cache.n_pool == 0
 
     def test_bad_position_raises(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.7])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
         cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.6]))
-        with pytest.raises(IndexError):
-            cache.partition.acquire(5, 0.7)
-        with pytest.raises(IndexError):
-            update_after_acquisition(cache, 5, np.zeros(0))
+        for pos in (5, 1, -1):
+            with pytest.raises(IndexError):
+                cache.partition.block.acquire([pos])
+        assert cache.partition.n_labeled == 2  # nothing moved, so nothing to follow
+        with pytest.raises(ValueError, match="partition must acquire"):
+            update_after_acquisition(cache.block)
 
     def test_update_without_partition_move_raises(self):
         ds = make_dataset([0.0, 1.0, 0.5, 0.2], [0.0, 1.0, 0.7, 0.1])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
         cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.6, 0.1]))
         with pytest.raises(ValueError, match="partition must acquire"):
-            update_after_acquisition(cache, 0, np.zeros(1))
+            update_after_acquisition(cache.block)
+        acquire(cache, 0, np.zeros(1))
+        with pytest.raises(ValueError, match="partition must acquire"):
+            update_after_acquisition(cache.block)  # the same move twice
 
     def test_dx_min_nonincreasing_for_survivors(self):
         rng = np.random.default_rng(5)
@@ -181,9 +188,153 @@ class TestUpdateAfterAcquisition:
             pos = int(rng.integers(cache.n_pool))
             ds_idx = cache.pool[pos]
             before = {int(i): d for i, d in zip(cache.pool, cache.dx_min)}
-            acquire(cache, pos, ds.targets[ds_idx], rng.normal(size=cache.n_pool - 1))
+            acquire(cache, pos, rng.normal(size=cache.n_pool - 1))
             for i, d in zip(cache.pool, cache.dx_min):
                 assert d <= before[int(i)] + 1e-15
+
+
+class OraclePair:
+    """One pair's partition and distance state moved as they were before the
+    block move, pair by pair: ``acquire`` is the body of the per-pair
+    ``Partition.acquire`` and ``update`` that of the per-cache
+    ``update_after_acquisition``, on the buffers they kept (``dx_min`` in
+    pool order, ``labeled_nn`` in labeling order, each a prefix of a
+    length-N buffer)."""
+
+    def __init__(self, dataset, split, cache, keeps_pair):
+        self.dx = dataset.feature_distances
+        self.order = np.concatenate([split.labeled_idx, split.pool_idx])
+        self.features = dataset.features[self.order]
+        self.targets = np.full(len(self.order), np.nan)
+        self.n_labeled = len(split.labeled_idx)
+        self.targets[:self.n_labeled] = dataset.targets[split.labeled_idx]
+        self.cache = cache
+        if cache:
+            pool, labeled = self.order[self.n_labeled:], self.order[:self.n_labeled]
+            self.dx_min = np.empty(len(self.order))
+            self.dx_min[:len(pool)] = self.dx[np.ix_(pool, labeled)].min(axis=1)
+            dx_labeled = self.dx[np.ix_(labeled, labeled)]
+            np.fill_diagonal(dx_labeled, np.inf)
+            self.labeled_nn = np.empty(len(self.order))
+            self.labeled_nn[:len(labeled)] = dx_labeled.min(axis=1)
+            self.dx_pair = self.dx[np.ix_(pool, labeled)] if keeps_pair else None
+
+    def acquire(self, pos, label):
+        lo, hi = self.n_labeled, self.n_labeled + pos
+        order, features = self.order, self.features
+        moved, row = order[hi], features[hi].copy()
+        order[lo + 1:hi + 1] = order[lo:hi]
+        order[lo] = moved
+        features[lo + 1:hi + 1] = features[lo:hi]
+        features[lo] = row
+        self.targets[lo] = label
+        self.n_labeled += 1
+
+    def update(self, acquired):
+        n_old = self.n_labeled - 1
+        n_pool = len(self.order) - n_old
+        row = self.dx[self.order[n_old]]
+        new_col = row.take(self.order[self.n_labeled:])
+        to_labeled = row.take(self.order[:n_old])
+        dx_min = self.dx_min
+        dx_min[acquired:n_pool - 1] = dx_min[acquired + 1:n_pool]
+        np.minimum(dx_min[:n_pool - 1], new_col, out=dx_min[:n_pool - 1])
+        nn = self.labeled_nn
+        np.minimum(nn[:n_old], to_labeled, out=nn[:n_old])
+        nn[n_old] = to_labeled.min()
+        old = self.dx_pair
+        if old is not None:
+            pair = np.empty((n_pool - 1, old.shape[1] + 1))
+            pair[:acquired, :-1] = old[:acquired]
+            pair[acquired:, :-1] = old[acquired + 1:]
+            pair[:, -1] = new_col
+            self.dx_pair = pair
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBlockMoveMatchesPerPairOracle:
+    """``PartitionBlock.acquire`` then ``update_after_acquisition`` move every
+    pair of a block to the bits the per-pair moves gave, at every step."""
+
+    @staticmethod
+    def run(ds, R, n_labeled, moves, seed):
+        rng = np.random.default_rng(seed)
+        n = ds.n_samples
+        # only some pairs keep a cache, only some caches keep dx_pair; with
+        # R = 1 the one pair has both
+        cache_rows = [r for r in range(R) if R == 1 or r % 3 != 1]
+        pair_rows = [r for r in cache_rows if R == 1 or r % 2 == 0]
+        block = PartitionBlock(ds, R, n_labeled)
+        oracles, parts = [], []
+        for r in range(R):
+            order = rng.permutation(n)
+            split = SplitState(order[:n_labeled], order[n_labeled:], seed=0)
+            parts.append(Partition(ds, split, block, r))
+            oracles.append(OraclePair(ds, split, r in cache_rows, r in pair_rows))
+        distances = DistanceBlock(ds.feature_distances, block, cache_rows)
+        caches = {r: build_cache(ds, parts[r], np.zeros(n - n_labeled), distances, i)
+                  for i, r in enumerate(cache_rows)}
+        for r in pair_rows:
+            caches[r].dx_pair  # gathered, then kept by every move
+        for step in range(min(moves, n - n_labeled)):
+            n_pool = block.n_pool
+            positions = rng.integers(n_pool, size=R).tolist()
+            positions[0] = [0, n_pool - 1][step % 2]  # both ends of the pool
+            positions[-1] = n_pool - 1 - positions[0] if R > 1 else positions[-1]
+            acquired = block.acquire(positions)
+            update_after_acquisition(distances)
+            for r, (oracle, pos) in enumerate(zip(oracles, positions)):
+                assert acquired[r] == oracle.order[oracle.n_labeled + pos]
+                oracle.acquire(pos, ds.targets[oracle.order[oracle.n_labeled + pos]])
+                if oracle.cache:
+                    oracle.update(pos)
+            L = block.n_labeled
+            for r, oracle in enumerate(oracles):
+                part = parts[r]
+                assert part.n_labeled == oracle.n_labeled == L
+                assert same_bits(block.orders[r], oracle.order)
+                assert same_bits(block.features[r], oracle.features)
+                assert same_bits(block.labels[r], oracle.targets)  # NaN beyond L
+                assert np.isnan(block.labels[r, L:]).all()
+                if oracle.cache:
+                    cache = caches[r]
+                    assert same_bits(cache.dx_min, oracle.dx_min[:n - L])
+                    assert same_bits(cache.labeled_nn, oracle.labeled_nn[:L])
+                    kept = distances.dx_pairs[cache_rows.index(r)]
+                    if oracle.dx_pair is not None:
+                        assert kept is not None
+                        assert same_bits(cache.dx_pair, oracle.dx_pair)
+                    else:
+                        assert kept is None
+        return block
+
+    @pytest.mark.parametrize("p", [1, 20])
+    @pytest.mark.parametrize("R", [1, 3, 100])
+    @pytest.mark.parametrize("n", [3, 80, 400])
+    def test_random_positions(self, n, R, p):
+        rng = np.random.default_rng(100 * n + 10 * R + p)
+        ds = make_dataset(rng.normal(size=(n, p)), rng.normal(size=n))
+        # to exhaustion, down to a pool of one, except the largest block
+        moves = 8 if n * R >= 40_000 else n
+        block = self.run(ds, R, 2, moves, seed=n + R + p)
+        if moves >= n:
+            assert block.n_pool == 0
+
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_duplicate_feature_rows(self, R):
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(20, 2))
+        ds = make_dataset(np.vstack([X, X, X[:5]]), rng.normal(size=45))
+        self.run(ds, R, 3, 45, seed=R)
+
+    def test_large_initial_set_ends_in_a_pool_of_one(self):
+        rng = np.random.default_rng(32)
+        ds = make_dataset(rng.normal(size=(400, 20)), rng.normal(size=400))
+        block = self.run(ds, 3, 390, 10, seed=4)
+        assert block.n_pool == 0
 
 
 def targets_cache(targets, predictions):

@@ -525,11 +525,15 @@ class TestDegenerateRows:
         positions = []
         real = wigs.harness.update_after_acquisition
 
-        def checked(cache, pos, predictions):
-            real(cache, pos, predictions)
-            positions.append(pos)
-            everything = np.sort(np.concatenate([cache.labeled, cache.pool]))
-            assert np.array_equal(everything, np.arange(ds.n_samples))
+        def checked(block):
+            real(block)
+            assert len(block) == 1  # the one pair of the replication
+            positions.append(int(block.partitions.positions[block.rows[0]]))
+            for r in block.rows:  # every cache row's partition: labeled, then pool
+                parts = block.partitions
+                everything = np.sort(np.concatenate([parts.orders[r, :parts.n_labeled],
+                                                     parts.orders[r, parts.n_labeled:]]))
+                assert np.array_equal(everything, np.arange(ds.n_samples))
 
         monkeypatch.setattr(wigs.harness, "update_after_acquisition", checked)
         trace = run_replication(ds, spec_for(kind), seed=3)
@@ -554,6 +558,62 @@ class TestDegenerateRows:
         if kind == "gsx":
             # every dx_min is 0: the tie goes to the lowest pool position
             assert positions == [0] * len(positions)
+
+
+class TestConstantTargets:
+    @pytest.mark.parametrize("value", [0.1, 2.0])
+    def test_cc_nan_on_every_row(self, value):
+        """0.1 centres to rounding noise at N = 80, 2.0 exactly; both are a
+        truth of zero variance, so every cc of every kind is NaN."""
+        rng = np.random.default_rng(12)
+        ds = rows_dataset(rng.normal(size=(80, 2)), np.full(80, value))
+        traces = run_block(ds, [(spec, 0) for spec in default_methods()])
+        for trace in traces:
+            assert np.isnan(trace.cc).all(), trace.method
+            assert np.isfinite(trace.rmse).all() and trace.rmse[-1] == 0.0, trace.method
+
+
+def per_cell_trace_rows(trace):
+    """The rows as they were built before the text came from columns: one
+    tuple per row, a numpy scalar read per cell, written by ``_format_rows``."""
+    return [(trace.dataset, trace.method, trace.seed, i, int(trace.labeled_count[i]),
+             repr(float(trace.rmse[i])), repr(float(trace.cc[i])),
+             repr(float(trace.weight[i])), repr(float(trace.score[i])),
+             int(trace.acquired_idx[i])) for i in range(len(trace.rmse))]
+
+
+def per_cell_timing_rows(trace):
+    return [(trace.dataset, trace.method, trace.seed, i, repr(float(trace.wall_ms[i])))
+            for i in range(len(trace.wall_ms))]
+
+
+class TestTraceText:
+    """``trace_rows`` and ``timing_rows`` give the text ``_format_rows``
+    gave for the per-cell rows, byte for byte."""
+
+    @staticmethod
+    def assert_same_text(trace):
+        assert wigs.harness.trace_rows(trace) == wigs.harness._format_rows(
+            per_cell_trace_rows(trace))
+        assert wigs.harness.timing_rows(trace) == wigs.harness._format_rows(
+            per_cell_timing_rows(trace))
+
+    @pytest.mark.parametrize("dataset_name, method_name", [
+        ("plain", "igs"), ('a,"b', 'm"1,2'), ("", "x y"), ("line\nbreak", ",")])
+    def test_awkward_names_and_cells(self, dataset_name, method_name):
+        cells = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, 0.1 + 0.2,
+                          1.7976931348623157e308, -2.5])
+        n = len(cells)
+        self.assert_same_text(Trace(
+            method=method_name, dataset=dataset_name, seed=-3,
+            labeled_count=np.arange(2, 2 + n), rmse=cells, cc=cells[::-1].copy(),
+            weight=np.roll(cells, 3), score=np.roll(cells, 7),
+            acquired_idx=np.array([-1] + list(range(n - 1)), dtype=np.int64),
+            wall_ms=np.roll(cells, 1)))
+
+    def test_block_traces(self, dataset):
+        for trace in run_block(dataset, [(spec_for(kind), 5) for kind in KINDS]):
+            self.assert_same_text(trace)
 
 
 class TestRunExperiment:
@@ -709,8 +769,8 @@ class TestBlockInvariance:
     def test_one_kernel_call_per_group_and_iteration(self, dataset, monkeypatch):
         """One refit for the whole block, one CV call for the CV pairs and one
         committee call per committee size, each over exactly those pairs, and
-        one call of each recording site per row over the whole block,
-        whatever R is."""
+        one call of each recording site per row and one distance update per
+        iteration over the whole block, whatever R is."""
         calls = []
 
         def counting(name):
@@ -722,21 +782,48 @@ class TestBlockInvariance:
             return wrapper
 
         for name in ("fit_ridge", "cv_rmse", "fit_bootstrap_committee", "hybrid_rmse",
-                     "correlation_coefficient"):
+                     "correlation_coefficient", "update_after_acquisition"):
             monkeypatch.setattr(wigs.harness, name, counting(name))
         pairs = [(spec_for("passive"), 0), (spec_for("wigs_mab"), 0), (spec_for("qbc"), 0),
                  (spec_for("wigs_sac"), 1), (spec_for("emcm"), 2),
                  (MethodSpec("qbc4", "qbc", {"committee_size": 4}), 0), (spec_for("igs"), 0)]
         horizon = run_block(dataset, pairs)[0].n_iterations
+        # the distance update takes the three cache pairs: wigs_mab, wigs_sac, igs
         assert sorted(set(calls)) == [("correlation_coefficient", 7), ("cv_rmse", 2),
                                       ("fit_bootstrap_committee", 1),
                                       ("fit_bootstrap_committee", 2), ("fit_ridge", 7),
-                                      ("hybrid_rmse", 7)]
-        assert len(calls) == 3 * (horizon + 1) + 3 * horizon
+                                      ("hybrid_rmse", 7), ("update_after_acquisition", 3)]
+        assert len(calls) == 3 * (horizon + 1) + 3 * horizon + horizon
+        assert calls.count(("update_after_acquisition", 3)) == horizon
         calls.clear()
         run_replication(dataset, spec_for("gsx"), 0)
         assert sorted(calls) == sorted([("correlation_coefficient", 1), ("fit_ridge", 1),
-                                        ("hybrid_rmse", 1)] * (horizon + 1))
+                                        ("hybrid_rmse", 1)] * (horizon + 1)
+                                       + [("update_after_acquisition", 1)] * horizon)
+
+    def test_block_state_freed_without_the_cycle_collector(self, dataset, monkeypatch):
+        """Caches refer to their distance block and the block to none of them,
+        so a finished block frees its state, the (N, N) matrix's users
+        among it, by reference counting alone."""
+        import gc
+        import weakref
+
+        made = []
+        real = wigs.harness.DistanceBlock
+
+        def tracked(*args):
+            block = real(*args)
+            made.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(wigs.harness, "DistanceBlock", tracked)
+        gc.disable()
+        try:
+            run_block(dataset, [(spec_for("igs"), 0), (spec_for("passive"), 1),
+                                (spec_for("wigs_sac"), 2)])
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
 
     def test_traces_csv_same_at_parallelism_one_and_two(self, tmp_path):
         methods = (MethodSpec("gsx", "gsx"), MethodSpec("mab", "wigs_mab"), MethodSpec("qbc", "qbc"))

@@ -11,6 +11,7 @@ import pytest
 from wigs.data import initial_split, sample_two_regime
 from wigs.metrics import (
     auc_trapezoid,
+    centre_truth,
     correlation_coefficient,
     hybrid_rmse,
     label_efficiency,
@@ -88,6 +89,38 @@ def assert_same_bits_or_both_nan(predictions, truth):
         assert math.isnan(got)
     else:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestConstantTruthAtRoundingLevel:
+    """A constant truth whose mean is not exact in binary centres to noise;
+    it still counts as zero variance, in the 1-D and the stacked path."""
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, -7.7, 2.0, 0.0, 1e-300])
+    @pytest.mark.parametrize("n", [2, 9, 80, 400, 1000])
+    def test_cc_is_nan(self, n, value):
+        truth = np.full(n, value)
+        assert np.array_equal(centre_truth(truth), np.zeros(n))
+        hybrid = np.linspace(0.0, 1.0, n)
+        assert math.isnan(correlation_coefficient(hybrid, truth))
+        stack = np.stack([hybrid, truth, -hybrid])
+        assert np.isnan(correlation_coefficient(stack, truth)).all()
+        assert np.isnan(correlation_coefficient(stack, truth, centre_truth(truth))).all()
+
+    def test_the_noise_it_replaces(self):
+        # 0.1 at N = 80 does not centre to zeros: the old zero test missed it
+        truth = np.full(80, 0.1)
+        centred = truth - truth.sum() / truth.size
+        assert float(centred @ centred) > 0.0
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e150])
+    def test_small_real_spread_is_kept(self, scale):
+        rng = np.random.default_rng(11)
+        truth = scale * (1.0 + 1e-9 * rng.normal(size=80))  # spread far above rounding
+        tc = centre_truth(truth)
+        assert tc.tobytes() == (truth - truth.sum() / truth.size).tobytes()
+        preds = truth + scale * 1e-9 * rng.normal(size=80)
+        assert_same_bits_or_both_nan(preds, truth)
+        assert not math.isnan(correlation_coefficient(preds, truth))
 
 
 class TestCorrelationMatchesMeanFormula:

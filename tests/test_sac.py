@@ -299,7 +299,7 @@ class TestBuildState:
         for t in range(6):
             pos = int(rng.integers(len(pool)))
             labeled.append(pool.pop(pos))
-            acquire(cache, pos, ds.targets[labeled[-1]], np.zeros(len(pool)))
+            acquire(cache, pos, np.zeros(len(pool)))
             expected = direct(0.7, 1.3, t, 6, ds.targets[labeled], ds.features[labeled])
             assert np.array_equal(build_state(0.7, 1.3, t, 6, cache), expected)
 

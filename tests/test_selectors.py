@@ -388,7 +388,7 @@ class TestEgal:
         delta = sample_bandwidth(ds.features, seed=2)
         for _ in range(6):
             pos = int(rng.integers(cache.n_pool))
-            acquire(cache, pos, ds.targets[cache.pool[pos]], np.zeros(cache.n_pool - 1))
+            acquire(cache, pos, np.zeros(cache.n_pool - 1))
             # oracle: the pool's own pairwise distances, computed from its features
             pool_features = ds.features[cache.pool]
             dist = pairwise_distances(pool_features, pool_features)
