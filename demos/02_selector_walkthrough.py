@@ -9,7 +9,7 @@ one.
 
 from wigs.data import Partition, initial_split, sample_two_regime, scale_features
 from wigs.geometry import build_cache
-from wigs.model import fit_bootstrap_committee, fit_ridge
+from wigs.model import bootstrap_counts, fit_bootstrap_committee, fit_ridge
 from wigs.rng import generator
 from wigs.selectors import (
     egal_setup,
@@ -32,8 +32,10 @@ X, y = dataset.features, dataset.targets
 model = fit_ridge(X[split.labeled_idx], y[split.labeled_idx], alpha=0.01)
 preds = model.predict(X[split.pool_idx])
 cache = build_cache(dataset, Partition(dataset, split), preds)
-committee = fit_bootstrap_committee(
-    X[split.labeled_idx], y[split.labeled_idx], 0.01, B=10, seed=1)
+# member i resamples with generator(1 + i, "bootstrap")
+counts = bootstrap_counts(len(split.labeled_idx),
+                          [generator(1 + i, "bootstrap") for i in range(10)])
+committee = fit_bootstrap_committee(X[split.labeled_idx], y[split.labeled_idx], 0.01, counts)
 egal_state = egal_setup(dataset, seed=1)
 
 picks = {

@@ -39,9 +39,11 @@ from .metrics import (
 from .model import (
     Committee,
     RidgeModel,
+    bootstrap_counts,
     cv_rmse,
     fit_bootstrap_committee,
     fit_ridge,
+    fold_assignment,
     predictive_variance_batch,
 )
 from .report import emit_report, load_record

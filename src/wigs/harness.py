@@ -40,8 +40,8 @@ from .data import (
 )
 from .geometry import DistanceBlock, build_cache, update_after_acquisition
 from .metrics import Trace, centre_truth, correlation_coefficient, hybrid_rmse
-from .model import cv_rmse, fit_bootstrap_committee, fit_ridge
-from .rng import child_seed
+from .model import bootstrap_counts, cv_rmse, fit_bootstrap_committee, fit_ridge, fold_assignment
+from .rng import iteration_states, state_generator
 from .sac import build_state
 
 # Not called here; the kind table calls the selectors.  bench/tracing.py
@@ -73,6 +73,11 @@ TIMING_COLUMNS = ("dataset", "method", "seed", "iteration", "wall_ms")
 # depend on its block, so the cut changes no result.
 BLOCK_BYTES = 64 * 2**20
 
+# The CV and bootstrap streams of a block's iterations are derived this many
+# iterations at a time, so a long horizon holds no buffer of every
+# iteration's state words.  A pair's trace does not depend on it.
+STREAM_CHUNK = 64
+
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
     """Build the configured raw dataset (CSV or generator) and scale it."""
@@ -101,6 +106,32 @@ def _failing_fits(X: np.ndarray, y: np.ndarray, alpha: float, names: list[str]) 
         except Exception:
             failing.append(name)
     return failing or names
+
+
+class _Group:
+    """A fit group: the rows of a block that share its CV call (if
+    ``takes_cv``) and its committee call (if ``committee_size``), the
+    seconds of those calls (``_Block.share``), and the streams of its
+    distinct ``seeds``.  ``which`` maps each row to its seed: the fold
+    assignment and the resample counts depend only on the seed, the
+    iteration and the row count, so pairs that share a seed share them.
+    ``derive`` computes the state words of a chunk of iterations, ``cv``
+    (U, T, 1, 4) and ``bootstrap`` (U, T, B, 4)."""
+
+    def __init__(self, takes_cv: bool, committee_size: int, rows: slice, seeds: list[int],
+                 seconds: list[float]):
+        self.takes_cv, self.committee_size, self.rows, self.seconds = \
+            takes_cv, committee_size, rows, seconds
+        position = {seed: i for i, seed in enumerate(dict.fromkeys(seeds))}
+        self.seeds = list(position)
+        self.which = np.array([position[seed] for seed in seeds])
+
+    def derive(self, start: int, stop: int) -> None:
+        if self.takes_cv:
+            self.cv = iteration_states(self.seeds, "cv", start, stop)
+        if self.committee_size:
+            self.bootstrap = iteration_states(self.seeds, "bootstrap", start, stop,
+                                              self.committee_size)
 
 
 class _Block:
@@ -180,7 +211,8 @@ class _Block:
         self.everyone_s = self.share(slice(0, R), R)
         if self.cache_rows:
             self.distances_s = self.share(self.cache_rows, len(self.cache_rows))
-        self.groups = [(takes_cv, committee_size, rows, self.share(rows, rows.stop - rows.start))
+        self.groups = [_Group(takes_cv, committee_size, rows, self.seeds[rows],
+                              self.share(rows, rows.stop - rows.start))
                        for takes_cv, committee_size, rows in groups]
         self.last = time.perf_counter()
 
@@ -213,19 +245,29 @@ class _Block:
 
     def fit_groups(self, t: int) -> None:
         """The CV call of each group that takes one and the committee call of
-        each committee size, each one kernel call on the group's rows."""
+        each committee size, each one kernel call on the group's rows.  The
+        fold assignments and resample counts are drawn once per distinct
+        seed, from the streams the group derives at the first iteration of
+        each chunk of ``STREAM_CHUNK``; the derivation is charged with the
+        call that follows it."""
         X, y = self.labeled
-        for takes_cv, committee_size, rows, seconds in self.groups:
-            seeds = self.seeds[rows]
-            if takes_cv:
-                self.cv_now[rows] = cv_rmse(X[rows], y[rows], self.alpha, self.cv_folds,
-                                            [child_seed(seed, "cv", t) for seed in seeds])
-                self.charge(seconds, t + 1)
-            if committee_size:
-                self.committees[rows] = fit_bootstrap_committee(
-                    X[rows], y[rows], self.alpha, committee_size,
-                    [child_seed(seed, "bootstrap", t) for seed in seeds])
-                self.charge(seconds, t + 1)
+        k = X.shape[1]
+        step = t % STREAM_CHUNK
+        for group in self.groups:
+            if not step:
+                group.derive(t, min(t + STREAM_CHUNK, self.horizon))
+            rows = group.rows
+            if group.takes_cv:
+                fold = np.stack([fold_assignment(k, self.cv_folds, state_generator(words))
+                                 for words in group.cv[:, step, 0]])
+                self.cv_now[rows] = cv_rmse(X[rows], y[rows], self.alpha, fold[group.which])
+                self.charge(group.seconds, t + 1)
+            if group.committee_size:
+                counts = np.stack([bootstrap_counts(k, map(state_generator, members))
+                                   for members in group.bootstrap[:, step]])
+                self.committees[rows] = fit_bootstrap_committee(X[rows], y[rows], self.alpha,
+                                                                counts[group.which])
+                self.charge(group.seconds, t + 1)
 
     def select(self, t: int) -> None:
         """Policy step and selection, pair by pair: each pair's chosen pool
@@ -486,15 +528,17 @@ def seed_bytes(n_samples: int, n_features: int, method: MethodSpec, cv_folds: in
     block on an (N, p) dataset: its partition rows, one centred (k, p) copy
     of the labeled rows per fit of a stacked kernel call (k <= N), a
     distance cache's pool x labeled block and its copy as it grows (at most
-    N²/2 floats), and the kind's ``state_bytes``."""
+    N²/2 floats), the state words of its CV and bootstrap streams for a
+    ``STREAM_CHUNK`` of iterations, and the kind's ``state_bytes``."""
     kind = KINDS[method.kind]
     params = method.settings()
-    fits = 1
+    fits, streams = 1, 0
     if kind.committee:
-        fits = max(fits, int(params["committee_size"]))
+        fits = streams = int(params["committee_size"])
     if kind.cv_reward:
         fits = max(fits, cv_folds)
-    size = 8 * n_samples * n_features * (fits + 1)
+        streams += 1
+    size = 8 * n_samples * n_features * (fits + 1) + 32 * STREAM_CHUNK * streams
     if kind.cache:
         size += 8 * n_samples * n_samples // 2
     if kind.state_bytes:

@@ -5,7 +5,9 @@ of one size, each centred on its own weighted means, solved as
 (Xc' W Xc + alpha I) beta = Xc' W yc in one batched solve.  A plain fit is
 the unweighted pass, every row weighted 1 (and keeps the inverse Gram for
 predictive variances), a K-fold CV fit a 0/1 train mask per fold, a
-bootstrap committee a row of resample counts per member.  The public fits
+bootstrap committee a row of resample counts per member.  The CV shuffle
+and the resamples come in drawn (``fold_assignment``, ``bootstrap_counts``),
+so the caller derives their random streams.  The public fits
 take one labeled set, (k, p), as the block of one it is a view of, or a
 stacked block, (R, k, p), and then return one result per set: a plain fit
 of a block returns its arrays, ``RidgeFits``, with no object per set.
@@ -20,8 +22,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
-
-from .rng import generator
 
 
 class FoldWarning(UserWarning):
@@ -145,13 +145,6 @@ def _block(X, y) -> tuple[np.ndarray, np.ndarray, bool]:
     return X, y, stacked
 
 
-def _seeds(seed, R: int, stacked: bool) -> list[int]:
-    seeds = list(seed) if stacked else [seed]
-    if len(seeds) != R:
-        raise ValueError(f"a block of {R} sets needs {R} seeds, got {len(seeds)}")
-    return seeds
-
-
 def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel | RidgeFits:
     """Fit ridge coefficients on column-centered data; intercept unpenalized.
 
@@ -184,22 +177,15 @@ def predictive_variance_batch(model: RidgeModel, X: np.ndarray) -> np.ndarray:
     return model.sigma2_hat * np.einsum("ij,jk,ik->i", Xc, model.gram_inverse, Xc)
 
 
-def cv_rmse(X: np.ndarray, y: np.ndarray, alpha: float, folds: int, seed) -> float | list[float]:
-    """K-fold cross-validation RMSE pooled over all held-out residuals.
-
-    Fold assignment is a seeded shuffle of the row indices split into
-    near-equal contiguous chunks.  When there are fewer rows than folds the
-    fold count drops to the row count (leave-one-out) with a FoldWarning.
-    A block X (R, k, p), y (R, k) takes a sequence of R seeds, one per set,
-    and gives the list of R values, all folds of all sets in one kernel call.
-    """
-    X, y, stacked = _block(X, y)
-    R, k, _ = X.shape
+def fold_assignment(k: int, folds: int, rng: np.random.Generator) -> np.ndarray:
+    """The held-out fold of each of k rows, (k,): ``rng`` shuffles the row
+    indices, which are split into near-equal contiguous chunks.  When there
+    are fewer rows than folds the fold count drops to the row count
+    (leave-one-out) with a FoldWarning."""
     if k < 2:
         raise ValueError("need at least 2 rows for cross-validation")
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    seeds = _seeds(seed, R, stacked)
     if folds > k:
         warnings.warn(
             f"{folds}-fold CV reduced to {k}-fold (leave-one-out) for {k} rows",
@@ -209,10 +195,30 @@ def cv_rmse(X: np.ndarray, y: np.ndarray, alpha: float, folds: int, seed) -> flo
         folds = k
     sizes = np.full(folds, k // folds)
     sizes[:k % folds] += 1
-    chunks = np.repeat(np.arange(folds), sizes)
-    fold = np.empty((R, k), dtype=int)
-    for r, s in enumerate(seeds):
-        fold[r][generator(s, "cv").permutation(k)] = chunks
+    fold = np.empty(k, dtype=int)
+    fold[rng.permutation(k)] = np.repeat(np.arange(folds), sizes)
+    return fold
+
+
+def cv_rmse(X: np.ndarray, y: np.ndarray, alpha: float, fold) -> float | list[float]:
+    """K-fold cross-validation RMSE pooled over all held-out residuals.
+
+    ``fold`` holds each row's held-out fold, as ``fold_assignment`` draws
+    it; K is its largest entry plus one.  A block X (R, k, p), y (R, k)
+    takes an (R, k) ``fold``, one row per set, and gives the list of R
+    values, all folds of all sets in one kernel call.
+    """
+    X, y, stacked = _block(X, y)
+    R, k, _ = X.shape
+    if k < 2:
+        raise ValueError("need at least 2 rows for cross-validation")
+    fold = np.asarray(fold)
+    if not stacked:
+        fold = fold[None]
+    if fold.shape != (R, k):
+        raise ValueError(f"a block of {R} sets of {k} rows needs ({R}, {k}) fold indices, "
+                         f"got {fold.shape}")
+    folds = int(fold.max()) + 1
     train = (fold[:, None, :] != np.arange(folds)[:, None]).astype(float)
     coef, intercepts, _, _ = _ridge(X, y, train, alpha)
     rows = np.arange(R)[:, None]
@@ -241,27 +247,37 @@ class Committee:
         return (np.asarray(X, dtype=float) @ self.coefficients.T + self.intercepts).T
 
 
-def fit_bootstrap_committee(
-    X: np.ndarray, y: np.ndarray, alpha: float, B: int, seed
-) -> Committee | list[Committee]:
-    """B ridge fits on with-replacement resamples of size k.
+def bootstrap_counts(k: int, rngs) -> np.ndarray:
+    """(B, k) resample counts of k rows: member i draws k rows with
+    replacement from ``rngs[i]``, so no member's resample depends on the
+    others or on B."""
+    rngs = list(rngs)
+    counts = np.empty((len(rngs), k))
+    for i, rng in enumerate(rngs):
+        counts[i] = np.bincount(rng.integers(0, k, size=k), minlength=k)
+    return counts
 
-    Member i draws its resample from a generator seeded with seed + i, so
-    no member's resample depends on the others or on B.  A block X
-    (R, k, p), y (R, k) takes a sequence of R seeds and gives the list of
-    R committees, all R·B members in one kernel call.
+
+def fit_bootstrap_committee(
+    X: np.ndarray, y: np.ndarray, alpha: float, counts
+) -> Committee | list[Committee]:
+    """B ridge fits on with-replacement resamples of size k, one per row of
+    the (B, k) resample ``counts`` (``bootstrap_counts``).  A block X
+    (R, k, p), y (R, k) takes (R, B, k) counts and gives the list of R
+    committees, all R·B members in one kernel call.
     """
     X, y, stacked = _block(X, y)
-    if B < 2:
-        raise ValueError("need at least 2 committee members")
     R, k, _ = X.shape
+    counts = np.asarray(counts, dtype=float)
+    if not stacked:
+        counts = counts[None]
+    if counts.ndim != 3 or counts.shape[::2] != (R, k):
+        raise ValueError(f"a block of {R} sets of {k} rows needs ({R}, B, {k}) resample "
+                         f"counts, got {counts.shape}")
+    if counts.shape[1] < 2:
+        raise ValueError("need at least 2 committee members")
     if k < 2:
         raise ValueError("need at least 2 training rows")
-    counts = np.empty((R, B, k))
-    for r, s in enumerate(_seeds(seed, R, stacked)):
-        for i in range(B):
-            counts[r, i] = np.bincount(generator(s + i, "bootstrap").integers(0, k, size=k),
-                                       minlength=k)
     coef, intercepts, _, _ = _ridge(X, y, counts, alpha)
     committees = [Committee(coefficients=coef[r], intercepts=intercepts[r]) for r in range(R)]
     return committees if stacked else committees[0]

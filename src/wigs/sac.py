@@ -62,7 +62,8 @@ class Mlp:
     (members, fan_in, fan_out) view into it and ``biases[i]`` a
     (members, fan_out) view.  ``forward`` maps (n, in) inputs to
     (members, n, out) outputs; ``backward`` consumes its cache and returns
-    the parameter gradient in ``flat``'s layout plus the input gradient.
+    the parameter gradient in ``flat``'s layout plus the input gradient,
+    either of which it can skip.
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator, members: int = 1):
@@ -100,26 +101,37 @@ class Mlp:
         return h, cache
 
     def backward(
-        self, cache: list[np.ndarray], grad_out: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of sum(grad_out * output); grad_out is (members, n, out)."""
+        self, cache: list[np.ndarray], grad_out: np.ndarray, params: bool = True,
+        inputs: bool = True,
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Gradients of sum(grad_out * output); grad_out is (members, n, out).
+
+        ``params=False`` skips the parameter gradient and ``inputs=False``
+        the input gradient, which then come back as None; the other one is
+        the same bits either way.
+        """
         if len(cache) != len(self.weights) + 1:
             raise ValueError("stale or mismatched forward cache")
-        grad = np.empty_like(self.flat)
-        grad_w, grad_b = self.views(grad)
+        grad = None
+        if params:
+            grad = np.empty_like(self.flat)
+            grad_w, grad_b = self.views(grad)
         g = grad_out
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             if i != last:
                 g = g * (cache[i + 1] > 0.0)  # ReLU mask from stored activations
-            grad_w[i][...] = cache[i].swapaxes(-1, -2) @ g
-            grad_b[i][...] = g.sum(axis=-2)
-            g = g @ self.weights[i].swapaxes(-1, -2)
-        return grad, g
+            if params:
+                grad_w[i][...] = cache[i].swapaxes(-1, -2) @ g
+                grad_b[i][...] = g.sum(axis=-2)
+            if i or inputs:
+                g = g @ self.weights[i].swapaxes(-1, -2)
+        return grad, g if inputs else None
 
 
 class Adam:
-    """Adam on one flat parameter vector, updated in place."""
+    """Adam on one flat parameter vector, updated in place through two
+    scratch vectors of its size."""
 
     def __init__(self, params: np.ndarray, lr: float, beta1: float,
                  beta2: float, eps: float):
@@ -130,16 +142,29 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self.scratch = np.empty_like(params), np.empty_like(params)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and params -=
+        lr (m / c1) / (sqrt(v / c2) + eps) with the bias corrections c1, c2:
+        the same operations, in the same order, as those expressions."""
         self.t += 1
         correct1 = 1.0 - self.beta1 ** self.t
         correct2 = 1.0 - self.beta2 ** self.t
+        a, b = self.scratch
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
+        self.m += np.multiply(grad, 1.0 - self.beta1, out=a)
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        params -= self.lr * (self.m / correct1) / (np.sqrt(self.v / correct2) + self.eps)
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        a *= grad
+        self.v += a
+        np.divide(self.m, correct1, out=a)
+        a *= self.lr
+        np.divide(self.v, correct2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 class ReplayBuffer:
@@ -179,12 +204,13 @@ def net_sizes(c: SacConfig) -> tuple[list[int], list[int]]:
 
 def state_bytes(config: SacConfig, transitions: int) -> int:
     """Bytes of a SAC controller's arrays once ``transitions`` have been
-    pushed: the actor and its two Adam moments, the twin critic, its target
-    and its two Adam moments, and the replay rows written so far (the
-    buffer's unwritten rows are zero pages that are never touched)."""
+    pushed: the actor, its two Adam moments and two Adam scratch vectors,
+    the twin critic, its target, its two Adam moments and two scratch
+    vectors, and the replay rows written so far (the buffer's unwritten
+    rows are zero pages that are never touched)."""
     actor, critic = net_sizes(config)
     rows = min(transitions, config.buffer_capacity)
-    return 8 * (3 * param_count(actor) + 4 * 2 * param_count(critic)
+    return 8 * (5 * param_count(actor) + 6 * 2 * param_count(critic)
                 + rows * (2 * config.state_dim + 2))
 
 
@@ -283,7 +309,7 @@ def critic_loss_and_grads(critic: Mlp, states, actions, targets):
     q, cache = critic.forward(x)
     diff = q[:, :, 0] - targets
     losses = tuple(float(d @ d) / len(d) for d in diff)
-    grad, _ = critic.backward(cache, (2.0 / len(targets)) * diff[:, :, None])
+    grad, _ = critic.backward(cache, (2.0 / len(targets)) * diff[:, :, None], inputs=False)
     return losses, grad
 
 
@@ -310,7 +336,7 @@ def actor_loss_and_grads(agent: SacAgent, states, eps):
     # dL/da flows through whichever critic realized the min, via its input
     # gradient's action coordinate.  Critic parameters are not updated here.
     g_q = np.where(np.stack([take1, ~take1]), -1.0 / n, 0.0)
-    _, grad_in = agent.critic.backward(q_cache, g_q[:, :, None])
+    _, grad_in = agent.critic.backward(q_cache, g_q[:, :, None], params=False)
     g_a = grad_in[0, :, -1] + grad_in[1, :, -1]
 
     g_logp = np.full(n, c.alpha_ent / n)
@@ -321,7 +347,7 @@ def actor_loss_and_grads(agent: SacAgent, states, eps):
     g_log_std = (g_z * sigma * eps - g_logp) * pass_through
 
     grad_out = np.stack([g_mu, g_log_std], axis=1)
-    grad, _ = agent.actor.backward(cache, grad_out[None])
+    grad, _ = agent.actor.backward(cache, grad_out[None], inputs=False)
     return loss, grad
 
 

@@ -221,6 +221,24 @@ def egal_density(cache: DistanceCache, similarity: np.ndarray) -> np.ndarray:
     return density
 
 
+def lower_quartile(values: np.ndarray) -> float:
+    """``np.quantile(values, 0.25)`` bit for bit, from one partition: numpy's
+    linear interpolation between the order statistics around the virtual
+    index 0.25 (P - 1), with its own branch for a weight of at least 0.5,
+    and NaN when any value is NaN (NaN sorts last)."""
+    n = len(values)
+    virtual = (n - 1) * 0.25
+    below = int(virtual)
+    above = min(below + 1, n - 1)
+    ordered = np.partition(values, (below, above, n - 1))
+    if ordered[-1] != ordered[-1]:
+        return float(ordered[-1])
+    a, b = float(ordered[below]), float(ordered[above])
+    t = virtual - below
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
 def select_egal(cache: DistanceCache, similarity: np.ndarray) -> SelectionResult:
     """Densest candidate among those far enough from the labeled set.
 
@@ -231,7 +249,7 @@ def select_egal(cache: DistanceCache, similarity: np.ndarray) -> SelectionResult
     if cache.n_pool == 0:
         raise ValueError("empty candidate pool")
     density = egal_density(cache, similarity)
-    threshold = np.quantile(cache.dx_min, 0.25)
+    threshold = lower_quartile(cache.dx_min)
     kept = cache.dx_min >= threshold
     if not kept.any():
         kept = np.ones_like(kept)

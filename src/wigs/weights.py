@@ -71,7 +71,10 @@ class BanditPolicy:
     mean reward; ``arm`` is the arm pulled last, credited when the next
     reward lands.  Untried arms are pulled round-robin, then the arm with
     the largest index mean_i + c_explore * sqrt(ln n / n_i), n the total
-    completed pulls; ties break toward the lowest arm index.
+    completed pulls; ties break toward the lowest arm index, and a NaN
+    index wins, as ``np.argmax`` picks.  The arithmetic runs on Python
+    floats, the same IEEE operations as on float64 arrays; ln n is
+    ``np.log``, which ``math.log`` does not match at every n.
     """
 
     def __init__(self, arms=(0.25, 0.50, 0.75), c_explore: float = 2.0):
@@ -81,21 +84,39 @@ class BanditPolicy:
         if any(not 0.0 <= a <= 1.0 for a in self.arms):
             raise ValueError("arms must lie in [0, 1]")
         self.c_explore = c_explore
-        self.counts = np.zeros(len(self.arms), dtype=np.int64)
-        self.means = np.zeros(len(self.arms))
+        self._counts = [0] * len(self.arms)
+        self._means = [0.0] * len(self.arms)
         self.arm: int | None = None
 
+    @property
+    def counts(self) -> np.ndarray:
+        """Each arm's completed pulls."""
+        return np.array(self._counts, dtype=np.int64)
+
+    @property
+    def means(self) -> np.ndarray:
+        """Each arm's running mean reward."""
+        return np.array(self._means)
+
     def step(self, t, horizon, reward=None, context=None) -> float:
+        counts, means = self._counts, self._means
         if reward is not None and self.arm is not None:
-            self.counts[self.arm] += 1
-            self.means[self.arm] += (reward - self.means[self.arm]) / self.counts[self.arm]
-        untried = np.flatnonzero(self.counts == 0)
-        if len(untried):
-            self.arm = int(untried[0])
+            arm = self.arm
+            counts[arm] += 1
+            means[arm] += (float(reward) - means[arm]) / counts[arm]
+        if 0 in counts:
+            self.arm = counts.index(0)
         else:
-            n = self.counts.sum()
-            ucb = self.means + self.c_explore * np.sqrt(np.log(n) / self.counts)
-            self.arm = int(np.argmax(ucb))
+            log_n = float(np.log(sum(counts)))
+            best, top = 0, -math.inf
+            for arm, (count, mean) in enumerate(zip(counts, means)):
+                index = mean + self.c_explore * math.sqrt(log_n / count)
+                if index != index:  # NaN
+                    best = arm
+                    break
+                if index > top:
+                    best, top = arm, index
+            self.arm = best
         return self.arms[self.arm]
 
 

@@ -36,7 +36,7 @@ from wigs.selectors import (
 from wigs.weights import BanditPolicy
 from wigs.data import ColumnMeta, Dataset, Partition, SplitState
 
-from test_model import oracle_committee
+from test_model import counts_of, oracle_committee
 
 
 def report_line(number, name, ok, detail=""):
@@ -80,7 +80,7 @@ def test_criterion_02_selector_oracle_equivalence():
         preds = model.predict(X[pool_idx])
         cache = build_cache(ds, Partition(ds, split), preds)
         committee = fit_bootstrap_committee(X[labeled_idx], y[labeled_idx],
-                                            0.01, B=5, seed=7)
+                                            0.01, counts_of(len(labeled_idx), 5, 7))
         coefs, intercepts = oracle_committee(X[labeled_idx], y[labeled_idx],
                                              0.01, B=5, seed=7)
         phi_x = normalize_phi(cache.dx_pair)

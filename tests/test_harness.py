@@ -37,10 +37,18 @@ from wigs.harness import (
     seed_bytes,
 )
 from wigs.metrics import Trace, correlation_coefficient, hybrid_rmse
-from wigs.model import cv_rmse, fit_bootstrap_committee, fit_ridge
-from wigs.rng import child_seed
+from wigs.model import (
+    bootstrap_counts,
+    cv_rmse,
+    fit_bootstrap_committee,
+    fit_ridge,
+    fold_assignment,
+)
+from wigs.rng import STREAMS, generator
 from wigs.sac import build_state
 from wigs.selectors import veto_demo
+
+from test_model import child_seed
 
 
 def small_config(tmp_path, methods, n=60, replications=2, parallelism=1, base_seed=100):
@@ -374,8 +382,9 @@ def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0
         if policy is not None:
             reward = context = None
             if kind.cv_reward:
-                cv_now = cv_rmse(X[labeled], y[labeled], alpha, cv_folds,
-                                 child_seed(seed, "cv", t))
+                folds = fold_assignment(len(labeled), cv_folds,
+                                        generator(child_seed(seed, "cv", t), "cv"))
+                cv_now = cv_rmse(X[labeled], y[labeled], alpha, folds)
                 if cv_initial is None:
                     cv_initial = cv_now if cv_now > 0 else 1.0
                 if cv_prev is not None:
@@ -386,9 +395,10 @@ def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0
             weight = policy.step(t, horizon, reward, context)
         committee = None
         if kind.committee:
-            committee = fit_bootstrap_committee(
-                X[labeled], y[labeled], alpha, int(params["committee_size"]),
-                child_seed(seed, "bootstrap", t))
+            child = child_seed(seed, "bootstrap", t)
+            counts = bootstrap_counts(len(labeled), [generator(child + i, "bootstrap")
+                                                     for i in range(params["committee_size"])])
+            committee = fit_bootstrap_committee(X[labeled], y[labeled], alpha, counts)
         result = kind.select(Query(model, pool_features, cache, committee, weight, state))
 
         pos = result.chosen
@@ -838,6 +848,60 @@ def huge_target_dataset(n=40):
     """Targets near 1e300 (targets are never scaled): the squared residuals overflow."""
     rng = np.random.default_rng(8)
     return rng.uniform(size=(n, 1)), 1e300 * (1.0 + 0.1 * rng.normal(size=n))
+
+
+STREAM_KINDS = ("qbc", "emcm", "wigs_mab", "wigs_sac")
+
+
+class TestBatchedStreams:
+    """The CV and bootstrap streams are derived a chunk of iterations at a
+    time, once per distinct seed of a fit group: every pair still draws the
+    streams of numpy's SeedSequence, whatever the chunk and its block."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, wigs.harness.STREAM_CHUNK])
+    def test_traces_do_not_depend_on_the_chunk(self, dataset, monkeypatch, chunk):
+        monkeypatch.setattr(wigs.harness, "STREAM_CHUNK", chunk)
+        pairs = [(spec_for(kind), seed) for kind in STREAM_KINDS for seed in (0, 2**64 + 3)]
+        for (spec, seed), trace in zip(pairs, run_block(dataset, pairs)):
+            assert_same_trace(trace, list_based_replication(dataset, spec, seed))
+
+    def test_horizon_of_several_default_chunks(self):
+        dataset = resolve_dataset(ExperimentConfig(dgp="two_regime", n=150, dataset_seed=2,
+                                                   methods=(MethodSpec("igs", "igs"),)))
+        pairs = [(spec_for("qbc"), 4), (spec_for("wigs_mab"), 4)]
+        traces = run_block(dataset, pairs)
+        assert traces[0].n_iterations > 2 * wigs.harness.STREAM_CHUNK
+        for (spec, seed), trace in zip(pairs, traces):
+            assert_same_trace(trace, list_based_replication(dataset, spec, seed))
+
+    def test_pairs_that_share_a_seed_match_their_runs_alone(self, dataset):
+        """qbc, emcm and a second qbc size share seed 0's resample counts,
+        wigs_mab and wigs_sac its fold assignments; each gets its trace alone."""
+        pairs = [(spec_for("qbc"), 0), (spec_for("emcm"), 0), (spec_for("wigs_mab"), 0),
+                 (spec_for("wigs_sac"), 0), (spec_for("qbc"), 1), (spec_for("emcm"), 0),
+                 (MethodSpec("qbc4", "qbc", {"committee_size": 4}), 0), (spec_for("wigs_mab"), 0)]
+        for (spec, seed), trace in zip(pairs, run_block(dataset, pairs)):
+            assert_same_trace(trace, run_replication(dataset, spec, seed))
+
+    def test_no_seed_sequence_after_the_set_up(self, dataset, monkeypatch):
+        """A battery block builds numpy SeedSequences for its one-off streams
+        (split, sac, passive, egal) while it sets up, and none per iteration."""
+        made = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            made.append(kwargs.get("spawn_key"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        pairs = [(method, seed) for method in default_methods() for seed in (0, 1)]
+        wigs.harness._Block(dataset, pairs, 0.05, 0.01, 5)
+        set_up = list(made)
+        made.clear()
+        run_block(dataset, pairs)
+        assert made == set_up
+        assert {key[0] for key in set_up} == {STREAMS[name]
+                                              for name in ("split", "sac", "passive", "egal")}
 
 
 class TestNonFiniteRecordFails:

@@ -7,12 +7,37 @@ import pytest
 from wigs.model import (
     FoldWarning,
     _ridge,
+    bootstrap_counts,
     cv_rmse,
     fit_bootstrap_committee,
     fit_ridge,
+    fold_assignment,
     predictive_variance_batch,
 )
-from wigs.rng import generator
+from wigs.rng import STREAMS, generator
+
+
+def child_seed(seed, stream, index):
+    """The integer child seed of iteration ``index`` of ``stream``, as the
+    harness derives it: the first uint64 of numpy's SeedSequence state."""
+    key = (STREAMS[stream], index)
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
+
+
+def folds_of(k, folds, seed):
+    """The fold assignment of k rows drawn from ``generator(seed, "cv")``,
+    or stacked, one row per seed, for a sequence of seeds."""
+    if isinstance(seed, int):
+        return fold_assignment(k, folds, generator(seed, "cv"))
+    return np.stack([folds_of(k, folds, s) for s in seed])
+
+
+def counts_of(k, B, seed):
+    """The (B, k) resample counts whose member i draws from
+    ``generator(seed + i, "bootstrap")``, or stacked for a sequence of seeds."""
+    if isinstance(seed, int):
+        return bootstrap_counts(k, [generator(seed + i, "bootstrap") for i in range(B)])
+    return np.stack([counts_of(k, B, s) for s in seed])
 
 
 def oracle_fit(X, y, alpha):
@@ -174,33 +199,37 @@ class TestCvRmse:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(40, 2))
         y = X @ np.array([1.5, -2.0]) + 3.0
-        assert cv_rmse(X, y, alpha=1e-8, folds=5, seed=0) < 1e-3
+        assert cv_rmse(X, y, 1e-8, folds_of(40, 5, 0)) < 1e-3
 
     def test_fold_clamping_warns(self):
         X = np.arange(4, dtype=float)[:, None]
         y = np.array([0.0, 1.0, 2.0, 3.0])
         with pytest.warns(FoldWarning):
-            clamped = cv_rmse(X, y, alpha=0.01, folds=5, seed=1)
-        four_fold = cv_rmse(X, y, alpha=0.01, folds=4, seed=1)
+            clamped = cv_rmse(X, y, 0.01, folds_of(4, 5, 1))
+        four_fold = cv_rmse(X, y, 0.01, folds_of(4, 4, 1))
         assert clamped == four_fold
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(25, 3))
         y = rng.normal(size=25)
-        a = cv_rmse(X, y, alpha=0.01, folds=5, seed=99)
-        b = cv_rmse(X, y, alpha=0.01, folds=5, seed=99)
+        a = cv_rmse(X, y, 0.01, folds_of(25, 5, 99))
+        b = cv_rmse(X, y, 0.01, folds_of(25, 5, 99))
         assert a == b
 
     def test_seed_changes_folds(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(25, 3))
         y = rng.normal(size=25)
-        assert cv_rmse(X, y, 0.01, 5, seed=1) != cv_rmse(X, y, 0.01, 5, seed=2)
+        assert cv_rmse(X, y, 0.01, folds_of(25, 5, 1)) != cv_rmse(X, y, 0.01, folds_of(25, 5, 2))
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
-            cv_rmse(np.array([[1.0]]), np.array([1.0]), 0.01, 5, seed=0)
+            cv_rmse(np.array([[1.0]]), np.array([1.0]), 0.01, np.zeros(1, dtype=int))
+        with pytest.raises(ValueError):
+            fold_assignment(1, 5, generator(0, "cv"))
+        with pytest.raises(ValueError, match="at least 2 folds"):
+            fold_assignment(6, 1, generator(0, "cv"))
 
 
 class TestCommittee:
@@ -208,8 +237,8 @@ class TestCommittee:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(12, 2))
         y = rng.normal(size=12)
-        a = fit_bootstrap_committee(X, y, 0.01, B=10, seed=5)
-        b = fit_bootstrap_committee(X, y, 0.01, B=10, seed=5)
+        a = fit_bootstrap_committee(X, y, 0.01, counts_of(12, 10, 5))
+        b = fit_bootstrap_committee(X, y, 0.01, counts_of(12, 10, 5))
         assert a.coefficients.shape == (10, 2) and a.size == 10
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.intercepts, b.intercepts)
@@ -217,14 +246,14 @@ class TestCommittee:
     def test_identical_rows_give_zero_variance(self):
         X = np.tile([[1.0, 2.0]], (6, 1))
         y = np.full(6, 3.0)
-        committee = fit_bootstrap_committee(X, y, 0.01, B=5, seed=0)
+        committee = fit_bootstrap_committee(X, y, 0.01, counts_of(6, 5, 0))
         preds = committee.predict_matrix(np.array([[0.0, 0.0], [9.0, 9.0]]))
         assert np.allclose(preds.var(axis=0), 0.0)
 
     def test_committee_size_enforced(self):
         X = np.arange(6, dtype=float)[:, None]
         with pytest.raises(ValueError):
-            fit_bootstrap_committee(X, np.zeros(6), 0.01, B=1, seed=0)
+            fit_bootstrap_committee(X, np.zeros(6), 0.01, counts_of(6, 1, 0))
 
 
 @pytest.mark.parametrize("case", ["plain", "offset", "duplicates"])
@@ -245,17 +274,18 @@ class TestKernelMatchesClosedForm:
     def test_cv_rmse(self, p, case):
         X, y = oracle_case(p, case)
         for folds, seed in [(5, 3), (3, 8), (60, 1)]:
-            assert_rel(cv_rmse(X, y, 0.01, folds, seed), oracle_cv_rmse(X, y, 0.01, folds, seed))
+            assert_rel(cv_rmse(X, y, 0.01, folds_of(len(y), folds, seed)),
+                       oracle_cv_rmse(X, y, 0.01, folds, seed))
 
     def test_leave_one_out_on_two_rows(self, p, case):
         X, y = oracle_case(p, case)
         with pytest.warns(FoldWarning):
-            got = cv_rmse(X[:2], y[:2], 0.01, folds=5, seed=4)
+            got = cv_rmse(X[:2], y[:2], 0.01, folds_of(2, 5, 4))
         assert_rel(got, oracle_cv_rmse(X[:2], y[:2], 0.01, 2, 4))
 
     def test_committee(self, p, case):
         X, y = oracle_case(p, case)
-        committee = fit_bootstrap_committee(X, y, 0.01, B=10, seed=3)
+        committee = fit_bootstrap_committee(X, y, 0.01, counts_of(len(y), 10, 3))
         coefs, intercepts = oracle_committee(X, y, 0.01, B=10, seed=3)
         assert_rel(committee.coefficients, coefs)
         assert_rel(committee.intercepts, intercepts)
@@ -337,7 +367,8 @@ class TestKernelBitEqualToWeightedConcatenate:
             assert_bits(one_set_ridge(X, y, train, 0.01), want)
             coef, intercepts = want[:2]
             residuals = y - (np.einsum("ip,ip->i", X, coef[fold]) + intercepts[fold])
-            assert cv_rmse(X, y, 0.01, folds, seed) == float(np.sqrt(residuals @ residuals / k))
+            want = float(np.sqrt(residuals @ residuals / k))
+            assert cv_rmse(X, y, 0.01, folds_of(k, folds, seed)) == want
 
     def test_bootstrap_counts(self, p, case):
         X, y = exactness_case(p, case)
@@ -348,7 +379,7 @@ class TestKernelBitEqualToWeightedConcatenate:
         ]).astype(float)
         want = weighted_concatenate_ridge(X, y, counts, 0.01)
         assert_bits(one_set_ridge(X, y, counts, 0.01), want)
-        committee = fit_bootstrap_committee(X, y, 0.01, B=10, seed=3)
+        committee = fit_bootstrap_committee(X, y, 0.01, counts_of(k, 10, 3))
         assert_bits([committee.coefficients, committee.intercepts], want[:2])
 
 
@@ -391,18 +422,19 @@ class TestBlockEqualsPerSetCalls:
         for folds in (2, 5, k):
             warns = pytest.warns(FoldWarning) if folds > k else contextlib.nullcontext()
             with warns:
-                got = cv_rmse(X, y, 0.01, folds, seeds)
+                got = cv_rmse(X, y, 0.01, folds_of(k, folds, seeds))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", FoldWarning)
-                want = [cv_rmse(X[r], y[r], 0.01, folds, seeds[r]) for r in range(R)]
+                want = [cv_rmse(X[r], y[r], 0.01, folds_of(k, folds, seeds[r])) for r in range(R)]
             assert_bits(got, want)
 
     def test_committee(self, R, p, case):
         X, y, seeds = block_case(R, p, case)
-        committees = fit_bootstrap_committee(X, y, 0.01, 10, seeds)
+        k = X.shape[1]
+        committees = fit_bootstrap_committee(X, y, 0.01, counts_of(k, 10, seeds))
         assert len(committees) == R
         for r, committee in enumerate(committees):
-            alone = fit_bootstrap_committee(X[r], y[r], 0.01, 10, seeds[r])
+            alone = fit_bootstrap_committee(X[r], y[r], 0.01, counts_of(k, 10, seeds[r]))
             assert_bits([committee.coefficients, committee.intercepts],
                         [alone.coefficients, alone.intercepts])
 
@@ -410,10 +442,13 @@ class TestBlockEqualsPerSetCalls:
 class TestBlockShapes:
     def test_seed_count_must_match_block(self):
         X, y, seeds = block_case(3, 2, "plain")
-        with pytest.raises(ValueError, match="a block of 3 sets needs 3 seeds, got 2"):
-            cv_rmse(X, y, 0.01, 5, seeds[:2])
-        with pytest.raises(ValueError, match="a block of 3 sets needs 3 seeds, got 2"):
-            fit_bootstrap_committee(X, y, 0.01, 10, seeds[:2])
+        k = X.shape[1]
+        with pytest.raises(ValueError, match=r"a block of 3 sets of 24 rows needs \(3, 24\) fold"):
+            cv_rmse(X, y, 0.01, folds_of(k, 5, seeds[:2]))
+        with pytest.raises(ValueError, match=r"a block of 3 sets of 24 rows needs \(3, B, 24\)"):
+            fit_bootstrap_committee(X, y, 0.01, counts_of(k, 10, seeds[:2]))
+        with pytest.raises(ValueError, match="fold indices"):
+            cv_rmse(X, y, 0.01, folds_of(k - 1, 5, seeds))
 
     def test_targets_must_match_rows(self):
         X, y, _ = block_case(3, 2, "plain")

@@ -7,9 +7,10 @@ from wigs.config import ExperimentConfig, MethodSpec
 from wigs.data import ColumnMeta, Dataset, Partition, SplitState, initial_split
 from wigs.geometry import build_cache, pairwise_distances
 from wigs.harness import resolve_dataset, run_replication
-from wigs.model import cv_rmse
-from wigs.rng import child_seed, generator
+from wigs.model import cv_rmse, fold_assignment
+from wigs.rng import generator
 from wigs.sac import (
+    Adam,
     Mlp,
     ReplayBuffer,
     SacAgent,
@@ -24,6 +25,7 @@ from wigs.sac import (
 from wigs.weights import BanditPolicy
 
 from test_geometry import acquire
+from test_model import child_seed
 
 
 def finite_difference(loss_fn, flat, h=1e-5):
@@ -334,7 +336,8 @@ class TestStateBytes:
         config = SacConfig(hidden=hidden, buffer_capacity=50)
         agent = SacAgent(config, np.random.default_rng(0))
         arrays = (agent.actor.flat, agent.critic.flat, agent.target.flat,
-                  agent.opt_actor.m, agent.opt_actor.v, agent.opt_critic.m, agent.opt_critic.v)
+                  agent.opt_actor.m, agent.opt_actor.v, *agent.opt_actor.scratch,
+                  agent.opt_critic.m, agent.opt_critic.v, *agent.opt_critic.scratch)
         assert state_bytes(config, 0) == sum(a.nbytes for a in arrays)
 
     def test_counts_the_written_replay_rows_up_to_capacity(self):
@@ -413,6 +416,44 @@ class TestSacUpdate:
         assert gaps[-1] == pytest.approx(gaps[0] * (1 - config.tau) ** 10, rel=1e-9)
 
 
+class TestLeanUpdateBits:
+    """The update's skipped gradients and Adam's scratch vectors change no bit."""
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_skipped_gradients_leave_the_other_one(self, members):
+        rng = np.random.default_rng(40 + members)
+        net = Mlp([6, 16, 16, 2], generator(41, "sac"), members=members)
+        _, cache = net.forward(rng.normal(size=(12, 6)))
+        grad_out = rng.normal(size=(members, 12, 2))
+        grad, grad_in = net.backward(cache, grad_out)
+        params_only, none_in = net.backward(cache, grad_out, inputs=False)
+        none_params, inputs_only = net.backward(cache, grad_out, params=False)
+        assert none_in is None and none_params is None
+        assert params_only.tobytes() == grad.tobytes()
+        assert inputs_only.tobytes() == grad_in.tobytes()
+
+    def test_adam_step_matches_its_expressions(self):
+        """The old temporaries-per-step body is the oracle, over 200 steps."""
+        rng = np.random.default_rng(42)
+        params = rng.normal(size=300)
+        want = params.copy()
+        opt = Adam(params, 3e-4, 0.9, 0.999, 1e-8)
+        m = np.zeros_like(want)
+        v = np.zeros_like(want)
+        for t in range(1, 201):
+            grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=300)
+            opt.step(params, grad)
+            correct1 = 1.0 - 0.9 ** t
+            correct2 = 1.0 - 0.999 ** t
+            m *= 0.9
+            m += (1.0 - 0.9) * grad
+            v *= 0.999
+            v += (1.0 - 0.999) * grad * grad
+            want -= 3e-4 * (m / correct1) / (np.sqrt(v / correct2) + 1e-8)
+            assert params.tobytes() == want.tobytes()
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+
+
 def test_agent_construction_draws_five_networks_in_order():
     """Building the agent draws the actor, both critics and both targets, in that order."""
     config = SacConfig(hidden=8)
@@ -450,7 +491,8 @@ def test_agent_reward(monkeypatch):
     labeled = list(initial_split(dataset, 0.05, 4).labeled_idx)
     cv = []
     for t in range(6):
-        cv.append(cv_rmse(X[labeled], y[labeled], 0.01, 5, child_seed(4, "cv", t)))
+        folds = fold_assignment(len(labeled), 5, generator(child_seed(4, "cv", t), "cv"))
+        cv.append(cv_rmse(X[labeled], y[labeled], 0.01, folds))
         labeled.append(int(trace.acquired_idx[t + 1]))
     assert rewards[0] is None  # no drop before two CV values exist
     assert rewards[1:6] == [cv[t - 1] - cv[t] for t in range(1, 6)]

@@ -22,6 +22,7 @@ from wigs.selectors import (
     egal_similarity,
     emcm_scores,
     igs_scores,
+    lower_quartile,
     qbc_scores,
     select_egal,
     select_emcm,
@@ -39,7 +40,7 @@ from wigs.selectors import (
 )
 
 from test_geometry import acquire
-from test_model import oracle_committee
+from test_model import counts_of, oracle_committee
 
 
 def make_dataset(features, targets):
@@ -229,7 +230,7 @@ class TestBruteForceOracles:
             labeled_idx, pool_idx = split.labeled_idx, split.pool_idx
             X, y = ds.features, ds.targets
             committee = fit_bootstrap_committee(
-                X[labeled_idx], y[labeled_idx], 0.01, B=6, seed=11)
+                X[labeled_idx], y[labeled_idx], 0.01, counts_of(len(labeled_idx), 6, 11))
 
             gsx_brute, gsy_brute, igs_brute, wigs_brute = [], [], [], []
             phi_x = normalize_phi(cache.dx_pair)
@@ -295,7 +296,7 @@ class TestUncertainty:
 class TestQbcEmcm:
     def test_identical_members_tie_to_zero(self):
         X = np.tile([[1.0, 2.0]], (6, 1))
-        committee = fit_bootstrap_committee(X, np.full(6, 3.0), 0.01, B=4, seed=0)
+        committee = fit_bootstrap_committee(X, np.full(6, 3.0), 0.01, counts_of(6, 4, 0))
         r = select_qbc(committee, np.array([[0.0, 0.0], [5.0, 5.0]]))
         assert r.chosen == 0 and r.score == 0.0
 
@@ -313,7 +314,7 @@ class TestQbcEmcm:
     def test_emcm_zero_when_unanimous(self):
         X = np.tile([[1.0, 2.0]], (6, 1))
         model = fit_ridge(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.0, 1.0]), 0.01)
-        committee = fit_bootstrap_committee(X, np.full(6, 3.0), 0.01, B=4, seed=0)
+        committee = fit_bootstrap_committee(X, np.full(6, 3.0), 0.01, counts_of(6, 4, 0))
         pool = np.array([[1.0, 2.0]])
         unanimous = committee.predict_matrix(pool)
         scores = emcm_scores(model, committee, pool)
@@ -325,7 +326,7 @@ class TestQbcEmcm:
         X = rng.normal(size=(8, 2))
         y = rng.normal(size=8)
         model = fit_ridge(X, y, 0.01)
-        committee = fit_bootstrap_committee(X, y, 0.01, B=4, seed=1)
+        committee = fit_bootstrap_committee(X, y, 0.01, counts_of(8, 4, 1))
         x = model.feature_means + np.array([1.0, 1.0])
         # doubling the centered offset doubles ||x_tilde|| only sublinearly
         # (intercept coordinate), so check the exact norm ratio instead
@@ -344,6 +345,39 @@ def sample_bandwidth(features, seed, sample_cap=500):
     sample = features[idx]
     dist = pairwise_distances(sample, sample)
     return float(dist[~np.eye(take, dtype=bool)].mean())
+
+
+class TestLowerQuartile:
+    """egal's diversity threshold from one partition against np.quantile."""
+
+    @pytest.mark.parametrize("case", ["normal", "ties", "constant", "duplicated", "zeros"])
+    def test_every_pool_size_bit_equal_to_quantile(self, case):
+        rng = np.random.default_rng(len(case))
+        for n in range(1, 501):
+            if case == "normal":
+                values = rng.normal(size=n)
+            elif case == "ties":
+                values = rng.integers(0, 4, size=n).astype(float)
+            elif case == "constant":
+                values = np.full(n, 1.5)
+            elif case == "duplicated":
+                values = np.repeat(rng.exponential(size=n // 3 + 1), 3)[:n]
+            else:
+                values = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.exponential(size=n))
+            kept = values.copy()
+            got = lower_quartile(values)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.quantile(values, 0.25).tobytes(), n
+            assert values.tobytes() == kept.tobytes()  # the input is left as it was
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan, 3.0], [np.nan], [2.0, np.inf],
+                                        [np.inf], [-np.inf, np.inf, 2.0, 3.0, 4.0],
+                                        [5.0, np.inf, np.inf, 1.0, 2.0, 7.0]])
+    def test_non_finite_values(self, values):
+        values = np.array(values)
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(values, 0.25)
+        assert np.float64(lower_quartile(values)).tobytes() == want.tobytes()
 
 
 class TestEgal:

@@ -107,6 +107,65 @@ class TestBandit:
             BanditPolicy(arms=())
 
 
+class NumpyBandit:
+    """The array body ``BanditPolicy.step`` had, kept as its oracle."""
+
+    def __init__(self, arms, c_explore):
+        self.arms, self.c_explore = arms, c_explore
+        self.counts = np.zeros(len(arms), dtype=np.int64)
+        self.means = np.zeros(len(arms))
+        self.arm = None
+
+    def step(self, reward):
+        if reward is not None and self.arm is not None:
+            self.counts[self.arm] += 1
+            self.means[self.arm] += (reward - self.means[self.arm]) / self.counts[self.arm]
+        untried = np.flatnonzero(self.counts == 0)
+        if len(untried):
+            self.arm = int(untried[0])
+        else:
+            n = self.counts.sum()
+            with np.errstate(invalid="ignore"):
+                ucb = self.means + self.c_explore * np.sqrt(np.log(n) / self.counts)
+            self.arm = int(np.argmax(ucb))
+        return self.arms[self.arm]
+
+
+class TestBanditMatchesArrayBody:
+    @pytest.mark.parametrize("case", ["random", "ties", "nan", "inf", "one_arm", "five_arms"])
+    @pytest.mark.parametrize("c_explore", [0.0, 0.5, 2.0])
+    def test_arms_counts_and_means_bit_equal(self, case, c_explore):
+        """Untried arms first, then UCB1 with ties to the lowest arm and a
+        NaN index winning, as np.argmax picks; every pull, count and mean."""
+        rng = np.random.default_rng(len(case))
+        arms = {"one_arm": (0.5,), "five_arms": (0.0, 0.2, 0.4, 0.6, 1.0)}.get(
+            case, (0.25, 0.5, 0.75))
+        rewards = rng.normal(scale=0.01, size=400)
+        if case == "ties":
+            rewards = np.round(rewards, 2) * 0.0 + 0.125
+        elif case == "nan":
+            rewards[[7, 150]] = np.nan
+        elif case == "inf":
+            rewards[[20]] = np.inf
+            rewards[[40]] = -np.inf
+        policy, oracle = BanditPolicy(arms, c_explore), NumpyBandit(arms, c_explore)
+        for t, reward in enumerate([None, *rewards.tolist()]):
+            assert policy.step(t, 500, reward) == oracle.step(reward)
+            assert policy.arm == oracle.arm
+        assert policy.counts.dtype == oracle.counts.dtype
+        assert policy.counts.tobytes() == oracle.counts.tobytes()
+        assert policy.means.tobytes() == oracle.means.tobytes()
+
+    def test_log_is_numpy_log(self):
+        """math.log(9170) is one ulp from np.log(9170), and at these counts
+        and means that ulp decides the pull: the index reads np.log."""
+        assert math.log(9170) != float(np.log(9170))
+        policy, oracle = BanditPolicy((0.25, 0.5), 2.0), NumpyBandit((0.25, 0.5), 2.0)
+        policy._counts, policy._means = [12, 9158], [0.0, 1.680785535880962]
+        oracle.counts[:], oracle.means[:] = policy._counts, policy._means
+        assert policy.step(0, 10) == oracle.step(None) == 0.25
+
+
 class TestPolicyInterface:
     def test_static_policy(self):
         policy = StaticPolicy(0.25)
