@@ -7,8 +7,8 @@ the additive rule keeps a whole interval of weights that pick the right
 one.
 """
 
-from wigs.data import Partition, initial_split, sample_two_regime, scale_features
-from wigs.geometry import build_cache
+from wigs.data import PartitionBlock, initial_split, sample_two_regime, scale_features
+from wigs.geometry import DistanceBlock, build_cache
 from wigs.model import bootstrap_counts, fit_bootstrap_committee, fit_ridge
 from wigs.rng import generator
 from wigs.selectors import (
@@ -31,7 +31,9 @@ X, y = dataset.features, dataset.targets
 
 model = fit_ridge(X[split.labeled_idx], y[split.labeled_idx], alpha=0.01)
 preds = model.predict(X[split.pool_idx])
-cache = build_cache(dataset, Partition(dataset, split), preds)
+# the distance state of a block of one replication: row 0 of its partitions
+partitions = PartitionBlock(dataset, [split])
+cache = build_cache(DistanceBlock(dataset.feature_distances, partitions, 1), 0, preds)
 # member i resamples with generator(1 + i, "bootstrap")
 counts = bootstrap_counts(len(split.labeled_idx),
                           [generator(1 + i, "bootstrap") for i in range(10)])

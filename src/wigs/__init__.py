@@ -10,7 +10,6 @@ from .config import ExperimentConfig, MethodSpec, default_methods, load_config
 from .data import (
     ColumnMeta,
     Dataset,
-    Partition,
     PartitionBlock,
     SplitState,
     initial_split,

@@ -315,13 +315,23 @@ def _read_int(value) -> int:
     return number
 
 
+def _read_names(value) -> tuple[str, ...] | None:
+    """A list of column names as a tuple; null (the default) stays None.  A
+    bare string is refused, or it would read as its letters."""
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ValueError("expected a list of column names")
+    return tuple(value)
+
+
 # YAML section -> key -> (ExperimentConfig field, reader applied to the value
 # or None).  The defaults live only in ExperimentConfig.
 _YAML_FIELDS = {
     "dataset": {"csv": ("csv_path", None), "dgp": ("dgp", None), "n": ("n", None),
                 "seed": ("dataset_seed", _read_int)},
     "preprocessing": {"scaling": ("scaling", None),
-                      "categorical_columns": ("categorical_columns", None)},
+                      "categorical_columns": ("categorical_columns", _read_names)},
     "split": {"initial_fraction": ("initial_fraction", float)},
     "model": {"alpha": ("alpha", float), "cv_folds": ("cv_folds", _read_int)},
     "run": {"replications": ("replications", _read_int), "base_seed": ("base_seed", _read_int),
@@ -332,11 +342,14 @@ _YAML_FIELDS = {
 def load_config(path: str) -> ExperimentConfig:
     """Parse a YAML config file (sections: dataset, preprocessing, split,
     model, run, methods); see the README for the full schema.  An unknown
-    section or key is an error."""
+    section or key, or a section of the wrong shape, is a ``ValueError``
+    that names it."""
     import yaml
 
     with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"a config file is a mapping of sections, not a {type(raw).__name__}")
 
     d = {}
     for section, entries in raw.items():
@@ -344,7 +357,11 @@ def load_config(path: str) -> ExperimentConfig:
             continue
         if section not in _YAML_FIELDS:
             raise ValueError(f"unknown config section {section!r}")
-        for key, value in (entries or {}).items():
+        if entries is None:  # an empty section
+            entries = {}
+        elif not isinstance(entries, dict):
+            raise ValueError(f"config section {section!r} is a mapping of keys, not {entries!r}")
+        for key, value in entries.items():
             if key not in _YAML_FIELDS[section]:
                 raise ValueError(f"unknown key {key!r} in config section {section!r}")
             name, read = _YAML_FIELDS[section][key]
@@ -356,14 +373,21 @@ def load_config(path: str) -> ExperimentConfig:
     methods_raw = raw.get("methods")
     if methods_raw == "default" or methods_raw is None:
         d["methods"] = [asdict(m) for m in default_methods()]
+    elif not isinstance(methods_raw, list):
+        raise ValueError(f"config section 'methods' is 'default' or a list of methods, "
+                         f"not {methods_raw!r}")
     else:
         d["methods"] = []
-        for entry in methods_raw:
+        for i, entry in enumerate(methods_raw):
+            if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
+                raise ValueError(f"methods entry {i} needs a name and a kind: {entry!r}")
             entry = dict(entry)
             name, kind = entry.pop("name"), entry.pop("kind")
             params = entry.pop("params", None)
             if params is None:
                 params = entry  # flat style: remaining keys are the params
+            elif not isinstance(params, dict):
+                raise ValueError(f"{name}: params is a mapping, not {params!r}")
             elif entry:
                 raise ValueError(f"{name}: unknown keys {sorted(entry)} beside params")
             d["methods"].append({"name": name, "kind": kind, "params": params})

@@ -110,26 +110,37 @@ class SplitState:
 
 class PartitionBlock:
     """The labeled/pool partitions of a block of replications on one dataset,
-    moved in lockstep.
+    one per split, moved in lockstep.
 
-    Row r of ``orders`` (R, N) int64 holds partition r's labeled dataset
-    indices in labeling order followed by its pool in pool order, row r of
-    ``features`` (R, N, p) the dataset's rows in that order, and row r of
-    ``labels`` (R, N) its labeled targets, NaN beyond ``n_labeled``: a label
-    enters only when its point is acquired.  Every row holds the same
-    number of labeled points, so the labeled sets are the (R, L, ...) views
-    and the pools ``orders[:, L:]``.  Each row is filled by a ``Partition``
-    built on it, and ``acquire`` moves all rows at once.  ``positions`` and
-    ``sources`` describe the last move, so that a state kept in the same
-    column order (a ``DistanceBlock``) can follow it with one ``take``.
+    Row r of ``orders`` (R, N) int64 holds split r's labeled dataset indices
+    in labeling order followed by its pool in pool order, row r of
+    ``features`` (R, N, p) the dataset's rows, copied once in that order,
+    and row r of ``labels`` (R, N) its labeled targets, NaN beyond
+    ``n_labeled``: a label enters only when its point is acquired, so no
+    reader of the block can reach a pool label.  Every split labels the
+    same number of points, so with L labeled the labeled sets are the
+    (R, L, ...) views, the pools ``orders[:, L:]`` and ``features[r, L:]``;
+    these views are valid until the next move.  ``acquire`` moves all rows
+    at once.  ``positions`` and ``sources`` describe the last move, so that
+    a state kept in the same column order (a ``DistanceBlock``) can follow
+    it with one ``take``.
     """
 
-    def __init__(self, dataset: Dataset, n_rows: int, n_labeled: int):
-        n, p = dataset.features.shape
+    def __init__(self, dataset: Dataset, splits):
+        n_labeled = len(splits[0].labeled_idx)
+        for split in splits:
+            if len(split.labeled_idx) != n_labeled:
+                raise ValueError(f"a split has {len(split.labeled_idx)} labeled points, "
+                                 f"the first {n_labeled}")
+        n_rows, (n, p) = len(splits), dataset.features.shape
         self.targets = dataset.targets
         self.orders = np.empty((n_rows, n), dtype=np.int64)
         self.features = np.empty((n_rows, n, p))
-        self.labels = np.empty((n_rows, n))
+        self.labels = np.full((n_rows, n), np.nan)
+        for r, split in enumerate(splits):
+            order = np.concatenate([split.labeled_idx, split.pool_idx], out=self.orders[r])
+            dataset.features.take(order, axis=0, out=self.features[r])
+            self.targets.take(split.labeled_idx, out=self.labels[r, :n_labeled])
         self.n_labeled = n_labeled
         self.positions = self.sources = None  # of the last move
         self._n = n
@@ -175,62 +186,6 @@ class PartitionBlock:
         return acquired
 
 
-class Partition:
-    """The labeled/pool partition of one replication: row ``row`` of a
-    ``PartitionBlock``, a new block of one by default.
-
-    ``order`` holds the labeled dataset indices in labeling order followed
-    by the pool in pool order, and ``features`` the dataset's rows, copied
-    once in that order.  The labeled targets sit in an append-only buffer,
-    so no reader of the partition can reach a pool label.  These are row
-    views of the block's buffers, and ``n_labeled`` is the block's count:
-    the block's ``acquire`` moves every partition of it.  The ``labeled*``
-    and ``pool*`` properties are views, valid until the next move.
-    """
-
-    def __init__(self, dataset: Dataset, split: SplitState, block: PartitionBlock | None = None,
-                 row: int = 0):
-        n_labeled = len(split.labeled_idx)
-        if block is None:
-            block = PartitionBlock(dataset, 1, n_labeled)
-        elif block.n_labeled != n_labeled:
-            raise ValueError(f"split has {n_labeled} labeled points, its block {block.n_labeled}")
-        self.block, self.row = block, row
-        self.order = np.concatenate([split.labeled_idx, split.pool_idx], out=block.orders[row])
-        self.features = dataset.features.take(self.order, axis=0, out=block.features[row])
-        self._targets = block.labels[row]
-        self._targets.fill(np.nan)
-        self._targets[:n_labeled] = dataset.targets.take(split.labeled_idx)
-
-    @property
-    def n_labeled(self) -> int:
-        return self.block.n_labeled
-
-    @property
-    def n_pool(self) -> int:
-        return len(self.order) - self.block.n_labeled
-
-    @property
-    def labeled(self) -> np.ndarray:
-        return self.order[:self.block.n_labeled]
-
-    @property
-    def pool(self) -> np.ndarray:
-        return self.order[self.block.n_labeled:]
-
-    @property
-    def labeled_features(self) -> np.ndarray:
-        return self.features[:self.block.n_labeled]
-
-    @property
-    def pool_features(self) -> np.ndarray:
-        return self.features[self.block.n_labeled:]
-
-    @property
-    def labeled_targets(self) -> np.ndarray:
-        return self._targets[:self.block.n_labeled]
-
-
 def quantile_midpoint(values: np.ndarray, q: float) -> float:
     """Quantile with midpoint interpolation: average of bracketing order statistics."""
     return float(np.quantile(np.asarray(values, dtype=float), q, method="midpoint"))
@@ -265,7 +220,9 @@ def load_csv(path: str | os.PathLike,
     when that is None, if any of its cells fails numeric parsing; it is
     one-hot encoded in category sort order.  Continuous columns and the
     target are kept as read and no column is dropped: ``scale_features``
-    does the preprocessing.
+    does the preprocessing.  A declared name that is no feature column, and
+    a cell of a column not declared categorical that fails numeric parsing,
+    are errors that name the column (and the row).
     """
     path = os.fspath(path)
     if not os.path.exists(path):
@@ -282,6 +239,9 @@ def load_csv(path: str | os.PathLike,
         raise ValueError(f"{path}: need at least one feature column and a target")
     if any(len(r) != n_cols for r in data):
         raise ValueError(f"{path}: ragged rows")
+    for name in categorical_columns or ():
+        if name not in header[:-1]:
+            raise ValueError(f"{path}: categorical column {name!r} is not a feature column")
 
     *columns, target_cells = zip(*data)
     targets = np.empty(len(data))
@@ -295,10 +255,14 @@ def load_csv(path: str | os.PathLike,
     metas: list[ColumnMeta] = []
     for name, cells in zip(header, columns):
         parsed = [_parse_float(c) for c in cells]
-        if categorical_columns is not None:
-            is_cat = name in categorical_columns
-        else:
+        if categorical_columns is None:
             is_cat = None in parsed
+        else:
+            is_cat = name in categorical_columns
+            if not is_cat and None in parsed:
+                i = parsed.index(None)
+                raise ValueError(f"{path}: unparseable value {cells[i]!r} in column {name!r}, "
+                                 f"row {i + 2}")
         if is_cat:
             categories = tuple(sorted(set(cells)))
             block = np.zeros((len(data), len(categories)))

@@ -8,7 +8,8 @@ of that matrix the distance state of a replication keeps, for every point
 in its partition's column order, the distance to its nearest labeled point
 other than itself: for a labeled point its nearest labeled neighbour, for
 a candidate its nearest labeled distance.  The states of a block's cache
-pairs are rows of one (Rc, N) ``DistanceBlock`` buffer, and
+pairs are rows of one (Rc, N) ``DistanceBlock`` buffer that follows the
+first Rc partitions of a ``PartitionBlock``, and
 ``update_after_acquisition`` moves them all in one pass per acquisition:
 the rows rotate as their partitions did, and the acquired points' rows of
 the matrix lower them, so no distance is computed twice and the update
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # data imports this module for Dataset.feature_distances
-    from .data import Dataset, Partition, PartitionBlock
+    from .data import PartitionBlock
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,12 +55,12 @@ def distance_matrix(features: np.ndarray) -> np.ndarray:
 
 
 class DistanceBlock:
-    """The distance states of a block's cache pairs, moved in one pass.
+    """The distance states of the first ``n_rows`` partitions of a
+    ``PartitionBlock``, moved in one pass.
 
-    Cache i follows partition ``rows[i]`` of ``partitions``.  Row i of
-    ``nearest`` (Rc, N) holds, in that partition's column order, each
-    point's distance to its nearest labeled point other than itself: the
-    first L entries are the labeled points' nearest labeled neighbours
+    Row i of ``nearest`` (n_rows, N) holds, in partition i's column order,
+    each point's distance to its nearest labeled point other than itself:
+    the first L entries are the labeled points' nearest labeled neighbours
     (``labeled_nn``), the rest the candidates' nearest labeled distances
     (``dx_min``).  ``dx_pairs[i]`` is cache i's (pool x labeled) block of
     ``dx`` once it has been read, and None until then.  ``n_labeled`` is
@@ -68,21 +69,15 @@ class DistanceBlock:
     them, so no reference cycle outlives a run.
     """
 
-    def __init__(self, dx: np.ndarray, partitions: PartitionBlock, rows):
+    def __init__(self, dx: np.ndarray, partitions: PartitionBlock, n_rows: int):
         self.dx, self.partitions = dx, partitions
-        self.rows = np.asarray(rows, dtype=np.intp)
-        n_rows, n = len(self.rows), len(dx)
-        self.nearest = np.empty((n_rows, n))
+        self.nearest = np.empty((n_rows, len(dx)))
         self.dx_pairs: list[np.ndarray | None] = [None] * n_rows
         self.n_labeled = partitions.n_labeled
-        # every partition row, in order: the partitions' arrays need no gather
-        self._all_rows = self.rows.tolist() == list(range(len(partitions.orders)))
-        # a flat index of partition row rows[i], less (rows[i] - i) * N, is one of row i here
-        self._row_shift = ((self.rows - np.arange(n_rows)) * n)[:, None]
         self._flat_dx, self._flat_nearest = dx.reshape(-1), self.nearest.reshape(-1)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.nearest)
 
 
 @dataclass
@@ -92,7 +87,7 @@ class DistanceCache:
     ``dx`` holds the feature distance between every pair of dataset rows
     and is the dataset's own matrix, shared, unchanged, by every cache of
     every replication on it.  ``pool``, ``labeled`` and ``labeled_targets``
-    are views of the replication's ``partition``, which holds only the
+    are views of row ``row`` of the block's partitions, which hold only the
     labeled targets, so no selector can read a pool label.  ``dx_min`` is
     each candidate's distance to its nearest labeled point, in pool order,
     and ``labeled_nn`` each labeled point's distance to its nearest other
@@ -107,9 +102,12 @@ class DistanceCache:
 
     block: DistanceBlock                # moved by update_after_acquisition
     row: int
-    partition: Partition                # the replication's, moved by its block
     predictions: np.ndarray             # (P,) current model outputs for the pool
-    _nearest: np.ndarray                # (N,) the block's row
+
+    def __post_init__(self):
+        parts = self._partitions = self.block.partitions  # moved by their acquire
+        self._order, self._labels = parts.orders[self.row], parts.labels[self.row]
+        self._nearest = self.block.nearest[self.row]
 
     @property
     def dx(self) -> np.ndarray:
@@ -118,27 +116,27 @@ class DistanceCache:
 
     @property
     def pool(self) -> np.ndarray:
-        return self.partition.pool
+        return self._order[self._partitions.n_labeled:]
 
     @property
     def labeled(self) -> np.ndarray:
-        return self.partition.labeled
+        return self._order[:self._partitions.n_labeled]
 
     @property
     def labeled_targets(self) -> np.ndarray:
-        return self.partition.labeled_targets
+        return self._labels[:self._partitions.n_labeled]
 
     @property
     def n_pool(self) -> int:
-        return self.partition.n_pool
+        return self._partitions.n_pool
 
     @property
     def dx_min(self) -> np.ndarray:
-        return self._nearest[self.partition.block.n_labeled:]
+        return self._nearest[self._partitions.n_labeled:]
 
     @property
     def labeled_nn(self) -> np.ndarray:
-        return self._nearest[:self.partition.block.n_labeled]
+        return self._nearest[:self._partitions.n_labeled]
 
     @property
     def dx_pair(self) -> np.ndarray:
@@ -169,32 +167,27 @@ class DistanceCache:
         return np.minimum(np.abs(self.predictions - lo), np.abs(self.predictions - hi))
 
 
-def build_cache(dataset: Dataset, partition: Partition, predictions: np.ndarray,
-                block: DistanceBlock | None = None, row: int = 0) -> DistanceCache:
-    """Distance state for the current state of ``partition``, in row ``row``
-    of ``block``: by default a new block of one that follows the partition.
+def build_cache(block: DistanceBlock, row: int, predictions: np.ndarray) -> DistanceCache:
+    """Distance state for the current state of partition ``row`` of the
+    block's partitions, in row ``row`` of ``block``.
 
     ``predictions`` are the current model's outputs for the pool, in pool
-    order.  ``dx`` is the dataset's matrix, built on its first read and
-    computed no further here.
+    order.  ``dx`` is the block's matrix, the dataset's, and no distance is
+    computed here.
     """
     predictions = np.asarray(predictions, dtype=float)
-    if predictions.shape != (partition.n_pool,):
+    cache = DistanceCache(block, row, predictions)
+    if predictions.shape != (cache.n_pool,):
         raise ValueError(
-            f"predictions length {predictions.shape} does not match pool size {partition.n_pool}"
+            f"predictions length {predictions.shape} does not match pool size {cache.n_pool}"
         )
-    dx = dataset.feature_distances
-    if block is None:
-        block = DistanceBlock(dx, partition.block, [partition.row])
-    elif block.partitions is not partition.block or block.rows[row] != partition.row:
-        raise ValueError(f"row {row} of the distance block does not follow this partition")
-    pool, labeled = partition.pool, partition.labeled
+    dx, pool, labeled = block.dx, cache.pool, cache.labeled
     nearest = block.nearest[row]
     nearest[len(labeled):] = dx[np.ix_(pool, labeled)].min(axis=1)
     dx_labeled = dx[np.ix_(labeled, labeled)]
     np.fill_diagonal(dx_labeled, np.inf)
     nearest[:len(labeled)] = dx_labeled.min(axis=1)
-    return DistanceCache(block, row, partition, predictions, nearest)
+    return cache
 
 
 def update_after_acquisition(block: DistanceBlock) -> None:
@@ -206,18 +199,16 @@ def update_after_acquisition(block: DistanceBlock) -> None:
     labeled distance becomes its nearest labeled neighbour.  One gather of
     ``dx`` reads each acquired point's row in its partition's order, and
     one ``np.minimum`` lowers every other point's entry by it: all in O(N)
-    per cache.  A kept ``dx_pair`` drops the row and gains the column, in
-    O(P·L), pair by pair.  The pool ``predictions`` stay with the cache's
-    owner.
+    per cache.  The block's rows are the partitions' first rows, so their
+    orders and sources are read as views.  A kept ``dx_pair`` drops the
+    row and gains the column, in O(P·L), pair by pair.  The pool
+    ``predictions`` stay with the cache's owner.
     """
     parts = block.partitions
     n_old = block.n_labeled
     if parts.n_labeled != n_old + 1:
         raise ValueError("every partition must acquire exactly one point before the cache update")
-    orders, sources, positions = parts.orders, parts.sources, parts.positions
-    if not block._all_rows:
-        orders = orders.take(block.rows, axis=0)
-        sources = sources.take(block.rows, axis=0) - block._row_shift
+    orders, sources = parts.orders[:len(block)], parts.sources[:len(block)]
     nearest = block.nearest
     nearest[:, n_old:n_old + sources.shape[1]] = block._flat_nearest.take(sources)
     n = orders.shape[1]
@@ -228,7 +219,7 @@ def update_after_acquisition(block: DistanceBlock) -> None:
     pairs = block.dx_pairs
     for i, old in enumerate(pairs):
         if old is not None:  # one (P-1, L+1) allocation: the kept rows, then the new column
-            acquired = positions[block.rows[i]]
+            acquired = parts.positions[i]
             pair = np.empty((len(old) - 1, n_old + 1))
             pair[:acquired, :-1] = old[:acquired]
             pair[acquired:, :-1] = old[acquired + 1:]

@@ -29,7 +29,6 @@ import numpy as np
 from .config import KINDS, ExperimentConfig, MethodSpec, Query, snapshot_json
 from .data import (
     Dataset,
-    Partition,
     PartitionBlock,
     initial_split,
     load_csv,
@@ -138,15 +137,17 @@ class _Block:
     """The state of one lockstep block of (method, seed) pairs, and the
     phases of its iterations.
 
-    Row r of every buffer belongs to pair r in fit-group order (the pairs
-    sorted stably by ``_fit_group``), so the CV call and each committee
-    call take one slice of rows.  Pair r's partition is row r of one
-    ``PartitionBlock``: its ``features`` (R, N, p), ``labels`` (R, N) and
-    ``orders`` (R, N), so with L labeled rows the labeled sets are the
-    (R, L, ...) views and the pools ``orders[:, L:]``.  The distance caches
-    of the pairs whose kind keeps one (``cache_rows``) are rows of one
-    ``DistanceBlock``, ``distances``.  ``move`` moves every partition and
-    then every distance state in one pass each.  ``hybrid`` holds each
+    Row r of every buffer belongs to pair r in row order: the pairs sorted
+    stably with the Rc pairs whose kind keeps a distance cache first, then
+    by ``_fit_group``, so the distance caches are the first Rc rows and
+    the CV call and each committee call take one slice of rows.  Pair r's
+    partition is row r of one ``PartitionBlock``: its ``features``
+    (R, N, p), ``labels`` (R, N) and ``orders`` (R, N), so with L labeled
+    rows the labeled sets are the (R, L, ...) views and the pools
+    ``orders[:, L:]`` and ``features[r, L:]``.  The distance caches are the
+    rows of one ``DistanceBlock``, ``distances``, over the first Rc
+    partitions.  ``move`` moves every partition and then every distance
+    state in one pass each.  ``hybrid`` holds each
     pair's known labels and pool predictions in dataset order.  ``own`` books
     the seconds of each pair's own work and ``shares`` those of each shared
     call, per row, from the mark ``last``, which the recording resets: it
@@ -161,11 +162,12 @@ class _Block:
         R = len(pairs)
         keys = [_fit_group(method) for method, _ in pairs]
         # stable: the pairs keep their order within a group
-        self.rank = sorted(range(R), key=keys.__getitem__)
+        self.rank = sorted(range(R), key=lambda i: (not KINDS[pairs[i][0].kind].cache, *keys[i]))
         self.methods = [pairs[i][0] for i in self.rank]
         self.seeds = [pairs[i][1] for i in self.rank]
         self.names = [f"{method.name}/{seed}" for method, seed in zip(self.methods, self.seeds)]
         self.kinds = [KINDS[method.kind] for method in self.methods]
+        self.n_caches = sum(kind.cache for kind in self.kinds)  # the first rows
         groups, start = [], 0  # (takes the CV call, committee size, its rows)
         for (takes_cv, committee_size), members in itertools.groupby(keys[i] for i in self.rank):
             stop = start + len(list(members))
@@ -176,10 +178,8 @@ class _Block:
 
         y = dataset.targets
         n_total = dataset.n_samples
-        splits = [initial_split(dataset, initial_fraction, seed) for seed in self.seeds]
-        self.partitions = PartitionBlock(dataset, R, len(splits[0].labeled_idx))
-        self.parts = [Partition(dataset, split, self.partitions, r)
-                      for r, split in enumerate(splits)]
+        self.partitions = PartitionBlock(
+            dataset, [initial_split(dataset, initial_fraction, seed) for seed in self.seeds])
         self.features, self.labels = self.partitions.features, self.partitions.labels
         self.orders = self.partitions.orders
         n_labeled = self.partitions.n_labeled
@@ -190,7 +190,6 @@ class _Block:
         self.states = [kind.setup(dataset, seed) if kind.setup else None
                        for kind, seed in zip(self.kinds, self.seeds)]
         self.caches = [None] * R
-        self.cache_rows = [r for r, kind in enumerate(self.kinds) if kind.cache]
         self.distances = None
         self.cv_now = [None] * R
         self.cv_prev = [None] * R
@@ -209,8 +208,8 @@ class _Block:
         self.own = [[0.0] * (horizon + 1) for _ in range(R)]  # each pair's own work per row
         self.shares = []  # (rows, their count, per-row seconds of the calls they share)
         self.everyone_s = self.share(slice(0, R), R)
-        if self.cache_rows:
-            self.distances_s = self.share(self.cache_rows, len(self.cache_rows))
+        if self.n_caches:
+            self.distances_s = self.share(slice(0, self.n_caches), self.n_caches)
         self.groups = [_Group(takes_cv, committee_size, rows, self.seeds[rows],
                               self.share(rows, rows.stop - rows.start))
                        for takes_cv, committee_size, rows in groups]
@@ -274,8 +273,8 @@ class _Block:
         position and its score.  A pair's selection reads only its own
         state, so the moves wait for ``move``."""
         clock, last, slot, positions = time.perf_counter, self.last, t + 1, self.positions
-        for r, part in enumerate(self.parts):
-            kind = self.kinds[r]
+        pools = self.features[:, self.partitions.n_labeled:]
+        for r, kind in enumerate(self.kinds):
             weight = None
             policy = self.policies[r]
             if policy is not None:
@@ -293,7 +292,7 @@ class _Block:
                     self.cv_prev[r] = cv
                 weight = policy.step(t, self.horizon, reward, context)
                 self.weight[r, slot] = weight
-            result = kind.select(Query(self.model[r] if kind.model else None, part.pool_features,
+            result = kind.select(Query(self.model[r] if kind.model else None, pools[r],
                                        self.caches[r], self.committees[r], weight, self.states[r]))
             positions[r] = result.chosen
             self.score[r, slot] = result.score
@@ -316,15 +315,15 @@ class _Block:
         self.labeled = self.features[:, :n_labeled], self.labels[:, :n_labeled]
 
     def build_caches(self) -> None:
-        """The distance state of every cache pair, as rows of one
-        ``DistanceBlock``, for the initial partitions and predictions."""
-        if not self.cache_rows:
+        """The distance state of every cache pair, as the rows of one
+        ``DistanceBlock`` over the first Rc partitions, for the initial
+        partitions and predictions."""
+        if not self.n_caches:
             return
         self.distances = DistanceBlock(self.dataset.feature_distances, self.partitions,
-                                       self.cache_rows)
-        for i, r in enumerate(self.cache_rows):
-            self.caches[r] = build_cache(self.dataset, self.parts[r], self.preds[r, 1:],
-                                         self.distances, i)
+                                       self.n_caches)
+        for r in range(self.n_caches):
+            self.caches[r] = build_cache(self.distances, r, self.preds[r, 1:])
 
     def predict(self, slot: int) -> None:
         """Each pair's predictions on its pool, into columns 1: of one
@@ -332,9 +331,10 @@ class _Block:
         product with its coefficients, then every intercept in one add,
         shared by all R pairs."""
         clock, last, own, model = time.perf_counter, self.last, self.own, self.model
-        buffer = self.preds = np.empty((len(self.parts), self.partitions.n_pool + 1))
-        for r, (part, cache) in enumerate(zip(self.parts, self.caches)):
-            preds = part.pool_features.dot(model.coefficients[r], buffer[r, 1:])
+        pools = self.features[:, self.partitions.n_labeled:]
+        buffer = self.preds = np.empty((len(pools), self.partitions.n_pool + 1))
+        for r, cache in enumerate(self.caches):
+            preds = pools[r].dot(model.coefficients[r], buffer[r, 1:])
             if cache is not None:
                 cache.predictions = preds
             now = clock()
@@ -419,8 +419,10 @@ def run_block(
     (R, L, p) labeled rows), each pair's prediction into one (R, P) buffer,
     and the recording of row t of all R traces in one pass.  A prediction
     or RMSE that is not finite raises ``ValueError`` naming the pairs and
-    the iteration.  A pair's trace is the same bits whatever block it runs
-    in, and the traces come back in the order of ``pairs``.
+    the iteration.  The block holds its pairs in its own row order, the
+    cache pairs first (``_Block``), but a pair's trace is the same bits
+    whatever block it runs in, and the traces come back in the order of
+    ``pairs``.
 
     ``wall_ms`` of a row is the pair's own work for it plus its share of the
     block's shared calls for it: 1/R of the partition move, of the refit

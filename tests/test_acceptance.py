@@ -11,7 +11,7 @@ import pytest
 
 from wigs.cli import main as cli_main
 from wigs.config import ExperimentConfig, MethodSpec, default_methods
-from wigs.geometry import build_cache, normalize_phi
+from wigs.geometry import normalize_phi
 from wigs.harness import resolve_dataset, run_block, run_experiment
 from wigs.metrics import relative_auc, wilcoxon_signed_rank
 from wigs.model import fit_bootstrap_committee, fit_ridge
@@ -34,8 +34,9 @@ from wigs.selectors import (
     wigs_scores,
 )
 from wigs.weights import BanditPolicy
-from wigs.data import ColumnMeta, Dataset, Partition, SplitState
+from wigs.data import ColumnMeta, Dataset, SplitState
 
+from test_geometry import cache_of
 from test_model import counts_of, oracle_committee
 
 
@@ -78,7 +79,7 @@ def test_criterion_02_selector_oracle_equivalence():
         labeled_idx, pool_idx = split.labeled_idx, split.pool_idx
         model = fit_ridge(X[labeled_idx], y[labeled_idx], 0.01)
         preds = model.predict(X[pool_idx])
-        cache = build_cache(ds, Partition(ds, split), preds)
+        cache = cache_of(ds, split, preds)
         committee = fit_bootstrap_committee(X[labeled_idx], y[labeled_idx],
                                             0.01, counts_of(len(labeled_idx), 5, 7))
         coefs, intercepts = oracle_committee(X[labeled_idx], y[labeled_idx],

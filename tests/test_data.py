@@ -7,7 +7,6 @@ import pytest
 from wigs.data import (
     ColumnMeta,
     Dataset,
-    Partition,
     PartitionBlock,
     PreprocessWarning,
     SplitState,
@@ -102,6 +101,19 @@ class TestLoadCsv:
         assert ds.column_meta[0].kind == "categorical"
         assert np.array_equal(ds.features.sum(axis=1), np.ones(3))
 
+    def test_declared_categorical_must_be_a_feature_column(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["color", "y"], [[1, 0], [2, 1], [1, 2]])
+        for name in ("colour", "y"):
+            with pytest.raises(ValueError,
+                               match=f"categorical column '{name}' is not a feature column"):
+                load_csv(path, (name,))
+
+    def test_unparseable_cell_of_an_undeclared_column_named(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["color", "a", "y"],
+                         [["red", 1, 0], ["blue", "n/a", 1], ["red", 3, 2]])
+        with pytest.raises(ValueError, match="unparseable value 'n/a' in column 'a', row 3"):
+            load_csv(path, ("color",))
+
     def test_target_never_scaled(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "y"], [[1, 10], [2, 20], [3, 40]])
         ds = preprocess(path)
@@ -191,58 +203,57 @@ class TestPartition:
         X, y = rng.normal(size=(25, 3)), rng.normal(size=25)
         ds = Dataset(X, y, tuple(ColumnMeta(f"x{i}", "continuous") for i in range(3)), "t")
         split = initial_split(ds, 0.1, seed=4)
-        part = Partition(ds, split)
+        block = PartitionBlock(ds, [split])
         labeled, pool = list(split.labeled_idx), list(split.pool_idx)
         while pool:
             pos = int(rng.integers(len(pool)))
-            assert part.block.acquire([pos]).tolist() == [pool[pos]]
+            assert block.acquire([pos]).tolist() == [pool[pos]]
             labeled.append(pool.pop(pos))
-            assert np.array_equal(part.labeled, labeled) and np.array_equal(part.pool, pool)
-            assert np.array_equal(part.labeled_features, X[labeled])
-            assert np.array_equal(part.pool_features, X[pool])
-            assert np.array_equal(part.labeled_targets, y[labeled])
-            assert part.n_labeled == len(labeled) and part.n_pool == len(pool)
+            L = block.n_labeled
+            assert np.array_equal(block.orders[0, :L], labeled)
+            assert np.array_equal(block.orders[0, L:], pool)
+            assert np.array_equal(block.features[0, :L], X[labeled])
+            assert np.array_equal(block.features[0, L:], X[pool])
+            assert np.array_equal(block.labels[0, :L], y[labeled])
+            assert block.n_labeled == len(labeled) and block.n_pool == len(pool)
 
     def test_holds_no_pool_label(self):
         ds = sample_two_regime(12, seed=2)
         pool = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10, 11])
-        part = Partition(ds, SplitState(np.array([3, 7]), pool, seed=0))
-        assert np.isnan(part._targets[2:]).all()
-        part.block.acquire([4])
-        assert np.array_equal(part.labeled_targets, ds.targets[[3, 7, 5]])
-        assert np.isnan(part._targets[3:]).all()
+        block = PartitionBlock(ds, [SplitState(np.array([3, 7]), pool, seed=0)])
+        assert np.isnan(block.labels[0, 2:]).all()
+        block.acquire([4])
+        assert np.array_equal(block.labels[0, :3], ds.targets[[3, 7, 5]])
+        assert np.isnan(block.labels[0, 3:]).all()
 
     def test_features_are_a_copy(self):
         ds = sample_two_regime(12, seed=2)
-        part = Partition(ds, initial_split(ds, 0.2, seed=0))
+        block = PartitionBlock(ds, [initial_split(ds, 0.2, seed=0)])
         before = ds.features.copy()
-        part.block.acquire([part.n_pool - 1])
+        block.acquire([block.n_pool - 1])
         assert np.array_equal(ds.features, before)
-        assert not np.shares_memory(part.features, ds.features)
+        assert not np.shares_memory(block.features, ds.features)
 
     def test_bad_position_raises(self):
         ds = sample_two_regime(12, seed=2)
-        part = Partition(ds, initial_split(ds, 0.2, seed=0))
-        for pos in (-1, part.n_pool):
+        block = PartitionBlock(ds, [initial_split(ds, 0.2, seed=0)])
+        for pos in (-1, block.n_pool):
             with pytest.raises(IndexError):
-                part.block.acquire([pos])
-        assert part.n_labeled == 3  # nothing moved
+                block.acquire([pos])
+        assert block.n_labeled == 3  # nothing moved
 
     def test_rows_of_one_block_move_together(self):
-        # each Partition is a row view of its block; its count is the block's
+        # row r is split r's partition; the labeled count is the block's
         ds = sample_two_regime(12, seed=2)
-        block = PartitionBlock(ds, 2, 3)
-        parts = [Partition(ds, initial_split(ds, 0.2, seed), block, r)
-                 for r, seed in enumerate((0, 1))]
-        assert all(np.shares_memory(part.order, block.orders) for part in parts)
-        before = [part.pool.copy() for part in parts]
+        block = PartitionBlock(ds, [initial_split(ds, 0.2, seed) for seed in (0, 1)])
+        before = [block.orders[r, 3:].copy() for r in range(2)]
         acquired = block.acquire([0, 8])
         assert acquired.tolist() == [before[0][0], before[1][8]]
-        for part, pool, pos in zip(parts, before, (0, 8)):
-            assert part.n_labeled == 4 and part.labeled[-1] == pool[pos]
-            assert np.array_equal(part.pool, np.delete(pool, pos))
+        for r, (pool, pos) in enumerate(zip(before, (0, 8))):
+            assert block.n_labeled == 4 and block.orders[r, 3] == pool[pos]
+            assert np.array_equal(block.orders[r, 4:], np.delete(pool, pos))
         with pytest.raises(ValueError, match="labeled points"):
-            Partition(ds, initial_split(ds, 0.5, 0), block, 0)
+            PartitionBlock(ds, [initial_split(ds, 0.2, 0), initial_split(ds, 0.5, 0)])
 
 
 class TestGenerators:

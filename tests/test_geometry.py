@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wigs.data import ColumnMeta, Dataset, Partition, PartitionBlock, SplitState
+from wigs.data import ColumnMeta, Dataset, PartitionBlock, SplitState
 from wigs.geometry import (
     DistanceBlock,
     build_cache,
@@ -19,10 +19,17 @@ def make_dataset(features, targets):
     return Dataset(features, np.asarray(targets, dtype=float), meta, "test")
 
 
+def cache_of(dataset, split, predictions):
+    """The distance state of one replication on ``split``: row 0 of a
+    distance block over a partition block of one."""
+    partitions = PartitionBlock(dataset, [split])
+    return build_cache(DistanceBlock(dataset.feature_distances, partitions, 1), 0, predictions)
+
+
 def acquire(cache, pos, predictions):
     """One acquisition as the harness makes it, on the cache's block of one:
     the partition moves, the distance state follows, the refit predicts."""
-    cache.partition.block.acquire([pos])
+    cache.block.partitions.acquire([pos])
     update_after_acquisition(cache.block)
     cache.predictions = np.asarray(predictions, dtype=float)
 
@@ -45,21 +52,21 @@ class TestBuildCache:
     def test_one_dimensional_example(self):
         ds = make_dataset([0.0, 1.0, 0.4], [0.0, 2.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), predictions=np.array([1.5]))
+        cache = cache_of(ds, split, predictions=np.array([1.5]))
         assert cache.dx_min[0] == pytest.approx(0.4)   # min(0.4, 0.6)
         assert cache.dy_min[0] == pytest.approx(0.5)   # min(|1.5-0|, |1.5-2|)
 
     def test_coincident_candidate(self):
         ds = make_dataset([0.0, 1.0, 1.0], [0.0, 2.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.3]))
+        cache = cache_of(ds, split, predictions=np.array([0.3]))
         assert cache.dx_min[0] == 0.0
 
     def test_rejects_bad_prediction_length(self):
         ds = make_dataset([0.0, 1.0, 0.4], [0.0, 2.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
         with pytest.raises(ValueError):
-            build_cache(ds, Partition(ds, split), predictions=np.array([1.5, 2.0]))
+            cache_of(ds, split, predictions=np.array([1.5, 2.0]))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -70,7 +77,7 @@ class TestBuildCache:
             order = rng.permutation(n)
             labeled, pool = order[:4], order[4:]
             preds = rng.normal(size=len(pool))
-            cache = build_cache(ds, Partition(ds, SplitState(labeled, pool, seed=0)), preds)
+            cache = cache_of(ds, SplitState(labeled, pool, seed=0), preds)
             dx, dy = brute_minima(ds, labeled, pool, preds)
             assert np.allclose(cache.dx_min, dx, atol=1e-12, rtol=0)
             assert np.allclose(cache.dy_min, dy, atol=1e-12, rtol=0)
@@ -83,8 +90,7 @@ class TestBuildCache:
         X = rng.normal(size=(37, p))
         ds = make_dataset(X, rng.normal(size=37))
         order = rng.permutation(37)
-        cache = build_cache(ds, Partition(ds, SplitState(order[:5], order[5:], seed=0)),
-                            np.zeros(32))
+        cache = cache_of(ds, SplitState(order[:5], order[5:], seed=0), np.zeros(32))
         assert np.array_equal(cache.dx, pairwise_distances(X, X))
         assert np.array_equal(cache.dx, cache.dx.T)  # acquisitions read a row as the column
         assert np.array_equal(cache.dx_pair, pairwise_distances(X[order[5:]], X[order[:5]]))
@@ -97,8 +103,7 @@ class TestUpdateAfterAcquisition:
         order = rng.permutation(20)
         labeled, pool = list(order[:3]), list(order[3:])
         preds = rng.normal(size=len(pool))
-        cache = build_cache(
-            ds, Partition(ds, SplitState(np.array(labeled), np.array(pool), seed=0)), preds)
+        cache = cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0), preds)
         for _ in range(10):
             pos = int(rng.integers(len(pool)))
             ds_idx = pool[pos]
@@ -106,8 +111,7 @@ class TestUpdateAfterAcquisition:
             del pool[pos]
             preds = rng.normal(size=len(pool))
             acquire(cache, pos, preds)
-            rebuilt = build_cache(
-                ds, Partition(ds, SplitState(np.array(labeled), np.array(pool), seed=0)), preds)
+            rebuilt = cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0), preds)
             assert np.array_equal(cache.dx_min, rebuilt.dx_min)  # exact: shared formula
             assert np.array_equal(cache.dy_min, rebuilt.dy_min)
             assert np.array_equal(cache.dx_pair, rebuilt.dx_pair)  # same column order
@@ -125,11 +129,10 @@ class TestUpdateAfterAcquisition:
         n, k = 400, 200
         ds = make_dataset(rng.normal(size=(n, 3)), rng.normal(size=n))
         order = rng.permutation(n)
-        cache = build_cache(ds, Partition(ds, SplitState(order[:k], order[k:], seed=0)),
-                            np.zeros(n - k))
+        cache = cache_of(ds, SplitState(order[:k], order[k:], seed=0), np.zeros(n - k))
         cache.dx_pair  # gathered and kept from here on
         pos = {"first": 0, "middle": (n - k) // 2, "last": n - k - 1}[where]
-        cache.partition.block.acquire([pos])
+        cache.block.partitions.acquire([pos])
         tracemalloc.start()
         try:
             update_after_acquisition(cache.block)
@@ -143,7 +146,7 @@ class TestUpdateAfterAcquisition:
     def test_duplicate_acquisition_leaves_dx_unchanged(self):
         ds = make_dataset([0.0, 1.0, 1.0, 0.3], [0.0, 1.0, 1.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.5, 0.5]))
+        cache = cache_of(ds, split, predictions=np.array([0.5, 0.5]))
         before = cache.dx_min[1]  # candidate at 0.3
         acquire(cache, 0, np.array([0.5]))
         assert cache.dx_min[0] == before  # new labeled point is a duplicate of x=1
@@ -151,25 +154,25 @@ class TestUpdateAfterAcquisition:
     def test_pool_shrinks_to_zero(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.7])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.6]))
+        cache = cache_of(ds, split, predictions=np.array([0.6]))
         acquire(cache, 0, np.zeros(0))
         assert cache.n_pool == 0
 
     def test_bad_position_raises(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.7])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.6]))
+        cache = cache_of(ds, split, predictions=np.array([0.6]))
         for pos in (5, 1, -1):
             with pytest.raises(IndexError):
-                cache.partition.block.acquire([pos])
-        assert cache.partition.n_labeled == 2  # nothing moved, so nothing to follow
+                cache.block.partitions.acquire([pos])
+        assert cache.block.partitions.n_labeled == 2  # nothing moved, so nothing to follow
         with pytest.raises(ValueError, match="partition must acquire"):
             update_after_acquisition(cache.block)
 
     def test_update_without_partition_move_raises(self):
         ds = make_dataset([0.0, 1.0, 0.5, 0.2], [0.0, 1.0, 0.7, 0.1])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.6, 0.1]))
+        cache = cache_of(ds, split, predictions=np.array([0.6, 0.1]))
         with pytest.raises(ValueError, match="partition must acquire"):
             update_after_acquisition(cache.block)
         acquire(cache, 0, np.zeros(1))
@@ -182,8 +185,7 @@ class TestUpdateAfterAcquisition:
         order = rng.permutation(30)
         labeled, pool = list(order[:2]), list(order[2:])
         preds = rng.normal(size=len(pool))
-        cache = build_cache(
-            ds, Partition(ds, SplitState(np.array(labeled), np.array(pool), seed=0)), preds)
+        cache = cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0), preds)
         for _ in range(15):
             pos = int(rng.integers(cache.n_pool))
             ds_idx = cache.pool[pos]
@@ -196,7 +198,7 @@ class TestUpdateAfterAcquisition:
 class OraclePair:
     """One pair's partition and distance state moved as they were before the
     block move, pair by pair: ``acquire`` is the body of the per-pair
-    ``Partition.acquire`` and ``update`` that of the per-cache
+    partition move and ``update`` that of the per-cache
     ``update_after_acquisition``, on the buffers they kept (``dx_min`` in
     pool order, ``labeled_nn`` in labeling order, each a prefix of a
     length-N buffer)."""
@@ -263,20 +265,18 @@ class TestBlockMoveMatchesPerPairOracle:
     def run(ds, R, n_labeled, moves, seed):
         rng = np.random.default_rng(seed)
         n = ds.n_samples
-        # only some pairs keep a cache, only some caches keep dx_pair; with
-        # R = 1 the one pair has both
-        cache_rows = [r for r in range(R) if R == 1 or r % 3 != 1]
+        # only the first pairs keep a cache, only some caches keep dx_pair;
+        # with R = 1 the one pair has both
+        cache_rows = list(range(R - R // 3))
         pair_rows = [r for r in cache_rows if R == 1 or r % 2 == 0]
-        block = PartitionBlock(ds, R, n_labeled)
-        oracles, parts = [], []
+        splits, oracles = [], []
         for r in range(R):
             order = rng.permutation(n)
-            split = SplitState(order[:n_labeled], order[n_labeled:], seed=0)
-            parts.append(Partition(ds, split, block, r))
-            oracles.append(OraclePair(ds, split, r in cache_rows, r in pair_rows))
-        distances = DistanceBlock(ds.feature_distances, block, cache_rows)
-        caches = {r: build_cache(ds, parts[r], np.zeros(n - n_labeled), distances, i)
-                  for i, r in enumerate(cache_rows)}
+            splits.append(SplitState(order[:n_labeled], order[n_labeled:], seed=0))
+            oracles.append(OraclePair(ds, splits[r], r in cache_rows, r in pair_rows))
+        block = PartitionBlock(ds, splits)
+        distances = DistanceBlock(ds.feature_distances, block, len(cache_rows))
+        caches = {r: build_cache(distances, r, np.zeros(n - n_labeled)) for r in cache_rows}
         for r in pair_rows:
             caches[r].dx_pair  # gathered, then kept by every move
         for step in range(min(moves, n - n_labeled)):
@@ -293,8 +293,7 @@ class TestBlockMoveMatchesPerPairOracle:
                     oracle.update(pos)
             L = block.n_labeled
             for r, oracle in enumerate(oracles):
-                part = parts[r]
-                assert part.n_labeled == oracle.n_labeled == L
+                assert block.n_labeled == oracle.n_labeled == L
                 assert same_bits(block.orders[r], oracle.order)
                 assert same_bits(block.features[r], oracle.features)
                 assert same_bits(block.labels[r], oracle.targets)  # NaN beyond L
@@ -303,7 +302,7 @@ class TestBlockMoveMatchesPerPairOracle:
                     cache = caches[r]
                     assert same_bits(cache.dx_min, oracle.dx_min[:n - L])
                     assert same_bits(cache.labeled_nn, oracle.labeled_nn[:L])
-                    kept = distances.dx_pairs[cache_rows.index(r)]
+                    kept = distances.dx_pairs[r]
                     if oracle.dx_pair is not None:
                         assert kept is not None
                         assert same_bits(cache.dx_pair, oracle.dx_pair)
@@ -344,7 +343,7 @@ def targets_cache(targets, predictions):
     ds = make_dataset(np.arange(n_lab + n_pool, dtype=float),
                       np.concatenate([targets, np.zeros(n_pool)]))
     split = SplitState(np.arange(n_lab), np.arange(n_lab, n_lab + n_pool), seed=0)
-    return build_cache(ds, Partition(ds, split), predictions)
+    return cache_of(ds, split, predictions)
 
 
 class TestDyMin:

@@ -25,8 +25,7 @@ from wigs.config import (
     snapshot_json,
     snapshot_to_config,
 )
-from wigs.data import ColumnMeta, Dataset, Partition, SplitState, initial_split
-from wigs.geometry import build_cache
+from wigs.data import ColumnMeta, Dataset, PartitionBlock, SplitState, initial_split
 from wigs.harness import (
     BLOCK_BYTES,
     pair_blocks,
@@ -48,6 +47,7 @@ from wigs.rng import STREAMS, generator
 from wigs.sac import build_state
 from wigs.selectors import veto_demo
 
+from test_geometry import cache_of
 from test_model import child_seed
 
 
@@ -117,6 +117,37 @@ methods:
         path.write_text("dataset:\n  dgp: two_regime\n  n: 40\n" + text)
         with pytest.raises(ValueError, match=re.escape(message)):
             load_config(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("- dataset\n- methods\n", "a config file is a mapping of sections, not a list"),
+        ("dataset: 3\n", "config section 'dataset' is a mapping of keys, not 3"),
+        ("dataset:\n  dgp: two_regime\n  n: 40\nmethods:\n  - kind: gsx\n",
+         "methods entry 0 needs a name and a kind: {'kind': 'gsx'}"),
+        ("dataset:\n  dgp: two_regime\n  n: 40\nmethods:\n  - name: igs\n    kind: igs\n"
+         "  - name: gsx\n", "methods entry 1 needs a name and a kind: {'name': 'gsx'}"),
+        ("dataset:\n  dgp: two_regime\n  n: 40\nmethods: gsx\n",
+         "config section 'methods' is 'default' or a list of methods, not 'gsx'"),
+        ("dataset:\n  dgp: two_regime\n  n: 40\nmethods:\n  - gsx\n",
+         "methods entry 0 needs a name and a kind: 'gsx'"),
+        ("dataset:\n  dgp: two_regime\n  n: 40\nmethods:\n  - name: g\n    kind: gsx\n"
+         "    params: abc\n", "g: params is a mapping, not 'abc'"),
+    ], ids=["top_level_list", "scalar_section", "entry_without_name", "entry_without_kind",
+            "methods_string", "bare_string_entry", "params_string"])
+    def test_yaml_structure_named(self, tmp_path, text, message):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("value", ["color", "3", "[color, 3]", "{color: 1}"])
+    def test_yaml_categorical_columns_must_be_a_list_of_names(self, tmp_path, value):
+        path = tmp_path / "config.yaml"
+        path.write_text(f"dataset:\n  csv: d.csv\npreprocessing:\n  categorical_columns: {value}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "preprocessing.categorical_columns = ") + ".*expected a list of column names"):
+            load_config(str(path))
+        path.write_text("dataset:\n  csv: d.csv\npreprocessing:\n  categorical_columns: [color]\n")
+        assert load_config(str(path)).categorical_columns == ("color",)
 
     def test_default_methods_battery(self):
         methods = default_methods()
@@ -356,7 +387,7 @@ def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0
 
     def fresh_cache(preds):
         lists = SplitState(np.array(labeled), np.array(pool, dtype=np.int64), seed=0)
-        return build_cache(dataset, Partition(dataset, lists), preds)
+        return cache_of(dataset, lists, preds)
 
     rows = {name: [] for name in ("rmse", "cc", "labeled", "acquired", "score", "weight")}
 
@@ -524,28 +555,27 @@ class TestTracerSeesTheLoop:
         assert calls[name] >= 1, name
 
 
-CACHE_KINDS = [kind for kind, spec in KINDS.items() if spec.cache]
-
-
 class TestDegenerateRows:
-    """Duplicated and identical rows go through the partition and the cache on purpose."""
+    """Duplicated and identical rows, and more features than rows, go
+    through the partition and the cache on purpose, for every kind."""
 
     @staticmethod
     def run_checked(ds, kind, monkeypatch):
         positions = []
-        real = wigs.harness.update_after_acquisition
+        real = PartitionBlock.acquire
 
-        def checked(block):
-            real(block)
-            assert len(block) == 1  # the one pair of the replication
-            positions.append(int(block.partitions.positions[block.rows[0]]))
-            for r in block.rows:  # every cache row's partition: labeled, then pool
-                parts = block.partitions
-                everything = np.sort(np.concatenate([parts.orders[r, :parts.n_labeled],
-                                                     parts.orders[r, parts.n_labeled:]]))
-                assert np.array_equal(everything, np.arange(ds.n_samples))
+        def checked(parts, chosen):
+            acquired = real(parts, chosen)
+            assert len(parts.orders) == 1  # the one pair of the replication
+            positions.append(int(parts.positions[0]))
+            # the partition: labeled, then pool, and each row's features with it
+            everything = np.sort(np.concatenate([parts.orders[0, :parts.n_labeled],
+                                                 parts.orders[0, parts.n_labeled:]]))
+            assert np.array_equal(everything, np.arange(ds.n_samples))
+            assert np.array_equal(parts.features[0], ds.features[parts.orders[0]])
+            return acquired
 
-        monkeypatch.setattr(wigs.harness, "update_after_acquisition", checked)
+        monkeypatch.setattr(PartitionBlock, "acquire", checked)
         trace = run_replication(ds, spec_for(kind), seed=3)
         acquired = trace.acquired_idx[1:]
         assert len(positions) == trace.n_iterations == len(acquired)
@@ -554,20 +584,26 @@ class TestDegenerateRows:
         assert np.isfinite(trace.rmse).all() and trace.rmse[-1] == 0.0
         return positions
 
-    @pytest.mark.parametrize("kind", CACHE_KINDS)
+    @pytest.mark.parametrize("kind", list(KINDS))
     def test_every_row_duplicated(self, kind, monkeypatch):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(20, 2))
         ds = rows_dataset(np.vstack([X, X]), rng.normal(size=40))
         self.run_checked(ds, kind, monkeypatch)
 
-    @pytest.mark.parametrize("kind", CACHE_KINDS)
+    @pytest.mark.parametrize("kind", list(KINDS))
     def test_all_rows_identical(self, kind, monkeypatch):
         ds = rows_dataset(np.tile([[0.4, -1.1]], (40, 1)), np.linspace(-1.0, 2.0, 40))
         positions = self.run_checked(ds, kind, monkeypatch)
         if kind == "gsx":
             # every dx_min is 0: the tie goes to the lowest pool position
             assert positions == [0] * len(positions)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_more_features_than_rows(self, kind, monkeypatch):
+        rng = np.random.default_rng(7)
+        ds = rows_dataset(rng.normal(size=(30, 40)), rng.normal(size=30))
+        self.run_checked(ds, kind, monkeypatch)
 
 
 class TestConstantTargets:

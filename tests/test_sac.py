@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wigs.config import ExperimentConfig, MethodSpec
-from wigs.data import ColumnMeta, Dataset, Partition, SplitState, initial_split
-from wigs.geometry import build_cache, pairwise_distances
+from wigs.data import ColumnMeta, Dataset, SplitState, initial_split
+from wigs.geometry import pairwise_distances
 from wigs.harness import resolve_dataset, run_replication
 from wigs.model import cv_rmse, fold_assignment
 from wigs.rng import generator
@@ -24,7 +24,7 @@ from wigs.sac import (
 )
 from wigs.weights import BanditPolicy
 
-from test_geometry import acquire
+from test_geometry import acquire, cache_of
 from test_model import child_seed
 
 
@@ -58,8 +58,7 @@ def two_point_cache(labeled=(0, 1)):
     """Cache over rows x = 0, 1, 5 with targets 0, 2, 9; the rest is pool."""
     ds = make_dataset([[0.0], [1.0], [5.0]], [0.0, 2.0, 9.0])
     pool = [i for i in range(3) if i not in labeled]
-    return build_cache(ds, Partition(ds, SplitState(np.array(labeled), np.array(pool), seed=0)),
-                       np.zeros(len(pool)))
+    return cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0), np.zeros(len(pool)))
 
 
 class TestMlpForward:
@@ -297,7 +296,7 @@ class TestBuildState:
         order = rng.permutation(30)
         labeled, pool = list(order[:3]), list(order[3:])
         split = SplitState(np.array(labeled), np.array(pool), seed=0)
-        cache = build_cache(ds, Partition(ds, split), np.zeros(len(pool)))
+        cache = cache_of(ds, split, np.zeros(len(pool)))
         for t in range(6):
             pos = int(rng.integers(len(pool)))
             labeled.append(pool.pop(pos))

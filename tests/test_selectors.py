@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import wigs.selectors
-from wigs.data import ColumnMeta, Dataset, Partition, SplitState
+from wigs.data import ColumnMeta, Dataset, SplitState
 from wigs.geometry import (
-    build_cache,
     normalize_phi,
     pairwise_distances,
 )
@@ -39,7 +38,7 @@ from wigs.selectors import (
     wigs_scores,
 )
 
-from test_geometry import acquire
+from test_geometry import acquire, cache_of
 from test_model import counts_of, oracle_committee
 
 
@@ -61,7 +60,7 @@ def random_state(rng, max_n=40):
     split = SplitState(order[:k], order[k:], seed=0)
     model = fit_ridge(ds.features[split.labeled_idx], ds.targets[split.labeled_idx], 0.01)
     preds = model.predict(ds.features[split.pool_idx])
-    cache = build_cache(ds, Partition(ds, split), preds)
+    cache = cache_of(ds, split, preds)
     return ds, split, model, preds, cache
 
 
@@ -90,26 +89,26 @@ class TestGreedyFamily:
     def test_gsx_hand_example(self):
         ds = make_dataset([0.0, 1.0, 0.1, 0.5, 0.9], [0.0] * 5)
         split = SplitState(np.array([0, 1]), np.array([2, 3, 4]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), np.zeros(3))
+        cache = cache_of(ds, split, np.zeros(3))
         assert select_gsx(cache).chosen == 1  # x=0.5, dx_min 0.5 beats 0.1, 0.1
 
     def test_gsx_all_coincident_tie(self):
         ds = make_dataset([0.0, 1.0, 0.0, 1.0], [0.0] * 4)
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), np.zeros(2))
+        cache = cache_of(ds, split, np.zeros(2))
         r = select_gsx(cache)
         assert r.chosen == 0 and r.score == 0.0
 
     def test_gsy_hand_example(self):
         ds = make_dataset([0.0, 1.0, 0.2, 0.4, 0.6], [0.0, 2.0, 0.0, 0.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3, 4]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), predictions=np.array([1.0, 0.1, 2.6]))
+        cache = cache_of(ds, split, predictions=np.array([1.0, 0.1, 2.6]))
         assert select_gsy(cache).chosen == 0  # dy_min 1.0 beats 0.1 and 0.6
 
     def test_gsy_prediction_on_known_label(self):
         ds = make_dataset([0.0, 1.0, 0.2, 0.4], [0.0, 2.0, 0.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), predictions=np.array([2.0, 0.5]))
+        cache = cache_of(ds, split, predictions=np.array([2.0, 0.5]))
         r = select_gsy(cache)
         assert r.chosen == 1  # first candidate scores 0
 
@@ -121,7 +120,7 @@ class TestGreedyFamily:
     def test_igs_zero_on_coincident(self):
         ds = make_dataset([0.0, 1.0, 0.0, 0.5], [0.0, 1.0, 3.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), predictions=np.array([5.0, 0.7]))
+        cache = cache_of(ds, split, predictions=np.array([5.0, 0.7]))
         assert igs_scores(cache.dx_pair, cache.dy_pair)[0] == 0.0
 
     def test_igs_scale_invariance(self):
@@ -141,7 +140,7 @@ class TestGreedyFamily:
     def test_wigs_weight_bounds(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), predictions=np.array([0.5]))
+        cache = cache_of(ds, split, predictions=np.array([0.5]))
         with pytest.raises(ValueError):
             select_wigs(cache, 1.5)
 
@@ -158,7 +157,7 @@ class TestGreedyFamily:
 def fixed_cache(features, targets, predictions, n_labeled):
     ds = make_dataset(features, targets)
     split = SplitState(np.arange(n_labeled), np.arange(n_labeled, len(targets)), seed=0)
-    return build_cache(ds, Partition(ds, split), np.asarray(predictions, dtype=float))
+    return cache_of(ds, split, np.asarray(predictions, dtype=float))
 
 
 def scoring_caches():
@@ -388,7 +387,7 @@ class TestEgal:
         features = np.vstack([[[-50.0, -50.0]], [[-49.0, -50.0]], copies, isolated])
         ds = make_dataset(features, np.zeros(13))
         split = SplitState(np.array([0, 1]), np.arange(2, 13), seed=0)
-        cache = build_cache(ds, Partition(ds, split), np.zeros(11))
+        cache = cache_of(ds, split, np.zeros(11))
         delta = 5.0
         similarity = egal_similarity(ds.feature_distances, delta)
         density = egal_density(cache, similarity)
@@ -409,15 +408,14 @@ class TestEgal:
     def test_pool_of_one(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), np.zeros(1))
+        cache = cache_of(ds, split, np.zeros(1))
         assert select_egal(cache, egal_similarity(ds.feature_distances, 1.0)).chosen == 0
 
     def test_density_equals_direct_formula_after_acquisitions(self):
         rng = np.random.default_rng(9)
         ds = make_dataset(rng.normal(size=(40, 20)), rng.normal(size=40))
         order = rng.permutation(40)
-        cache = build_cache(ds, Partition(ds, SplitState(order[:3], order[3:], seed=0)),
-                            np.zeros(37))
+        cache = cache_of(ds, SplitState(order[:3], order[3:], seed=0), np.zeros(37))
         similarity = egal_setup(ds, seed=2)
         delta = sample_bandwidth(ds.features, seed=2)
         for _ in range(6):
@@ -434,8 +432,7 @@ class TestEgal:
         rng = np.random.default_rng(10)
         ds = make_dataset(rng.normal(size=(150, 4)), rng.normal(size=150))
         order = rng.permutation(150)
-        cache = build_cache(ds, Partition(ds, SplitState(order[:8], order[8:], seed=0)),
-                            np.zeros(142))
+        cache = cache_of(ds, SplitState(order[:8], order[8:], seed=0), np.zeros(142))
         similarity = egal_setup(ds, seed=1)
         whole = similarity[cache.pool].take(cache.pool, axis=1).sum(axis=1)
         for chunk in (1, 2, 7, 64, 141, 142, 500):
@@ -446,8 +443,8 @@ class TestEgal:
         rng = np.random.default_rng(11)
         n = 400
         ds = make_dataset(rng.normal(size=(n, 2)), rng.normal(size=n))
-        cache = build_cache(ds, Partition(ds, SplitState(np.arange(20), np.arange(20, n), seed=0)),
-                            np.zeros(n - 20))
+        cache = cache_of(ds, SplitState(np.arange(20), np.arange(20, n), seed=0),
+                         np.zeros(n - 20))
         similarity = egal_similarity(ds.feature_distances, 1.0)
         tracemalloc.start()
         try:
@@ -460,7 +457,7 @@ class TestEgal:
     def test_filter_fallback_when_all_coincident(self):
         ds = make_dataset([0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = build_cache(ds, Partition(ds, split), np.zeros(2))
+        cache = cache_of(ds, split, np.zeros(2))
         r = select_egal(cache, egal_similarity(ds.feature_distances, 1.0))
         assert r.chosen == 0  # all dx_min = 0: everyone passes >= q25 = 0
 
