@@ -93,7 +93,9 @@ class Kind:
     ``state_bytes`` bounds what that controller and setup state hold for
     the resolved params on an N-row dataset, for the kinds where it grows
     with N or is large.  The flags name what the loop computes each
-    iteration for this kind.
+    iteration for this kind.  ``scorer`` names the block scorer: the block
+    scores consecutive rows whose kinds name the same one together, with
+    the bits ``select`` gives each row (``wigs.harness._Block.select``).
     """
 
     select: Callable[[Query], SelectionResult]
@@ -106,6 +108,7 @@ class Kind:
     sac_state: bool = False  # the policy is fed the learning-context vector
     committee: bool = False  # a bootstrap committee is refit before selection
     model: bool = False      # the selector reads the pair's fitted model
+    scorer: str | None = None  # the block scorer of runs of rows: "gsx", "igs" or "wigs"
 
 
 def _real(value) -> bool:
@@ -118,6 +121,13 @@ def _real(value) -> bool:
 def _integer(value) -> bool:
     """An integer; bools are not, nor are integral floats such as 2.0."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _column_names(value) -> bool:
+    """None, or a tuple or list of strings; a bare string is not (it would
+    read as its letters)."""
+    return value is None or isinstance(value, (tuple, list)) \
+        and all(isinstance(name, str) for name in value)
 
 
 def _unit(value) -> bool:
@@ -153,29 +163,31 @@ _COMMITTEE = {"committee_size": Param(
 KINDS: dict[str, Kind] = {
     "passive": Kind(lambda q: select_passive(len(q.pool_features), q.state),
                     setup=lambda dataset, seed: generator(seed, "passive")),
-    "gsx": Kind(lambda q: select_gsx(q.cache), cache=True),
+    "gsx": Kind(lambda q: select_gsx(q.cache), cache=True, scorer="gsx"),
     "gsy": Kind(lambda q: select_gsy(q.cache), cache=True),
-    "igs": Kind(lambda q: select_igs(q.cache), cache=True),
+    "igs": Kind(lambda q: select_igs(q.cache), cache=True, scorer="igs"),
     "wigs_static": Kind(
         _select_wigs, {"w": Param(None, _unit, "static weight must lie in [0, 1]")},
-        policy=lambda p, seed: StaticPolicy(float(p["w"])), cache=True),
+        policy=lambda p, seed: StaticPolicy(float(p["w"])), cache=True, scorer="wigs"),
     "wigs_linear": Kind(_select_wigs, _decay(1.0),
-                        policy=lambda p, seed: LinearDecayPolicy(float(p["c"])), cache=True),
+                        policy=lambda p, seed: LinearDecayPolicy(float(p["c"])), cache=True,
+                        scorer="wigs"),
     "wigs_exp": Kind(_select_wigs, _decay(5.0),
-                     policy=lambda p, seed: ExpDecayPolicy(float(p["c"])), cache=True),
+                     policy=lambda p, seed: ExpDecayPolicy(float(p["c"])), cache=True,
+                     scorer="wigs"),
     "wigs_mab": Kind(
         _select_wigs,
         {"arms": Param((0.25, 0.50, 0.75), lambda arms: bool(arms) and all(map(_unit, arms)),
                        "bandit arms must lie in [0, 1]"),
          "c_explore": Param(2.0, lambda c: _real(c) and c >= 0, "c_explore must be nonnegative")},
         policy=lambda p, seed: BanditPolicy(tuple(p["arms"]), float(p["c_explore"])),
-        cache=True, cv_reward=True),
+        cache=True, cv_reward=True, scorer="wigs"),
     "wigs_sac": Kind(
         _select_wigs,
         {f.name: _sac_param(f.name, f.default) for f in fields(SacConfig) if f.init},
         policy=lambda p, seed: SacPolicy(SacConfig(**p), generator(seed, "sac")),
         state_bytes=lambda p, n: sac_state_bytes(SacConfig(**p), n),
-        cache=True, cv_reward=True, sac_state=True),
+        cache=True, cv_reward=True, sac_state=True, scorer="wigs"),
     "uncertainty": Kind(lambda q: select_uncertainty(q.model, q.pool_features), model=True),
     "qbc": Kind(lambda q: select_qbc(q.committee, q.pool_features), _COMMITTEE, committee=True),
     "emcm": Kind(lambda q: select_emcm(q.model, q.committee, q.pool_features), _COMMITTEE,
@@ -265,6 +277,15 @@ class ExperimentConfig:
             raise ValueError("replications must be an integer >= 1")
         if not (_integer(self.parallelism) and self.parallelism >= 1):
             raise ValueError("parallelism must be an integer >= 1")
+        for name in ("dataset_seed", "base_seed"):
+            if not (_integer(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be an integer >= 0")
+        if self.base_seed + self.replications - 1 >= 2**128:  # the batched stream derivation
+            raise ValueError("base_seed + replications - 1 must lie below 2**128")
+        if not _column_names(self.categorical_columns):
+            raise ValueError("categorical_columns: expected a list of column names, or None")
+        if self.categorical_columns is not None:
+            object.__setattr__(self, "categorical_columns", tuple(self.categorical_columns))
 
     def resolved_out_dir(self) -> str:
         return os.environ.get(ENV_OUT_DIR, self.out_dir)
@@ -302,27 +323,26 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         MethodSpec(m["name"], m["kind"], dict(m.get("params") or {}))
         for m in d.get("methods", [])
     )
-    if d.get("categorical_columns") is not None:
-        d["categorical_columns"] = tuple(d["categorical_columns"])
     return ExperimentConfig(**d)
 
 
 def _read_int(value) -> int:
-    """``int`` that drops no fraction: 3, 3.0 and "3" read as 3, 2.5 is an error."""
+    """``int`` that drops no fraction: 3, 3.0 and "3" read as 3, 2.5 is an
+    error.  A bool stays a bool, for ``ExperimentConfig`` to refuse."""
+    if isinstance(value, bool):
+        return value
     number = int(value)
     if isinstance(value, float) and number != value:
         raise ValueError("not an integer")
     return number
 
 
-def _read_names(value) -> tuple[str, ...] | None:
-    """A list of column names as a tuple; null (the default) stays None.  A
-    bare string is refused, or it would read as its letters."""
-    if value is None:
-        return None
-    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+def _read_names(value) -> list[str] | None:
+    """A list of column names, or null (the default), named by its key when
+    it is anything else."""
+    if not _column_names(value):
         raise ValueError("expected a list of column names")
-    return tuple(value)
+    return value
 
 
 # YAML section -> key -> (ExperimentConfig field, reader applied to the value

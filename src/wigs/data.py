@@ -212,6 +212,14 @@ def _parse_float(cell: str) -> float | None:
         return None
 
 
+def _check_finite(path: str, values: np.ndarray, cells, name: str) -> None:
+    """Refuse the first non-finite entry of a parsed column, by column and row."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{path}: non-finite value {cells[i]!r} in column {name!r}, row {i + 2}")
+
+
 def load_csv(path: str | os.PathLike,
              categorical_columns: tuple[str, ...] | None = None) -> Dataset:
     """Parse a CSV file (header row, last column = target) into a raw dataset.
@@ -222,7 +230,8 @@ def load_csv(path: str | os.PathLike,
     target are kept as read and no column is dropped: ``scale_features``
     does the preprocessing.  A declared name that is no feature column, and
     a cell of a column not declared categorical that fails numeric parsing,
-    are errors that name the column (and the row).
+    are errors that name the column (and the row), and so is a numeric cell
+    that reads as ``nan``, ``inf`` or ``-inf``.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
@@ -250,6 +259,7 @@ def load_csv(path: str | os.PathLike,
         if val is None:
             raise ValueError(f"{path}: unparseable target {cell!r} in row {i + 2}")
         targets[i] = val
+    _check_finite(path, targets, target_cells, header[-1])
 
     blocks: list[np.ndarray] = []
     metas: list[ColumnMeta] = []
@@ -272,6 +282,7 @@ def load_csv(path: str | os.PathLike,
             metas.append(ColumnMeta(name, "categorical", categories))
         else:
             block = np.array(parsed, dtype=float)[:, None]
+            _check_finite(path, block[:, 0], cells, name)
             metas.append(ColumnMeta(name, "continuous"))
         blocks.append(block)
     base = os.path.splitext(os.path.basename(path))[0]

@@ -9,8 +9,9 @@ source of randomness inside a replication derives from that one seed, so
 any (method, seed) pair can run in any process at any time and produce the
 same trace.  Pairs of any methods on one dataset run as a lockstep block:
 each iteration makes one stacked refit for the whole block, one CV call for
-the pairs that take a CV reward and one committee call per committee size;
-a pair's trace does not depend on its block.
+the pairs that take a CV reward and one committee call per committee size,
+and scores the gsx, igs and WiGS rows a group of rows at a time; a pair's
+trace does not depend on its block.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .metrics import Trace, centre_truth, correlation_coefficient, hybrid_rmse
 from .model import bootstrap_counts, cv_rmse, fit_bootstrap_committee, fit_ridge, fold_assignment
 from .rng import iteration_states, state_generator
 from .sac import build_state
+from .selectors import pick_rows, select_stacked
 
 # Not called here; the kind table calls the selectors.  bench/tracing.py
 # wraps these names.
@@ -76,6 +78,16 @@ BLOCK_BYTES = 64 * 2**20
 # iterations at a time, so a long horizon holds no buffer of every
 # iteration's state words.  A pair's trace does not depend on it.
 STREAM_CHUNK = 64
+
+# The block scores a run of igs or WiGS rows in groups of at most
+# G = max(1, SCORE_BUDGET // (P·L)) rows, each in one (2, G, P, L) buffer of
+# at most 2 * SCORE_BUDGET floats, 256 KiB, which stays in cache.  Measured
+# on a 2-CPU x86 VM: a group of 13 rows at P = 60, L = 20 costs half of 13
+# single-row calls; 2**15 and 2**16 save under a tenth more there and
+# nothing that whole runs resolve; at 2**17 the stacks leave the cache, and
+# groups of two at P·L >= 10**4 run up to 1.2x slower than single rows.
+# A pair's trace does not depend on it.
+SCORE_BUDGET = 2**14
 
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
@@ -140,8 +152,11 @@ class _Block:
     Row r of every buffer belongs to pair r in row order: the pairs sorted
     stably with the Rc pairs whose kind keeps a distance cache first, then
     by ``_fit_group``, so the distance caches are the first Rc rows and
-    the CV call and each committee call take one slice of rows.  Pair r's
-    partition is row r of one ``PartitionBlock``: its ``features``
+    the CV call and each committee call take one slice of rows.  ``runs``
+    holds the runs of at least two consecutive rows whose kinds name the
+    same block scorer (``Kind.scorer``), which ``select`` scores together,
+    and ``alone`` every other row.  Pair r's partition is row r of one
+    ``PartitionBlock``: its ``features``
     (R, N, p), ``labels`` (R, N) and ``orders`` (R, N), so with L labeled
     rows the labeled sets are the (R, L, ...) views and the pools
     ``orders[:, L:]`` and ``features[r, L:]``.  The distance caches are the
@@ -196,6 +211,17 @@ class _Block:
         self.cv_initial = [None] * R
         self.committees = [None] * R
         self.positions = [0] * R  # the pool position each pair chose last
+        self.weights_now = [None] * R  # each pair's weight at this iteration
+        self.stepping = [r for r, policy in enumerate(self.policies) if policy is not None]
+        self.alone, self.runs = [], []  # rows scored on their own; (scorer, first row, stop)
+        start = 0
+        for scorer, members in itertools.groupby(kind.scorer for kind in self.kinds):
+            stop = start + len(list(members))
+            if scorer is None or stop - start == 1:
+                self.alone += range(start, stop)
+            else:
+                self.runs.append((scorer, start, stop))
+            start = stop
 
         self.rows = np.arange(R)[:, None]
         self.hybrid = np.empty((R, n_total))
@@ -269,35 +295,70 @@ class _Block:
                 self.charge(group.seconds, t + 1)
 
     def select(self, t: int) -> None:
-        """Policy step and selection, pair by pair: each pair's chosen pool
-        position and its score.  A pair's selection reads only its own
-        state, so the moves wait for ``move``."""
-        clock, last, slot, positions = time.perf_counter, self.last, t + 1, self.positions
-        pools = self.features[:, self.partitions.n_labeled:]
-        for r, kind in enumerate(self.kinds):
-            weight = None
-            policy = self.policies[r]
-            if policy is not None:
-                reward = None
-                context = None
-                if kind.cv_reward:
-                    cv = self.cv_now[r]
-                    if self.cv_initial[r] is None:
-                        self.cv_initial[r] = cv if cv > 0 else 1.0
-                    if self.cv_prev[r] is not None:
-                        reward = self.cv_prev[r] - cv
-                    if kind.sac_state:
-                        context = build_state(cv, self.cv_initial[r], t, self.horizon,
-                                              self.caches[r])
-                    self.cv_prev[r] = cv
-                weight = policy.step(t, self.horizon, reward, context)
-                self.weight[r, slot] = weight
+        """Every policy step, pair by pair, then every selection: each run of
+        consecutive rows whose kinds name the same block scorer
+        (``Kind.scorer``) in groups, one call per group, and every other row
+        by its own selector, first.  A gsx run is one group, one argmax over
+        its rows of the distance block; an igs or WiGS run is cut into
+        groups of at most G = max(1, ``SCORE_BUDGET`` // (P·L)) rows, each
+        one ``select_stacked`` call, and a group of one takes its kind's own
+        selector.  Each row's pick and score are the bits its own selector
+        gives it.  A policy step and a selector of one row are that pair's
+        own seconds, and a group call's seconds go 1/G to each of its G
+        rows.  A pair's selection reads only its own state, so the moves
+        wait for ``move``."""
+        clock, last, slot, own = time.perf_counter, self.last, t + 1, self.own
+        positions, weights, kinds, caches = \
+            self.positions, self.weights_now, self.kinds, self.caches
+        for r in self.stepping:
+            kind = kinds[r]
+            reward = None
+            context = None
+            if kind.cv_reward:
+                cv = self.cv_now[r]
+                if self.cv_initial[r] is None:
+                    self.cv_initial[r] = cv if cv > 0 else 1.0
+                if self.cv_prev[r] is not None:
+                    reward = self.cv_prev[r] - cv
+                if kind.sac_state:
+                    context = build_state(cv, self.cv_initial[r], t, self.horizon, caches[r])
+                self.cv_prev[r] = cv
+            weights[r] = self.policies[r].step(t, self.horizon, reward, context)
+            self.weight[r, slot] = weights[r]
+            now = clock()
+            own[r][slot] = now - last
+            last = now
+        n_labeled, n_pool = self.partitions.n_labeled, self.partitions.n_pool
+        size = max(1, SCORE_BUDGET // (n_pool * n_labeled))
+        alone, groups = self.alone, []
+        for scorer, start, stop in self.runs:
+            step = stop - start if scorer == "gsx" else size
+            cuts = [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+            alone = alone + [lo for lo, hi in cuts if hi - lo == 1]
+            groups += [(scorer, lo, hi) for lo, hi in cuts if hi - lo > 1]
+        pools = self.features[:, n_labeled:]
+        for r in alone:
+            kind = kinds[r]
             result = kind.select(Query(self.model[r] if kind.model else None, pools[r],
-                                       self.caches[r], self.committees[r], weight, self.states[r]))
+                                       caches[r], self.committees[r], weights[r], self.states[r]))
             positions[r] = result.chosen
             self.score[r, slot] = result.score
             now = clock()
-            self.own[r][slot] = now - last
+            own[r][slot] += now - last
+            last = now
+        for scorer, lo, hi in groups:
+            if scorer == "gsx":
+                chosen, scores = pick_rows(self.distances.nearest[lo:hi, n_labeled:])
+            else:
+                chosen, scores = select_stacked(
+                    [cache.dx_pair for cache in caches[lo:hi]], self.preds[lo:hi, 1:],
+                    self.labels[lo:hi, :n_labeled], weights[lo:hi] if scorer == "wigs" else None)
+            positions[lo:hi] = chosen.tolist()
+            self.score[lo:hi, slot] = scores
+            now = clock()
+            seconds = (now - last) / (hi - lo)
+            for r in range(lo, hi):
+                own[r][slot] += seconds
             last = now
         self.last = last
 
@@ -413,10 +474,12 @@ def run_block(
     number of rows, L, and an iteration runs the phases of ``_Block`` over
     the whole block: the CV call of the pairs whose kind takes a CV reward
     and one committee call per committee size (each one kernel call), the
-    policy step and selection (pair by pair), the move (every partition in
-    one pass, then every cache pair's distance state in one
-    ``update_after_acquisition`` call), the refit (one kernel call on the
-    (R, L, p) labeled rows), each pair's prediction into one (R, P) buffer,
+    policy steps (pair by pair), the selection (each run of rows whose kinds
+    share a block scorer in groups of at most max(1, ``SCORE_BUDGET`` //
+    (P·L)) rows, one call per group, and the other rows pair by pair), the
+    move (every partition in one pass, then every cache pair's distance
+    state in one ``update_after_acquisition`` call), the refit (one kernel
+    call on the (R, L, p) labeled rows), each pair's prediction into one (R, P) buffer,
     and the recording of row t of all R traces in one pass.  A prediction
     or RMSE that is not finite raises ``ValueError`` naming the pairs and
     the iteration.  The block holds its pairs in its own row order, the
@@ -425,8 +488,9 @@ def run_block(
     ``pairs``.
 
     ``wall_ms`` of a row is the pair's own work for it plus its share of the
-    block's shared calls for it: 1/R of the partition move, of the refit
-    and of the intercepts' add, 1/Rc of the distance update that the Rc
+    block's shared calls for it: 1/G of the scoring call of the group of G
+    rows it was scored in, 1/R of the partition move, of the refit and of
+    the intercepts' add, 1/Rc of the distance update that the Rc
     cache pairs share, if the pair is one of them, and 1/R' of a CV or
     committee call that R' pairs share, if the pair is one of them.  Row 0
     is the initial fit and prediction, row t the iteration up to its

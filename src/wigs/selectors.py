@@ -45,6 +45,13 @@ def _pick(scores: np.ndarray) -> SelectionResult:
     return SelectionResult(chosen=chosen, score=float(scores[chosen]))
 
 
+def pick_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_pick`` of each row of a (G, P) score array: the chosen positions
+    and their scores."""
+    chosen = scores.argmax(axis=1)  # first occurrence = lowest index on ties
+    return chosen, scores[np.arange(len(chosen)), chosen]
+
+
 def select_passive(n_pool: int, rng: np.random.Generator) -> SelectionResult:
     """Uniform random draw from the pool."""
     if n_pool < 1:
@@ -117,6 +124,49 @@ def select_wigs(cache: DistanceCache, w: float) -> SelectionResult:
     np.multiply(1.0 - w, phi_y, out=phi_y)
     np.add(phi_x, phi_y, out=phi_x)
     return _pick(phi_x.min(axis=1))
+
+
+def select_stacked(dx_pairs, predictions: np.ndarray, targets: np.ndarray,
+                   weights: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """igs (``weights`` None) or WiGS (one weight per row) over a group of G
+    rows at once: the chosen pool position and the score of each row.
+
+    Row g's (P, L) feature distances are ``dx_pairs[g]``, its pool
+    predictions ``predictions[g]``, its labeled targets ``targets[g]`` and
+    its weight ``weights[g]``.  Both collections of every row sit in one
+    (2, G, P, L) buffer, and each step of ``select_igs`` / ``select_wigs``
+    runs once over the whole buffer: per-row min-max bounds, zeros for a
+    collection whose max equals its min (as ``normalize_phi``), the
+    weights, the minimum over the labeled points and the argmax.  Every
+    step is elementwise or an exact reduction, so row g gets the bits its
+    own selector gives it.  The ``dx_pairs`` are read, not written.
+    """
+    if weights is not None and not all(0.0 <= w <= 1.0 for w in weights):
+        raise ValueError(f"weights must lie in [0, 1], got {weights}")
+    pair = np.empty((2, *predictions.shape, targets.shape[1]))
+    dx, dy = pair
+    np.concatenate(dx_pairs, out=dx.reshape(-1, dx.shape[2]))  # the rows stacked, one call
+    np.copyto(dy, predictions[:, :, None])  # then in place: no ufunc buffer for two broadcasts
+    np.subtract(dy, targets[:, None, :], out=dy)
+    np.abs(dy, out=dy)
+    if weights is None:
+        np.multiply(dx, dy, out=dy)
+        scores = dy.min(axis=2)
+    else:
+        collections = pair.reshape(-1, *pair.shape[2:])  # (2G, P, L)
+        lo = collections.min(axis=(1, 2), keepdims=True)
+        span = collections.max(axis=(1, 2), keepdims=True)
+        np.subtract(span, lo, out=span)
+        # max == min: every finite v - lo is 0, and 0 / 1 gives normalize_phi's zeros
+        span[span == 0.0] = 1.0
+        np.subtract(collections, lo, out=collections)
+        np.divide(collections, span, out=collections)
+        factors = np.empty((2, len(weights), 1, 1))
+        factors[0, :, 0, 0] = weights
+        np.subtract(1.0, weights, out=factors[1, :, 0, 0])
+        np.multiply(pair, factors, out=pair)
+        scores = np.add(dx, dy, out=dx).min(axis=2)
+    return pick_rows(scores)
 
 
 def uncertainty_scores(model: RidgeModel, pool_features: np.ndarray) -> np.ndarray:

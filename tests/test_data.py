@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -113,6 +114,17 @@ class TestLoadCsv:
                          [["red", 1, 0], ["blue", "n/a", 1], ["red", 3, 2]])
         with pytest.raises(ValueError, match="unparseable value 'n/a' in column 'a', row 3"):
             load_csv(path, ("color",))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    @pytest.mark.parametrize("column", ["a", "y"])
+    def test_non_finite_cell_named(self, tmp_path, cell, column):
+        rows = [["red", 1, 0], ["blue", 2, 1], ["red", 3, 2], ["blue", 4, 3]]
+        rows[2][2 if column == "y" else 1] = cell
+        path = write_csv(tmp_path / "d.csv", ["color", "a", "y"], rows)
+        for declared in (None, ("color",)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"non-finite value {cell!r} in column {column!r}, row 4")):
+                load_csv(path, declared)
 
     def test_target_never_scaled(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "y"], [[1, 10], [2, 20], [3, 40]])

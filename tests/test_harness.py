@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+import wigs.config
 import wigs.geometry
 import wigs.harness
 from wigs.config import (
@@ -184,6 +185,51 @@ methods:
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(**{**settings, field: value})
         assert ExperimentConfig(**{**settings, field: np.int64(3)})  # numpy integers are integers
+
+    SEED_AND_NAME_CASES = [
+        ("base_seed", 1.5, "base_seed must be an integer >= 0"),
+        ("base_seed", True, "base_seed must be an integer >= 0"),
+        ("base_seed", -1, "base_seed must be an integer >= 0"),
+        ("base_seed", 2**128, "base_seed + replications - 1 must lie below 2**128"),
+        ("base_seed", 2**130, "base_seed + replications - 1 must lie below 2**128"),
+        ("replications", 2**128 + 1, "base_seed + replications - 1 must lie below 2**128"),
+        ("dataset_seed", 1.5, "dataset_seed must be an integer >= 0"),
+        ("dataset_seed", False, "dataset_seed must be an integer >= 0"),
+        ("dataset_seed", -1, "dataset_seed must be an integer >= 0"),
+        ("categorical_columns", "color", "expected a list of column names"),
+        ("categorical_columns", ["color", 3], "expected a list of column names"),
+        ("categorical_columns", 3, "expected a list of column names"),
+        ("categorical_columns", {"color": 1}, "expected a list of column names"),
+    ]
+
+    @pytest.mark.parametrize("field, value, message", SEED_AND_NAME_CASES)
+    def test_seed_and_name_fields_refused_on_every_path(self, tmp_path, field, value, message):
+        """The constructor, the snapshot reader and the YAML reader refuse the
+        same values with the same error; the YAML reader names its key, and
+        refuses a fraction itself before the constructor sees it."""
+        settings = {"dgp": "two_regime", "n": 50, "methods": (MethodSpec("igs", "igs"),)}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(**{**settings, field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict({**config_to_dict(ExperimentConfig(**settings)), field: value})
+        (section, key), = [(section, key) for section, entries in wigs.config._YAML_FIELDS.items()
+                           for key, (name, _) in entries.items() if name == field]
+        document = {"dataset": {"dgp": "two_regime", "n": 50}}
+        document.setdefault(section, {})[key] = value
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(document))
+        if isinstance(value, float):
+            message = f"{section}.{key} = {value!r}: not an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(str(path))
+
+    def test_column_names_read_as_a_tuple(self):
+        settings = {"csv_path": "d.csv", "methods": (MethodSpec("igs", "igs"),)}
+        config = ExperimentConfig(**settings, categorical_columns=["color", "size"])
+        assert config.categorical_columns == ("color", "size")
+        assert config == ExperimentConfig(**settings, categorical_columns=("color", "size"))
+        assert config_from_dict(config_to_dict(config)) == config
+        assert snapshot_to_config(snapshot_json(config)) == config
 
     @pytest.mark.parametrize("text, message", [
         ("run:\n  replications: .inf\n",
@@ -812,6 +858,28 @@ class TestBlockInvariance:
         for (spec, seed), trace in zip(pairs, traces):
             assert_same_trace(trace, run_replication(dataset, spec, seed))
 
+    def test_runs_cut_by_the_scoring_budget(self, dataset, monkeypatch):
+        """A small ``SCORE_BUDGET`` cuts a run of six WiGS rows into groups of
+        4 and 2, then 3 and 3, then 2, then rows of their own as P·L grows,
+        and every trace is still the trace of its pair alone."""
+        sizes = []
+        real = wigs.harness.select_stacked
+
+        def recording(dx_pairs, *args):
+            sizes.append(len(dx_pairs))
+            return real(dx_pairs, *args)
+
+        monkeypatch.setattr(wigs.harness, "SCORE_BUDGET", 700)
+        monkeypatch.setattr(wigs.harness, "select_stacked", recording)
+        pairs = [(spec_for(kind), seed) for kind in ("igs", "wigs_static", "wigs_linear",
+                                                     "wigs_exp", "gsx") for seed in (0, 1)]
+        pairs.append((spec_for("wigs_mab"), 2))  # a run of one, after the CV sort
+        traces = run_block(dataset, pairs)
+        assert sizes[:3] == [2, 4, 2]  # iteration 0, P·L = 57·3: igs, then WiGS
+        assert {2, 3, 4} <= set(sizes) and 5 not in sizes
+        for (spec, seed), trace in zip(pairs, traces):
+            assert_same_trace(trace, run_replication(dataset, spec, seed))
+
     def test_one_kernel_call_per_group_and_iteration(self, dataset, monkeypatch):
         """One refit for the whole block, one CV call for the CV pairs and one
         committee call per committee size, each over exactly those pairs, and
@@ -1041,7 +1109,8 @@ class TestFailureIsolation:
 
     @staticmethod
     def patch_gsx(monkeypatch, bad_seed):
-        """gsx with a selector that raises at the 5th acquisition of ``bad_seed``."""
+        """gsx with a selector that raises at the 5th acquisition of ``bad_seed``,
+        and no block scorer, so the block calls that selector on every row."""
         real = KINDS["gsx"]
 
         def select(q):
@@ -1051,7 +1120,8 @@ class TestFailureIsolation:
             return real.select(q)
 
         monkeypatch.setitem(KINDS, "gsx", dataclasses.replace(
-            real, select=select, setup=lambda dataset, seed: {"seed": seed, "calls": 0}))
+            real, select=select, scorer=None,
+            setup=lambda dataset, seed: {"seed": seed, "calls": 0}))
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_other_seeds_keep_their_traces(self, tmp_path, monkeypatch, parallelism):
@@ -1107,6 +1177,22 @@ class TestTimings:
         assert (fitted.wall_ms[1:] >= self.SLEEP_MS).all()
         # an even split would put at least SLEEP_MS / 2 on every passive row
         assert np.median(passive.wall_ms[1:]) < self.SLEEP_MS / 4
+
+    def test_a_scoring_group_is_timed_on_its_rows(self, dataset, monkeypatch):
+        """A slow group call lands 1/G on each of its G rows, and on no
+        other pair's rows."""
+        real = wigs.harness.select_stacked
+
+        def slow(*args):
+            time.sleep(self.SLEEP_MS / 1000.0)
+            return real(*args)
+
+        monkeypatch.setattr(wigs.harness, "select_stacked", slow)
+        passive, *scored = run_block(dataset, [(spec_for("passive"), 0)]
+                                     + [(spec_for("wigs_static"), seed) for seed in range(4)])
+        for trace in scored:  # n = 60: P·L stays under the budget, one group of 4
+            assert (trace.wall_ms[1:] >= self.SLEEP_MS / 4).all()
+        assert np.median(passive.wall_ms[1:]) < self.SLEEP_MS / 8
 
 
 class TestVetoDemo:

@@ -11,7 +11,7 @@ from wigs.geometry import (
     pairwise_distances,
 )
 from wigs.config import MethodSpec
-from wigs.harness import run_replication
+from wigs.harness import SCORE_BUDGET, run_replication
 from wigs.model import fit_bootstrap_committee, fit_ridge
 from wigs.rng import generator
 from wigs.selectors import (
@@ -22,6 +22,7 @@ from wigs.selectors import (
     emcm_scores,
     igs_scores,
     lower_quartile,
+    pick_rows,
     qbc_scores,
     select_egal,
     select_emcm,
@@ -30,9 +31,11 @@ from wigs.selectors import (
     select_igs,
     select_passive,
     select_qbc,
+    select_stacked,
     select_uncertainty,
     select_wigs,
     uncertainty_scores,
+    SelectionResult,
     _pick,
     verify_density_veto,
     wigs_scores,
@@ -217,6 +220,98 @@ class TestScoringBuffers:
         finally:
             tracemalloc.stop()
         assert peak < (buffers + 0.2) * 8 * (n - k) * k
+
+
+def group_caches(rng, group, n_pool, n_labeled):
+    """``group`` caches of one (P, L) shape, the four styles in turn: random
+    rows; identical rows, whose feature distances all equal (max == min);
+    rows and predictions on a small lattice, which tie scores; and
+    targets equal to the predictions, whose output distances are all 0."""
+    n = n_pool + n_labeled
+    caches = []
+    for g in range(group):
+        style = g % 4
+        features = (np.tile([[0.3, -1.0]], (n, 1)) if style == 1
+                    else rng.integers(0, 3, size=(n, 2)).astype(float) if style == 2
+                    else rng.normal(size=(n, 2)))
+        targets = np.full(n, 0.7) if style == 3 else rng.normal(size=n)
+        predictions = (np.full(n_pool, 0.7) if style == 3
+                       else rng.integers(0, 3, size=n_pool).astype(float) if style == 2
+                       else rng.normal(size=n_pool))
+        caches.append(fixed_cache(features, targets, predictions, n_labeled))
+    return caches
+
+
+def stacked_inputs(caches):
+    return ([cache.dx_pair for cache in caches], np.stack([cache.predictions for cache in caches]),
+            np.stack([cache.labeled_targets for cache in caches]))
+
+
+class TestStackedScoring:
+    """A group of rows scored at once gives each row the bits of its own
+    selector: WiGS at weights 0, 1 and inside, igs, and gsx's argmax over
+    the rows of nearest-labeled distances."""
+
+    SHAPES = [(6, 12, 4), (9, 30, 10), (5, 60, 60), (2, 130, 130)]
+
+    @pytest.mark.parametrize("group, n_pool, n_labeled", SHAPES)
+    def test_rows_match_their_own_selectors(self, group, n_pool, n_labeled):
+        assert 130 * 130 > SCORE_BUDGET > 60 * 60  # P·L on both sides of the budget
+        rng = np.random.default_rng(group * 1000 + n_pool)
+        for trial in range(4):
+            caches = group_caches(rng, group, n_pool, n_labeled)
+            dx_before = [cache.dx_pair.copy() for cache in caches]
+            weights = [(0.0, 1.0, 0.5, 0.25, float(rng.uniform()))[(g + trial) % 5]
+                       for g in range(group)]
+            chosen, scores = select_stacked(*stacked_inputs(caches), weights)
+            for g, cache in enumerate(caches):
+                want = _pick(wigs_scores(normalize_phi(cache.dx_pair),
+                                         normalize_phi(cache.dy_pair), weights[g]))
+                got = SelectionResult(int(chosen[g]), scores[g])
+                assert same_result(got, want), (g, weights[g])
+            chosen, scores = select_stacked(*stacked_inputs(caches))
+            for g, cache in enumerate(caches):
+                want = _pick(igs_scores(cache.dx_pair, cache.dy_pair))
+                assert same_result(SelectionResult(int(chosen[g]), scores[g]), want), g
+            chosen, scores = pick_rows(np.stack([cache.dx_min for cache in caches]))
+            for g, cache in enumerate(caches):
+                assert same_result(SelectionResult(int(chosen[g]), scores[g]), select_gsx(cache))
+            for cache, before in zip(caches, dx_before):
+                assert cache.dx_pair.tobytes() == before.tobytes()
+
+    def test_ties_go_to_the_lowest_position(self):
+        caches = group_caches(np.random.default_rng(5), 3, 20, 5)
+        chosen, scores = select_stacked(*stacked_inputs(caches), [1.0, 1.0, 1.0])
+        assert chosen[1] == 0 and scores[1] == 0.0  # identical rows: every score is 0
+        chosen, scores = select_stacked(*stacked_inputs(caches))
+        assert chosen[1] == 0 and scores[1] == 0.0
+
+    def test_weights_outside_the_unit_interval_refused(self):
+        caches = group_caches(np.random.default_rng(6), 2, 8, 3)
+        for weights in ([0.5, 1.5], [-0.1, 0.5], [0.5, float("nan")]):
+            with pytest.raises(ValueError, match="weights must lie in"):
+                select_stacked(*stacked_inputs(caches), weights)
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["wigs", "igs"])
+    def test_peak_memory_of_a_group_at_the_budget(self, weighted):
+        """One group at the budget holds its (2, G, P, L) buffer, two floats
+        per element of the budget, one of numpy's fixed ufunc buffers for
+        the broadcast subtraction, and its (G, P) scores."""
+        rng = np.random.default_rng(35)
+        n_pool, n_labeled = 64, 32
+        group = SCORE_BUDGET // (n_pool * n_labeled)
+        assert group * n_pool * n_labeled == SCORE_BUDGET
+        dx_pairs = [rng.uniform(size=(n_pool, n_labeled)) for _ in range(group)]
+        predictions = rng.normal(size=(group, n_pool))
+        targets = rng.normal(size=(group, n_labeled))
+        weights = list(rng.uniform(size=group)) if weighted else None
+        tracemalloc.start()
+        try:
+            select_stacked(dx_pairs, predictions, targets, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * SCORE_BUDGET + 8 * np.getbufsize() + 8 * group * n_pool + 4096
 
 
 class TestBruteForceOracles:
