@@ -29,14 +29,17 @@ dataset = scale_features(sample_two_regime(120, seed=3), "zscore")
 split = initial_split(dataset, 0.05, seed=1)
 X, y = dataset.features, dataset.targets
 
-model = fit_ridge(X[split.labeled_idx], y[split.labeled_idx], alpha=0.01)
-preds = model.predict(X[split.pool_idx])
+# one labeled set is a block of one row: its fit is row 0 of each array
+fits = fit_ridge(X[split.labeled_idx], y[split.labeled_idx], alpha=0.01)
+pool_X = X[split.pool_idx]
+preds = pool_X @ fits.coefficients[0] + fits.intercepts[0]
 # the distance state of a block of one replication: row 0 of its partitions
 partitions = PartitionBlock(dataset, [split])
 cache = build_cache(DistanceBlock(dataset.feature_distances, partitions, 1), 0, preds)
 # member i resamples with generator(1 + i, "bootstrap")
 counts = bootstrap_counts(len(split.labeled_idx),
                           [generator(1 + i, "bootstrap") for i in range(10)])
+# the members' (B, p) coefficients and (B,) intercepts
 committee = fit_bootstrap_committee(X[split.labeled_idx], y[split.labeled_idx], 0.01, counts)
 egal_state = egal_setup(dataset, seed=1)
 
@@ -47,9 +50,10 @@ picks = {
     "igs": select_igs(cache),
     "wigs w=0.25": select_wigs(cache, 0.25),
     "wigs w=0.75": select_wigs(cache, 0.75),
-    "uncertainty": select_uncertainty(model, X[split.pool_idx]),
-    "qbc": select_qbc(committee, X[split.pool_idx]),
-    "emcm": select_emcm(model, committee, X[split.pool_idx]),
+    "uncertainty": select_uncertainty(pool_X, fits.feature_means[0], fits.gram_inverse[0],
+                                      fits.sigma2_hat[0]),
+    "qbc": select_qbc(pool_X, *committee),
+    "emcm": select_emcm(pool_X, preds, fits.feature_means[0], *committee),
     "egal": select_egal(cache, egal_state),
 }
 

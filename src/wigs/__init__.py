@@ -36,8 +36,7 @@ from .metrics import (
     wilcoxon_signed_rank,
 )
 from .model import (
-    Committee,
-    RidgeModel,
+    RidgeFits,
     bootstrap_counts,
     cv_rmse,
     fit_bootstrap_committee,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .geometry import DistanceCache
-from .model import Committee, RidgeModel
+from .model import RidgeFits
 from .rng import generator
 from .sac import SacConfig
 from .sac import state_bytes as sac_state_bytes
@@ -72,12 +72,17 @@ class Param:
 
 class Query(NamedTuple):
     """What a selector may read at one iteration (a tuple: one is built per
-    pair per iteration)."""
+    pair per iteration).  The pair's fit is row ``row`` of the block's
+    ``fits``, whose residual variances are computed only if a selector
+    reads them; ``predictions`` is its (P,) row of pool predictions, and
+    ``committee`` its members' (B, p) coefficients and (B,) intercepts."""
 
-    model: RidgeModel | None  # built only for the kinds that read it (``Kind.model``)
+    fits: RidgeFits
+    row: int
     pool_features: np.ndarray
+    predictions: np.ndarray
     cache: DistanceCache | None
-    committee: Committee | None
+    committee: tuple[np.ndarray, np.ndarray] | None
     weight: float | None
     state: object  # the value the kind's ``setup`` built for this run
 
@@ -93,7 +98,9 @@ class Kind:
     ``state_bytes`` bounds what that controller and setup state hold for
     the resolved params on an N-row dataset, for the kinds where it grows
     with N or is large.  The flags name what the loop computes each
-    iteration for this kind.  ``scorer`` names the block scorer: the block
+    iteration for this kind, besides the refit and the pool predictions
+    that every pair gets and ``select`` reads as rows of the block's arrays
+    (``Query``).  ``scorer`` names the block scorer: the block
     scores consecutive rows whose kinds name the same one together, with
     the bits ``select`` gives each row (``wigs.harness._Block.select``).
     """
@@ -107,7 +114,6 @@ class Kind:
     cv_reward: bool = False  # the policy is fed the drop in CV RMSE
     sac_state: bool = False  # the policy is fed the learning-context vector
     committee: bool = False  # a bootstrap committee is refit before selection
-    model: bool = False      # the selector reads the pair's fitted model
     scorer: str | None = None  # the block scorer of runs of rows: "gsx", "igs" or "wigs"
 
 
@@ -188,10 +194,13 @@ KINDS: dict[str, Kind] = {
         policy=lambda p, seed: SacPolicy(SacConfig(**p), generator(seed, "sac")),
         state_bytes=lambda p, n: sac_state_bytes(SacConfig(**p), n),
         cache=True, cv_reward=True, sac_state=True, scorer="wigs"),
-    "uncertainty": Kind(lambda q: select_uncertainty(q.model, q.pool_features), model=True),
-    "qbc": Kind(lambda q: select_qbc(q.committee, q.pool_features), _COMMITTEE, committee=True),
-    "emcm": Kind(lambda q: select_emcm(q.model, q.committee, q.pool_features), _COMMITTEE,
-                 committee=True, model=True),
+    "uncertainty": Kind(lambda q: select_uncertainty(
+        q.pool_features, q.fits.feature_means[q.row], q.fits.gram_inverse[q.row],
+        q.fits.sigma2_hat[q.row])),
+    "qbc": Kind(lambda q: select_qbc(q.pool_features, *q.committee), _COMMITTEE, committee=True),
+    "emcm": Kind(lambda q: select_emcm(q.pool_features, q.predictions,
+                                       q.fits.feature_means[q.row], *q.committee),
+                 _COMMITTEE, committee=True),
     "egal": Kind(lambda q: select_egal(q.cache, q.state), setup=egal_setup,
                  state_bytes=lambda p, n: 8 * n * n, cache=True),  # the similarity matrix
 }
@@ -253,6 +262,10 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        if not (self.csv_path is None or isinstance(self.csv_path, str)):
+            raise ValueError("csv_path must be a path string or None")
+        if not isinstance(self.out_dir, str):
+            raise ValueError("out_dir must be a path string")
         if (self.csv_path is None) == (self.dgp is None):
             raise ValueError("specify exactly one dataset source: csv_path or dgp")
         if self.dgp is not None:
@@ -355,7 +368,7 @@ _YAML_FIELDS = {
     "split": {"initial_fraction": ("initial_fraction", float)},
     "model": {"alpha": ("alpha", float), "cv_folds": ("cv_folds", _read_int)},
     "run": {"replications": ("replications", _read_int), "base_seed": ("base_seed", _read_int),
-            "parallelism": ("parallelism", _read_int), "out_dir": ("out_dir", str)},
+            "parallelism": ("parallelism", _read_int), "out_dir": ("out_dir", None)},
 }
 
 

@@ -260,7 +260,7 @@ class _Block:
         refit names the pairs whose own fit fails."""
         X, y = self.labeled
         try:
-            self.model = fit_ridge(X, y, self.alpha)
+            self.fits = fit_ridge(X, y, self.alpha)
         except Exception as exc:
             if not slot:
                 raise
@@ -290,8 +290,9 @@ class _Block:
             if group.committee_size:
                 counts = np.stack([bootstrap_counts(k, map(state_generator, members))
                                    for members in group.bootstrap[:, step]])
-                self.committees[rows] = fit_bootstrap_committee(X[rows], y[rows], self.alpha,
-                                                                counts[group.which])
+                # each row's (B, p) coefficients and (B,) intercepts
+                self.committees[rows] = zip(*fit_bootstrap_committee(
+                    X[rows], y[rows], self.alpha, counts[group.which]))
                 self.charge(group.seconds, t + 1)
 
     def select(self, t: int) -> None:
@@ -336,11 +337,10 @@ class _Block:
             cuts = [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
             alone = alone + [lo for lo, hi in cuts if hi - lo == 1]
             groups += [(scorer, lo, hi) for lo, hi in cuts if hi - lo > 1]
-        pools = self.features[:, n_labeled:]
+        pools, preds = self.features[:, n_labeled:], self.preds[:, 1:]
         for r in alone:
-            kind = kinds[r]
-            result = kind.select(Query(self.model[r] if kind.model else None, pools[r],
-                                       caches[r], self.committees[r], weights[r], self.states[r]))
+            result = kinds[r].select(Query(self.fits, r, pools[r], preds[r], caches[r],
+                                           self.committees[r], weights[r], self.states[r]))
             positions[r] = result.chosen
             self.score[r, slot] = result.score
             now = clock()
@@ -391,11 +391,11 @@ class _Block:
         (R, P + 1) buffer, which its distance cache then reads: each pair's
         product with its coefficients, then every intercept in one add,
         shared by all R pairs."""
-        clock, last, own, model = time.perf_counter, self.last, self.own, self.model
+        clock, last, own, fits = time.perf_counter, self.last, self.own, self.fits
         pools = self.features[:, self.partitions.n_labeled:]
         buffer = self.preds = np.empty((len(pools), self.partitions.n_pool + 1))
         for r, cache in enumerate(self.caches):
-            preds = pools[r].dot(model.coefficients[r], buffer[r, 1:])
+            preds = pools[r].dot(fits.coefficients[r], buffer[r, 1:])
             if cache is not None:
                 cache.predictions = preds
             now = clock()
@@ -403,7 +403,7 @@ class _Block:
             last = now
         self.last = last
         pool = buffer[:, 1:]
-        pool += model.intercepts[:, None]
+        pool += fits.intercepts[:, None]
         self.charge(self.everyone_s, slot)
 
     def record(self, slot: int) -> None:

@@ -9,8 +9,10 @@ bootstrap committee a row of resample counts per member.  The CV shuffle
 and the resamples come in drawn (``fold_assignment``, ``bootstrap_counts``),
 so the caller derives their random streams.  The public fits
 take one labeled set, (k, p), as the block of one it is a view of, or a
-stacked block, (R, k, p), and then return one result per set: a plain fit
-of a block returns its arrays, ``RidgeFits``, with no object per set.
+stacked block, (R, k, p).  Every result is arrays, with no object per set:
+a plain fit gives ``RidgeFits`` (one row per set, so one row for one set),
+a committee its member coefficients and intercepts, (R, B, p) and (R, B)
+for a block, (B, p) and (B,) for one set.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ class FoldWarning(UserWarning):
     """Recorded when the requested fold count exceeds the sample count."""
 
 
+# Nothing in the package builds this any more; it stays only while
+# bench/tracing.py names its ``predict`` as the ``model.predict`` layer.
 @dataclass(frozen=True)
 class RidgeModel:
     coefficients: np.ndarray   # (p,)
@@ -44,13 +48,13 @@ class RidgeModel:
 
 @dataclass
 class RidgeFits:
-    """The plain fits of a block of R labeled sets, one row per set.
+    """The plain fits of a block of R labeled sets, one row per set; a fit of
+    one set is a block of one row.  Set r's fit is row r of each array.
 
-    ``fits[r]`` is set r's ``RidgeModel``, built on demand from views of
-    these arrays, so a block that predicts from the arrays builds none.
-    The residual variances are computed on their first read, from the
-    training block ``X`` (R, k, p), ``y`` (R, k), which must not change
-    before it: a block whose kinds read no model never pays for them.
+    The residual variances are computed on their first read, for every row
+    at once, from the training block ``X`` (R, k, p), ``y`` (R, k), which
+    must not change before it: a block whose kinds read no variance never
+    pays for them.
     """
 
     coefficients: np.ndarray   # (R, p)
@@ -70,10 +74,6 @@ class RidgeFits:
 
     def __len__(self) -> int:
         return len(self.intercepts)
-
-    def __getitem__(self, r: int) -> RidgeModel:
-        return RidgeModel(self.coefficients[r], float(self.intercepts[r]),
-                          float(self.sigma2_hat[r]), self.gram_inverse[r], self.feature_means[r])
 
 
 def _singular(err, flag):
@@ -145,15 +145,15 @@ def _block(X, y) -> tuple[np.ndarray, np.ndarray, bool]:
     return X, y, stacked
 
 
-def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel | RidgeFits:
+def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeFits:
     """Fit ridge coefficients on column-centered data; intercept unpenalized.
 
-    X (k, p) and y (k,) give one model; a block X (R, k, p) and y (R, k)
-    gives its arrays, ``RidgeFits``, each set's row the same bits as its own
-    2-D fit.  sigma2_hat is the residual variance RSS / max(k - p - 1, 1);
-    the floor keeps it defined for the tiny labeled sets of early iterations.
+    A block X (R, k, p) and y (R, k) gives ``RidgeFits`` of R rows, each
+    set's row the same bits as its own fit; X (k, p) and y (k,) give one
+    row.  sigma2_hat is the residual variance RSS / max(k - p - 1, 1); the
+    floor keeps it defined for the tiny labeled sets of early iterations.
     """
-    X, y, stacked = _block(X, y)
+    X, y, _ = _block(X, y)
     if X.shape[1] < 2:
         raise ValueError("need at least 2 training rows")
     if not 0 < alpha < math.inf:  # NaN fails both comparisons
@@ -163,18 +163,19 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel | RidgeF
             and not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite training data")
     coef, intercepts, gram_inverse, x_mean = _ridge(X, y, None, alpha)
-    fits = RidgeFits(coef[:, 0], intercepts[:, 0], gram_inverse[:, 0], x_mean[:, 0], X, y)
-    return fits if stacked else fits[0]
+    return RidgeFits(coef[:, 0], intercepts[:, 0], gram_inverse[:, 0], x_mean[:, 0], X, y)
 
 
-def predictive_variance_batch(model: RidgeModel, X: np.ndarray) -> np.ndarray:
-    """Analytic predictive variance sigma2_hat * xc' (Xc'Xc + aI)^-1 xc
-    for every row of a (n, p) matrix."""
+def predictive_variance_batch(X: np.ndarray, feature_means: np.ndarray,
+                              gram_inverse: np.ndarray, sigma2: float) -> np.ndarray:
+    """Analytic predictive variance sigma2 * xc' (Xc'Xc + aI)^-1 xc for every
+    row of a (n, p) matrix, from one fit's (p,) means, (p, p) inverse Gram
+    and residual variance (a row of ``RidgeFits``)."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.feature_means.shape[0]:
+    if X.ndim != 2 or X.shape[1] != feature_means.shape[0]:
         raise ValueError("feature dimension mismatch")
-    Xc = X - model.feature_means
-    return model.sigma2_hat * np.einsum("ij,jk,ik->i", Xc, model.gram_inverse, Xc)
+    Xc = X - feature_means
+    return sigma2 * np.einsum("ij,jk,ik->i", Xc, gram_inverse, Xc)
 
 
 def fold_assignment(k: int, folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -227,26 +228,6 @@ def cv_rmse(X: np.ndarray, y: np.ndarray, alpha: float, fold) -> float | list[fl
     return rmse if stacked else rmse[0]
 
 
-@dataclass(frozen=True)
-class Committee:
-    """Ridge models fitted on bootstrap resamples of the same labeled set."""
-
-    coefficients: np.ndarray  # (B, p), one row per member
-    intercepts: np.ndarray    # (B,)
-
-    def __post_init__(self):
-        if len(self.intercepts) < 2:
-            raise ValueError("a committee needs at least 2 members")
-
-    @property
-    def size(self) -> int:
-        return len(self.intercepts)
-
-    def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Member predictions stacked as a (B, n) matrix."""
-        return (np.asarray(X, dtype=float) @ self.coefficients.T + self.intercepts).T
-
-
 def bootstrap_counts(k: int, rngs) -> np.ndarray:
     """(B, k) resample counts of k rows: member i draws k rows with
     replacement from ``rngs[i]``, so no member's resample depends on the
@@ -260,11 +241,12 @@ def bootstrap_counts(k: int, rngs) -> np.ndarray:
 
 def fit_bootstrap_committee(
     X: np.ndarray, y: np.ndarray, alpha: float, counts
-) -> Committee | list[Committee]:
+) -> tuple[np.ndarray, np.ndarray]:
     """B ridge fits on with-replacement resamples of size k, one per row of
-    the (B, k) resample ``counts`` (``bootstrap_counts``).  A block X
-    (R, k, p), y (R, k) takes (R, B, k) counts and gives the list of R
-    committees, all R·B members in one kernel call.
+    the (B, k) resample ``counts`` (``bootstrap_counts``): the members'
+    coefficients (B, p) and intercepts (B,).  A block X (R, k, p), y (R, k)
+    takes (R, B, k) counts and gives (R, B, p) and (R, B), all R·B members
+    in one kernel call.
     """
     X, y, stacked = _block(X, y)
     R, k, _ = X.shape
@@ -279,5 +261,4 @@ def fit_bootstrap_committee(
     if k < 2:
         raise ValueError("need at least 2 training rows")
     coef, intercepts, _, _ = _ridge(X, y, counts, alpha)
-    committees = [Committee(coefficients=coef[r], intercepts=intercepts[r]) for r in range(R)]
-    return committees if stacked else committees[0]
+    return (coef, intercepts) if stacked else (coef[0], intercepts[0])

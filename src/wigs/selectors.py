@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset
 from .geometry import DistanceCache, normalize_phi
 from .geometry import pairwise_distances  # noqa: F401  a site that bench/tracing.py wraps
-from .model import Committee, RidgeModel, predictive_variance_batch
+from .model import predictive_variance_batch
 from .rng import generator
 
 
@@ -169,47 +169,51 @@ def select_stacked(dx_pairs, predictions: np.ndarray, targets: np.ndarray,
     return pick_rows(scores)
 
 
-def uncertainty_scores(model: RidgeModel, pool_features: np.ndarray) -> np.ndarray:
-    return predictive_variance_batch(model, pool_features)
+def uncertainty_scores(pool_features: np.ndarray, feature_means: np.ndarray,
+                       gram_inverse: np.ndarray, sigma2: float) -> np.ndarray:
+    return predictive_variance_batch(pool_features, feature_means, gram_inverse, sigma2)
 
 
-def select_uncertainty(model: RidgeModel, pool_features: np.ndarray) -> SelectionResult:
+def select_uncertainty(pool_features: np.ndarray, feature_means: np.ndarray,
+                       gram_inverse: np.ndarray, sigma2: float) -> SelectionResult:
     """Candidate with the largest analytic predictive variance."""
-    return _pick(uncertainty_scores(model, pool_features))
+    return _pick(uncertainty_scores(pool_features, feature_means, gram_inverse, sigma2))
 
 
-def qbc_scores(committee: Committee, pool_features: np.ndarray) -> np.ndarray:
-    """Population variance of committee member predictions per candidate."""
-    return committee.predict_matrix(pool_features).var(axis=0)
+def qbc_scores(pool_features: np.ndarray, coefficients: np.ndarray,
+               intercepts: np.ndarray) -> np.ndarray:
+    """Population variance of the committee members' predictions per
+    candidate, from their (B, p) coefficients and (B,) intercepts."""
+    return (pool_features @ coefficients.T + intercepts).T.var(axis=0)
 
 
-def select_qbc(committee: Committee, pool_features: np.ndarray) -> SelectionResult:
+def select_qbc(pool_features: np.ndarray, coefficients: np.ndarray,
+               intercepts: np.ndarray) -> SelectionResult:
     """Candidate the bootstrap committee disagrees about the most."""
-    return _pick(qbc_scores(committee, pool_features))
+    return _pick(qbc_scores(pool_features, coefficients, intercepts))
 
 
-def emcm_scores(
-    model: RidgeModel, committee: Committee, pool_features: np.ndarray
-) -> np.ndarray:
+def emcm_scores(pool_features: np.ndarray, predictions: np.ndarray, feature_means: np.ndarray,
+                coefficients: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
     """Expected gradient-norm change of the squared loss at each candidate.
 
-    The committee predictions stand in for the unknown label; the gradient
-    of the squared loss for a linear model is the residual times the
-    (centered, intercept-augmented) feature vector, so each term's norm is
+    ``predictions`` are the fitted model's on the pool, and ``feature_means``
+    its training means; the committee's (B, p) coefficients and (B,)
+    intercepts stand in for the unknown label.  The gradient of the squared
+    loss for a linear model is the residual times the (centered,
+    intercept-augmented) feature vector, so each term's norm is
     |residual| * ||x_tilde||.
     """
-    pool_features = np.asarray(pool_features, dtype=float)
-    centered = pool_features - model.feature_means
+    centered = pool_features - feature_means
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered) + 1.0)
-    residuals = np.abs(model.predict(pool_features)[None, :] - committee.predict_matrix(pool_features))
+    residuals = np.abs(predictions[None, :] - (pool_features @ coefficients.T + intercepts).T)
     return residuals.mean(axis=0) * norms
 
 
-def select_emcm(
-    model: RidgeModel, committee: Committee, pool_features: np.ndarray
-) -> SelectionResult:
+def select_emcm(pool_features: np.ndarray, predictions: np.ndarray, feature_means: np.ndarray,
+                coefficients: np.ndarray, intercepts: np.ndarray) -> SelectionResult:
     """Candidate expected to move the model parameters the most."""
-    return _pick(emcm_scores(model, committee, pool_features))
+    return _pick(emcm_scores(pool_features, predictions, feature_means, coefficients, intercepts))
 
 
 def egal_bandwidth(dx: np.ndarray, seed: int, sample_cap: int = 500) -> float:

@@ -77,8 +77,11 @@ def test_criterion_02_selector_oracle_equivalence():
         split = SplitState(order[:k], order[k:], seed=0)
         X, y = ds.features, ds.targets
         labeled_idx, pool_idx = split.labeled_idx, split.pool_idx
-        model = fit_ridge(X[labeled_idx], y[labeled_idx], 0.01)
-        preds = model.predict(X[pool_idx])
+        fits = fit_ridge(X[labeled_idx], y[labeled_idx], 0.01)  # a block of one row
+        coef, intercept = fits.coefficients[0], fits.intercepts[0]
+        means, gram_inverse = fits.feature_means[0], fits.gram_inverse[0]
+        sigma2 = fits.sigma2_hat[0]
+        preds = X[pool_idx] @ coef + intercept
         cache = cache_of(ds, split, preds)
         committee = fit_bootstrap_committee(X[labeled_idx], y[labeled_idx],
                                             0.01, counts_of(len(labeled_idx), 5, 7))
@@ -99,12 +102,12 @@ def test_criterion_02_selector_oracle_equivalence():
             brute_igs.append(min(a * b for a, b in zip(dx, dy)))
             brute_wigs.append(min(w * phi_x[pos, m] + (1 - w) * phi_y[pos, m]
                                   for m in range(k)))
-            xc = X[i] - model.feature_means
-            brute_unc.append(model.sigma2_hat * float(xc @ model.gram_inverse @ xc))
+            xc = X[i] - means
+            brute_unc.append(sigma2 * float(xc @ gram_inverse @ xc))
             member_preds = [X[i] @ c + b for c, b in zip(coefs, intercepts)]
             brute_qbc.append(float(np.var(member_preds)))
             x_tilde = np.append(xc, 1.0)
-            f = model.predict(X[i])
+            f = X[i] @ coef + intercept
             brute_emcm.append(float(np.mean(
                 [np.linalg.norm((f - mp) * x_tilde) for mp in member_preds])))
 
@@ -113,9 +116,9 @@ def test_criterion_02_selector_oracle_equivalence():
             (cache.dy_min, brute_gsy),
             (igs_scores(cache.dx_pair, cache.dy_pair), brute_igs),
             (wigs_scores(phi_x, phi_y, w), brute_wigs),
-            (uncertainty_scores(model, pool_X), brute_unc),
-            (qbc_scores(committee, pool_X), brute_qbc),
-            (emcm_scores(model, committee, pool_X), brute_emcm),
+            (uncertainty_scores(pool_X, means, gram_inverse, sigma2), brute_unc),
+            (qbc_scores(pool_X, *committee), brute_qbc),
+            (emcm_scores(pool_X, preds, means, *committee), brute_emcm),
         ]
         for got, expected in checks:
             worst = max(worst, float(np.max(np.abs(got - np.array(expected)))))

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import pathlib
 import re
 import time
 import types
@@ -200,21 +201,33 @@ methods:
         ("categorical_columns", ["color", 3], "expected a list of column names"),
         ("categorical_columns", 3, "expected a list of column names"),
         ("categorical_columns", {"color": 1}, "expected a list of column names"),
+        ("csv_path", pathlib.Path("d.csv"), "csv_path must be a path string or None"),
+        ("csv_path", 7, "csv_path must be a path string or None"),
+        ("csv_path", ["d.csv"], "csv_path must be a path string or None"),
+        ("out_dir", pathlib.Path("out"), "out_dir must be a path string"),
+        ("out_dir", 5, "out_dir must be a path string"),
+        ("out_dir", None, "out_dir must be a path string"),
     ]
 
     @pytest.mark.parametrize("field, value, message", SEED_AND_NAME_CASES)
     def test_seed_and_name_fields_refused_on_every_path(self, tmp_path, field, value, message):
         """The constructor, the snapshot reader and the YAML reader refuse the
         same values with the same error; the YAML reader names its key, and
-        refuses a fraction itself before the constructor sees it."""
-        settings = {"dgp": "two_regime", "n": 50, "methods": (MethodSpec("igs", "igs"),)}
+        refuses a fraction itself before the constructor sees it.  A
+        ``csv_path`` row replaces the generator with a CSV source, and a path
+        object, which no YAML document holds, skips the YAML reader."""
+        source = {"csv_path": "d.csv"} if field == "csv_path" else {"dgp": "two_regime", "n": 50}
+        settings = {**source, "methods": (MethodSpec("igs", "igs"),)}
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(**{**settings, field: value})
         with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict({**config_to_dict(ExperimentConfig(**settings)), field: value})
         (section, key), = [(section, key) for section, entries in wigs.config._YAML_FIELDS.items()
                            for key, (name, _) in entries.items() if name == field]
-        document = {"dataset": {"dgp": "two_regime", "n": 50}}
+        if isinstance(value, pathlib.PurePath):
+            return
+        document = {"dataset": {"csv": "d.csv"} if field == "csv_path" else
+                    {"dgp": "two_regime", "n": 50}}
         document.setdefault(section, {})[key] = value
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(document))
@@ -444,9 +457,9 @@ def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0
         rows["cc"].append(correlation_coefficient(hybrid, y))
         rows["labeled"].append(len(labeled))
 
-    model = fit_ridge(X[labeled], y[labeled], alpha)
+    fits = fit_ridge(X[labeled], y[labeled], alpha)  # a block of one row
     pool_features = X[pool]
-    pool_preds = model.predict(pool_features)
+    pool_preds = pool_features @ fits.coefficients[0] + fits.intercepts[0]
     record(pool_preds)
     rows["acquired"].append(-1)
     rows["score"].append(np.nan)
@@ -476,15 +489,16 @@ def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0
             counts = bootstrap_counts(len(labeled), [generator(child + i, "bootstrap")
                                                      for i in range(params["committee_size"])])
             committee = fit_bootstrap_committee(X[labeled], y[labeled], alpha, counts)
-        result = kind.select(Query(model, pool_features, cache, committee, weight, state))
+        result = kind.select(Query(fits, 0, pool_features, pool_preds, cache, committee, weight,
+                                   state))
 
         pos = result.chosen
         ds_idx = pool[pos]
         labeled.append(ds_idx)
         del pool[pos]
-        model = fit_ridge(X[labeled], y[labeled], alpha)
+        fits = fit_ridge(X[labeled], y[labeled], alpha)
         pool_features = X[pool]
-        pool_preds = model.predict(pool_features)
+        pool_preds = pool_features @ fits.coefficients[0] + fits.intercepts[0]
         if kind.cache:
             cache = fresh_cache(pool_preds)
 

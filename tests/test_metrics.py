@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -42,9 +43,9 @@ class TestFullPoolRmse:
     def test_integration_with_model(self):
         ds = sample_two_regime(40, seed=3)
         split = initial_split(ds, 0.1, seed=1)
-        model = fit_ridge(ds.features[split.labeled_idx],
-                          ds.targets[split.labeled_idx], 0.01)
-        preds = model.predict(ds.features[split.pool_idx])
+        fits = fit_ridge(ds.features[split.labeled_idx],
+                         ds.targets[split.labeled_idx], 0.01)
+        preds = ds.features[split.pool_idx] @ fits.coefficients[0] + fits.intercepts[0]
         resid = preds - ds.targets[split.pool_idx]
         value = hybrid_rmse(resid, ds.n_samples)
         assert value == pytest.approx(math.sqrt(float(resid @ resid) / 40))
@@ -397,3 +398,25 @@ def test_import_wigs_defers_yaml_and_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_package_imports_itself_only_relatively():
+    # the package must load under a second name, so no module of it may
+    # import wigs by its absolute name, at module level or inside a function
+    package = os.path.dirname(wigs.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {module}" for module in modules
+                      if module == "wigs" or module.startswith("wigs.")]
+    assert found == []

@@ -116,32 +116,33 @@ def gd_ridge_oracle(X, y, alpha, tol=1e-12, max_iter=200_000):
 
 class TestFitRidge:
     def test_two_point_closed_form(self):
-        model = fit_ridge(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), alpha=0.01)
+        fits = fit_ridge(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), alpha=0.01)
+        assert len(fits) == 1  # one set is a block of one row
         slope = 0.5 / (0.5 + 0.01)  # centered 1-D closed form
-        assert model.coefficients[0] == pytest.approx(slope, abs=1e-15)
-        assert model.intercept == pytest.approx(0.5 - slope * 0.5, abs=1e-15)
+        assert fits.coefficients[0, 0] == pytest.approx(slope, abs=1e-15)
+        assert fits.intercepts[0] == pytest.approx(0.5 - slope * 0.5, abs=1e-15)
 
     def test_constant_target(self):
-        model = fit_ridge(np.array([[0.0], [1.0], [2.0]]), np.full(3, 7.0), alpha=0.01)
-        assert np.allclose(model.coefficients, 0.0)
-        assert model.intercept == pytest.approx(7.0)
+        fits = fit_ridge(np.array([[0.0], [1.0], [2.0]]), np.full(3, 7.0), alpha=0.01)
+        assert np.allclose(fits.coefficients[0], 0.0)
+        assert fits.intercepts[0] == pytest.approx(7.0)
 
     def test_matches_gradient_descent_oracle(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
-        model = fit_ridge(X, y, alpha=0.01)
+        fits = fit_ridge(X, y, alpha=0.01)
         oracle = gd_ridge_oracle(X, y, alpha=0.01)
-        assert np.allclose(model.coefficients, oracle, rtol=1e-6, atol=1e-9)
+        assert np.allclose(fits.coefficients[0], oracle, rtol=1e-6, atol=1e-9)
 
     def test_ols_limit(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
-        model = fit_ridge(X, y, alpha=1e-10)
+        fits = fit_ridge(X, y, alpha=1e-10)
         Xc = X - X.mean(axis=0)
         ols, *_ = np.linalg.lstsq(Xc, y - y.mean(), rcond=None)
-        assert np.allclose(model.coefficients, ols, rtol=1e-4)
+        assert np.allclose(fits.coefficients[0], ols, rtol=1e-4)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -155,43 +156,50 @@ class TestFitRidge:
     def test_gram_inverse_symmetric_pd(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(20, 3))
-        model = fit_ridge(X, rng.normal(size=20), alpha=0.01)
-        assert np.allclose(model.gram_inverse, model.gram_inverse.T, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(model.gram_inverse) > 0)
+        gram_inverse = fit_ridge(X, rng.normal(size=20), alpha=0.01).gram_inverse[0]
+        assert np.allclose(gram_inverse, gram_inverse.T, atol=1e-12)
+        assert np.all(np.linalg.eigvalsh(gram_inverse) > 0)
+
+
+def variance_inputs(fits):
+    """Row 0's means, inverse Gram and residual variance, as
+    ``predictive_variance_batch`` takes them after the query rows."""
+    return fits.feature_means[0], fits.gram_inverse[0], fits.sigma2_hat[0]
 
 
 class TestPredictiveVariance:
     @pytest.fixture
     def model(self):
-        return fit_ridge(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), alpha=0.01)
+        return variance_inputs(fit_ridge(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]),
+                                         alpha=0.01))
 
     def test_zero_at_centroid(self, model):
-        assert predictive_variance_batch(model, np.array([[0.5]]))[0] == 0.0
+        assert predictive_variance_batch(np.array([[0.5]]), *model)[0] == 0.0
 
     def test_two_point_value(self, model):
         # xc = 0.5, gram = 0.51: sigma2 * 0.25 / 0.51
-        expected = model.sigma2_hat * 0.25 / 0.51
-        assert predictive_variance_batch(model, np.array([[1.0]]))[0] == pytest.approx(expected)
+        expected = model[2] * 0.25 / 0.51
+        assert predictive_variance_batch(np.array([[1.0]]), *model)[0] == pytest.approx(expected)
 
     def test_argmax_invariant_under_sigma_scaling(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(15, 2))
         y = rng.normal(size=15)
-        model = fit_ridge(X, y, alpha=0.01)
+        model = variance_inputs(fit_ridge(X, y, alpha=0.01))
         pool = rng.normal(size=(40, 2))
-        base = predictive_variance_batch(model, pool)
+        base = predictive_variance_batch(pool, *model)
         scaled = base * 3.7  # positive scalar factor moves no argmax
         assert np.argmax(base) == np.argmax(scaled)
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(12, 3))
-        model = fit_ridge(X, rng.normal(size=12), alpha=0.01)
-        assert np.all(predictive_variance_batch(model, rng.normal(size=(50, 3))) >= 0)
+        model = variance_inputs(fit_ridge(X, rng.normal(size=12), alpha=0.01))
+        assert np.all(predictive_variance_batch(rng.normal(size=(50, 3)), *model) >= 0)
 
     def test_dimension_mismatch(self, model):
         with pytest.raises(ValueError):
-            predictive_variance_batch(model, np.array([[1.0, 2.0]]))
+            predictive_variance_batch(np.array([[1.0, 2.0]]), *model)
 
 
 class TestCvRmse:
@@ -237,17 +245,17 @@ class TestCommittee:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(12, 2))
         y = rng.normal(size=12)
-        a = fit_bootstrap_committee(X, y, 0.01, counts_of(12, 10, 5))
-        b = fit_bootstrap_committee(X, y, 0.01, counts_of(12, 10, 5))
-        assert a.coefficients.shape == (10, 2) and a.size == 10
-        assert np.array_equal(a.coefficients, b.coefficients)
-        assert np.array_equal(a.intercepts, b.intercepts)
+        a_coefficients, a_intercepts = fit_bootstrap_committee(X, y, 0.01, counts_of(12, 10, 5))
+        b_coefficients, b_intercepts = fit_bootstrap_committee(X, y, 0.01, counts_of(12, 10, 5))
+        assert a_coefficients.shape == (10, 2) and a_intercepts.shape == (10,)
+        assert np.array_equal(a_coefficients, b_coefficients)
+        assert np.array_equal(a_intercepts, b_intercepts)
 
     def test_identical_rows_give_zero_variance(self):
         X = np.tile([[1.0, 2.0]], (6, 1))
         y = np.full(6, 3.0)
-        committee = fit_bootstrap_committee(X, y, 0.01, counts_of(6, 5, 0))
-        preds = committee.predict_matrix(np.array([[0.0, 0.0], [9.0, 9.0]]))
+        coefficients, intercepts = fit_bootstrap_committee(X, y, 0.01, counts_of(6, 5, 0))
+        preds = (np.array([[0.0, 0.0], [9.0, 9.0]]) @ coefficients.T + intercepts).T
         assert np.allclose(preds.var(axis=0), 0.0)
 
     def test_committee_size_enforced(self):
@@ -263,13 +271,13 @@ class TestKernelMatchesClosedForm:
 
     def test_fit_ridge(self, p, case):
         X, y = oracle_case(p, case)
-        model = fit_ridge(X, y, 0.01)
+        fits = fit_ridge(X, y, 0.01)
         coef, intercept, gram_inverse, sigma2 = oracle_fit(X, y, 0.01)
-        assert_rel(model.coefficients, coef)
-        assert_rel(model.intercept, intercept)
-        assert_rel(model.gram_inverse, gram_inverse)
-        assert_rel(model.sigma2_hat, sigma2)
-        assert_rel(model.feature_means, X.mean(axis=0))
+        assert_rel(fits.coefficients[0], coef)
+        assert_rel(fits.intercepts[0], intercept)
+        assert_rel(fits.gram_inverse[0], gram_inverse)
+        assert_rel(fits.sigma2_hat[0], sigma2)
+        assert_rel(fits.feature_means[0], X.mean(axis=0))
 
     def test_cv_rmse(self, p, case):
         X, y = oracle_case(p, case)
@@ -285,15 +293,15 @@ class TestKernelMatchesClosedForm:
 
     def test_committee(self, p, case):
         X, y = oracle_case(p, case)
-        committee = fit_bootstrap_committee(X, y, 0.01, counts_of(len(y), 10, 3))
+        members = fit_bootstrap_committee(X, y, 0.01, counts_of(len(y), 10, 3))
         coefs, intercepts = oracle_committee(X, y, 0.01, B=10, seed=3)
-        assert_rel(committee.coefficients, coefs)
-        assert_rel(committee.intercepts, intercepts)
+        assert_rel(members[0], coefs)
+        assert_rel(members[1], intercepts)
         queries = np.vstack([X[:7], X[:7] + 0.5])
         # predictions at the 1e6 offset cancel between X @ beta and the
         # intercept, so they are compared on the scale of those two terms
         terms = np.abs(queries) @ np.abs(coefs).T + np.abs(intercepts)
-        assert_rel(committee.predict_matrix(queries), (queries @ coefs.T + intercepts).T,
+        assert_rel((queries @ members[0].T + members[1]).T, (queries @ coefs.T + intercepts).T,
                    scale=terms)
 
 
@@ -347,11 +355,11 @@ class TestKernelBitEqualToWeightedConcatenate:
 
     def test_fit_ridge_against_ones_weights(self, p, case):
         X, y = exactness_case(p, case)
-        model = fit_ridge(X, y, 0.01)
+        fits = fit_ridge(X, y, 0.01)
         coef, intercepts, gram_inverse, x_mean = weighted_concatenate_ridge(
             X, y, np.ones((1, len(y))), 0.01)
-        assert_bits([model.coefficients, np.float64(model.intercept), model.gram_inverse,
-                     model.feature_means],
+        assert_bits([fits.coefficients[0], fits.intercepts[0], fits.gram_inverse[0],
+                     fits.feature_means[0]],
                     [coef[0], intercepts[0], gram_inverse[0], x_mean[0]])
 
     def test_cv_masks(self, p, case):
@@ -379,8 +387,7 @@ class TestKernelBitEqualToWeightedConcatenate:
         ]).astype(float)
         want = weighted_concatenate_ridge(X, y, counts, 0.01)
         assert_bits(one_set_ridge(X, y, counts, 0.01), want)
-        committee = fit_bootstrap_committee(X, y, 0.01, counts_of(k, 10, 3))
-        assert_bits([committee.coefficients, committee.intercepts], want[:2])
+        assert_bits(fit_bootstrap_committee(X, y, 0.01, counts_of(k, 10, 3)), want[:2])
 
 
 def block_case(R, p, case):
@@ -409,12 +416,12 @@ class TestBlockEqualsPerSetCalls:
         X, y, _ = block_case(R, p, case)
         models = fit_ridge(X, y, 0.01)
         assert len(models) == R
-        for r, model in enumerate(models):
+        for r in range(R):
             alone = fit_ridge(X[r], y[r], 0.01)
-            assert_bits([model.coefficients, np.float64(model.intercept), model.gram_inverse,
-                         model.feature_means, np.float64(model.sigma2_hat)],
-                        [alone.coefficients, np.float64(alone.intercept), alone.gram_inverse,
-                         alone.feature_means, np.float64(alone.sigma2_hat)])
+            assert_bits([models.coefficients[r], models.intercepts[r], models.gram_inverse[r],
+                         models.feature_means[r], models.sigma2_hat[r]],
+                        [alone.coefficients[0], alone.intercepts[0], alone.gram_inverse[0],
+                         alone.feature_means[0], alone.sigma2_hat[0]])
 
     def test_cv_rmse(self, R, p, case):
         X, y, seeds = block_case(R, p, case)
@@ -431,12 +438,11 @@ class TestBlockEqualsPerSetCalls:
     def test_committee(self, R, p, case):
         X, y, seeds = block_case(R, p, case)
         k = X.shape[1]
-        committees = fit_bootstrap_committee(X, y, 0.01, counts_of(k, 10, seeds))
-        assert len(committees) == R
-        for r, committee in enumerate(committees):
+        coefficients, intercepts = fit_bootstrap_committee(X, y, 0.01, counts_of(k, 10, seeds))
+        assert len(coefficients) == len(intercepts) == R
+        for r in range(R):
             alone = fit_bootstrap_committee(X[r], y[r], 0.01, counts_of(k, 10, seeds[r]))
-            assert_bits([committee.coefficients, committee.intercepts],
-                        [alone.coefficients, alone.intercepts])
+            assert_bits([coefficients[r], intercepts[r]], alone)
 
 
 class TestBlockShapes:

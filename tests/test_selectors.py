@@ -54,7 +54,8 @@ def make_dataset(features, targets):
 
 
 def random_state(rng, max_n=40):
-    """Random dataset + split + fitted model + cache shared by oracle tests."""
+    """Random dataset + split + fit (a block of one row) + pool predictions +
+    cache shared by oracle tests."""
     n = int(rng.integers(10, max_n + 1))
     p = int(rng.integers(1, 4))
     ds = make_dataset(rng.normal(size=(n, p)), rng.normal(size=n))
@@ -62,7 +63,7 @@ def random_state(rng, max_n=40):
     k = int(rng.integers(3, 6))
     split = SplitState(order[:k], order[k:], seed=0)
     model = fit_ridge(ds.features[split.labeled_idx], ds.targets[split.labeled_idx], 0.01)
-    preds = model.predict(ds.features[split.pool_idx])
+    preds = ds.features[split.pool_idx] @ model.coefficients[0] + model.intercepts[0]
     cache = cache_of(ds, split, preds)
     return ds, split, model, preds, cache
 
@@ -348,12 +349,13 @@ class TestBruteForceOracles:
                                wigs_brute, atol=1e-12, rtol=0)
 
             pool_X = X[pool_idx]
+            means, gram_inverse, sigma2 = \
+                model.feature_means[0], model.gram_inverse[0], model.sigma2_hat[0]
             unc_brute = [
-                model.sigma2_hat * float(
-                    (x - model.feature_means) @ model.gram_inverse @ (x - model.feature_means))
+                sigma2 * float((x - means) @ gram_inverse @ (x - means))
                 for x in pool_X
             ]
-            assert np.allclose(uncertainty_scores(model, pool_X),
+            assert np.allclose(uncertainty_scores(pool_X, means, gram_inverse, sigma2),
                                unc_brute, atol=1e-12, rtol=0)
 
             coefs, intercepts = oracle_committee(
@@ -363,18 +365,18 @@ class TestBruteForceOracles:
             qbc_brute = member_preds.var(axis=1)
             # the members are solved apart from the kernel, and a bootstrap
             # draw of 4 rows at p=3 is ill-conditioned: agree to rounding
-            assert np.allclose(qbc_scores(committee, pool_X),
+            assert np.allclose(qbc_scores(pool_X, *committee),
                                qbc_brute, atol=1e-12, rtol=1e-12)
 
             emcm_brute = []
             for x in pool_X:
-                xc = np.append(x - model.feature_means, 1.0)
-                f = model.predict(x)
+                xc = np.append(x - means, 1.0)
+                f = x @ model.coefficients[0] + model.intercepts[0]
                 total = sum(
                     float(np.linalg.norm((f - (x @ c + b)) * xc))
                     for c, b in zip(coefs, intercepts))
-                emcm_brute.append(total / committee.size)
-            assert np.allclose(emcm_scores(model, committee, pool_X),
+                emcm_brute.append(total / len(committee[1]))
+            assert np.allclose(emcm_scores(pool_X, preds, means, *committee),
                                emcm_brute, atol=1e-12, rtol=1e-12)
 
 
@@ -383,15 +385,17 @@ class TestUncertainty:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(10, 2))
         model = fit_ridge(X, rng.normal(size=10), alpha=0.01)
-        pool = np.vstack([model.feature_means, model.feature_means + 1.0])
-        assert select_uncertainty(model, pool).chosen == 1
+        means = model.feature_means[0]
+        pool = np.vstack([means, means + 1.0])
+        assert select_uncertainty(pool, means, model.gram_inverse[0],
+                                  model.sigma2_hat[0]).chosen == 1
 
 
 class TestQbcEmcm:
     def test_identical_members_tie_to_zero(self):
         X = np.tile([[1.0, 2.0]], (6, 1))
         committee = fit_bootstrap_committee(X, np.full(6, 3.0), 0.01, counts_of(6, 4, 0))
-        r = select_qbc(committee, np.array([[0.0, 0.0], [5.0, 5.0]]))
+        r = select_qbc(np.array([[0.0, 0.0], [5.0, 5.0]]), *committee)
         assert r.chosen == 0 and r.score == 0.0
 
     def test_qbc_two_member_hand_variance(self):
@@ -410,9 +414,10 @@ class TestQbcEmcm:
         model = fit_ridge(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.0, 1.0]), 0.01)
         committee = fit_bootstrap_committee(X, np.full(6, 3.0), 0.01, counts_of(6, 4, 0))
         pool = np.array([[1.0, 2.0]])
-        unanimous = committee.predict_matrix(pool)
-        scores = emcm_scores(model, committee, pool)
-        if np.allclose(unanimous, model.predict(pool)):
+        unanimous = (pool @ committee[0].T + committee[1]).T
+        preds = pool @ model.coefficients[0] + model.intercepts[0]
+        scores = emcm_scores(pool, preds, model.feature_means[0], *committee)
+        if np.allclose(unanimous, preds):
             assert np.allclose(scores, 0.0)
 
     def test_emcm_scales_with_feature_norm(self):
@@ -421,13 +426,39 @@ class TestQbcEmcm:
         y = rng.normal(size=8)
         model = fit_ridge(X, y, 0.01)
         committee = fit_bootstrap_committee(X, y, 0.01, counts_of(8, 4, 1))
-        x = model.feature_means + np.array([1.0, 1.0])
+        x = model.feature_means[0] + np.array([1.0, 1.0])
+        f = x @ model.coefficients[0] + model.intercepts[0]
         # doubling the centered offset doubles ||x_tilde|| only sublinearly
         # (intercept coordinate), so check the exact norm ratio instead
-        s1 = emcm_scores(model, committee, x[None, :])[0]
+        s1 = emcm_scores(x[None, :], np.array([f]), model.feature_means[0], *committee)[0]
         coefs, intercepts = oracle_committee(X, y, 0.01, B=4, seed=1)
-        resid = np.abs(model.predict(x) - (coefs @ x + intercepts)).mean()
+        resid = np.abs(f - (coefs @ x + intercepts)).mean()
         assert s1 == pytest.approx(resid * math.sqrt(2.0 + 1.0))
+
+    def test_emcm_prediction_row_keeps_its_bits(self):
+        """emcm fed the block's prediction row, written with ``ndarray.dot``
+        into a buffer row and then given its intercept in place, scores the
+        bits it scores from predictions computed as pool @ coef + intercept."""
+        rng = np.random.default_rng(22)
+        for p in range(1, 31):
+            R, n, k = 3, 60, int(rng.integers(p + 2, 40))
+            features = rng.normal(size=(R, n, p))
+            targets = features[:, :, 0] + rng.normal(size=(R, n))
+            X, y = features[:, :k], targets[:, :k]
+            fits = fit_ridge(X, y, 0.01)
+            seeds = [int(s) for s in rng.integers(0, 2**31, size=R)]
+            coefficients, intercepts = fit_bootstrap_committee(X, y, 0.01, counts_of(k, 5, seeds))
+            pools = features[:, k:]
+            buffer = np.empty((R, n - k + 1))
+            for r in range(R):
+                pools[r].dot(fits.coefficients[r], buffer[r, 1:])
+            rows = buffer[:, 1:]
+            rows += fits.intercepts[:, None]
+            for r in range(R):
+                plain = pools[r] @ fits.coefficients[r] + fits.intercepts[r]
+                fit = (fits.feature_means[r], coefficients[r], intercepts[r])
+                assert emcm_scores(pools[r], rows[r], *fit).tobytes() == \
+                    emcm_scores(pools[r], plain, *fit).tobytes(), p
 
 
 def sample_bandwidth(features, seed, sample_cap=500):
