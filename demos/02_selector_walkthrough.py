@@ -34,8 +34,9 @@ fits = fit_ridge(X[split.labeled_idx], y[split.labeled_idx], alpha=0.01)
 pool_X = X[split.pool_idx]
 preds = pool_X @ fits.coefficients[0] + fits.intercepts[0]
 # the distance state of a block of one replication: row 0 of its partitions
-partitions = PartitionBlock(dataset, [split])
-cache = build_cache(DistanceBlock(dataset.feature_distances, partitions, 1), 0, preds)
+distances = DistanceBlock(dataset.feature_distances, PartitionBlock(dataset, [split]), 1)
+build_cache(distances, 0)
+dx_pair, targets = distances.pair(0), y[split.labeled_idx]
 # member i resamples with generator(1 + i, "bootstrap")
 counts = bootstrap_counts(len(split.labeled_idx),
                           [generator(1 + i, "bootstrap") for i in range(10)])
@@ -45,16 +46,16 @@ egal_state = egal_setup(dataset, seed=1)
 
 picks = {
     "passive": select_passive(len(split.pool_idx), generator(1, "passive")),
-    "gsx": select_gsx(cache),
-    "gsy": select_gsy(cache),
-    "igs": select_igs(cache),
-    "wigs w=0.25": select_wigs(cache, 0.25),
-    "wigs w=0.75": select_wigs(cache, 0.75),
+    "gsx": select_gsx(distances.dx_min(0)),
+    "gsy": select_gsy(preds, targets),
+    "igs": select_igs(dx_pair, preds, targets),
+    "wigs w=0.25": select_wigs(dx_pair, preds, targets, 0.25),
+    "wigs w=0.75": select_wigs(dx_pair, preds, targets, 0.75),
     "uncertainty": select_uncertainty(pool_X, fits.feature_means[0], fits.gram_inverse[0],
                                       fits.sigma2_hat[0]),
     "qbc": select_qbc(pool_X, *committee),
     "emcm": select_emcm(pool_X, preds, fits.feature_means[0], *committee),
-    "egal": select_egal(cache, egal_state),
+    "egal": select_egal(distances.pool(0), distances.dx_min(0), egal_state),
 }
 
 print(f"{'strategy':<14} {'pool pos':>8} {'x':>8} {'score':>12}")

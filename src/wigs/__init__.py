@@ -21,7 +21,6 @@ from .data import (
 )
 from .geometry import (
     DistanceBlock,
-    DistanceCache,
     build_cache,
     normalize_phi,
     update_after_acquisition,

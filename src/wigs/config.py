@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .geometry import DistanceCache
+from .geometry import DistanceBlock
 from .model import RidgeFits
 from .rng import generator
 from .sac import SacConfig
@@ -74,14 +74,18 @@ class Query(NamedTuple):
     """What a selector may read at one iteration (a tuple: one is built per
     pair per iteration).  The pair's fit is row ``row`` of the block's
     ``fits``, whose residual variances are computed only if a selector
-    reads them; ``predictions`` is its (P,) row of pool predictions, and
-    ``committee`` its members' (B, p) coefficients and (B,) intercepts."""
+    reads them; ``predictions`` is its (P,) row of pool predictions,
+    ``targets`` its (L,) row of labeled targets, ``distances`` the block's
+    ``DistanceBlock`` (None when no pair of the block keeps a distance
+    state), whose row ``row`` is a cache pair's own, and ``committee`` its
+    members' (B, p) coefficients and (B,) intercepts."""
 
     fits: RidgeFits
     row: int
     pool_features: np.ndarray
     predictions: np.ndarray
-    cache: DistanceCache | None
+    targets: np.ndarray
+    distances: DistanceBlock | None
     committee: tuple[np.ndarray, np.ndarray] | None
     weight: float | None
     state: object  # the value the kind's ``setup`` built for this run
@@ -110,7 +114,7 @@ class Kind:
     policy: Callable[[dict, int], object] | None = None
     setup: Callable[[Dataset, int], object] | None = None
     state_bytes: Callable[[dict, int], int] | None = None
-    cache: bool = False      # distance cache, updated after each acquisition
+    cache: bool = False      # a row of the block's DistanceBlock, moved after each acquisition
     cv_reward: bool = False  # the policy is fed the drop in CV RMSE
     sac_state: bool = False  # the policy is fed the learning-context vector
     committee: bool = False  # a bootstrap committee is refit before selection
@@ -122,6 +126,15 @@ def _real(value) -> bool:
     as one).  An int too large for a float raises OverflowError."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) \
         and math.isfinite(value)
+
+
+def _passes(check: Callable[[object], bool], value) -> bool:
+    """``check(value)``, and False where the check raises: on one number as
+    bandit arms, or on an int too large for a float, such as 10**400."""
+    try:
+        return bool(check(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _integer(value) -> bool:
@@ -141,7 +154,7 @@ def _unit(value) -> bool:
 
 
 def _select_wigs(q: Query) -> SelectionResult:
-    return select_wigs(q.cache, q.weight)
+    return select_wigs(q.distances.pair(q.row), q.predictions, q.targets, q.weight)
 
 
 def _sac_param(name: str, default) -> Param:
@@ -169,9 +182,10 @@ _COMMITTEE = {"committee_size": Param(
 KINDS: dict[str, Kind] = {
     "passive": Kind(lambda q: select_passive(len(q.pool_features), q.state),
                     setup=lambda dataset, seed: generator(seed, "passive")),
-    "gsx": Kind(lambda q: select_gsx(q.cache), cache=True, scorer="gsx"),
-    "gsy": Kind(lambda q: select_gsy(q.cache), cache=True),
-    "igs": Kind(lambda q: select_igs(q.cache), cache=True, scorer="igs"),
+    "gsx": Kind(lambda q: select_gsx(q.distances.dx_min(q.row)), cache=True, scorer="gsx"),
+    "gsy": Kind(lambda q: select_gsy(q.predictions, q.targets)),
+    "igs": Kind(lambda q: select_igs(q.distances.pair(q.row), q.predictions, q.targets),
+                cache=True, scorer="igs"),
     "wigs_static": Kind(
         _select_wigs, {"w": Param(None, _unit, "static weight must lie in [0, 1]")},
         policy=lambda p, seed: StaticPolicy(float(p["w"])), cache=True, scorer="wigs"),
@@ -201,7 +215,8 @@ KINDS: dict[str, Kind] = {
     "emcm": Kind(lambda q: select_emcm(q.pool_features, q.predictions,
                                        q.fits.feature_means[q.row], *q.committee),
                  _COMMITTEE, committee=True),
-    "egal": Kind(lambda q: select_egal(q.cache, q.state), setup=egal_setup,
+    "egal": Kind(lambda q: select_egal(q.distances.pool(q.row), q.distances.dx_min(q.row),
+                                       q.state), setup=egal_setup,
                  state_bytes=lambda p, n: 8 * n * n, cache=True),  # the similarity matrix
 }
 
@@ -228,11 +243,7 @@ class MethodSpec:
                 raise ValueError(f"{self.name}: unknown parameter {key!r} for kind {self.kind!r}")
         for key, value in self.settings().items():
             param = kind.params[key]
-            try:
-                ok = param.check(value)
-            except (TypeError, ValueError, OverflowError):  # e.g. one number as arms, 10**400
-                ok = False
-            if not ok:
+            if not _passes(param.check, value):
                 raise ValueError(f"{self.name}: {param.rule}")
 
     def settings(self) -> dict:
@@ -275,9 +286,9 @@ class ExperimentConfig:
                 raise ValueError("generator runs need an integer n >= 2")
         if self.scaling not in ("zscore", "robust"):
             raise ValueError(f"unknown scaling {self.scaling!r}")
-        if not 0.0 < self.initial_fraction < 1.0:
+        if not _passes(lambda f: _real(f) and 0.0 < f < 1.0, self.initial_fraction):
             raise ValueError("initial_fraction must lie in (0, 1)")
-        if not 0 < self.alpha < math.inf:  # NaN fails both comparisons
+        if not _passes(lambda a: _real(a) and a > 0, self.alpha):
             raise ValueError("alpha must be positive and finite")
         if not (_integer(self.cv_folds) and self.cv_folds >= 2):
             raise ValueError("cv_folds must be an integer >= 2")
@@ -350,6 +361,12 @@ def _read_int(value) -> int:
     return number
 
 
+def _read_float(value) -> float:
+    """``float``, which also parses a string (PyYAML reads ``1e-2`` as
+    one).  A bool stays a bool, for ``ExperimentConfig`` to refuse."""
+    return value if isinstance(value, bool) else float(value)
+
+
 def _read_names(value) -> list[str] | None:
     """A list of column names, or null (the default), named by its key when
     it is anything else."""
@@ -361,12 +378,12 @@ def _read_names(value) -> list[str] | None:
 # YAML section -> key -> (ExperimentConfig field, reader applied to the value
 # or None).  The defaults live only in ExperimentConfig.
 _YAML_FIELDS = {
-    "dataset": {"csv": ("csv_path", None), "dgp": ("dgp", None), "n": ("n", None),
+    "dataset": {"csv": ("csv_path", None), "dgp": ("dgp", None), "n": ("n", _read_int),
                 "seed": ("dataset_seed", _read_int)},
     "preprocessing": {"scaling": ("scaling", None),
                       "categorical_columns": ("categorical_columns", _read_names)},
-    "split": {"initial_fraction": ("initial_fraction", float)},
-    "model": {"alpha": ("alpha", float), "cv_folds": ("cv_folds", _read_int)},
+    "split": {"initial_fraction": ("initial_fraction", _read_float)},
+    "model": {"alpha": ("alpha", _read_float), "cv_folds": ("cv_folds", _read_int)},
     "run": {"replications": ("replications", _read_int), "base_seed": ("base_seed", _read_int),
             "parallelism": ("parallelism", _read_int), "out_dir": ("out_dir", None)},
 }

@@ -7,20 +7,20 @@ replication on that dataset reads every feature distance from it.  On top
 of that matrix the distance state of a replication keeps, for every point
 in its partition's column order, the distance to its nearest labeled point
 other than itself: for a labeled point its nearest labeled neighbour, for
-a candidate its nearest labeled distance.  The states of a block's cache
-pairs are rows of one (Rc, N) ``DistanceBlock`` buffer that follows the
-first Rc partitions of a ``PartitionBlock``, and
+a candidate its nearest labeled distance.  These states are the rows of
+one (Rc, N) ``DistanceBlock`` buffer that follows the first Rc partitions
+of a ``PartitionBlock``; ``build_cache`` fills a row, and
 ``update_after_acquisition`` moves them all in one pass per acquisition:
 the rows rotate as their partitions did, and the acquired points' rows of
 the matrix lower them, so no distance is computed twice and the update
-costs O(N) per pair.  The (pool x labeled) block is gathered only for the
-kinds that read it, and kept pair by pair.  Output distances depend on the
-current model's predictions and are derived from them on demand.
+costs O(N) per row.  The (pool x labeled) block is gathered only for the
+rows that read it, and kept row by row.  Output distances compare pool
+predictions with labeled targets, two arrays the caller holds, and are
+derived from them on demand (``dy_pair``, ``dy_min``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,15 +58,17 @@ class DistanceBlock:
     """The distance states of the first ``n_rows`` partitions of a
     ``PartitionBlock``, moved in one pass.
 
-    Row i of ``nearest`` (n_rows, N) holds, in partition i's column order,
-    each point's distance to its nearest labeled point other than itself:
-    the first L entries are the labeled points' nearest labeled neighbours
-    (``labeled_nn``), the rest the candidates' nearest labeled distances
-    (``dx_min``).  ``dx_pairs[i]`` is cache i's (pool x labeled) block of
-    ``dx`` once it has been read, and None until then.  ``n_labeled`` is
-    the labeled count the states cover.  The ``DistanceCache`` views that
-    ``build_cache`` makes refer to the block, and the block to none of
-    them, so no reference cycle outlives a run.
+    ``dx`` holds the feature distance between every pair of dataset rows
+    and is the dataset's own matrix, shared, unchanged, by every block on
+    it.  Row i of ``nearest`` (n_rows, N) holds, in partition i's column
+    order, each point's distance to its nearest labeled point other than
+    itself: the first L entries are the labeled points' nearest labeled
+    neighbours (``labeled_nn(i)``, inf while a point is alone), the rest
+    the candidates' nearest labeled distances (``dx_min(i)``), in pool
+    order.  ``dx_pairs[i]`` is row i's (pool x labeled) block of ``dx``
+    once ``pair(i)`` has read it, and None until then, so only the kinds
+    that read it (igs, WiGS) pay for it.  ``n_labeled`` is the labeled
+    count the states cover.
     """
 
     def __init__(self, dx: np.ndarray, partitions: PartitionBlock, n_rows: int):
@@ -79,130 +81,72 @@ class DistanceBlock:
     def __len__(self) -> int:
         return len(self.nearest)
 
+    def pool(self, i: int) -> np.ndarray:
+        """Row i's candidates, as dataset rows in pool order."""
+        return self.partitions.orders[i, self.n_labeled:]
 
-@dataclass
-class DistanceCache:
-    """The distance state of one replication: row ``row`` of ``block``.
+    def dx_min(self, i: int) -> np.ndarray:
+        return self.nearest[i, self.n_labeled:]
 
-    ``dx`` holds the feature distance between every pair of dataset rows
-    and is the dataset's own matrix, shared, unchanged, by every cache of
-    every replication on it.  ``pool``, ``labeled`` and ``labeled_targets``
-    are views of row ``row`` of the block's partitions, which hold only the
-    labeled targets, so no selector can read a pool label.  ``dx_min`` is
-    each candidate's distance to its nearest labeled point, in pool order,
-    and ``labeled_nn`` each labeled point's distance to its nearest other
-    labeled point (inf while it is alone), in labeling order: the two parts
-    of the cache's row of its block's buffer, moved in place by
-    ``update_after_acquisition``.  ``dx_pair``, the (pool x labeled) block
-    of ``dx``, is gathered on its first read and kept by the block from
-    then on, so only the kinds that read it (igs, wigs) pay for it.  ``dy_pair`` / ``dy_min``
-    compare the labeled targets against the pool ``predictions``, which
-    the cache's owner sets after each refit.
+    def labeled_nn(self, i: int) -> np.ndarray:
+        return self.nearest[i, :self.n_labeled]
+
+    def pair(self, i: int) -> np.ndarray:
+        """Row i's (pool x labeled) block of ``dx``, gathered on its first
+        read and kept, and moved, from then on."""
+        pairs = self.dx_pairs
+        if pairs[i] is None:
+            labeled = self.partitions.orders[i, :self.n_labeled]
+            pairs[i] = self.dx[np.ix_(self.pool(i), labeled)]
+        return pairs[i]
+
+
+def dy_pair(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """|prediction - target| for every (pool, labeled) pair, in one new buffer."""
+    diff = np.subtract.outer(predictions, targets)
+    return np.abs(diff, out=diff)
+
+
+def dy_min(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Row minima of ``dy_pair`` in O(P log L).
+
+    |pred - t| is monotone in t on each side of pred, in floating point
+    too (rounding is monotone), so the minimum is at one of the two sorted
+    targets around pred: the same subtractions as ``dy_pair``, and an exact
+    minimum.
     """
-
-    block: DistanceBlock                # moved by update_after_acquisition
-    row: int
-    predictions: np.ndarray             # (P,) current model outputs for the pool
-
-    def __post_init__(self):
-        parts = self._partitions = self.block.partitions  # moved by their acquire
-        self._order, self._labels = parts.orders[self.row], parts.labels[self.row]
-        self._nearest = self.block.nearest[self.row]
-
-    @property
-    def dx(self) -> np.ndarray:
-        """(N, N) over all dataset rows."""
-        return self.block.dx
-
-    @property
-    def pool(self) -> np.ndarray:
-        return self._order[self._partitions.n_labeled:]
-
-    @property
-    def labeled(self) -> np.ndarray:
-        return self._order[:self._partitions.n_labeled]
-
-    @property
-    def labeled_targets(self) -> np.ndarray:
-        return self._labels[:self._partitions.n_labeled]
-
-    @property
-    def n_pool(self) -> int:
-        return self._partitions.n_pool
-
-    @property
-    def dx_min(self) -> np.ndarray:
-        return self._nearest[self._partitions.n_labeled:]
-
-    @property
-    def labeled_nn(self) -> np.ndarray:
-        return self._nearest[:self._partitions.n_labeled]
-
-    @property
-    def dx_pair(self) -> np.ndarray:
-        pairs = self.block.dx_pairs
-        if pairs[self.row] is None:
-            pairs[self.row] = self.dx[np.ix_(self.pool, self.labeled)]
-        return pairs[self.row]
-
-    @property
-    def dy_pair(self) -> np.ndarray:
-        """|prediction - target| for every (pool, labeled) pair, in one new buffer."""
-        diff = np.subtract.outer(self.predictions, self.labeled_targets)
-        return np.abs(diff, out=diff)
-
-    @property
-    def dy_min(self) -> np.ndarray:
-        """Row minima of ``dy_pair`` in O(P log L).
-
-        |pred - t| is monotone in t on each side of pred, in floating point
-        too (rounding is monotone), so the minimum is at one of the two
-        sorted targets around pred: the same subtractions as ``dy_pair``,
-        and an exact minimum.
-        """
-        targets = np.sort(self.labeled_targets)  # the labeled set is never empty
-        above = np.searchsorted(targets, self.predictions)
-        lo = targets[np.maximum(above - 1, 0)]
-        hi = targets[np.minimum(above, len(targets) - 1)]
-        return np.minimum(np.abs(self.predictions - lo), np.abs(self.predictions - hi))
+    targets = np.sort(targets)  # the labeled set is never empty
+    above = np.searchsorted(targets, predictions)
+    lo = targets[np.maximum(above - 1, 0)]
+    hi = targets[np.minimum(above, len(targets) - 1)]
+    return np.minimum(np.abs(predictions - lo), np.abs(predictions - hi))
 
 
-def build_cache(block: DistanceBlock, row: int, predictions: np.ndarray) -> DistanceCache:
-    """Distance state for the current state of partition ``row`` of the
-    block's partitions, in row ``row`` of ``block``.
-
-    ``predictions`` are the current model's outputs for the pool, in pool
-    order.  ``dx`` is the block's matrix, the dataset's, and no distance is
-    computed here.
-    """
-    predictions = np.asarray(predictions, dtype=float)
-    cache = DistanceCache(block, row, predictions)
-    if predictions.shape != (cache.n_pool,):
-        raise ValueError(
-            f"predictions length {predictions.shape} does not match pool size {cache.n_pool}"
-        )
-    dx, pool, labeled = block.dx, cache.pool, cache.labeled
+def build_cache(block: DistanceBlock, row: int) -> None:
+    """Fill row ``row`` of ``block`` for the current state of partition
+    ``row`` of the block's partitions.  ``dx`` is the block's matrix, the
+    dataset's, and no distance is computed here."""
+    order, n_labeled = block.partitions.orders[row], block.n_labeled
+    pool, labeled = order[n_labeled:], order[:n_labeled]
     nearest = block.nearest[row]
-    nearest[len(labeled):] = dx[np.ix_(pool, labeled)].min(axis=1)
-    dx_labeled = dx[np.ix_(labeled, labeled)]
+    nearest[n_labeled:] = block.dx[np.ix_(pool, labeled)].min(axis=1)
+    dx_labeled = block.dx[np.ix_(labeled, labeled)]
     np.fill_diagonal(dx_labeled, np.inf)
-    nearest[:len(labeled)] = dx_labeled.min(axis=1)
-    return cache
+    nearest[:n_labeled] = dx_labeled.min(axis=1)
 
 
 def update_after_acquisition(block: DistanceBlock) -> None:
     """Follow the partitions' last move (``PartitionBlock.acquire``) with
-    every cache of ``block`` at once.
+    every row of ``block`` at once.
 
     Each row of ``nearest`` rotates as its partition's order did, by one
     ``take`` of the move's flat sources, so the acquired point's nearest
     labeled distance becomes its nearest labeled neighbour.  One gather of
     ``dx`` reads each acquired point's row in its partition's order, and
     one ``np.minimum`` lowers every other point's entry by it: all in O(N)
-    per cache.  The block's rows are the partitions' first rows, so their
+    per row.  The block's rows are the partitions' first rows, so their
     orders and sources are read as views.  A kept ``dx_pair`` drops the
-    row and gains the column, in O(P·L), pair by pair.  The pool
-    ``predictions`` stay with the cache's owner.
+    row and gains the column, in O(P·L), pair by pair.
     """
     parts = block.partitions
     n_old = block.n_labeled

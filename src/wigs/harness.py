@@ -150,19 +150,21 @@ class _Block:
     phases of its iterations.
 
     Row r of every buffer belongs to pair r in row order: the pairs sorted
-    stably with the Rc pairs whose kind keeps a distance cache first, then
-    by ``_fit_group``, so the distance caches are the first Rc rows and
-    the CV call and each committee call take one slice of rows.  ``runs``
-    holds the runs of at least two consecutive rows whose kinds name the
-    same block scorer (``Kind.scorer``), which ``select`` scores together,
-    and ``alone`` every other row.  Pair r's partition is row r of one
-    ``PartitionBlock``: its ``features``
-    (R, N, p), ``labels`` (R, N) and ``orders`` (R, N), so with L labeled
-    rows the labeled sets are the (R, L, ...) views and the pools
-    ``orders[:, L:]`` and ``features[r, L:]``.  The distance caches are the
-    rows of one ``DistanceBlock``, ``distances``, over the first Rc
-    partitions.  ``move`` moves every partition and then every distance
-    state in one pass each.  ``hybrid`` holds each
+    stably with the Rc cache pairs, whose kind keeps a distance state
+    (``Kind.cache``), first, then by ``_fit_group``, so the CV call and
+    each committee call take one slice of rows.  ``runs`` holds the runs
+    of at least two consecutive rows whose kinds name the same block
+    scorer (``Kind.scorer``), which ``select`` scores together, and
+    ``alone`` every other row.  Pair r's partition is row r of one
+    ``PartitionBlock``: its ``features`` (R, N, p), ``labels`` (R, N) and
+    ``orders`` (R, N), so with L labeled rows the labeled sets and targets
+    are the (R, L, ...) views and the pools ``orders[:, L:]`` and
+    ``features[r, L:]``.  A cache pair's distance state is row r of one
+    ``DistanceBlock``, ``distances``, over the first Rc partitions (None
+    when Rc is 0), and its pool predictions are row r of ``preds``: the
+    selectors read these rows, and no per-pair object holds them.
+    ``move`` moves every partition and then every distance state in one
+    pass each.  ``hybrid`` holds each
     pair's known labels and pool predictions in dataset order.  ``own`` books
     the seconds of each pair's own work and ``shares`` those of each shared
     call, per row, from the mark ``last``, which the recording resets: it
@@ -204,7 +206,6 @@ class _Block:
                          for kind, method, seed in zip(self.kinds, self.methods, self.seeds)]
         self.states = [kind.setup(dataset, seed) if kind.setup else None
                        for kind, seed in zip(self.kinds, self.seeds)]
-        self.caches = [None] * R
         self.distances = None
         self.cv_now = [None] * R
         self.cv_prev = [None] * R
@@ -309,8 +310,10 @@ class _Block:
         rows.  A pair's selection reads only its own state, so the moves
         wait for ``move``."""
         clock, last, slot, own = time.perf_counter, self.last, t + 1, self.own
-        positions, weights, kinds, caches = \
-            self.positions, self.weights_now, self.kinds, self.caches
+        positions, weights, kinds, distances = \
+            self.positions, self.weights_now, self.kinds, self.distances
+        n_labeled, n_pool = self.partitions.n_labeled, self.partitions.n_pool
+        targets = self.labels[:, :n_labeled]
         for r in self.stepping:
             kind = kinds[r]
             reward = None
@@ -322,14 +325,14 @@ class _Block:
                 if self.cv_prev[r] is not None:
                     reward = self.cv_prev[r] - cv
                 if kind.sac_state:
-                    context = build_state(cv, self.cv_initial[r], t, self.horizon, caches[r])
+                    context = build_state(cv, self.cv_initial[r], t, self.horizon, targets[r],
+                                          distances.labeled_nn(r))
                 self.cv_prev[r] = cv
             weights[r] = self.policies[r].step(t, self.horizon, reward, context)
             self.weight[r, slot] = weights[r]
             now = clock()
             own[r][slot] = now - last
             last = now
-        n_labeled, n_pool = self.partitions.n_labeled, self.partitions.n_pool
         size = max(1, SCORE_BUDGET // (n_pool * n_labeled))
         alone, groups = self.alone, []
         for scorer, start, stop in self.runs:
@@ -339,7 +342,7 @@ class _Block:
             groups += [(scorer, lo, hi) for lo, hi in cuts if hi - lo > 1]
         pools, preds = self.features[:, n_labeled:], self.preds[:, 1:]
         for r in alone:
-            result = kinds[r].select(Query(self.fits, r, pools[r], preds[r], caches[r],
+            result = kinds[r].select(Query(self.fits, r, pools[r], preds[r], targets[r], distances,
                                            self.committees[r], weights[r], self.states[r]))
             positions[r] = result.chosen
             self.score[r, slot] = result.score
@@ -348,11 +351,11 @@ class _Block:
             last = now
         for scorer, lo, hi in groups:
             if scorer == "gsx":
-                chosen, scores = pick_rows(self.distances.nearest[lo:hi, n_labeled:])
+                chosen, scores = pick_rows(distances.nearest[lo:hi, n_labeled:])
             else:
                 chosen, scores = select_stacked(
-                    [cache.dx_pair for cache in caches[lo:hi]], self.preds[lo:hi, 1:],
-                    self.labels[lo:hi, :n_labeled], weights[lo:hi] if scorer == "wigs" else None)
+                    [distances.pair(r) for r in range(lo, hi)], preds[lo:hi], targets[lo:hi],
+                    weights[lo:hi] if scorer == "wigs" else None)
             positions[lo:hi] = chosen.tolist()
             self.score[lo:hi, slot] = scores
             now = clock()
@@ -378,26 +381,24 @@ class _Block:
     def build_caches(self) -> None:
         """The distance state of every cache pair, as the rows of one
         ``DistanceBlock`` over the first Rc partitions, for the initial
-        partitions and predictions."""
+        partitions."""
         if not self.n_caches:
             return
         self.distances = DistanceBlock(self.dataset.feature_distances, self.partitions,
                                        self.n_caches)
         for r in range(self.n_caches):
-            self.caches[r] = build_cache(self.distances, r, self.preds[r, 1:])
+            build_cache(self.distances, r)
 
     def predict(self, slot: int) -> None:
         """Each pair's predictions on its pool, into columns 1: of one
-        (R, P + 1) buffer, which its distance cache then reads: each pair's
+        (R, P + 1) buffer, which the selectors read by row: each pair's
         product with its coefficients, then every intercept in one add,
         shared by all R pairs."""
         clock, last, own, fits = time.perf_counter, self.last, self.own, self.fits
         pools = self.features[:, self.partitions.n_labeled:]
         buffer = self.preds = np.empty((len(pools), self.partitions.n_pool + 1))
-        for r, cache in enumerate(self.caches):
-            preds = pools[r].dot(fits.coefficients[r], buffer[r, 1:])
-            if cache is not None:
-                cache.predictions = preds
+        for r in range(len(pools)):
+            pools[r].dot(fits.coefficients[r], buffer[r, 1:])
             now = clock()
             own[r][slot] += now - last
             last = now
@@ -495,7 +496,7 @@ def run_block(
     committee call that R' pairs share, if the pair is one of them.  Row 0
     is the initial fit and prediction, row t the iteration up to its
     recording; each pair's own product with its coefficients is charged to
-    it.  The set-up, the initial distance cache and the
+    it.  The set-up, the initial distance states and the
     recording are left out, as in a run of one pair at a time, so a block
     of one times what such a run timed.
     """
@@ -593,7 +594,7 @@ def seed_bytes(n_samples: int, n_features: int, method: MethodSpec, cv_folds: in
     """An upper bound on the bytes one (``method``, seed) pair adds to a
     block on an (N, p) dataset: its partition rows, one centred (k, p) copy
     of the labeled rows per fit of a stacked kernel call (k <= N), a
-    distance cache's pool x labeled block and its copy as it grows (at most
+    cache pair's pool x labeled block and its copy as it grows (at most
     N²/2 floats), the state words of its CV and bootstrap streams for a
     ``STREAM_CHUNK`` of iterations, and the kind's ``state_bytes``."""
     kind = KINDS[method.kind]

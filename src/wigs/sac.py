@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DistanceCache
 from .geometry import pairwise_distances  # noqa: F401  a site that bench/tracing.py wraps
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -232,24 +231,24 @@ class SacAgent:
 
 
 def build_state(cv_rmse_now: float, cv_rmse_initial: float, t: int, horizon: int,
-                cache: DistanceCache) -> np.ndarray:
+                targets: np.ndarray, labeled_nn: np.ndarray) -> np.ndarray:
     """5-feature learning-context summary computed from the labeled set only.
 
     The CV RMSE is divided by the run's initial CV RMSE so the scale is
-    comparable across datasets; the nearest-neighbor distances exclude self
-    and are the cache's running ``labeled_nn``.
+    comparable across datasets; ``targets`` are the labeled targets, and
+    ``labeled_nn`` the labeled points' nearest-neighbor distances, which
+    exclude self: the running ``DistanceBlock.labeled_nn`` of the pair's row.
     """
     if cv_rmse_initial <= 0:
         raise ValueError("initial CV RMSE must be positive")
-    if len(cache.labeled) < 2:
+    if len(targets) < 2:
         raise ValueError("need at least 2 labeled points")
-    targets = cache.labeled_targets
     return np.array([
         cv_rmse_now / cv_rmse_initial,
         t / horizon,
         targets.mean(),
         targets.std(),
-        cache.labeled_nn.mean(),
+        labeled_nn.mean(),
     ])
 
 

@@ -1,14 +1,18 @@
 """Query strategies for pool-based regression active learning.
 
-Every selector is a pure function of its inputs; each has a companion
-``*_scores`` function returning the full per-candidate criterion vector so
-the argmax can be checked against independent enumeration.  Ties always
-break toward the lowest candidate index.
+Every selector is a pure function of arrays; its per-candidate criterion
+vector is either an input (gsx's ``dx_min``), a ``wigs.geometry`` output
+distance (gsy's ``dy_min``) or a companion ``*_scores`` function, so the
+argmax can be checked against independent enumeration.  Ties always break
+toward the lowest candidate index.
 
 The greedy-sampling family scores a candidate by its distance to the
 nearest labeled point: in feature space (gsx), in output space (gsy), by
 the minimum pairwise distance product (igs), or by the minimum weighted
-sum of min-max normalized pairwise distances (wigs).  The product rule has
+sum of min-max normalized pairwise distances (wigs).  Their inputs are a
+row of the block's arrays: the nearest-labeled distances and the
+(pool x labeled) feature distances of a ``DistanceBlock`` row, the pool
+predictions and the labeled targets.  The product rule has
 a failure mode in dense regions: a near-zero feature distance multiplies
 away any output-space signal.  ``verify_density_veto`` makes that failure
 and the additive escape hatch checkable on explicit score tuples, and
@@ -23,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .geometry import DistanceCache, normalize_phi
+from .geometry import dy_min, dy_pair, normalize_phi
 from .geometry import pairwise_distances  # noqa: F401  a site that bench/tracing.py wraps
 from .model import predictive_variance_batch
 from .rng import generator
@@ -59,22 +63,25 @@ def select_passive(n_pool: int, rng: np.random.Generator) -> SelectionResult:
     return SelectionResult(chosen=int(rng.integers(n_pool)), score=0.0)
 
 
-def gsx_scores(cache: DistanceCache) -> np.ndarray:
-    return cache.dx_min
-
-
-def select_gsx(cache: DistanceCache) -> SelectionResult:
+def select_gsx(dx_min: np.ndarray) -> SelectionResult:
     """Most feature-space-remote candidate (nearest labeled neighbor farthest)."""
-    return _pick(gsx_scores(cache))
+    return _pick(dx_min)
 
 
-def gsy_scores(cache: DistanceCache) -> np.ndarray:
-    return cache.dy_min
-
-
-def select_gsy(cache: DistanceCache) -> SelectionResult:
+def select_gsy(predictions: np.ndarray, targets: np.ndarray) -> SelectionResult:
     """Candidate whose prediction is farthest from every known label."""
-    return _pick(gsy_scores(cache))
+    return _pick(dy_min(predictions, targets))
+
+
+def _check_pair(dx_pair: np.ndarray, predictions: np.ndarray, targets: np.ndarray) -> None:
+    """Refuse an empty pool or labeled set, and a prediction or target row
+    that does not match the (P, L) feature distances: numpy would broadcast
+    a row of length 1 against them."""
+    if dx_pair.size == 0:
+        raise ValueError("empty pool or labeled set")
+    if dx_pair.shape != (len(predictions), len(targets)):
+        raise ValueError(f"feature distances {dx_pair.shape} do not match {len(predictions)} "
+                         f"predictions and {len(targets)} targets")
 
 
 def igs_scores(dx_pair: np.ndarray, dy_pair: np.ndarray) -> np.ndarray:
@@ -82,16 +89,16 @@ def igs_scores(dx_pair: np.ndarray, dy_pair: np.ndarray) -> np.ndarray:
     return np.min(dx_pair * dy_pair, axis=1)
 
 
-def select_igs(cache: DistanceCache) -> SelectionResult:
+def select_igs(dx_pair: np.ndarray, predictions: np.ndarray,
+               targets: np.ndarray) -> SelectionResult:
     """Multiplicative combination of feature and output distances.
 
     ``igs_scores`` with the product formed in the ``dy_pair`` buffer, so
     the scoring holds one (P, L) buffer; the same bits.
     """
-    if cache.n_pool == 0 or cache.dx_pair.shape[1] == 0:
-        raise ValueError("empty pool or labeled set")
-    product = cache.dy_pair
-    np.multiply(cache.dx_pair, product, out=product)
+    _check_pair(dx_pair, predictions, targets)
+    product = dy_pair(predictions, targets)
+    np.multiply(dx_pair, product, out=product)
     return _pick(product.min(axis=1))
 
 
@@ -104,7 +111,8 @@ def wigs_scores(phi_x: np.ndarray, phi_y: np.ndarray, w: float) -> np.ndarray:
     return np.min(w * phi_x + (1.0 - w) * phi_y, axis=1)
 
 
-def select_wigs(cache: DistanceCache, w: float) -> SelectionResult:
+def select_wigs(dx_pair: np.ndarray, predictions: np.ndarray, targets: np.ndarray,
+                w: float) -> SelectionResult:
     """Weighted additive combination of normalized pairwise distances.
 
     A collection of equal distances, such as the feature distances of a pool
@@ -115,10 +123,9 @@ def select_wigs(cache: DistanceCache, w: float) -> SelectionResult:
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {w}")
-    if cache.n_pool == 0 or cache.dx_pair.shape[1] == 0:
-        raise ValueError("empty pool or labeled set")
-    phi_x = normalize_phi(cache.dx_pair)
-    phi_y = cache.dy_pair
+    _check_pair(dx_pair, predictions, targets)
+    phi_x = normalize_phi(dx_pair)
+    phi_y = dy_pair(predictions, targets)
     normalize_phi(phi_y, out=phi_y)
     np.multiply(w, phi_x, out=phi_x)
     np.multiply(1.0 - w, phi_y, out=phi_y)
@@ -259,14 +266,14 @@ def egal_setup(dataset: Dataset, seed: int) -> np.ndarray:
     return egal_similarity(dx, delta)
 
 
-def egal_density(cache: DistanceCache, similarity: np.ndarray) -> np.ndarray:
+def egal_density(pool: np.ndarray, similarity: np.ndarray) -> np.ndarray:
     """Sum of Gaussian similarities from each candidate to the other pool points.
 
     Summed ``EGAL_CHUNK_ROWS`` candidates at a time, so no (P, N) gather is
     held: each candidate's row is the same P contiguous values, summed the
-    same way, whatever chunk it falls in.
+    same way, whatever chunk it falls in.  ``pool`` holds the candidates'
+    dataset rows.
     """
-    pool = cache.pool
     chunk = EGAL_CHUNK_ROWS
     density = np.empty(len(pool))
     for start in range(0, len(pool), chunk):
@@ -293,18 +300,20 @@ def lower_quartile(values: np.ndarray) -> float:
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
-def select_egal(cache: DistanceCache, similarity: np.ndarray) -> SelectionResult:
+def select_egal(pool: np.ndarray, dx_min: np.ndarray, similarity: np.ndarray) -> SelectionResult:
     """Densest candidate among those far enough from the labeled set.
 
     Candidates below the 25th percentile of nearest-labeled feature
     distance are filtered out first (diversity); if that empties the pool,
-    all candidates are kept.  ``similarity`` is the run's ``egal_setup``.
+    all candidates are kept.  ``pool`` holds the candidates' dataset rows
+    and ``dx_min`` their nearest-labeled distances; ``similarity`` is the
+    run's ``egal_setup``.
     """
-    if cache.n_pool == 0:
+    if len(pool) == 0:
         raise ValueError("empty candidate pool")
-    density = egal_density(cache, similarity)
-    threshold = lower_quartile(cache.dx_min)
-    kept = cache.dx_min >= threshold
+    density = egal_density(pool, similarity)
+    threshold = lower_quartile(dx_min)
+    kept = dx_min >= threshold
     if not kept.any():
         kept = np.ones_like(kept)
     masked = np.where(kept, density, -np.inf)

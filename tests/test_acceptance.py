@@ -11,7 +11,7 @@ import pytest
 
 from wigs.cli import main as cli_main
 from wigs.config import ExperimentConfig, MethodSpec, default_methods
-from wigs.geometry import normalize_phi
+from wigs.geometry import dy_min, dy_pair, normalize_phi
 from wigs.harness import resolve_dataset, run_block, run_experiment
 from wigs.metrics import relative_auc, wilcoxon_signed_rank
 from wigs.model import fit_bootstrap_committee, fit_ridge
@@ -36,7 +36,7 @@ from wigs.selectors import (
 from wigs.weights import BanditPolicy
 from wigs.data import ColumnMeta, Dataset, SplitState
 
-from test_geometry import cache_of
+from test_geometry import row_of
 from test_model import counts_of, oracle_committee
 
 
@@ -82,13 +82,13 @@ def test_criterion_02_selector_oracle_equivalence():
         means, gram_inverse = fits.feature_means[0], fits.gram_inverse[0]
         sigma2 = fits.sigma2_hat[0]
         preds = X[pool_idx] @ coef + intercept
-        cache = cache_of(ds, split, preds)
+        row = row_of(ds, split, preds)
         committee = fit_bootstrap_committee(X[labeled_idx], y[labeled_idx],
                                             0.01, counts_of(len(labeled_idx), 5, 7))
         coefs, intercepts = oracle_committee(X[labeled_idx], y[labeled_idx],
                                              0.01, B=5, seed=7)
-        phi_x = normalize_phi(cache.dx_pair)
-        phi_y = normalize_phi(cache.dy_pair)
+        phi_x = normalize_phi(row.dx_pair)
+        phi_y = normalize_phi(dy_pair(row.predictions, row.targets))
         w = float(rng.uniform())
         pool_X = X[pool_idx]
 
@@ -112,9 +112,9 @@ def test_criterion_02_selector_oracle_equivalence():
                 [np.linalg.norm((f - mp) * x_tilde) for mp in member_preds])))
 
         checks = [
-            (cache.dx_min, brute_gsx),
-            (cache.dy_min, brute_gsy),
-            (igs_scores(cache.dx_pair, cache.dy_pair), brute_igs),
+            (row.dx_min, brute_gsx),
+            (dy_min(row.predictions, row.targets), brute_gsy),
+            (igs_scores(row.dx_pair, dy_pair(row.predictions, row.targets)), brute_igs),
             (wigs_scores(phi_x, phi_y, w), brute_wigs),
             (uncertainty_scores(pool_X, means, gram_inverse, sigma2), brute_unc),
             (qbc_scores(pool_X, *committee), brute_qbc),

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,13 @@ from wigs.data import ColumnMeta, Dataset, PartitionBlock, SplitState
 from wigs.geometry import (
     DistanceBlock,
     build_cache,
+    dy_min,
+    dy_pair,
     normalize_phi,
     pairwise_distances,
     update_after_acquisition,
 )
+from wigs.selectors import select_igs, select_wigs
 
 
 def make_dataset(features, targets):
@@ -19,19 +24,41 @@ def make_dataset(features, targets):
     return Dataset(features, np.asarray(targets, dtype=float), meta, "test")
 
 
-def cache_of(dataset, split, predictions):
+def cache_of(dataset, split):
     """The distance state of one replication on ``split``: row 0 of a
     distance block over a partition block of one."""
-    partitions = PartitionBlock(dataset, [split])
-    return build_cache(DistanceBlock(dataset.feature_distances, partitions, 1), 0, predictions)
+    block = DistanceBlock(dataset.feature_distances, PartitionBlock(dataset, [split]), 1)
+    build_cache(block, 0)
+    return block
 
 
-def acquire(cache, pos, predictions):
-    """One acquisition as the harness makes it, on the cache's block of one:
-    the partition moves, the distance state follows, the refit predicts."""
-    cache.block.partitions.acquire([pos])
-    update_after_acquisition(cache.block)
-    cache.predictions = np.asarray(predictions, dtype=float)
+def acquire(block, pos):
+    """One acquisition as the harness makes it, on a block of one: the
+    partition moves, the distance state follows."""
+    block.partitions.acquire([pos])
+    update_after_acquisition(block)
+
+
+def labeled_targets(block):
+    """Row 0's labeled targets, as the harness reads them from the partition."""
+    return block.partitions.labels[0, :block.n_labeled]
+
+
+class Row(NamedTuple):
+    """One replication's selector inputs at one state, read as the harness
+    reads them: row 0 of a distance block of one, its pool predictions and
+    its labeled targets."""
+
+    dx_min: np.ndarray
+    dx_pair: np.ndarray
+    predictions: np.ndarray
+    targets: np.ndarray
+
+
+def row_of(dataset, split, predictions):
+    block = cache_of(dataset, split)
+    return Row(block.dx_min(0), block.pair(0), np.asarray(predictions, dtype=float),
+               labeled_targets(block))
 
 
 def brute_minima(dataset, labeled_idx, pool_idx, predictions):
@@ -52,21 +79,30 @@ class TestBuildCache:
     def test_one_dimensional_example(self):
         ds = make_dataset([0.0, 1.0, 0.4], [0.0, 2.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = cache_of(ds, split, predictions=np.array([1.5]))
-        assert cache.dx_min[0] == pytest.approx(0.4)   # min(0.4, 0.6)
-        assert cache.dy_min[0] == pytest.approx(0.5)   # min(|1.5-0|, |1.5-2|)
+        row = row_of(ds, split, predictions=np.array([1.5]))
+        assert row.dx_min[0] == pytest.approx(0.4)   # min(0.4, 0.6)
+        # min(|1.5-0|, |1.5-2|)
+        assert dy_min(row.predictions, row.targets)[0] == pytest.approx(0.5)
 
     def test_coincident_candidate(self):
         ds = make_dataset([0.0, 1.0, 1.0], [0.0, 2.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = cache_of(ds, split, predictions=np.array([0.3]))
-        assert cache.dx_min[0] == 0.0
+        cache = cache_of(ds, split)
+        assert cache.dx_min(0)[0] == 0.0
 
     def test_rejects_bad_prediction_length(self):
-        ds = make_dataset([0.0, 1.0, 0.4], [0.0, 2.0, 0.0])
-        split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        with pytest.raises(ValueError):
-            cache_of(ds, split, predictions=np.array([1.5, 2.0]))
+        """The distance state holds no predictions; a prediction row of the
+        wrong length is refused where it meets the pool's distances, also
+        where numpy would broadcast it (a pool of one, a row of one)."""
+        for pool, predictions in (([2], [1.5, 2.0]), ([2, 3], [1.5])):
+            n = 2 + len(pool)
+            ds = make_dataset([0.0, 1.0, 0.4, 0.7][:n], [0.0, 2.0, 0.0, 0.0][:n])
+            split = SplitState(np.array([0, 1]), np.array(pool), seed=0)
+            row = row_of(ds, split, predictions=np.array(predictions))
+            with pytest.raises(ValueError, match="do not match"):
+                select_igs(row.dx_pair, row.predictions, row.targets)
+            with pytest.raises(ValueError, match="do not match"):
+                select_wigs(row.dx_pair, row.predictions, row.targets, 0.5)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -77,10 +113,10 @@ class TestBuildCache:
             order = rng.permutation(n)
             labeled, pool = order[:4], order[4:]
             preds = rng.normal(size=len(pool))
-            cache = cache_of(ds, SplitState(labeled, pool, seed=0), preds)
+            row = row_of(ds, SplitState(labeled, pool, seed=0), preds)
             dx, dy = brute_minima(ds, labeled, pool, preds)
-            assert np.allclose(cache.dx_min, dx, atol=1e-12, rtol=0)
-            assert np.allclose(cache.dy_min, dy, atol=1e-12, rtol=0)
+            assert np.allclose(row.dx_min, dx, atol=1e-12, rtol=0)
+            assert np.allclose(dy_min(row.predictions, row.targets), dy, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("p", [1, 3, 20, 50])
     def test_dx_equals_full_pairwise_formula(self, p):
@@ -90,10 +126,10 @@ class TestBuildCache:
         X = rng.normal(size=(37, p))
         ds = make_dataset(X, rng.normal(size=37))
         order = rng.permutation(37)
-        cache = cache_of(ds, SplitState(order[:5], order[5:], seed=0), np.zeros(32))
+        cache = cache_of(ds, SplitState(order[:5], order[5:], seed=0))
         assert np.array_equal(cache.dx, pairwise_distances(X, X))
         assert np.array_equal(cache.dx, cache.dx.T)  # acquisitions read a row as the column
-        assert np.array_equal(cache.dx_pair, pairwise_distances(X[order[5:]], X[order[:5]]))
+        assert np.array_equal(cache.pair(0), pairwise_distances(X[order[5:]], X[order[:5]]))
 
 
 class TestUpdateAfterAcquisition:
@@ -102,22 +138,22 @@ class TestUpdateAfterAcquisition:
         ds = make_dataset(rng.normal(size=(20, 2)), rng.normal(size=20))
         order = rng.permutation(20)
         labeled, pool = list(order[:3]), list(order[3:])
-        preds = rng.normal(size=len(pool))
-        cache = cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0), preds)
+        cache = cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0))
         for _ in range(10):
             pos = int(rng.integers(len(pool)))
             ds_idx = pool[pos]
             labeled.append(ds_idx)
             del pool[pos]
             preds = rng.normal(size=len(pool))
-            acquire(cache, pos, preds)
-            rebuilt = cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0), preds)
-            assert np.array_equal(cache.dx_min, rebuilt.dx_min)  # exact: shared formula
-            assert np.array_equal(cache.dy_min, rebuilt.dy_min)
-            assert np.array_equal(cache.dx_pair, rebuilt.dx_pair)  # same column order
-            assert np.array_equal(cache.labeled_nn, rebuilt.labeled_nn)  # same labeling order
-            assert np.array_equal(cache.pool, pool)
-            assert np.array_equal(cache.labeled, labeled)
+            acquire(cache, pos)
+            rebuilt = cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0))
+            assert np.array_equal(cache.dx_min(0), rebuilt.dx_min(0))  # exact: shared formula
+            assert np.array_equal(dy_min(preds, labeled_targets(cache)),
+                                  dy_min(preds, labeled_targets(rebuilt)))
+            assert np.array_equal(cache.pair(0), rebuilt.pair(0))  # same column order
+            assert np.array_equal(cache.labeled_nn(0), rebuilt.labeled_nn(0))  # labeling order
+            assert np.array_equal(cache.pool(0), pool)
+            assert np.array_equal(cache.partitions.orders[0, :cache.n_labeled], labeled)
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_dx_pair_update_in_one_allocation(self, where):
@@ -129,69 +165,67 @@ class TestUpdateAfterAcquisition:
         n, k = 400, 200
         ds = make_dataset(rng.normal(size=(n, 3)), rng.normal(size=n))
         order = rng.permutation(n)
-        cache = cache_of(ds, SplitState(order[:k], order[k:], seed=0), np.zeros(n - k))
-        cache.dx_pair  # gathered and kept from here on
+        cache = cache_of(ds, SplitState(order[:k], order[k:], seed=0))
+        cache.pair(0)  # gathered and kept from here on
         pos = {"first": 0, "middle": (n - k) // 2, "last": n - k - 1}[where]
-        cache.block.partitions.acquire([pos])
+        cache.partitions.acquire([pos])
         tracemalloc.start()
         try:
-            update_after_acquisition(cache.block)
+            update_after_acquisition(cache)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cache.dx_pair.tobytes() == ds.feature_distances[
-            np.ix_(cache.pool, cache.labeled)].tobytes()
+        assert cache.pair(0).tobytes() == ds.feature_distances[
+            np.ix_(cache.pool(0), cache.partitions.orders[0, :k + 1])].tobytes()
         assert peak < 1.2 * 8 * (n - k - 1) * (k + 1)
 
     def test_duplicate_acquisition_leaves_dx_unchanged(self):
         ds = make_dataset([0.0, 1.0, 1.0, 0.3], [0.0, 1.0, 1.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = cache_of(ds, split, predictions=np.array([0.5, 0.5]))
-        before = cache.dx_min[1]  # candidate at 0.3
-        acquire(cache, 0, np.array([0.5]))
-        assert cache.dx_min[0] == before  # new labeled point is a duplicate of x=1
+        cache = cache_of(ds, split)
+        before = cache.dx_min(0)[1]  # candidate at 0.3
+        acquire(cache, 0)
+        assert cache.dx_min(0)[0] == before  # new labeled point is a duplicate of x=1
 
     def test_pool_shrinks_to_zero(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.7])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = cache_of(ds, split, predictions=np.array([0.6]))
-        acquire(cache, 0, np.zeros(0))
-        assert cache.n_pool == 0
+        cache = cache_of(ds, split)
+        acquire(cache, 0)
+        assert cache.partitions.n_pool == 0 and cache.dx_min(0).size == 0
 
     def test_bad_position_raises(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.7])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = cache_of(ds, split, predictions=np.array([0.6]))
+        cache = cache_of(ds, split)
         for pos in (5, 1, -1):
             with pytest.raises(IndexError):
-                cache.block.partitions.acquire([pos])
-        assert cache.block.partitions.n_labeled == 2  # nothing moved, so nothing to follow
+                cache.partitions.acquire([pos])
+        assert cache.partitions.n_labeled == 2  # nothing moved, so nothing to follow
         with pytest.raises(ValueError, match="partition must acquire"):
-            update_after_acquisition(cache.block)
+            update_after_acquisition(cache)
 
     def test_update_without_partition_move_raises(self):
         ds = make_dataset([0.0, 1.0, 0.5, 0.2], [0.0, 1.0, 0.7, 0.1])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = cache_of(ds, split, predictions=np.array([0.6, 0.1]))
+        cache = cache_of(ds, split)
         with pytest.raises(ValueError, match="partition must acquire"):
-            update_after_acquisition(cache.block)
-        acquire(cache, 0, np.zeros(1))
+            update_after_acquisition(cache)
+        acquire(cache, 0)
         with pytest.raises(ValueError, match="partition must acquire"):
-            update_after_acquisition(cache.block)  # the same move twice
+            update_after_acquisition(cache)  # the same move twice
 
     def test_dx_min_nonincreasing_for_survivors(self):
         rng = np.random.default_rng(5)
         ds = make_dataset(rng.normal(size=(30, 2)), rng.normal(size=30))
         order = rng.permutation(30)
         labeled, pool = list(order[:2]), list(order[2:])
-        preds = rng.normal(size=len(pool))
-        cache = cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0), preds)
+        cache = cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0))
         for _ in range(15):
-            pos = int(rng.integers(cache.n_pool))
-            ds_idx = cache.pool[pos]
-            before = {int(i): d for i, d in zip(cache.pool, cache.dx_min)}
-            acquire(cache, pos, rng.normal(size=cache.n_pool - 1))
-            for i, d in zip(cache.pool, cache.dx_min):
+            pos = int(rng.integers(cache.partitions.n_pool))
+            before = {int(i): d for i, d in zip(cache.pool(0), cache.dx_min(0))}
+            acquire(cache, pos)
+            for i, d in zip(cache.pool(0), cache.dx_min(0)):
                 assert d <= before[int(i)] + 1e-15
 
 
@@ -276,9 +310,10 @@ class TestBlockMoveMatchesPerPairOracle:
             oracles.append(OraclePair(ds, splits[r], r in cache_rows, r in pair_rows))
         block = PartitionBlock(ds, splits)
         distances = DistanceBlock(ds.feature_distances, block, len(cache_rows))
-        caches = {r: build_cache(distances, r, np.zeros(n - n_labeled)) for r in cache_rows}
+        for r in cache_rows:
+            build_cache(distances, r)
         for r in pair_rows:
-            caches[r].dx_pair  # gathered, then kept by every move
+            distances.pair(r)  # gathered, then kept by every move
         for step in range(min(moves, n - n_labeled)):
             n_pool = block.n_pool
             positions = rng.integers(n_pool, size=R).tolist()
@@ -299,13 +334,12 @@ class TestBlockMoveMatchesPerPairOracle:
                 assert same_bits(block.labels[r], oracle.targets)  # NaN beyond L
                 assert np.isnan(block.labels[r, L:]).all()
                 if oracle.cache:
-                    cache = caches[r]
-                    assert same_bits(cache.dx_min, oracle.dx_min[:n - L])
-                    assert same_bits(cache.labeled_nn, oracle.labeled_nn[:L])
+                    assert same_bits(distances.dx_min(r), oracle.dx_min[:n - L])
+                    assert same_bits(distances.labeled_nn(r), oracle.labeled_nn[:L])
                     kept = distances.dx_pairs[r]
                     if oracle.dx_pair is not None:
                         assert kept is not None
-                        assert same_bits(cache.dx_pair, oracle.dx_pair)
+                        assert same_bits(distances.pair(r), oracle.dx_pair)
                     else:
                         assert kept is None
         return block
@@ -337,13 +371,14 @@ class TestBlockMoveMatchesPerPairOracle:
 
 
 def targets_cache(targets, predictions):
-    """A cache whose first len(targets) rows are labeled with ``targets``."""
+    """The labeled-target row of a block of one whose first len(targets)
+    rows are labeled with ``targets``, beside a pool of len(predictions)."""
     targets, predictions = np.asarray(targets, float), np.asarray(predictions, float)
     n_lab, n_pool = len(targets), len(predictions)
     ds = make_dataset(np.arange(n_lab + n_pool, dtype=float),
                       np.concatenate([targets, np.zeros(n_pool)]))
     split = SplitState(np.arange(n_lab), np.arange(n_lab, n_lab + n_pool), seed=0)
-    return cache_of(ds, split, predictions)
+    return labeled_targets(cache_of(ds, split))
 
 
 class TestDyMin:
@@ -358,9 +393,9 @@ class TestDyMin:
         ([0.0, 1.0], [np.inf, -np.inf, np.nan, 0.5]),
     ])
     def test_equals_pairwise_minimum(self, targets, predictions):
-        cache = targets_cache(targets, predictions)
+        row = targets_cache(targets, predictions)
         oracle = np.abs(np.asarray(predictions)[:, None] - np.asarray(targets)[None, :]).min(1)
-        assert cache.dy_min.tobytes() == oracle.tobytes()
+        assert dy_min(np.asarray(predictions, float), row).tobytes() == oracle.tobytes()
 
     def test_random_with_duplicates_and_exact_hits(self):
         rng = np.random.default_rng(17)
@@ -372,10 +407,11 @@ class TestDyMin:
                 rng.choice(targets, size=5),                   # equal to a target
                 [targets.min() - 1.0, targets.max() + 1.0],    # outside the range
             ])
-            cache = targets_cache(targets, predictions)
+            row = targets_cache(targets, predictions)
             oracle = np.abs(predictions[:, None] - targets[None, :]).min(1)
-            assert cache.dy_min.tobytes() == oracle.tobytes()
-            assert cache.dy_min.tobytes() == cache.dy_pair.min(axis=1).tobytes()
+            assert dy_min(predictions, row).tobytes() == oracle.tobytes()
+            assert dy_min(predictions, row).tobytes() == \
+                dy_pair(predictions, row).min(axis=1).tobytes()
 
 
 class TestNormalizePhi:

@@ -207,6 +207,8 @@ methods:
         ("out_dir", pathlib.Path("out"), "out_dir must be a path string"),
         ("out_dir", 5, "out_dir must be a path string"),
         ("out_dir", None, "out_dir must be a path string"),
+        ("alpha", True, "alpha must be positive and finite"),
+        ("initial_fraction", True, "initial_fraction must lie in (0, 1)"),
     ]
 
     @pytest.mark.parametrize("field, value, message", SEED_AND_NAME_CASES)
@@ -236,6 +238,30 @@ methods:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_config(str(path))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", "0.5", "alpha must be positive and finite"),
+        ("initial_fraction", "0.1", "initial_fraction must lie in (0, 1)"),
+        ("alpha", 10**400, "alpha must be positive and finite"),
+        ("initial_fraction", None, "initial_fraction must lie in (0, 1)"),
+    ])
+    def test_float_fields_refuse_what_is_no_number(self, field, value, message):
+        """A string, None or an int too large for a float is refused by the
+        field's own message, on the constructor and the snapshot reader."""
+        settings = {"dgp": "two_regime", "n": 50, "methods": (MethodSpec("igs", "igs"),)}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(**{**settings, field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict({**config_to_dict(ExperimentConfig(**settings)), field: value})
+
+    def test_yaml_float_keys_parse_numeric_strings(self, tmp_path):
+        """PyYAML reads ``1e-2`` (no dot) as a string; the float reader parses it."""
+        path = tmp_path / "config.yaml"
+        path.write_text("dataset:\n  dgp: two_regime\n  n: 40\nmodel:\n  alpha: 1e-2\n"
+                        "split:\n  initial_fraction: 2e-1\n")
+        assert yaml.safe_load(path.read_text())["model"]["alpha"] == "1e-2"
+        config = load_config(str(path))
+        assert config.alpha == 0.01 and config.initial_fraction == 0.2
+
     def test_column_names_read_as_a_tuple(self):
         settings = {"csv_path": "d.csv", "methods": (MethodSpec("igs", "igs"),)}
         config = ExperimentConfig(**settings, categorical_columns=["color", "size"])
@@ -260,13 +286,18 @@ methods:
             load_config(str(path))
 
     def test_yaml_generator_size_must_be_an_integer(self, tmp_path):
+        """``dataset.n`` follows the rule of every integer key: an integral
+        float reads as its integer, a fraction is named by its key."""
         path = tmp_path / "config.yaml"
-        for n, ok in (("40.5", False), (".inf", False), ("40", True), ("40.0", False)):
+        for n, outcome in (("40.5", "dataset.n = 40.5: not an integer"),
+                           (".inf", "dataset.n = inf: cannot convert float infinity to integer"),
+                           ("40", 40), ("40.0", 40), ("1", "generator runs need an integer n >= 2"),
+                           ("true", "generator runs need an integer n >= 2")):
             path.write_text(f"dataset:\n  dgp: two_regime\n  n: {n}\n")
-            if ok:
-                assert load_config(str(path)).n == 40
+            if isinstance(outcome, int):
+                assert load_config(str(path)).n == outcome
             else:
-                with pytest.raises(ValueError, match="generator runs need an integer n >= 2"):
+                with pytest.raises(ValueError, match=re.escape(outcome)):
                     load_config(str(path))
 
     @pytest.mark.parametrize("kind, params, message", [
@@ -429,8 +460,9 @@ def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0
     """The acquisition loop on Python lists of labeled and pool indices, as it
     was before the in-place partition: the oracle for ``run_replication``.
 
-    Its only departure from that loop is the distance cache, which it builds
-    afresh from the lists after every acquisition instead of updating it.
+    Its only departure from that loop is the distance state, a one-row
+    ``DistanceBlock`` that it builds afresh from the lists after every
+    acquisition instead of moving it.
     """
     X, y = dataset.features, dataset.targets
     n_total = dataset.n_samples
@@ -444,9 +476,9 @@ def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0
     policy = kind.policy(params, seed) if kind.policy else None
     state = kind.setup(dataset, seed) if kind.setup else None
 
-    def fresh_cache(preds):
+    def fresh_cache():
         lists = SplitState(np.array(labeled), np.array(pool, dtype=np.int64), seed=0)
-        return cache_of(dataset, lists, preds)
+        return cache_of(dataset, lists)
 
     rows = {name: [] for name in ("rmse", "cc", "labeled", "acquired", "score", "weight")}
 
@@ -464,7 +496,7 @@ def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0
     rows["acquired"].append(-1)
     rows["score"].append(np.nan)
     rows["weight"].append(np.nan)
-    cache = fresh_cache(pool_preds) if kind.cache else None
+    cache = fresh_cache() if kind.cache else None
 
     cv_prev = cv_initial = None
     for t in range(horizon):
@@ -480,7 +512,8 @@ def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0
                 if cv_prev is not None:
                     reward = cv_prev - cv_now
                 if kind.sac_state:
-                    context = build_state(cv_now, cv_initial, t, horizon, cache)
+                    context = build_state(cv_now, cv_initial, t, horizon, y[labeled],
+                                          cache.labeled_nn(0))
                 cv_prev = cv_now
             weight = policy.step(t, horizon, reward, context)
         committee = None
@@ -489,8 +522,8 @@ def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0
             counts = bootstrap_counts(len(labeled), [generator(child + i, "bootstrap")
                                                      for i in range(params["committee_size"])])
             committee = fit_bootstrap_committee(X[labeled], y[labeled], alpha, counts)
-        result = kind.select(Query(fits, 0, pool_features, pool_preds, cache, committee, weight,
-                                   state))
+        result = kind.select(Query(fits, 0, pool_features, pool_preds, y[labeled], cache,
+                                   committee, weight, state))
 
         pos = result.chosen
         ds_idx = pool[pos]
@@ -500,7 +533,7 @@ def list_based_replication(dataset, method, seed, initial_fraction=0.05, alpha=0
         pool_features = X[pool]
         pool_preds = pool_features @ fits.coefficients[0] + fits.intercepts[0]
         if kind.cache:
-            cache = fresh_cache(pool_preds)
+            cache = fresh_cache()
 
         record(pool_preds)
         rows["acquired"].append(ds_idx)
@@ -930,9 +963,9 @@ class TestBlockInvariance:
                                        + [("update_after_acquisition", 1)] * horizon)
 
     def test_block_state_freed_without_the_cycle_collector(self, dataset, monkeypatch):
-        """Caches refer to their distance block and the block to none of them,
-        so a finished block frees its state, the (N, N) matrix's users
-        among it, by reference counting alone."""
+        """The distance block refers to the partitions and to nothing that
+        refers back to it, so a finished block frees its state, the (N, N)
+        matrix's users among it, by reference counting alone."""
         import gc
         import weakref
 
@@ -952,6 +985,22 @@ class TestBlockInvariance:
             assert len(made) == 1 and made[0]() is None
         finally:
             gc.enable()
+
+    def test_gsy_keeps_no_distance_row(self, dataset):
+        """gsy reads its prediction and target rows, not a distance row: a
+        block of gsy alone builds no ``DistanceBlock``, and the default
+        battery's block keeps nine distance rows, gsx, igs, the six WiGS
+        methods and egal, in its first rows."""
+        alone = wigs.harness._Block(dataset, [(spec_for("gsy"), 0)], 0.05, 0.01, 5)
+        alone.build_caches()
+        assert alone.n_caches == 0 and alone.distances is None
+        battery = wigs.harness._Block(dataset, [(method, 0) for method in default_methods()],
+                                      0.05, 0.01, 5)
+        battery.build_caches()
+        assert battery.n_caches == len(battery.distances) == 9
+        assert all(kind.cache for kind in battery.kinds[:9])
+        assert [method.name for method in battery.methods[9:]] == [
+            "passive", "gsy", "uncertainty", "qbc", "emcm"]
 
     def test_traces_csv_same_at_parallelism_one_and_two(self, tmp_path):
         methods = (MethodSpec("gsx", "gsx"), MethodSpec("mab", "wigs_mab"), MethodSpec("qbc", "qbc"))

@@ -24,7 +24,7 @@ from wigs.sac import (
 )
 from wigs.weights import BanditPolicy
 
-from test_geometry import acquire, cache_of
+from test_geometry import acquire, cache_of, labeled_targets
 from test_model import child_seed
 
 
@@ -55,10 +55,12 @@ def make_dataset(features, targets):
 
 
 def two_point_cache(labeled=(0, 1)):
-    """Cache over rows x = 0, 1, 5 with targets 0, 2, 9; the rest is pool."""
+    """The labeled targets and nearest-labeled distances of a distance row
+    over rows x = 0, 1, 5 with targets 0, 2, 9; the rest is pool."""
     ds = make_dataset([[0.0], [1.0], [5.0]], [0.0, 2.0, 9.0])
     pool = [i for i in range(3) if i not in labeled]
-    return cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0), np.zeros(len(pool)))
+    block = cache_of(ds, SplitState(np.array(labeled), np.array(pool), seed=0))
+    return labeled_targets(block), block.labeled_nn(0)
 
 
 class TestMlpForward:
@@ -265,22 +267,22 @@ class TestPolicy:
 
 class TestBuildState:
     def test_start_of_run(self):
-        s = build_state(2.0, 2.0, 0, 50, two_point_cache())
+        s = build_state(2.0, 2.0, 0, 50, *two_point_cache())
         assert s[0] == 1.0 and s[1] == 0.0
 
     def test_two_points_at_unit_distance(self):
-        s = build_state(1.0, 1.0, 5, 50, two_point_cache())
+        s = build_state(1.0, 1.0, 5, 50, *two_point_cache())
         assert s[4] == 1.0
 
     def test_target_moments(self):
-        s = build_state(1.0, 1.0, 5, 50, two_point_cache())
+        s = build_state(1.0, 1.0, 5, 50, *two_point_cache())
         assert s[2] == 1.0 and s[3] == 1.0  # mean, population std
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            build_state(1.0, 0.0, 0, 10, two_point_cache())
+            build_state(1.0, 0.0, 0, 10, *two_point_cache())
         with pytest.raises(ValueError):
-            build_state(1.0, 1.0, 0, 10, two_point_cache(labeled=(0,)))
+            build_state(1.0, 1.0, 0, 10, *two_point_cache(labeled=(0,)))
 
     @pytest.mark.parametrize("p", [1, 3, 20])
     def test_equals_direct_formula_after_acquisitions(self, p):
@@ -296,13 +298,14 @@ class TestBuildState:
         order = rng.permutation(30)
         labeled, pool = list(order[:3]), list(order[3:])
         split = SplitState(np.array(labeled), np.array(pool), seed=0)
-        cache = cache_of(ds, split, np.zeros(len(pool)))
+        cache = cache_of(ds, split)
         for t in range(6):
             pos = int(rng.integers(len(pool)))
             labeled.append(pool.pop(pos))
-            acquire(cache, pos, np.zeros(len(pool)))
+            acquire(cache, pos)
             expected = direct(0.7, 1.3, t, 6, ds.targets[labeled], ds.features[labeled])
-            assert np.array_equal(build_state(0.7, 1.3, t, 6, cache), expected)
+            state = build_state(0.7, 1.3, t, 6, labeled_targets(cache), cache.labeled_nn(0))
+            assert np.array_equal(state, expected)
 
 
 class TestReplayBuffer:

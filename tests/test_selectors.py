@@ -7,6 +7,8 @@ import pytest
 import wigs.selectors
 from wigs.data import ColumnMeta, Dataset, SplitState
 from wigs.geometry import (
+    dy_min,
+    dy_pair,
     normalize_phi,
     pairwise_distances,
 )
@@ -41,7 +43,7 @@ from wigs.selectors import (
     wigs_scores,
 )
 
-from test_geometry import acquire, cache_of
+from test_geometry import acquire, cache_of, row_of
 from test_model import counts_of, oracle_committee
 
 
@@ -55,7 +57,7 @@ def make_dataset(features, targets):
 
 def random_state(rng, max_n=40):
     """Random dataset + split + fit (a block of one row) + pool predictions +
-    cache shared by oracle tests."""
+    selector inputs (a ``Row``) shared by oracle tests."""
     n = int(rng.integers(10, max_n + 1))
     p = int(rng.integers(1, 4))
     ds = make_dataset(rng.normal(size=(n, p)), rng.normal(size=n))
@@ -64,8 +66,8 @@ def random_state(rng, max_n=40):
     split = SplitState(order[:k], order[k:], seed=0)
     model = fit_ridge(ds.features[split.labeled_idx], ds.targets[split.labeled_idx], 0.01)
     preds = ds.features[split.pool_idx] @ model.coefficients[0] + model.intercepts[0]
-    cache = cache_of(ds, split, preds)
-    return ds, split, model, preds, cache
+    row = row_of(ds, split, preds)
+    return ds, split, model, preds, row
 
 
 class TestPassive:
@@ -93,27 +95,27 @@ class TestGreedyFamily:
     def test_gsx_hand_example(self):
         ds = make_dataset([0.0, 1.0, 0.1, 0.5, 0.9], [0.0] * 5)
         split = SplitState(np.array([0, 1]), np.array([2, 3, 4]), seed=0)
-        cache = cache_of(ds, split, np.zeros(3))
-        assert select_gsx(cache).chosen == 1  # x=0.5, dx_min 0.5 beats 0.1, 0.1
+        cache = cache_of(ds, split)
+        assert select_gsx(cache.dx_min(0)).chosen == 1  # x=0.5, dx_min 0.5 beats 0.1, 0.1
 
     def test_gsx_all_coincident_tie(self):
         ds = make_dataset([0.0, 1.0, 0.0, 1.0], [0.0] * 4)
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = cache_of(ds, split, np.zeros(2))
-        r = select_gsx(cache)
+        cache = cache_of(ds, split)
+        r = select_gsx(cache.dx_min(0))
         assert r.chosen == 0 and r.score == 0.0
 
     def test_gsy_hand_example(self):
         ds = make_dataset([0.0, 1.0, 0.2, 0.4, 0.6], [0.0, 2.0, 0.0, 0.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3, 4]), seed=0)
-        cache = cache_of(ds, split, predictions=np.array([1.0, 0.1, 2.6]))
-        assert select_gsy(cache).chosen == 0  # dy_min 1.0 beats 0.1 and 0.6
+        row = row_of(ds, split, predictions=np.array([1.0, 0.1, 2.6]))
+        assert select_gsy(row.predictions, row.targets).chosen == 0  # 1.0 beats 0.1 and 0.6
 
     def test_gsy_prediction_on_known_label(self):
         ds = make_dataset([0.0, 1.0, 0.2, 0.4], [0.0, 2.0, 0.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = cache_of(ds, split, predictions=np.array([2.0, 0.5]))
-        r = select_gsy(cache)
+        row = row_of(ds, split, predictions=np.array([2.0, 0.5]))
+        r = select_gsy(row.predictions, row.targets)
         assert r.chosen == 1  # first candidate scores 0
 
     def test_igs_hand_example(self):
@@ -124,8 +126,8 @@ class TestGreedyFamily:
     def test_igs_zero_on_coincident(self):
         ds = make_dataset([0.0, 1.0, 0.0, 0.5], [0.0, 1.0, 3.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = cache_of(ds, split, predictions=np.array([5.0, 0.7]))
-        assert igs_scores(cache.dx_pair, cache.dy_pair)[0] == 0.0
+        row = row_of(ds, split, predictions=np.array([5.0, 0.7]))
+        assert igs_scores(row.dx_pair, dy_pair(row.predictions, row.targets))[0] == 0.0
 
     def test_igs_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -144,28 +146,31 @@ class TestGreedyFamily:
     def test_wigs_weight_bounds(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = cache_of(ds, split, predictions=np.array([0.5]))
+        row = row_of(ds, split, predictions=np.array([0.5]))
         with pytest.raises(ValueError):
-            select_wigs(cache, 1.5)
+            select_wigs(row.dx_pair, row.predictions, row.targets, 1.5)
 
     def test_wigs_extremes_match_gsx_gsy(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
-            _, _, _, _, cache = random_state(rng)
-            if cache.dx_pair.max() > cache.dx_pair.min():
-                assert select_wigs(cache, 1.0).chosen == select_gsx(cache).chosen
-            if cache.dy_pair.max() > cache.dy_pair.min():
-                assert select_wigs(cache, 0.0).chosen == select_gsy(cache).chosen
+            _, _, _, _, row = random_state(rng)
+            dx, dy = row.dx_pair, dy_pair(row.predictions, row.targets)
+            if dx.max() > dx.min():
+                assert select_wigs(dx, row.predictions, row.targets, 1.0).chosen == \
+                    select_gsx(row.dx_min).chosen
+            if dy.max() > dy.min():
+                assert select_wigs(dx, row.predictions, row.targets, 0.0).chosen == \
+                    select_gsy(row.predictions, row.targets).chosen
 
 
 def fixed_cache(features, targets, predictions, n_labeled):
     ds = make_dataset(features, targets)
     split = SplitState(np.arange(n_labeled), np.arange(n_labeled, len(targets)), seed=0)
-    return cache_of(ds, split, np.asarray(predictions, dtype=float))
+    return row_of(ds, split, predictions)
 
 
 def scoring_caches():
-    """Random caches, then degenerate ones: equal feature distances, equal
+    """Random rows, then degenerate ones: equal feature distances, equal
     targets and predictions, both, and predictions equal to the targets."""
     rng = np.random.default_rng(31)
     for _ in range(300):
@@ -187,36 +192,37 @@ def same_result(got, want):
 
 class TestScoringBuffers:
     """select_wigs and select_igs score in at most two (P, L) buffers, with
-    the bits of the plain score functions, and leave the cache as it was."""
+    the bits of the plain score functions, and leave the distances as they
+    were."""
 
     def test_wigs_bits_equal_the_plain_chain(self):
         rng = np.random.default_rng(32)
-        for cache in scoring_caches():
-            dx_before = cache.dx_pair.tobytes()
+        for row in scoring_caches():
+            dx_before = row.dx_pair.tobytes()
             for w in (0.0, 1.0, 0.5, 0.25, float(rng.uniform())):
-                want = _pick(wigs_scores(normalize_phi(cache.dx_pair),
-                                         normalize_phi(cache.dy_pair), w))
-                assert same_result(select_wigs(cache, w), want), w
-            assert cache.dx_pair.tobytes() == dx_before
+                want = _pick(wigs_scores(normalize_phi(row.dx_pair),
+                                         normalize_phi(dy_pair(row.predictions, row.targets)), w))
+                assert same_result(select_wigs(row.dx_pair, row.predictions, row.targets, w),
+                                   want), w
+            assert row.dx_pair.tobytes() == dx_before
 
     def test_igs_bits_equal_the_plain_product(self):
-        for cache in scoring_caches():
-            dx_before = cache.dx_pair.tobytes()
-            want = _pick(igs_scores(cache.dx_pair, cache.dy_pair))
-            assert same_result(select_igs(cache), want)
-            assert cache.dx_pair.tobytes() == dx_before
+        for row in scoring_caches():
+            dx_before = row.dx_pair.tobytes()
+            want = _pick(igs_scores(row.dx_pair, dy_pair(row.predictions, row.targets)))
+            assert same_result(select_igs(row.dx_pair, row.predictions, row.targets), want)
+            assert row.dx_pair.tobytes() == dx_before
 
     @pytest.mark.parametrize("select, buffers", [
-        (lambda cache: select_wigs(cache, 0.4), 2), (select_igs, 1)], ids=["wigs", "igs"])
+        (lambda *row: select_wigs(*row, 0.4), 2), (select_igs, 1)], ids=["wigs", "igs"])
     def test_peak_memory(self, select, buffers):
         rng = np.random.default_rng(34)
         n, k = 800, 400  # large enough that numpy's fixed ufunc buffers stay in the slack
-        cache = fixed_cache(rng.normal(size=(n, 3)), rng.normal(size=n),
-                            rng.normal(size=n - k), k)
-        cache.dx_pair  # gathered before the scoring, as in the loop
+        # dx_pair gathered before the scoring, as in the loop
+        row = fixed_cache(rng.normal(size=(n, 3)), rng.normal(size=n), rng.normal(size=n - k), k)
         tracemalloc.start()
         try:
-            select(cache)
+            select(row.dx_pair, row.predictions, row.targets)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -224,7 +230,7 @@ class TestScoringBuffers:
 
 
 def group_caches(rng, group, n_pool, n_labeled):
-    """``group`` caches of one (P, L) shape, the four styles in turn: random
+    """``group`` rows of one (P, L) shape, the four styles in turn: random
     rows; identical rows, whose feature distances all equal (max == min);
     rows and predictions on a small lattice, which tie scores; and
     targets equal to the predictions, whose output distances are all 0."""
@@ -244,8 +250,8 @@ def group_caches(rng, group, n_pool, n_labeled):
 
 
 def stacked_inputs(caches):
-    return ([cache.dx_pair for cache in caches], np.stack([cache.predictions for cache in caches]),
-            np.stack([cache.labeled_targets for cache in caches]))
+    return ([row.dx_pair for row in caches], np.stack([row.predictions for row in caches]),
+            np.stack([row.targets for row in caches]))
 
 
 class TestStackedScoring:
@@ -261,24 +267,26 @@ class TestStackedScoring:
         rng = np.random.default_rng(group * 1000 + n_pool)
         for trial in range(4):
             caches = group_caches(rng, group, n_pool, n_labeled)
-            dx_before = [cache.dx_pair.copy() for cache in caches]
+            dx_before = [row.dx_pair.copy() for row in caches]
             weights = [(0.0, 1.0, 0.5, 0.25, float(rng.uniform()))[(g + trial) % 5]
                        for g in range(group)]
             chosen, scores = select_stacked(*stacked_inputs(caches), weights)
-            for g, cache in enumerate(caches):
-                want = _pick(wigs_scores(normalize_phi(cache.dx_pair),
-                                         normalize_phi(cache.dy_pair), weights[g]))
+            for g, row in enumerate(caches):
+                want = _pick(wigs_scores(normalize_phi(row.dx_pair),
+                                         normalize_phi(dy_pair(row.predictions, row.targets)),
+                                         weights[g]))
                 got = SelectionResult(int(chosen[g]), scores[g])
                 assert same_result(got, want), (g, weights[g])
             chosen, scores = select_stacked(*stacked_inputs(caches))
-            for g, cache in enumerate(caches):
-                want = _pick(igs_scores(cache.dx_pair, cache.dy_pair))
+            for g, row in enumerate(caches):
+                want = _pick(igs_scores(row.dx_pair, dy_pair(row.predictions, row.targets)))
                 assert same_result(SelectionResult(int(chosen[g]), scores[g]), want), g
-            chosen, scores = pick_rows(np.stack([cache.dx_min for cache in caches]))
-            for g, cache in enumerate(caches):
-                assert same_result(SelectionResult(int(chosen[g]), scores[g]), select_gsx(cache))
-            for cache, before in zip(caches, dx_before):
-                assert cache.dx_pair.tobytes() == before.tobytes()
+            chosen, scores = pick_rows(np.stack([row.dx_min for row in caches]))
+            for g, row in enumerate(caches):
+                assert same_result(SelectionResult(int(chosen[g]), scores[g]),
+                                   select_gsx(row.dx_min))
+            for row, before in zip(caches, dx_before):
+                assert row.dx_pair.tobytes() == before.tobytes()
 
     def test_ties_go_to_the_lowest_position(self):
         caches = group_caches(np.random.default_rng(5), 3, 20, 5)
@@ -321,15 +329,15 @@ class TestBruteForceOracles:
     def test_thirty_random_instances(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
-            ds, split, model, preds, cache = random_state(rng)
+            ds, split, model, preds, row = random_state(rng)
             labeled_idx, pool_idx = split.labeled_idx, split.pool_idx
             X, y = ds.features, ds.targets
             committee = fit_bootstrap_committee(
                 X[labeled_idx], y[labeled_idx], 0.01, counts_of(len(labeled_idx), 6, 11))
 
             gsx_brute, gsy_brute, igs_brute, wigs_brute = [], [], [], []
-            phi_x = normalize_phi(cache.dx_pair)
-            phi_y = normalize_phi(cache.dy_pair)
+            phi_x = normalize_phi(row.dx_pair)
+            phi_y = normalize_phi(dy_pair(row.predictions, row.targets))
             w = 0.3
             for n, pool_i in enumerate(pool_idx):
                 per_x = [float(np.linalg.norm(X[pool_i] - X[m])) for m in labeled_idx]
@@ -341,9 +349,9 @@ class TestBruteForceOracles:
                     w * phi_x[n, m] + (1 - w) * phi_y[n, m]
                     for m in range(len(labeled_idx))))
 
-            assert np.allclose(cache.dx_min, gsx_brute, atol=1e-12, rtol=0)
-            assert np.allclose(cache.dy_min, gsy_brute, atol=1e-12, rtol=0)
-            assert np.allclose(igs_scores(cache.dx_pair, cache.dy_pair),
+            assert np.allclose(row.dx_min, gsx_brute, atol=1e-12, rtol=0)
+            assert np.allclose(dy_min(row.predictions, row.targets), gsy_brute, atol=1e-12, rtol=0)
+            assert np.allclose(igs_scores(row.dx_pair, dy_pair(row.predictions, row.targets)),
                                igs_brute, atol=1e-12, rtol=0)
             assert np.allclose(wigs_scores(phi_x, phi_y, w),
                                wigs_brute, atol=1e-12, rtol=0)
@@ -513,12 +521,12 @@ class TestEgal:
         features = np.vstack([[[-50.0, -50.0]], [[-49.0, -50.0]], copies, isolated])
         ds = make_dataset(features, np.zeros(13))
         split = SplitState(np.array([0, 1]), np.arange(2, 13), seed=0)
-        cache = cache_of(ds, split, np.zeros(11))
+        cache = cache_of(ds, split)
         delta = 5.0
         similarity = egal_similarity(ds.feature_distances, delta)
-        density = egal_density(cache, similarity)
+        density = egal_density(cache.pool(0), similarity)
         # oracle: pairwise sums by hand loops
-        pool = ds.features[cache.pool]
+        pool = ds.features[cache.pool(0)]
         brute = []
         for i in range(len(pool)):
             total = 0.0
@@ -528,53 +536,53 @@ class TestEgal:
                     total += math.exp(-d2 / (2 * delta ** 2))
             brute.append(total)
         assert np.allclose(density, brute, atol=1e-12)
-        r = select_egal(cache, similarity)
+        r = select_egal(cache.pool(0), cache.dx_min(0), similarity)
         assert r.chosen == 0  # first duplicate: density ~9 vs isolated ~0
 
     def test_pool_of_one(self):
         ds = make_dataset([0.0, 1.0, 0.5], [0.0, 1.0, 0.0])
         split = SplitState(np.array([0, 1]), np.array([2]), seed=0)
-        cache = cache_of(ds, split, np.zeros(1))
-        assert select_egal(cache, egal_similarity(ds.feature_distances, 1.0)).chosen == 0
+        cache = cache_of(ds, split)
+        assert select_egal(cache.pool(0), cache.dx_min(0),
+                           egal_similarity(ds.feature_distances, 1.0)).chosen == 0
 
     def test_density_equals_direct_formula_after_acquisitions(self):
         rng = np.random.default_rng(9)
         ds = make_dataset(rng.normal(size=(40, 20)), rng.normal(size=40))
         order = rng.permutation(40)
-        cache = cache_of(ds, SplitState(order[:3], order[3:], seed=0), np.zeros(37))
+        cache = cache_of(ds, SplitState(order[:3], order[3:], seed=0))
         similarity = egal_setup(ds, seed=2)
         delta = sample_bandwidth(ds.features, seed=2)
         for _ in range(6):
-            pos = int(rng.integers(cache.n_pool))
-            acquire(cache, pos, np.zeros(cache.n_pool - 1))
+            pos = int(rng.integers(cache.partitions.n_pool))
+            acquire(cache, pos)
             # oracle: the pool's own pairwise distances, computed from its features
-            pool_features = ds.features[cache.pool]
+            pool_features = ds.features[cache.pool(0)]
             dist = pairwise_distances(pool_features, pool_features)
             sim = np.exp(-(dist ** 2) / (2.0 * delta ** 2))
             np.fill_diagonal(sim, 0.0)
-            assert np.array_equal(egal_density(cache, similarity), sim.sum(axis=1))
+            assert np.array_equal(egal_density(cache.pool(0), similarity), sim.sum(axis=1))
 
     def test_density_chunks_give_the_same_bits(self, monkeypatch):
         rng = np.random.default_rng(10)
         ds = make_dataset(rng.normal(size=(150, 4)), rng.normal(size=150))
         order = rng.permutation(150)
-        cache = cache_of(ds, SplitState(order[:8], order[8:], seed=0), np.zeros(142))
+        pool = cache_of(ds, SplitState(order[:8], order[8:], seed=0)).pool(0)
         similarity = egal_setup(ds, seed=1)
-        whole = similarity[cache.pool].take(cache.pool, axis=1).sum(axis=1)
+        whole = similarity[pool].take(pool, axis=1).sum(axis=1)
         for chunk in (1, 2, 7, 64, 141, 142, 500):
             monkeypatch.setattr(wigs.selectors, "EGAL_CHUNK_ROWS", chunk)
-            assert egal_density(cache, similarity).tobytes() == whole.tobytes(), chunk
+            assert egal_density(pool, similarity).tobytes() == whole.tobytes(), chunk
 
     def test_density_holds_no_pool_by_dataset_gather(self):
         rng = np.random.default_rng(11)
         n = 400
         ds = make_dataset(rng.normal(size=(n, 2)), rng.normal(size=n))
-        cache = cache_of(ds, SplitState(np.arange(20), np.arange(20, n), seed=0),
-                         np.zeros(n - 20))
+        pool = cache_of(ds, SplitState(np.arange(20), np.arange(20, n), seed=0)).pool(0)
         similarity = egal_similarity(ds.feature_distances, 1.0)
         tracemalloc.start()
         try:
-            egal_density(cache, similarity)
+            egal_density(pool, similarity)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -583,8 +591,8 @@ class TestEgal:
     def test_filter_fallback_when_all_coincident(self):
         ds = make_dataset([0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0])
         split = SplitState(np.array([0, 1]), np.array([2, 3]), seed=0)
-        cache = cache_of(ds, split, np.zeros(2))
-        r = select_egal(cache, egal_similarity(ds.feature_distances, 1.0))
+        cache = cache_of(ds, split)
+        r = select_egal(cache.pool(0), cache.dx_min(0), egal_similarity(ds.feature_distances, 1.0))
         assert r.chosen == 0  # all dx_min = 0: everyone passes >= q25 = 0
 
     def test_bandwidth_deterministic_and_positive(self):
