@@ -26,9 +26,8 @@ from .rng import generator
 from .sac import SacConfig
 from .sac import state_bytes as sac_state_bytes
 from .selectors import (
+    EgalState,
     SelectionResult,
-    egal_setup,
-    select_egal,
     select_emcm,
     select_gsx,
     select_gsy,
@@ -154,7 +153,8 @@ def _unit(value) -> bool:
 
 
 def _select_wigs(q: Query) -> SelectionResult:
-    return select_wigs(q.distances.pair(q.row), q.predictions, q.targets, q.weight)
+    return select_wigs(q.distances.pair(q.row), q.predictions, q.targets, q.weight,
+                       q.distances.dx_min(q.row))
 
 
 def _sac_param(name: str, default) -> Param:
@@ -215,9 +215,9 @@ KINDS: dict[str, Kind] = {
     "emcm": Kind(lambda q: select_emcm(q.pool_features, q.predictions,
                                        q.fits.feature_means[q.row], *q.committee),
                  _COMMITTEE, committee=True),
-    "egal": Kind(lambda q: select_egal(q.distances.pool(q.row), q.distances.dx_min(q.row),
-                                       q.state), setup=egal_setup,
-                 state_bytes=lambda p, n: 8 * n * n, cache=True),  # the similarity matrix
+    # the state holds the (N, N) similarities, an (N,) running density and an (N,) mask
+    "egal": Kind(lambda q: q.state.select(q.distances.pool(q.row), q.distances.dx_min(q.row)),
+                 setup=EgalState.setup, state_bytes=lambda p, n: 8 * n * n + 9 * n, cache=True),
 }
 
 

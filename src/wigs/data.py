@@ -339,8 +339,10 @@ def save_csv(dataset: Dataset, path: str | os.PathLike) -> None:
 def initial_split(dataset: Dataset, frac: float, seed: int) -> SplitState:
     """Uniform random split into an initial labeled set and a candidate pool.
 
-    The labeled set has ceil(frac * N) points, at least 2.  Driven solely
-    by ``seed`` (stream "split"), so identical inputs give identical splits.
+    The labeled set has ceil(frac * N) points.  Fewer than 2 is refused,
+    not raised to 2 ("labeled set would have 1 < 2 points"), and so is a
+    fraction that leaves no pool.  Driven solely by ``seed`` (stream
+    "split"), so identical inputs give identical splits.
     """
     if not 0.0 < frac < 1.0:
         raise ValueError(f"frac must be in (0, 1), got {frac}")

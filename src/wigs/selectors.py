@@ -1,6 +1,6 @@
 """Query strategies for pool-based regression active learning.
 
-Every selector is a pure function of arrays; its per-candidate criterion
+Every selector is a function of arrays; its per-candidate criterion
 vector is either an input (gsx's ``dx_min``), a ``wigs.geometry`` output
 distance (gsy's ``dy_min``) or a companion ``*_scores`` function, so the
 argmax can be checked against independent enumeration.  Ties always break
@@ -17,18 +17,27 @@ a failure mode in dense regions: a near-zero feature distance multiplies
 away any output-space signal.  ``verify_density_veto`` makes that failure
 and the additive escape hatch checkable on explicit score tuples, and
 ``veto_demo`` runs that check over the documented tuple and random ones.
+
+Two selectors screen, then confirm: ``select_wigs`` and egal's
+``EgalState.select`` find the best candidate by a cheap score whose error
+they bound, then compute the exact criterion again only for the
+candidates within that bound of the best, so the pick and its score keep
+the bits of the plain computation (``wigs_scores`` on ``normalize_phi``,
+and ``select_egal``), which stays as the oracle.  egal's state keeps a
+running density between calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
-from .geometry import dy_min, dy_pair, normalize_phi
-from .geometry import pairwise_distances  # noqa: F401  a site that bench/tracing.py wraps
+from .geometry import dy_min, dy_pair
+from .geometry import normalize_phi, pairwise_distances  # noqa: F401  sites bench/tracing.py wraps
 from .model import predictive_variance_batch
 from .rng import generator
 
@@ -111,26 +120,126 @@ def wigs_scores(phi_x: np.ndarray, phi_y: np.ndarray, w: float) -> np.ndarray:
     return np.min(w * phi_x + (1.0 - w) * phi_y, axis=1)
 
 
+# The range of the coefficients a and b of ``select_wigs`` in which its
+# slack bounds their rounding: outside it every candidate is rescored.
+_NORMAL = (2.0**-1000, 2.0**1000)
+
+
+def _screen_terms(w: float, lo_x: float, hi_x: float, lo_y: float,
+                  hi_y: float) -> tuple[float, float, float] | None:
+    """The screen of ``select_wigs`` for weight ``w`` and the bounds of the
+    two collections: its coefficients (cx, cy) and its slack, or None when
+    every candidate must be rescored."""
+    span_x, span_y, w1 = hi_x - lo_x, hi_y - lo_y, 1.0 - w
+    a = w / span_x if span_x > 0.0 else 0.0
+    b = w1 / span_y if span_y > 0.0 else 0.0
+    for c, weight, span in ((a, w, span_x), (b, w1, span_y)):
+        if weight > 0.0 and span > 0.0 and not _NORMAL[0] <= c <= _NORMAL[1]:
+            return None
+    k = max(a, b)
+    if k == 0.0:
+        return 0.0, 0.0, 0.0
+    height = 2.0 * max(hi_x, -lo_x) + hi_y
+    slack = 2.0**-48 * height + 2.0**-1070 * (1.0 + 1.0 / k)
+    return (1.0, b / a, slack) if a >= b else (a / b, 1.0, slack)
+
+
 def select_wigs(dx_pair: np.ndarray, predictions: np.ndarray, targets: np.ndarray,
-                w: float) -> SelectionResult:
+                w: float, dx_min: np.ndarray | None = None) -> SelectionResult:
     """Weighted additive combination of normalized pairwise distances.
 
-    A collection of equal distances, such as the feature distances of a pool
+    The pick and score of ``_pick(wigs_scores(normalize_phi(dx_pair),
+    normalize_phi(dy_pair(predictions, targets)), w))``, bit for bit.  A
+    collection of equal distances, such as the feature distances of a pool
     of identical rows, normalizes to zeros (``normalize_phi``), so its term
-    adds nothing and ties go to the lowest pool position.  The operations
-    of ``wigs_scores`` on the two normalized collections, in the same order,
-    in two (P, L) buffers: the same bits.
+    adds nothing and ties go to the lowest pool position.  ``dx_min`` holds
+    the row minima of ``dx_pair`` (the distance block's nearest-labeled
+    distances); they are computed when not given.  A distance, prediction
+    or target that is not finite raises ``ValueError``.
+
+    Screen, then confirm.  The chain's bounds are lo_x = min ``dx_min``,
+    hi_x = max ``dx_pair``, lo_y = min dy and hi_y = max(max p - min t,
+    max t - min p), which is max dy exactly, since floating-point
+    subtraction is monotone in each operand.  With the spans s = hi - lo,
+    a = w / s_x and b = (1 - w) / s_y (0 where the span or the weight is
+    0), each exact score is k·t_i + c up to rounding, where k = max(a, b),
+    t_i = min_j (a dx_ij + b dy_ij) / k and c = -(a lo_x + b lo_y).  The
+    screen scores each candidate by m_i = min_j (cx dx_ij + cy dy_ij), with
+    (cx, cy) = (1, b/a) if a >= b and (a/b, 1) otherwise, so neither ratio
+    exceeds 1 or overflows: dy, its minimum, the weighting and the row
+    minima, 8 passes over (P, L) where the chain makes 14.  If a = 0 the
+    screen is the row minima of dy, if b = 0 it is ``dx_min``, and if both
+    are 0 every score is 0.  The candidates with m_i >= max m - slack are
+    rescored by the chain's elementwise operations, in its order, with its
+    bounds and with zeros where a span is 0, and the first exact maximum
+    among them is the pick.
+
+    Why the band holds every exact maximum.  Let u = 2**-53, η = 2**-1075
+    (the underflow error of a product or a quotient) and H = 2 max(hi_x,
+    -lo_x) + hi_y, which bounds |dx| + dy and both spans.  While a and b
+    lie in [2**-1000, 2**1000], each relative to its own rounding:
+    - an exact score is four roundings (subtract, divide, weight, add) of
+      nonnegative terms whose sum is at most k H, so it lies within
+      e1 = 4.01 u k H + 5η of k t_i + c;
+    - the screen's coefficients are within 4u of a/k and b/k, which moves
+      min_j (cx dx + cy dy) by at most 4u H from t_i, and m_i rounds by
+      at most e2 = 2.01 u H + 2η more;
+    - max m - slack rounds by at most u H.
+    A candidate whose exact score is the maximum thus has m_i at least
+    max m - 2 e1 / k - 8u H - 2 e2 - u H = max m - 21.04 u H - 4η -
+    10η / k, and slack = 2**-48 H + 2**-1070 (1 + 1/k) exceeds that
+    margin.  When a or b leaves that range, or underflows to 0, every
+    candidate is rescored.
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {w}")
     _check_pair(dx_pair, predictions, targets)
-    phi_x = normalize_phi(dx_pair)
-    phi_y = dy_pair(predictions, targets)
-    normalize_phi(phi_y, out=phi_y)
+    if dx_min is None:
+        dx_min = dx_pair.min(axis=1)
+    bounds = (dx_min.min(), dx_pair.max(), predictions.min(), predictions.max(),
+              targets.min(), targets.max())
+    lo_x, hi_x, p_lo, p_hi, t_lo, t_hi = map(float, bounds)
+    hi_y = max(p_hi - t_lo, t_hi - p_lo)
+    if not all(map(math.isfinite, (lo_x, hi_x, p_lo, p_hi, t_lo, t_hi, hi_y))):
+        raise ValueError("non-finite feature distances, predictions or targets")
+    w1 = 1.0 - w
+    lo_y = 0.0  # (1 - w) = 0 multiplies the output term away: dy is not needed
+    if w1 > 0.0:
+        dy = np.empty(dx_pair.shape)
+        np.copyto(dy, targets)  # then in place: faster than subtract.outer
+        np.subtract(predictions[:, None], dy, out=dy)
+        np.abs(dy, out=dy)
+        lo_y = float(dy.min())
+    terms = _screen_terms(w, lo_x, hi_x, lo_y, hi_y)
+    if terms is None:
+        band = np.arange(len(dx_pair))
+    else:
+        cx, cy, slack = terms
+        if cx == cy == 0.0:
+            return SelectionResult(chosen=0, score=0.0)
+        if cy == 0.0:
+            screen = dx_min
+        else:
+            if cy != 1.0:
+                np.multiply(dy, cy, out=dy)
+            if cx == 1.0:
+                np.add(dy, dx_pair, out=dy)
+            elif cx != 0.0:
+                np.add(dy, np.multiply(dx_pair, cx), out=dy)
+            screen = dy.min(axis=1)
+        band = np.flatnonzero(screen >= screen.max() - slack)
+    # the chain on the band's rows, with the bounds of the whole collections
+    phi_x = dx_pair[band]
+    np.subtract(phi_x, lo_x, out=phi_x)
+    np.divide(phi_x, hi_x - lo_x or 1.0, out=phi_x)  # span 0: every v - lo is 0
+    phi_y = dy_pair(predictions[band], targets)
+    np.subtract(phi_y, lo_y, out=phi_y)
+    np.divide(phi_y, hi_y - lo_y or 1.0, out=phi_y)
     np.multiply(w, phi_x, out=phi_x)
-    np.multiply(1.0 - w, phi_y, out=phi_y)
+    np.multiply(w1, phi_y, out=phi_y)
     np.add(phi_x, phi_y, out=phi_x)
-    return _pick(phi_x.min(axis=1))
+    best = _pick(phi_x.min(axis=1))
+    return SelectionResult(chosen=int(band[best.chosen]), score=best.score)
 
 
 def select_stacked(dx_pairs, predictions: np.ndarray, targets: np.ndarray,
@@ -146,7 +255,14 @@ def select_stacked(dx_pairs, predictions: np.ndarray, targets: np.ndarray,
     collection whose max equals its min (as ``normalize_phi``), the
     weights, the minimum over the labeled points and the argmax.  Every
     step is elementwise or an exact reduction, so row g gets the bits its
-    own selector gives it.  The ``dx_pairs`` are read, not written.
+    own selector gives it.  The ``dx_pairs`` are read, not written.  A
+    WiGS row with a distance, prediction or target that is not finite
+    raises ``ValueError``, as ``select_wigs`` does.
+
+    The WiGS rows run the full chain, not ``select_wigs``' screen: at the
+    shapes where groups form (P·L at most half of
+    ``wigs.harness.SCORE_BUDGET``), a grouped screen spends on its bounds,
+    its band and its rescoring more than the six passes it saves.
     """
     if weights is not None and not all(0.0 <= w <= 1.0 for w in weights):
         raise ValueError(f"weights must lie in [0, 1], got {weights}")
@@ -164,6 +280,8 @@ def select_stacked(dx_pairs, predictions: np.ndarray, targets: np.ndarray,
         lo = collections.min(axis=(1, 2), keepdims=True)
         span = collections.max(axis=(1, 2), keepdims=True)
         np.subtract(span, lo, out=span)
+        if not np.isfinite(span).all():  # a NaN or inf bound gives a NaN or inf span
+            raise ValueError("non-finite feature distances, predictions or targets")
         # max == min: every finite v - lo is 0, and 0 / 1 gives normalize_phi's zeros
         span[span == 0.0] = 1.0
         np.subtract(collections, lo, out=collections)
@@ -266,19 +384,23 @@ def egal_setup(dataset: Dataset, seed: int) -> np.ndarray:
     return egal_similarity(dx, delta)
 
 
-def egal_density(pool: np.ndarray, similarity: np.ndarray) -> np.ndarray:
+def egal_density(pool: np.ndarray, similarity: np.ndarray,
+                 others: np.ndarray | None = None) -> np.ndarray:
     """Sum of Gaussian similarities from each candidate to the other pool points.
 
     Summed ``EGAL_CHUNK_ROWS`` candidates at a time, so no (P, N) gather is
     held: each candidate's row is the same P contiguous values, summed the
     same way, whatever chunk it falls in.  ``pool`` holds the candidates'
-    dataset rows.
+    dataset rows, and ``others`` the pool they are summed over when the
+    candidates are only some of it (``EgalState``).
     """
+    if others is None:
+        others = pool
     chunk = EGAL_CHUNK_ROWS
     density = np.empty(len(pool))
     for start in range(0, len(pool), chunk):
         rows = similarity.take(pool[start:start + chunk], axis=0)
-        density[start:start + chunk] = rows.take(pool, axis=1).sum(axis=1)
+        density[start:start + chunk] = rows.take(others, axis=1).sum(axis=1)
     return density
 
 
@@ -300,6 +422,13 @@ def lower_quartile(values: np.ndarray) -> float:
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
+def _egal_kept(dx_min: np.ndarray) -> np.ndarray:
+    """egal's diversity filter: the candidates at or above the 25th
+    percentile of nearest-labeled distance, or all of them if none is."""
+    kept = dx_min >= lower_quartile(dx_min)
+    return kept if kept.any() else np.ones_like(kept)
+
+
 def select_egal(pool: np.ndarray, dx_min: np.ndarray, similarity: np.ndarray) -> SelectionResult:
     """Densest candidate among those far enough from the labeled set.
 
@@ -307,17 +436,61 @@ def select_egal(pool: np.ndarray, dx_min: np.ndarray, similarity: np.ndarray) ->
     distance are filtered out first (diversity); if that empties the pool,
     all candidates are kept.  ``pool`` holds the candidates' dataset rows
     and ``dx_min`` their nearest-labeled distances; ``similarity`` is the
-    run's ``egal_setup``.
+    run's ``egal_setup``.  The loop runs ``EgalState.select``, which gives
+    the same bits; this is its oracle.
     """
     if len(pool) == 0:
         raise ValueError("empty candidate pool")
     density = egal_density(pool, similarity)
-    threshold = lower_quartile(dx_min)
-    kept = dx_min >= threshold
-    if not kept.any():
-        kept = np.ones_like(kept)
-    masked = np.where(kept, density, -np.inf)
-    return _pick(masked)
+    return _pick(np.where(_egal_kept(dx_min), density, -np.inf))
+
+
+class EgalState:
+    """Per-run egal state: the similarity matrix of ``egal_setup`` and,
+    for every dataset row, a running sum of its similarities to the rows
+    ``counted``, which are the pool of the last ``select`` call.
+
+    ``select`` gives ``select_egal``'s pick and score, bit for bit.  It
+    first subtracts the similarity column of each row that has left the
+    pool since its last call (O(N) per row, whatever the pool order), then
+    screens the candidates that pass the diversity filter on their running
+    density, and sums exactly (``egal_density``) only those within
+    ``slack`` of the best.  Every density is a sum of similarities in
+    [0, 1] whose magnitude is at most R, the largest row sum: the running
+    one has passed through at most 2N roundings (the N-term row sum, then
+    one subtraction per leaving row), the exact one through at most N,
+    each off by at most u R with u = 2**-53, and the threshold rounds by
+    u R more.  A candidate of the largest exact density is therefore at
+    most (6N + 1) u R below the best running density, and slack = 8 N u R
+    covers that.
+    """
+
+    def __init__(self, similarity: np.ndarray):
+        self.similarity = similarity
+        self.density = similarity.sum(axis=1)
+        self.counted = np.ones(len(similarity), dtype=bool)
+        self.slack = 8 * len(similarity) * 2.0**-53 * float(self.density.max())
+
+    @classmethod
+    def setup(cls, dataset: Dataset, seed: int) -> EgalState:
+        return cls(egal_setup(dataset, seed))
+
+    def select(self, pool: np.ndarray, dx_min: np.ndarray) -> SelectionResult:
+        """``select_egal(pool, dx_min, self.similarity)``; ``pool`` lies
+        within the pool of the last call."""
+        if len(pool) == 0:
+            raise ValueError("empty candidate pool")
+        counted = self.counted
+        counted[pool] = False
+        left = np.flatnonzero(counted)  # counted, but no longer in the pool
+        for row in left:
+            self.density -= self.similarity[:, row]
+        counted[left] = False
+        counted[pool] = True
+        screen = np.where(_egal_kept(dx_min), self.density[pool], -np.inf)
+        band = np.flatnonzero(screen >= screen.max() - self.slack)
+        best = _pick(egal_density(pool[band], self.similarity, pool))
+        return SelectionResult(chosen=int(band[best.chosen]), score=best.score)
 
 
 @dataclass(frozen=True)

@@ -712,6 +712,36 @@ class TestConstantTargets:
             assert np.isfinite(trace.rmse).all() and trace.rmse[-1] == 0.0, trace.method
 
 
+class TestRefusedDatasets:
+    """A dataset the loop cannot run is refused before the first
+    acquisition, with the same message whatever the kind."""
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_target(self, kind, cell, tmp_path):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "data.csv"
+        rows = [f"{a!r},{b!r},{t!r}" for a, b, t in rng.normal(size=(30, 3)).tolist()]
+        rows[6] = rows[6].rsplit(",", 1)[0] + "," + cell
+        path.write_text("x1,x2,y\n" + "\n".join(rows) + "\n")
+        config = ExperimentConfig(csv_path=str(path), methods=(spec_for(kind),),
+                                  out_dir=str(tmp_path / "record"))
+        with pytest.raises(ValueError, match=f"non-finite value '{cell}' in column 'y', row 8"):
+            run_experiment(config)
+        X, y = rng.normal(size=(30, 2)), rng.normal(size=30)
+        y[6] = float(cell)
+        with pytest.raises(ValueError, match="non-finite feature or target entries"):
+            rows_dataset(X, y)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_too_few_rows_for_two_labeled_points(self, kind):
+        """N = 4 at the default fraction 0.05 labels ceil(0.2) = 1 point."""
+        rng = np.random.default_rng(14)
+        ds = rows_dataset(rng.normal(size=(4, 2)), rng.normal(size=4))
+        with pytest.raises(ValueError, match="labeled set would have 1 < 2 points"):
+            run_replication(ds, spec_for(kind), seed=0)
+
+
 def per_cell_trace_rows(trace):
     """The rows as they were built before the text came from columns: one
     tuple per row, a numpy scalar read per cell, written by ``_format_rows``."""
@@ -1115,6 +1145,20 @@ class TestBlockBudget:
         blocks = pair_blocks(pairs, [per_seed] * 20, 1)
         assert [len(block) for block in blocks] == [1] * 20
         assert [pair for block in blocks for pair in block] == pairs
+
+    def test_egal_counts_its_running_density(self):
+        """An egal pair's state is its (N, N) similarities, its (N,) running
+        density and its (N,) mask of counted rows, and ``seed_bytes`` counts
+        each of them over what a gsx pair, which shares its other terms,
+        adds."""
+        rng = np.random.default_rng(15)
+        n = 50
+        state = wigs.config.KINDS["egal"].setup(rows_dataset(rng.normal(size=(n, 3)),
+                                                             rng.normal(size=n)), 0)
+        held = state.similarity.nbytes + state.density.nbytes + state.counted.nbytes
+        assert held == 8 * n * n + 9 * n
+        assert seed_bytes(n, 3, self.EGAL, 5) - seed_bytes(n, 3, MethodSpec("gsx", "gsx"), 5) \
+            == held
 
     def test_small_n_runs_in_one_block_per_worker(self):
         pairs = [(self.EGAL, seed) for seed in range(20)]

@@ -17,6 +17,7 @@ from wigs.harness import SCORE_BUDGET, run_replication
 from wigs.model import fit_bootstrap_committee, fit_ridge
 from wigs.rng import generator
 from wigs.selectors import (
+    EgalState,
     egal_bandwidth,
     egal_density,
     egal_setup,
@@ -321,6 +322,178 @@ class TestStackedScoring:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * SCORE_BUDGET + 8 * np.getbufsize() + 8 * group * n_pool + 4096
+
+
+def plain_wigs(dx, predictions, targets, w):
+    """The oracle of ``select_wigs``' screen: the plain chain, in full."""
+    return _pick(wigs_scores(normalize_phi(dx), normalize_phi(dy_pair(predictions, targets)), w))
+
+
+# 0, the smallest subnormal, a subnormal, an inside weight, the largest
+# weight below 1 (1 - w = 2**-53) and 1
+SCREEN_WEIGHTS = (0.0, 5e-324, 1e-310, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+def jitter(values, rng, share=0.5):
+    """``values`` with a random ``share`` of its entries moved 1 ulp up or down."""
+    moved = values.copy()
+    picks = rng.uniform(size=values.shape) < share
+    up = rng.uniform(size=values.shape) < 0.5
+    moved[picks & up] = np.nextafter(values[picks & up], np.inf)
+    moved[picks & ~up] = np.nextafter(values[picks & ~up], -np.inf)
+    return moved
+
+
+def screen_cases(rng, n_pool=24, n_labeled=6):
+    """(name, dx_pair, predictions, targets) rows built to trip a screen:
+    near ties 1 ulp apart, duplicate and lattice candidates, identical rows,
+    flat outputs, outputs offset by 1e12, tiny and huge distances."""
+    shape = (n_pool, n_labeled)
+    lattice = rng.integers(0, 3, size=shape).astype(float)
+    lattice_p = rng.integers(0, 3, size=n_pool).astype(float)
+    lattice_t = rng.integers(0, 3, size=n_labeled).astype(float)
+    spread = rng.uniform(0.5, 2.0, size=shape)
+    p, t = rng.normal(size=n_pool), rng.normal(size=n_labeled)
+    half = n_pool // 2
+    twice = np.vstack([spread[:half], spread[:n_pool - half]])
+    yield "random", spread, p, t
+    yield "lattice", lattice, lattice_p, lattice_t
+    yield "ulp ties", jitter(np.full(shape, 0.75), rng), jitter(np.full(n_pool, 0.5), rng), \
+        np.linspace(-1.0, 1.0, n_labeled)
+    yield "ulp lattice", jitter(lattice + 1.0, rng), jitter(lattice_p, rng), lattice_t
+    yield "duplicates", twice, np.concatenate([p[:half], p[:n_pool - half]]), t
+    yield "identical rows", np.zeros(shape), p, t
+    yield "equal distances", np.full(shape, 0.4), p, t
+    yield "flat outputs", spread, np.full(n_pool, 0.7), np.full(n_labeled, 0.7)
+    yield "flat offset outputs", spread, np.full(n_pool, 0.2), np.full(n_labeled, 0.7)
+    yield "identical and flat", np.zeros(shape), np.full(n_pool, 0.7), np.full(n_labeled, 0.7)
+    yield "offset 1e12", spread, p + 1e12, t + 1e12
+    yield "offset lattice 1e12", lattice, lattice_p + 1e12, lattice_t + 1e12
+    yield "tiny distances", spread * 1e-300, p, t
+    yield "huge distances", spread * 1e150, p * 1e150, t * 1e150
+    yield "one candidate", spread[:1], p[:1], t
+    yield "one labeled", spread[:, :1], p, t[:1]
+    yield "one of each", spread[:1, :1], p[:1], t[:1]
+
+
+class TestScreenThenConfirm:
+    """``select_wigs``' screen and egal's running density pick, and score,
+    the bits of the plain computation on inputs built to trip a bound."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wigs_rows_equal_the_plain_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        for name, dx, p, t in screen_cases(rng):
+            before = dx.tobytes(), p.tobytes(), t.tobytes()
+            for w in SCREEN_WEIGHTS:
+                want = plain_wigs(dx, p, t, w)
+                assert same_result(select_wigs(dx, p, t, w), want), (name, w)
+                assert same_result(select_wigs(dx, p, t, w, dx.min(axis=1)), want), (name, w)
+            assert (dx.tobytes(), p.tobytes(), t.tobytes()) == before, name
+
+    def test_wigs_ties_in_real_arithmetic(self):
+        """Distances and outputs on decimal and thirds lattices, at weights
+        that do not divide them evenly: many candidates tie in real
+        arithmetic and are parted by one rounding, which the screen, a
+        different formula, can round the other way."""
+        rng = np.random.default_rng(45)
+        for trial in range(1500):
+            n_pool, n_labeled = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+            scale, offset = ((10, 0.0), (3, 0.0), (10, 1e12))[trial % 3]
+            dx = rng.integers(1, 10, size=(n_pool, n_labeled)) / scale
+            p = rng.integers(0, 10, size=n_pool) / scale + offset
+            t = rng.integers(0, 10, size=n_labeled) / scale + offset
+            for w in (0.1, 0.3, 1.0 / 3.0, 0.7, float(rng.uniform())):
+                assert same_result(select_wigs(dx, p, t, w), plain_wigs(dx, p, t, w)), (trial, w)
+
+    def test_wigs_random_rows_and_weights(self):
+        rng = np.random.default_rng(40)
+        for row in scoring_caches():
+            for w in (*SCREEN_WEIGHTS, float(rng.uniform()), float(rng.uniform()) * 1e-200):
+                assert same_result(select_wigs(row.dx_pair, row.predictions, row.targets, w,
+                                               row.dx_min),
+                                   plain_wigs(row.dx_pair, row.predictions, row.targets, w)), w
+
+    def test_mixed_groups_equal_the_plain_chain(self):
+        """Rows of every screen case in one group, scored by ``select_stacked``
+        and one at a time by ``select_wigs``, at every weight."""
+        rng = np.random.default_rng(41)
+        cases = [case for case in screen_cases(rng) if case[1].shape == (24, 6)]
+        dx_pairs = [dx for _, dx, _, _ in cases]
+        predictions = np.stack([p for _, _, p, _ in cases])
+        targets = np.stack([t for _, _, _, t in cases])
+        for shift in range(len(SCREEN_WEIGHTS)):
+            weights = [SCREEN_WEIGHTS[(g + shift) % len(SCREEN_WEIGHTS)] for g in range(len(cases))]
+            chosen, scores = select_stacked(dx_pairs, predictions, targets, weights)
+            for g, (name, dx, p, t) in enumerate(cases):
+                want = plain_wigs(dx, p, t, weights[g])
+                assert same_result(SelectionResult(int(chosen[g]), scores[g]), want), name
+                assert same_result(select_wigs(dx, p, t, weights[g]), want), name
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("where, value", [
+        ("dx", np.nan), ("dx", np.inf), ("predictions", np.nan), ("predictions", -np.inf),
+        ("targets", np.nan), ("targets", np.inf), ("overflow", None)])
+    def test_non_finite_inputs_refused(self, where, value):
+        rng = np.random.default_rng(42)
+        dx, p, t = rng.uniform(size=(8, 3)), rng.normal(size=8), rng.normal(size=3)
+        if where == "overflow":  # finite, but |p - t| overflows
+            p[2], t[1] = 1.5e308, -1.5e308
+        else:
+            {"dx": dx[3], "predictions": p, "targets": t}[where][1] = value
+        for w in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match="non-finite"):
+                select_wigs(dx, p, t, w)
+        good = rng.uniform(size=(8, 3))
+        with pytest.raises(ValueError, match="non-finite"):
+            select_stacked([good, dx], np.stack([rng.normal(size=8), p]),
+                           np.stack([rng.normal(size=3), t]), [0.5, 0.5])
+
+    @pytest.mark.parametrize("style", ["random", "duplicates", "lattice"])
+    def test_egal_after_every_acquisition(self, style):
+        """The running density of one ``EgalState``, followed through a whole
+        run of acquisitions, picks and scores the bits of a fresh
+        ``egal_density`` at every step, duplicate rows (equal densities)
+        and lattice rows (many ties) included."""
+        rng = np.random.default_rng(43)
+        n = 60
+        if style == "duplicates":
+            features = np.repeat(rng.normal(size=(n // 3, 2)), 3, axis=0)
+        elif style == "lattice":
+            features = rng.integers(0, 4, size=(n, 2)).astype(float)
+        else:
+            features = rng.normal(size=(n, 3))
+        ds = make_dataset(features, rng.normal(size=n))
+        order = rng.permutation(n)
+        cache = cache_of(ds, SplitState(order[:4], order[4:], seed=0))
+        state = EgalState.setup(ds, seed=5)
+        assert np.array_equal(state.similarity, egal_setup(ds, seed=5))
+        while True:
+            pool, dx_min = cache.pool(0), cache.dx_min(0)
+            masked = np.where(dx_min >= np.quantile(dx_min, 0.25),
+                              egal_density(pool, state.similarity), -np.inf)
+            want = _pick(masked if np.isfinite(masked).any()
+                         else egal_density(pool, state.similarity))
+            got = state.select(pool, dx_min)
+            assert same_result(got, want), len(pool)
+            assert same_result(got, select_egal(pool, dx_min, state.similarity))
+            if len(pool) == 1:
+                break
+            # the pick half the time, else a random candidate: the pool order moves either way
+            acquire(cache, got.chosen if rng.uniform() < 0.5 else int(rng.integers(len(pool))))
+
+    def test_egal_pool_order_does_not_matter(self):
+        """The state subtracts what left the pool, whatever order the pool
+        comes in, and several rows may leave between two calls."""
+        rng = np.random.default_rng(44)
+        ds = make_dataset(rng.normal(size=(50, 2)), rng.normal(size=50))
+        state = EgalState.setup(ds, seed=1)
+        pool = rng.permutation(50)[5:]
+        while len(pool) > 3:
+            dx_min = rng.uniform(size=len(pool))
+            assert same_result(state.select(pool, dx_min),
+                               select_egal(pool, dx_min, state.similarity))
+            pool = rng.permutation(pool)[:len(pool) - int(rng.integers(1, 4))]
 
 
 class TestBruteForceOracles:
