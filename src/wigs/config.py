@@ -100,10 +100,11 @@ class Kind:
     may read ``dataset.feature_distances``, built once per dataset).
     ``state_bytes`` bounds what that controller and setup state hold for
     the resolved params on an N-row dataset, for the kinds where it grows
-    with N or is large.  The flags name what the loop computes each
-    iteration for this kind, besides the refit and the pool predictions
-    that every pair gets and ``select`` reads as rows of the block's arrays
-    (``Query``).  ``scorer`` names the block scorer: the block
+    with N or is large.  ``rules`` names the first rule across params that
+    the resolved params break, or None.  The flags name what the loop
+    computes each iteration for this kind, besides the refit and the pool
+    predictions that every pair gets and ``select`` reads as rows of the
+    block's arrays (``Query``).  ``scorer`` names the block scorer: the block
     scores consecutive rows whose kinds name the same one together, with
     the bits ``select`` gives each row (``wigs.harness._Block.select``).
     """
@@ -113,6 +114,7 @@ class Kind:
     policy: Callable[[dict, int], object] | None = None
     setup: Callable[[Dataset, int], object] | None = None
     state_bytes: Callable[[dict, int], int] | None = None
+    rules: Callable[[dict], str | None] | None = None
     cache: bool = False      # a row of the block's DistanceBlock, moved after each acquisition
     cv_reward: bool = False  # the policy is fed the drop in CV RMSE
     sac_state: bool = False  # the policy is fed the learning-context vector
@@ -157,18 +159,40 @@ def _select_wigs(q: Query) -> SelectionResult:
                        q.distances.dx_min(q.row))
 
 
+# The float SAC params whose range is narrower than the finite numbers:
+# (the range check, the rule's noun).  Adam's bias correction divides by
+# 1 - beta**t, so a beta of 1 gives NaN weights, and so can an adam_eps of
+# 0 once a gradient entry has stayed 0.
+_SAC_RANGES = {
+    "lr": (lambda v: v > 0, "a positive number"),
+    "adam_eps": (lambda v: v > 0, "a positive number"),
+    "beta1": (lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "beta2": (lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "gamma": (lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "tau": (lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+}
+
+
 def _sac_param(name: str, default) -> Param:
     """Rule from the default's type: an int field takes an integer >= 1, a
-    float field a number (``lr`` a positive one); bools are not numbers."""
-    integral = isinstance(default, int)
+    float field a number, in its ``_SAC_RANGES`` range if it has one; bools
+    are not numbers."""
+    if isinstance(default, int):
+        return Param(default, lambda v: _real(v) and isinstance(v, numbers.Integral) and v >= 1,
+                     f"{name} must be an integer >= 1")
+    in_range, noun = _SAC_RANGES.get(name, (lambda v: True, "a number"))
+    return Param(default, lambda v: _real(v) and in_range(v), f"{name} must be {noun}")
 
-    def check(v) -> bool:
-        if not _real(v) or integral and not isinstance(v, numbers.Integral):
-            return False
-        return v >= 1 if integral else (v > 0 or name != "lr")
 
-    noun = "an integer >= 1" if integral else "a positive number" if name == "lr" else "a number"
-    return Param(default, check, f"{name} must be {noun}")
+def _sac_rules(p: dict) -> str | None:
+    """The first rule across fields that resolved SAC params break: a batch
+    larger than the buffer is never drawn, so the agent would never learn,
+    and the actor clips its log std to [log_std_min, log_std_max]."""
+    if p["batch_size"] > p["buffer_capacity"]:
+        return "batch_size must not exceed buffer_capacity"
+    if not p["log_std_min"] < p["log_std_max"]:
+        return "log_std_min must lie below log_std_max"
+    return None
 
 
 def _decay(default: float) -> dict[str, Param]:
@@ -206,7 +230,7 @@ KINDS: dict[str, Kind] = {
         _select_wigs,
         {f.name: _sac_param(f.name, f.default) for f in fields(SacConfig) if f.init},
         policy=lambda p, seed: SacPolicy(SacConfig(**p), generator(seed, "sac")),
-        state_bytes=lambda p, n: sac_state_bytes(SacConfig(**p), n),
+        state_bytes=lambda p, n: sac_state_bytes(SacConfig(**p), n), rules=_sac_rules,
         cache=True, cv_reward=True, sac_state=True, scorer="wigs"),
     "uncertainty": Kind(lambda q: select_uncertainty(
         q.pool_features, q.fits.feature_means[q.row], q.fits.gram_inverse[q.row],
@@ -241,10 +265,14 @@ class MethodSpec:
         for key in self.params:
             if key not in kind.params:
                 raise ValueError(f"{self.name}: unknown parameter {key!r} for kind {self.kind!r}")
-        for key, value in self.settings().items():
+        settings = self.settings()
+        for key, value in settings.items():
             param = kind.params[key]
             if not _passes(param.check, value):
                 raise ValueError(f"{self.name}: {param.rule}")
+        broken = kind.rules and kind.rules(settings)
+        if broken:
+            raise ValueError(f"{self.name}: {broken}")
 
     def settings(self) -> dict:
         """The params with the kind's defaults filled in."""

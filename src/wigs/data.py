@@ -212,12 +212,14 @@ def _parse_float(cell: str) -> float | None:
         return None
 
 
-def _check_finite(path: str, values: np.ndarray, cells, name: str) -> None:
-    """Refuse the first non-finite entry of a parsed column, by column and row."""
+def _check_finite(path: str, values: np.ndarray, cells, name: str, lines: list[int]) -> None:
+    """Refuse the first non-finite entry of a parsed column, by column and
+    row: the file line its record starts on."""
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"{path}: non-finite value {cells[i]!r} in column {name!r}, row {i + 2}")
+        raise ValueError(f"{path}: non-finite value {cells[i]!r} in column {name!r}, "
+                         f"row {lines[i]}")
 
 
 def load_csv(path: str | os.PathLike,
@@ -231,16 +233,23 @@ def load_csv(path: str | os.PathLike,
     does the preprocessing.  A declared name that is no feature column, and
     a cell of a column not declared categorical that fails numeric parsing,
     are errors that name the column (and the row), and so is a numeric cell
-    that reads as ``nan``, ``inf`` or ``-inf``.
+    that reads as ``nan``, ``inf`` or ``-inf``.  Blank lines are skipped, and
+    a row is named by the file line its record starts on.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
         raise FileNotFoundError(path)
+    rows, lines, line = [], [], 1  # the records, and the file line each starts on
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(line)
+            line = reader.line_num + 1
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header, data = rows[0], rows[1:]
+    header, data, lines = rows[0], rows[1:], lines[1:]
     if len(data) < 2:
         raise ValueError(f"{path}: need at least 2 data rows")
     n_cols = len(header)
@@ -257,9 +266,9 @@ def load_csv(path: str | os.PathLike,
     for i, cell in enumerate(target_cells):
         val = _parse_float(cell)
         if val is None:
-            raise ValueError(f"{path}: unparseable target {cell!r} in row {i + 2}")
+            raise ValueError(f"{path}: unparseable target {cell!r} in row {lines[i]}")
         targets[i] = val
-    _check_finite(path, targets, target_cells, header[-1])
+    _check_finite(path, targets, target_cells, header[-1], lines)
 
     blocks: list[np.ndarray] = []
     metas: list[ColumnMeta] = []
@@ -272,7 +281,7 @@ def load_csv(path: str | os.PathLike,
             if not is_cat and None in parsed:
                 i = parsed.index(None)
                 raise ValueError(f"{path}: unparseable value {cells[i]!r} in column {name!r}, "
-                                 f"row {i + 2}")
+                                 f"row {lines[i]}")
         if is_cat:
             categories = tuple(sorted(set(cells)))
             block = np.zeros((len(data), len(categories)))
@@ -282,7 +291,7 @@ def load_csv(path: str | os.PathLike,
             metas.append(ColumnMeta(name, "categorical", categories))
         else:
             block = np.array(parsed, dtype=float)[:, None]
-            _check_finite(path, block[:, 0], cells, name)
+            _check_finite(path, block[:, 0], cells, name, lines)
             metas.append(ColumnMeta(name, "continuous"))
         blocks.append(block)
     base = os.path.splitext(os.path.basename(path))[0]

@@ -172,7 +172,7 @@ def update_after_acquisition(block: DistanceBlock) -> None:
     block.n_labeled = n_old + 1
 
 
-def normalize_phi(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def normalize_phi(values: np.ndarray) -> np.ndarray:
     """Min-max map of a nonnegative distance collection onto [0, 1].
 
     Applied per iteration, separately to the feature-distance and
@@ -181,19 +181,13 @@ def normalize_phi(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     on purpose: on identical rows every feature distance is 0, so the
     feature term ranks no candidate, just as gsx's all-zero ``dx_min``
     does, and the tie goes to the lowest pool position.
-
-    ``out``, a float array of the shape of ``values`` (``values`` itself
-    allowed), receives the result, with the same bits as a new array.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot normalize an empty collection")
     lo = values.min()
     hi = values.max()
-    if out is None:
-        out = np.empty_like(values)
     if hi == lo:
-        out.fill(0.0)
-        return out
-    np.subtract(values, lo, out=out)
+        return np.zeros_like(values)
+    out = np.subtract(values, lo)
     return np.divide(out, hi - lo, out=out)

@@ -121,18 +121,16 @@ def _failing_fits(X: np.ndarray, y: np.ndarray, alpha: float, names: list[str]) 
 
 class _Group:
     """A fit group: the rows of a block that share its CV call (if
-    ``takes_cv``) and its committee call (if ``committee_size``), the
-    seconds of those calls (``_Block.share``), and the streams of its
-    distinct ``seeds``.  ``which`` maps each row to its seed: the fold
-    assignment and the resample counts depend only on the seed, the
-    iteration and the row count, so pairs that share a seed share them.
+    ``takes_cv``) and its committee call (if ``committee_size``), and the
+    streams of its distinct ``seeds``.  ``which`` maps each row to its
+    seed: the fold assignment and the resample counts depend only on the
+    seed, the iteration and the row count, so pairs that share a seed
+    share them.
     ``derive`` computes the state words of a chunk of iterations, ``cv``
     (U, T, 1, 4) and ``bootstrap`` (U, T, B, 4)."""
 
-    def __init__(self, takes_cv: bool, committee_size: int, rows: slice, seeds: list[int],
-                 seconds: list[float]):
-        self.takes_cv, self.committee_size, self.rows, self.seconds = \
-            takes_cv, committee_size, rows, seconds
+    def __init__(self, takes_cv: bool, committee_size: int, rows: slice, seeds: list[int]):
+        self.takes_cv, self.committee_size, self.rows = takes_cv, committee_size, rows
         position = {seed: i for i, seed in enumerate(dict.fromkeys(seeds))}
         self.seeds = list(position)
         self.which = np.array([position[seed] for seed in seeds])
@@ -164,11 +162,11 @@ class _Block:
     when Rc is 0), and its pool predictions are row r of ``preds``: the
     selectors read these rows, and no per-pair object holds them.
     ``move`` moves every partition and then every distance state in one
-    pass each.  ``hybrid`` holds each
-    pair's known labels and pool predictions in dataset order.  ``own`` books
-    the seconds of each pair's own work and ``shares`` those of each shared
-    call, per row, from the mark ``last``, which the recording resets: it
-    is left out.
+    pass each.  ``hybrid`` holds each pair's known labels and pool
+    predictions in dataset order.  ``seconds`` (R, T + 1), beside the
+    trace arrays, books each pair's wall time per trace row: its own work
+    and its share of each call it shares (``charge``), from the mark
+    ``last``, which the recording resets: it is left out.
     """
 
     def __init__(self, dataset: Dataset, pairs, initial_fraction: float, alpha: float,
@@ -232,28 +230,17 @@ class _Block:
         self.cc = np.empty((R, horizon + 1))
         self.weight = np.full((R, horizon + 1), np.nan)
         self.score = np.full((R, horizon + 1), np.nan)
-        self.own = [[0.0] * (horizon + 1) for _ in range(R)]  # each pair's own work per row
-        self.shares = []  # (rows, their count, per-row seconds of the calls they share)
-        self.everyone_s = self.share(slice(0, R), R)
-        if self.n_caches:
-            self.distances_s = self.share(slice(0, self.n_caches), self.n_caches)
-        self.groups = [_Group(takes_cv, committee_size, rows, self.seeds[rows],
-                              self.share(rows, rows.stop - rows.start))
+        self.seconds = np.zeros((R, horizon + 1))
+        self.groups = [_Group(takes_cv, committee_size, rows, self.seeds[rows])
                        for takes_cv, committee_size, rows in groups]
         self.last = time.perf_counter()
 
-    def share(self, rows, count: int) -> list[float]:
-        """The per-row seconds of the calls that the ``count`` pairs of
-        ``rows`` share; ``traces`` splits them evenly among those pairs."""
-        seconds = [0.0] * (self.horizon + 1)
-        self.shares.append((rows, count, seconds))
-        return seconds
-
-    def charge(self, seconds: list[float], slot: int) -> None:
-        """Book the seconds since ``last`` to the shared call ``seconds`` (from
-        ``share``), in row ``slot``."""
+    def charge(self, rows: slice, slot: int) -> None:
+        """Book the seconds since ``last``, the time of a call that the pairs
+        of ``rows`` share, to their trace row ``slot``, split evenly."""
         now = time.perf_counter()
-        seconds[slot] += now - self.last
+        share = self.seconds[rows, slot]
+        share += (now - self.last) / len(share)
         self.last = now
 
     def fit(self, slot: int) -> None:
@@ -267,7 +254,7 @@ class _Block:
                 raise
             raise RuntimeError(f"model fit failed at iteration {slot - 1} of "
                                + ", ".join(_failing_fits(X, y, self.alpha, self.names))) from exc
-        self.charge(self.everyone_s, slot)
+        self.charge(slice(None), slot)
 
     def fit_groups(self, t: int) -> None:
         """The CV call of each group that takes one and the committee call of
@@ -287,14 +274,14 @@ class _Block:
                 fold = np.stack([fold_assignment(k, self.cv_folds, state_generator(words))
                                  for words in group.cv[:, step, 0]])
                 self.cv_now[rows] = cv_rmse(X[rows], y[rows], self.alpha, fold[group.which])
-                self.charge(group.seconds, t + 1)
+                self.charge(rows, t + 1)
             if group.committee_size:
                 counts = np.stack([bootstrap_counts(k, map(state_generator, members))
                                    for members in group.bootstrap[:, step]])
                 # each row's (B, p) coefficients and (B,) intercepts
                 self.committees[rows] = zip(*fit_bootstrap_committee(
                     X[rows], y[rows], self.alpha, counts[group.which]))
-                self.charge(group.seconds, t + 1)
+                self.charge(rows, t + 1)
 
     def select(self, t: int) -> None:
         """Every policy step, pair by pair, then every selection: each run of
@@ -307,13 +294,14 @@ class _Block:
         selector.  Each row's pick and score are the bits its own selector
         gives it.  A policy step and a selector of one row are that pair's
         own seconds, and a group call's seconds go 1/G to each of its G
-        rows.  A pair's selection reads only its own state, so the moves
-        wait for ``move``."""
-        clock, last, slot, own = time.perf_counter, self.last, t + 1, self.own
+        rows, all booked in one add.  A pair's selection reads only its own
+        state, so the moves wait for ``move``."""
+        clock, last, slot, seconds = time.perf_counter, self.last, t + 1, self.seconds
         positions, weights, kinds, distances = \
             self.positions, self.weights_now, self.kinds, self.distances
         n_labeled, n_pool = self.partitions.n_labeled, self.partitions.n_pool
         targets = self.labels[:, :n_labeled]
+        spent = [0.0] * len(kinds)  # each row's own seconds
         for r in self.stepping:
             kind = kinds[r]
             reward = None
@@ -331,7 +319,7 @@ class _Block:
             weights[r] = self.policies[r].step(t, self.horizon, reward, context)
             self.weight[r, slot] = weights[r]
             now = clock()
-            own[r][slot] = now - last
+            spent[r] = now - last
             last = now
         size = max(1, SCORE_BUDGET // (n_pool * n_labeled))
         alone, groups = self.alone, []
@@ -347,7 +335,7 @@ class _Block:
             positions[r] = result.chosen
             self.score[r, slot] = result.score
             now = clock()
-            own[r][slot] += now - last
+            spent[r] += now - last
             last = now
         for scorer, lo, hi in groups:
             if scorer == "gsx":
@@ -359,10 +347,12 @@ class _Block:
             positions[lo:hi] = chosen.tolist()
             self.score[lo:hi, slot] = scores
             now = clock()
-            seconds = (now - last) / (hi - lo)
+            share = (now - last) / (hi - lo)
             for r in range(lo, hi):
-                own[r][slot] += seconds
+                spent[r] += share
             last = now
+        # += : a row already holds its pair's share of the CV and committee calls
+        seconds[:, slot] += spent
         self.last = last
 
     def move(self, slot: int) -> None:
@@ -371,10 +361,10 @@ class _Block:
         states of the cache pairs in one update, its time shared by those
         pairs alone."""
         self.partitions.acquire(self.positions)
-        self.charge(self.everyone_s, slot)
+        self.charge(slice(None), slot)
         if self.distances is not None:
             update_after_acquisition(self.distances)
-            self.charge(self.distances_s, slot)
+            self.charge(slice(self.n_caches), slot)
         n_labeled = self.partitions.n_labeled
         self.labeled = self.features[:, :n_labeled], self.labels[:, :n_labeled]
 
@@ -394,18 +384,19 @@ class _Block:
         (R, P + 1) buffer, which the selectors read by row: each pair's
         product with its coefficients, then every intercept in one add,
         shared by all R pairs."""
-        clock, last, own, fits = time.perf_counter, self.last, self.own, self.fits
+        clock, last, fits, spent = time.perf_counter, self.last, self.fits, []
         pools = self.features[:, self.partitions.n_labeled:]
         buffer = self.preds = np.empty((len(pools), self.partitions.n_pool + 1))
         for r in range(len(pools)):
             pools[r].dot(fits.coefficients[r], buffer[r, 1:])
             now = clock()
-            own[r][slot] += now - last
+            spent.append(now - last)
             last = now
+        self.seconds[:, slot] += spent
         self.last = last
         pool = buffer[:, 1:]
         pool += fits.intercepts[:, None]
-        self.charge(self.everyone_s, slot)
+        self.charge(slice(None), slot)
 
     def record(self, slot: int) -> None:
         """Row ``slot`` of every trace in one pass over the block: the hybrid
@@ -433,10 +424,7 @@ class _Block:
 
     def traces(self) -> list[Trace]:
         """The traces, in the order of the block's ``pairs``."""
-        shared = np.zeros((len(self.rank), self.horizon + 1))
-        for rows, count, seconds in self.shares:
-            shared[rows] += np.array(seconds) / count
-        wall_ms = (np.array(self.own) + shared) * 1000.0
+        wall_ms = self.seconds * 1000.0
         n_total = self.dataset.n_samples
         labeled = np.tile(np.arange(n_total - self.horizon, n_total + 1), (len(self.rank), 1))
         # each labeled set is in labeling order: its tail is the acquisitions
@@ -496,7 +484,8 @@ def run_block(
     committee call that R' pairs share, if the pair is one of them.  Row 0
     is the initial fit and prediction, row t the iteration up to its
     recording; each pair's own product with its coefficients is charged to
-    it.  The set-up, the initial distance states and the
+    it.  Both are booked in one (R, T + 1) array of seconds,
+    ``_Block.seconds``.  The set-up, the initial distance states and the
     recording are left out, as in a run of one pair at a time, so a block
     of one times what such a run timed.
     """

@@ -45,6 +45,9 @@ from .rng import generator
 # Candidates per chunk of egal's density sums: a (chunk, N) gather at a time.
 EGAL_CHUNK_ROWS = 64
 
+# The most dataset rows egal's bandwidth is estimated over.
+EGAL_SAMPLE_ROWS = 500
+
 
 class SelectionResult(NamedTuple):
     chosen: int                      # position in the current pool list
@@ -341,14 +344,14 @@ def select_emcm(pool_features: np.ndarray, predictions: np.ndarray, feature_mean
     return _pick(emcm_scores(pool_features, predictions, feature_means, coefficients, intercepts))
 
 
-def egal_bandwidth(dx: np.ndarray, seed: int, sample_cap: int = 500) -> float:
+def egal_bandwidth(dx: np.ndarray, seed: int) -> float:
     """Similarity kernel bandwidth: mean pairwise distance over a seeded sample.
 
     Read from the (N, N) feature distances ``dx`` over at most
-    ``sample_cap`` dataset rows, once per run.
+    ``EGAL_SAMPLE_ROWS`` dataset rows, once per run.
     """
     n = dx.shape[0]
-    take = min(sample_cap, n)
+    take = min(EGAL_SAMPLE_ROWS, n)
     idx = generator(seed, "egal").choice(n, size=take, replace=False)
     # The off-diagonal entries, in row-major order, are the runs of ``take``
     # between consecutive diagonal entries; moving each run forward packs

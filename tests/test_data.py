@@ -126,6 +126,20 @@ class TestLoadCsv:
                     f"non-finite value {cell!r} in column {column!r}, row 4")):
                 load_csv(path, declared)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n1,2\n\n3,4\nabc,5\n", "unparseable value 'abc' in column 'x', row 5"),
+        ("x,y\n\n1,2\n\n\n3,abc\n", "unparseable target 'abc' in row 6"),
+        ("x,y\n1,2\n\n3,4\n\n5,inf\n", "non-finite value 'inf' in column 'y', row 6"),
+        # a quoted cell across two lines: a record is named by its first line
+        ('c,x,y\n"a\nb",nan,2\nc,2,3\n', "non-finite value 'nan' in column 'x', row 2"),
+        ('c,x,y\n"a\nb",1,2\n\nc,2,3\nd,nan,4\n', "non-finite value 'nan' in column 'x', row 6"),
+    ])
+    def test_rows_named_by_their_file_line_past_blank_lines(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(path, ("c",) if text.startswith("c,") else ())
+
     def test_target_never_scaled(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "y"], [[1, 10], [2, 20], [3, 40]])
         ds = preprocess(path)

@@ -346,10 +346,32 @@ methods:
         ("wigs_sac", {"hidden": 10**400}, "hidden must be an integer >= 1"),
         ("qbc", {"committee_size": 10**400}, "committee needs at least 2"),
         ("wigs_exp", {"c": 10**400}, "decay constant must be positive"),
+        ("wigs_sac", {"batch_size": 64, "buffer_capacity": 32},
+         "batch_size must not exceed buffer_capacity"),
+        ("wigs_sac", {"buffer_capacity": 63}, "batch_size must not exceed buffer_capacity"),
+        ("wigs_sac", {"batch_size": 10_001}, "batch_size must not exceed buffer_capacity"),
+        ("wigs_sac", {"beta1": 1.0}, "beta1 must be a number in [0, 1)"),
+        ("wigs_sac", {"beta1": -0.1}, "beta1 must be a number in [0, 1)"),
+        ("wigs_sac", {"beta2": 1.0}, "beta2 must be a number in [0, 1)"),
+        ("wigs_sac", {"adam_eps": 0.0}, "adam_eps must be a positive number"),
+        ("wigs_sac", {"gamma": 1.01}, "gamma must be a number in [0, 1]"),
+        ("wigs_sac", {"gamma": -0.5}, "gamma must be a number in [0, 1]"),
+        ("wigs_sac", {"tau": 2.0}, "tau must be a number in [0, 1]"),
+        ("wigs_sac", {"tau": -1e-9}, "tau must be a number in [0, 1]"),
+        ("wigs_sac", {"log_std_min": 2.0}, "log_std_min must lie below log_std_max"),
+        ("wigs_sac", {"log_std_min": 0.0, "log_std_max": -1.0},
+         "log_std_min must lie below log_std_max"),
     ])
     def test_method_validation(self, kind, params, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             MethodSpec("m", kind, params)
+
+    @pytest.mark.parametrize("params", [
+        {"batch_size": 32, "buffer_capacity": 32}, {"beta1": 0.0, "beta2": 0.0},
+        {"gamma": 0.0, "tau": 1.0}, {"gamma": 1.0, "tau": 0.0},
+        {"log_std_min": 1.0, "log_std_max": 1.5}])
+    def test_sac_params_at_the_edges_of_their_ranges(self, params):
+        assert MethodSpec("m", "wigs_sac", params).settings().items() >= params.items()
 
     def test_settings_fill_defaults_without_writing_back(self):
         spec = MethodSpec("mab", "wigs_mab", {"c_explore": 0.5})
@@ -1300,6 +1322,54 @@ class TestTimings:
         for trace in scored:  # n = 60: P·L stays under the budget, one group of 4
             assert (trace.wall_ms[1:] >= self.SLEEP_MS / 4).all()
         assert np.median(passive.wall_ms[1:]) < self.SLEEP_MS / 8
+
+    def test_shared_calls_are_booked_exactly(self, dataset, monkeypatch):
+        """With a clock that ticks once per read, a block run twice books
+        the same seconds but for calls made 2**20 s slower in the second
+        run: 1/Rc of each distance update on each of the Rc cache pairs,
+        1/G of each scoring call on each row of its group of G, the whole
+        CV call on the one pair that takes it, and nothing on any other
+        row.  Every share is a power of two, so every sum is exact."""
+        pairs = [(spec_for(kind), seed) for kind, seed in (
+            ("wigs_static", 0), ("wigs_static", 1), ("gsx", 0), ("wigs_mab", 0),  # the Rc = 4
+            ("passive", 0), ("passive", 1), ("gsy", 0), ("qbc", 0))]
+        clock = TickingClock()
+        monkeypatch.setattr(wigs.harness, "time", clock)
+
+        def run():
+            clock.now = 0.0
+            return np.array([trace.wall_ms for trace in run_block(dataset, pairs)])
+
+        def slowed(real):
+            def call(*args, **kwargs):
+                clock.advance(2.0**20)
+                return real(*args, **kwargs)
+            return call
+
+        base = run()
+        with monkeypatch.context() as patch:
+            for site in ("update_after_acquisition", "cv_rmse", "select_stacked"):
+                patch.setattr(wigs.harness, site, slowed(getattr(wigs.harness, site)))
+            slow = run()
+        # n = 60: P·L stays under the budget, so the two wigs_static rows are one group
+        units = np.zeros_like(base)
+        units[:, 1:] = np.array([1 + 2, 1 + 2, 1, 1 + 4, 0, 0, 0, 0])[:, None]
+        assert np.array_equal(slow - base, units * (1000.0 * 2**18))
+
+
+class TickingClock:
+    """A stand-in for the ``time`` module whose ``perf_counter`` moves on
+    by one second at each read, and by ``advance``'s seconds."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        self.now += 1.0
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
 
 
 class TestVetoDemo:
