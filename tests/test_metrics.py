@@ -357,6 +357,22 @@ class TestWilcoxon:
         p = wilcoxon_signed_rank(a, b)
         assert 0.0 < p <= 1.0
 
+    @pytest.mark.parametrize("n", [3, 8, 12, 13, 20, 60])
+    def test_symmetric_in_its_arguments(self, n):
+        """w(a, b) and w(b, a) have the same bits, at n <= 12 (exact) and
+        n > 12 (normal approximation), with zero and tied differences:
+        b - a is exactly -(a - b) and the ranks are half-integers."""
+        rng = np.random.default_rng(17 + n)
+        for _ in range(200):
+            a = rng.normal(size=n)
+            b = rng.normal(size=n)
+            same = rng.random(n) < 0.2
+            b[same] = a[same]  # zero differences
+            ints = rng.random(n) < 0.4
+            a[ints] = rng.integers(-3, 4, size=ints.sum())
+            b[ints] = rng.integers(-3, 4, size=ints.sum())  # tied magnitudes
+            assert repr(wilcoxon_signed_rank(a, b)) == repr(wilcoxon_signed_rank(b, a))
+
     def test_shape_guards(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank(np.array([1.0]), np.array([1.0, 2.0]))

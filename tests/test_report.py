@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 
 import numpy as np
@@ -9,6 +10,8 @@ from wigs.config import KINDS, ExperimentConfig, MethodSpec, default_methods
 from wigs.data import PreprocessWarning
 from wigs.harness import run_experiment
 from wigs.report import ReportWarning, emit_report, load_record
+
+from test_hashes import STACK
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +29,70 @@ def record(tmp_path_factory):
     return run_experiment(config)
 
 
+@pytest.fixture(scope="module")
+def thirteen_seeds(tmp_path_factory):
+    """13 seeds: the Wilcoxon matrix takes its normal-approximation branch."""
+    config = ExperimentConfig(
+        dgp="two_regime", n=30, dataset_seed=4,
+        methods=(
+            MethodSpec("igs", "igs"),
+            MethodSpec("gsx", "gsx"),
+            MethodSpec("wigs_lin", "wigs_linear"),
+        ),
+        replications=13, base_seed=0, out_dir=str(tmp_path_factory.mktemp("thirteen")))
+    return run_experiment(config)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def sha256_file(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+# The sha256 of each of the seven report artifacts of two records; the
+# values belong to the stack that recorded them (STACK).
+REPORT_BYTES = {
+    "record": {
+        "delta_vs_baseline.svg": "9a65218d99a7f9182210a74a7a998fc42ae9f457fa5f03f49118071f556c51fa",
+        "label_efficiency.csv": "e1c2d97d2bf2ffe8da071b7c6aa17db15ae7b530996a08fba1ea3d6ee1a1ba69",
+        "label_efficiency_summary.csv":
+            "f9e1a0dcfcd292f096918f97d7e8d9dfb1d18e3a19e7cb0b4a3d833b041637f2",
+        "rel_auc.csv": "c453cb349b7e5e684f062ea24d930f236e29c1e1c9b20d8195ab6b73d4a44b4b",
+        "weight_by_position.csv": "3ecd47ab271ec4eb567201c996e01d6e063b4fe6bb4f9ca3cf25b7898426e09d",
+        "weights_vs_iteration.svg":
+            "cdc0bacb3a82cf07fb08eea92dfb74459aa90da16267726ccd02d96f025e3d9e",
+        "wilcoxon.csv": "3bce2614d3f6292efa4f2ee9ad1db612a9b20476d678b1b04f60eee129f8dc2d",
+    },
+    "thirteen_seeds": {
+        "delta_vs_baseline.svg": "6766c5dc211dc342f64a78e9cc19c668609593f277856ee7f7c10569625169f1",
+        "label_efficiency.csv": "b325e3b3a80e16b4e552e7ceecf7d85b13cabc5dd5f2190afb4ba3bdc3fce668",
+        "label_efficiency_summary.csv":
+            "ae6fd27d89d7605ef898ef31e68000fb7e8b27daa97c7ba6257ca87b024b7f9c",
+        "rel_auc.csv": "97c61c04459f5a502dd47d6c589d66160165e1bc41447fdee632586cb145caf3",
+        "weight_by_position.csv": "b0ebfc0d80ed810daf8818c6d882b1fb901cca63baa5b05779bd6fb2e8a00dd0",
+        "weights_vs_iteration.svg":
+            "87e80cb23102c7d8039c831d24c1380050d05a91b202dc61a76b83cfd1a41573",
+        "wilcoxon.csv": "fa036a224c7a291bd6e22a62cd6c36bfdc3733c2370fcb4c7320188490dbf71e",
+    },
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(REPORT_BYTES))
+def test_report_artifacts_keep_their_bytes(fixture, request, tmp_path):
+    """The 3-seed record takes the exact Wilcoxon branch, the 13-seed one the
+    normal approximation; both have one weighted method."""
+    files = emit_report(request.getfixturevalue(fixture), str(tmp_path))
+    got = {os.path.basename(path): sha256_file(path) for path in files.values()}
+    want = REPORT_BYTES[fixture]
+    differ = [f"{name}: pinned {want[name][:8]}, got {got[name][:8] if name in got else 'no file'}"
+              for name in sorted(want) if got.get(name) != want[name]]
+    differ += [f"{name}: not pinned" for name in sorted(set(got) - set(want))]
+    assert not differ, (f"{len(differ)} of {len(want)} {fixture} artifacts differ from the "
+                        f"table recorded on {STACK}:\n" + "\n".join(differ))
 
 
 class TestEmitReport:
@@ -85,6 +149,17 @@ class TestEmitReport:
             for j in range(len(methods)):
                 p = float(row[1 + j])
                 assert 0.0 <= p <= 1.0
+
+    def test_wilcoxon_symmetric_with_unit_diagonal(self, record):
+        rows = read_csv(emit_report(record)["wilcoxon"])
+        assert rows[0][0] == "method"
+        methods = rows[0][1:]
+        assert [row[0] for row in rows[1:]] == methods
+        matrix = [row[1:] for row in rows[1:]]
+        for i in range(len(methods)):
+            assert matrix[i][i] == "1.0"
+            for j in range(len(methods)):
+                assert matrix[i][j] == matrix[j][i]
 
     def test_svg_self_contained_with_polylines(self, record):
         files = emit_report(record)
