@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .config import load_config
-from .data import sample_three_regime, sample_two_regime, save_csv
+from .data import GENERATORS, save_csv
 from .harness import run_experiment
 from .report import emit_report, load_record
 from .selectors import veto_demo
@@ -29,8 +29,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    sampler = sample_two_regime if args.dgp == "two_regime" else sample_three_regime
-    dataset = sampler(args.n, args.seed)
+    dataset = GENERATORS[args.dgp](args.n, args.seed)
     save_csv(dataset, args.out)
     print(f"wrote {dataset.n_samples} rows to {args.out}")
     return 0
@@ -62,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    p_synth.add_argument("--dgp", required=True, choices=["two_regime", "three_regime"])
+    p_synth.add_argument("--dgp", required=True, choices=list(GENERATORS))
     p_synth.add_argument("--n", type=int, required=True)
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--out", required=True, metavar="FILE")

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset
+from .data import GENERATORS, Dataset
 from .geometry import DistanceBlock
 from .model import RidgeFits
 from .rng import generator
@@ -162,10 +162,12 @@ def _select_wigs(q: Query) -> SelectionResult:
 # The float SAC params whose range is narrower than the finite numbers:
 # (the range check, the rule's noun).  Adam's bias correction divides by
 # 1 - beta**t, so a beta of 1 gives NaN weights, and so can an adam_eps of
-# 0 once a gradient entry has stayed 0.
+# 0 once a gradient entry has stayed 0.  A negative alpha_ent would reward
+# a narrow policy; 0 is SAC without the entropy bonus.
 _SAC_RANGES = {
     "lr": (lambda v: v > 0, "a positive number"),
     "adam_eps": (lambda v: v > 0, "a positive number"),
+    "alpha_ent": (lambda v: v >= 0, "a nonnegative number"),
     "beta1": (lambda v: 0 <= v < 1, "a number in [0, 1)"),
     "beta2": (lambda v: 0 <= v < 1, "a number in [0, 1)"),
     "gamma": (lambda v: 0 <= v <= 1, "a number in [0, 1]"),
@@ -308,7 +310,7 @@ class ExperimentConfig:
         if (self.csv_path is None) == (self.dgp is None):
             raise ValueError("specify exactly one dataset source: csv_path or dgp")
         if self.dgp is not None:
-            if self.dgp not in ("two_regime", "three_regime"):
+            if not (isinstance(self.dgp, str) and self.dgp in GENERATORS):
                 raise ValueError(f"unknown generator {self.dgp!r}")
             if not (_integer(self.n) and self.n >= 2):
                 raise ValueError("generator runs need an integer n >= 2")

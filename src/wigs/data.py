@@ -443,3 +443,7 @@ def sample_three_regime(n: int, seed: int) -> Dataset:
     """Three-regime variant with an extreme-noise sparse band plus a
     moderately noisy dense band."""
     return _sample_dgp(n, seed, three_regime_mean, three_regime_noise_std, "three_regime")
+
+
+# The bundled generators by their config name: (n, seed) -> Dataset.
+GENERATORS = {"two_regime": sample_two_regime, "three_regime": sample_three_regime}

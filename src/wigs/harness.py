@@ -29,12 +29,11 @@ import numpy as np
 
 from .config import KINDS, ExperimentConfig, MethodSpec, Query, snapshot_json
 from .data import (
+    GENERATORS,
     Dataset,
     PartitionBlock,
     initial_split,
     load_csv,
-    sample_three_regime,
-    sample_two_regime,
     save_csv,
     scale_features,
 )
@@ -95,8 +94,7 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
     if config.csv_path is not None:
         raw = load_csv(config.csv_path, config.categorical_columns)
     else:
-        sampler = sample_two_regime if config.dgp == "two_regime" else sample_three_regime
-        raw = sampler(config.n, config.dataset_seed)
+        raw = GENERATORS[config.dgp](config.n, config.dataset_seed)
     return scale_features(raw, config.scaling)
 
 

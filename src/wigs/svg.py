@@ -50,16 +50,20 @@ def line_plot(
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
+    # each series' finite points and band edges (low, high), for the axis
+    # bounds and the drawing
+    lines = [_finite_points(s.x, s.y) for s in series]
+    bands = [None if s.band_low is None
+             else (_finite_points(s.x, s.band_low), _finite_points(s.x, s.band_high))
+             for s in series]
     points = []
-    for s in series:
-        points.extend(_finite_points(s.x, s.y))
-        if s.band_low is not None:
-            points.extend(_finite_points(s.x, s.band_low))
-            points.extend(_finite_points(s.x, s.band_high))
+    for line, band in zip(lines, bands):
+        points += line
+        if band is not None:
+            points += band[0] + band[1]
     if not points:
         raise ValueError("nothing to plot")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+    xs, ys = zip(*points)
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -108,24 +112,19 @@ def line_plot(
                f'transform="rotate(-90 20 {margin_t + plot_h / 2:.1f})">{ylabel}</text>')
 
     # bands first so lines draw on top
-    for i, s in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        if s.band_low is None:
+    for i, band in enumerate(bands):
+        if band is None or not all(band):
             continue
-        upper = _finite_points(s.x, s.band_high)
-        lower = _finite_points(s.x, s.band_low)
-        if not upper or not lower:
-            continue
-        ring = upper + lower[::-1]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in ring)
-        out.append(f'<polygon points="{pts}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
+        lower, upper = band
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in upper + lower[::-1])
+        out.append(f'<polygon points="{pts}" fill="{PALETTE[i % len(PALETTE)]}" '
+                   f'fill-opacity="0.15" stroke="none"/>')
 
-    for i, s in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        pts = _finite_points(s.x, s.y)
-        if not pts:
+    for i, (s, line) in enumerate(zip(series, lines)):
+        if not line:
             continue
-        path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        color = PALETTE[i % len(PALETTE)]
+        path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in line)
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         ly = margin_t + 16 + 16 * i
         lx = margin_l + plot_w + 12

@@ -168,6 +168,22 @@ methods:
                 ExperimentConfig(dgp="two_regime", n=50, alpha=alpha,
                                  methods=(MethodSpec("igs", "igs"),))
 
+    def test_generators_are_read_from_one_table(self):
+        from wigs.cli import build_parser
+        from wigs.data import GENERATORS
+        methods = (MethodSpec("igs", "igs"),)
+        assert list(GENERATORS) == ["two_regime", "three_regime"]
+        for name, sampler in GENERATORS.items():
+            config = ExperimentConfig(dgp=name, n=30, dataset_seed=2, methods=methods)
+            resolved, raw = resolve_dataset(config), sampler(30, 2)
+            assert resolved.name == raw.name == name
+            assert resolved.targets.tobytes() == raw.targets.tobytes()
+            assert build_parser().parse_args(
+                ["synth", "--dgp", name, "--n", "5", "--seed", "0", "--out", "x"]).dgp == name
+        for dgp in (["two_regime"], {"two_regime": 1}):
+            with pytest.raises(ValueError, match="unknown generator"):
+                ExperimentConfig(dgp=dgp, n=30, methods=methods)
+
     @pytest.mark.parametrize("field, value, message", [
         ("n", 40.5, "generator runs need an integer n >= 2"),
         ("n", float("inf"), "generator runs need an integer n >= 2"),
@@ -361,6 +377,8 @@ methods:
         ("wigs_sac", {"log_std_min": 2.0}, "log_std_min must lie below log_std_max"),
         ("wigs_sac", {"log_std_min": 0.0, "log_std_max": -1.0},
          "log_std_min must lie below log_std_max"),
+        ("wigs_sac", {"alpha_ent": -5.0}, "alpha_ent must be a nonnegative number"),
+        ("wigs_sac", {"alpha_ent": -1e-300}, "alpha_ent must be a nonnegative number"),
     ])
     def test_method_validation(self, kind, params, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -369,7 +387,7 @@ methods:
     @pytest.mark.parametrize("params", [
         {"batch_size": 32, "buffer_capacity": 32}, {"beta1": 0.0, "beta2": 0.0},
         {"gamma": 0.0, "tau": 1.0}, {"gamma": 1.0, "tau": 0.0},
-        {"log_std_min": 1.0, "log_std_max": 1.5}])
+        {"log_std_min": 1.0, "log_std_max": 1.5}, {"alpha_ent": 0.0}])
     def test_sac_params_at_the_edges_of_their_ranges(self, params):
         assert MethodSpec("m", "wigs_sac", params).settings().items() >= params.items()
 

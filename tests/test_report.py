@@ -273,6 +273,20 @@ class TestLoadRecord:
             assert np.array_equal(tr.acquired_idx, other.acquired_idx)
         assert_same_dataset(loaded.dataset, record.dataset)
 
+    def test_errors_roundtrip(self, tmp_path, monkeypatch):
+        import test_harness
+        test_harness.TestFailureIsolation.patch_gsx(monkeypatch, 101)
+        record = run_experiment(ExperimentConfig(
+            dgp="two_regime", n=40, dataset_seed=4, methods=(MethodSpec("gsx", "gsx"),),
+            replications=3, base_seed=100, out_dir=str(tmp_path / "rec")))
+        assert [error[:2] for error in record.errors] == [("gsx", 101)]
+        assert "\n" in record.errors[0][2]
+        loaded = load_record(record.record_dir)
+        # errors.csv keeps each failure on one line, with " | " for its newlines
+        assert loaded.errors == tuple((method, seed, text.replace("\n", " | "))
+                                      for method, seed, text in record.errors)
+        assert [(tr.method, tr.seed) for tr in loaded.traces] == [("gsx", 100), ("gsx", 102)]
+
     def test_csv_record_roundtrip(self, tmp_path):
         # a categorical column (one-hot in the record) and a constant one
         # (dropped by scaling): dataset.csv must read back as the run's data
